@@ -118,13 +118,14 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
         (fun _ -> 1.0)
   in
   let initial_predictor = Predictor.make ~kind:config.evaluator initial_spec in
-  let initial_search =
-    match config.fix_first_on with
-    | None -> Predictor.choose ~exhaustive_limit:config.exhaustive_limit initial_predictor
-    | Some p ->
-        Predictor.choose ~fix_first_on:p ~exhaustive_limit:config.exhaustive_limit
-          initial_predictor
+  (* Every search pins stage 0 when the config asks for it; the later ones
+     are seeded with the running mapping, which prunes the branch-and-bound
+     without changing its answer. *)
+  let choose ?incumbent predictor =
+    Predictor.choose ?fix_first_on:config.fix_first_on ~exhaustive_limit:config.exhaustive_limit
+      ?incumbent predictor
   in
+  let initial_search = choose initial_predictor in
   let initial_mapping = initial_search.Search.mapping in
   Log.info (fun m ->
       m "[%s] initial mapping %s (predicted %.4f items/s, %d candidates scored)"
@@ -164,11 +165,7 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
     then begin
       let predictor = Predictor.make ~kind:config.evaluator (belief_spec ()) in
       let result =
-        match config.fix_first_on with
-        | None -> Predictor.choose ~exhaustive_limit:config.exhaustive_limit predictor
-        | Some p ->
-            Predictor.choose ~fix_first_on:p ~exhaustive_limit:config.exhaustive_limit
-              predictor
+        choose ~incumbent:(Mapping.of_array ~processors:(Topology.size topo) current) predictor
       in
       let target = Mapping.to_array result.Search.mapping in
       if target <> current then begin
@@ -220,14 +217,7 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
           items_remaining = Skel_sim.items_total sim - completed;
           migration_stall =
             (fun target -> Migration.stall_seconds config.migration ~spec ~stages ~current ~target);
-          choose_best =
-            (fun () ->
-              match config.fix_first_on with
-              | None ->
-                  Predictor.choose ~exhaustive_limit:config.exhaustive_limit predictor
-              | Some p ->
-                  Predictor.choose ~fix_first_on:p
-                    ~exhaustive_limit:config.exhaustive_limit predictor);
+          choose_best = (fun () -> choose ~incumbent:current predictor);
           serving = None;
         }
       in

@@ -107,46 +107,40 @@ module Incr = struct
     t.proc_rate.(p) <- rate;
     note t p rate
 
-  (* [Costspec.service_rate], with the sharing count read from [counts]. *)
-  let service_rate t i =
-    let p = t.assign.(i) in
-    let sharing = Float.of_int t.counts.(p) in
-    let work = t.spec.Costspec.stage_work.(i) in
-    if work <= 0.0 then infinity else t.spec.Costspec.node_rates.(p) /. (work *. sharing)
-
-  (* [Costspec.move_rate] on the scratch assignment. *)
-  let move_rate t i =
-    let spec = t.spec in
-    let time =
-      if i = 0 then begin
-        let p = t.assign.(0) in
-        spec.Costspec.user_latency.(p) +. (spec.Costspec.item_bytes /. spec.Costspec.user_bandwidth.(p))
-      end
-      else if i = t.ns then begin
-        let p = t.assign.(t.ns - 1) in
-        spec.Costspec.user_latency.(p)
-        +. (spec.Costspec.output_bytes.(t.ns - 1) /. spec.Costspec.user_bandwidth.(p))
-      end
-      else begin
-        let src = t.assign.(i - 1) and dst = t.assign.(i) in
-        spec.Costspec.latency.(src).(dst)
-        +. (spec.Costspec.output_bytes.(i - 1) /. spec.Costspec.bandwidth.(src).(dst))
-      end
-    in
-    if time <= 0.0 then infinity else 1.0 /. time
-
-  (* [stage_cycle_time] + the cycle-station rate from [stations]. *)
-  let set_cycle t i =
+  (* [stage_cycle_time] + the cycle-station rate from [stations]:
+     [Costspec.service_rate] with the given sharing count, then
+     [Costspec.move_rate] of the output move. Only [assign.(i)] and
+     [assign.(i + 1)] are read. *)
+  let[@inline] cycle_rate spec assign ~sharing i =
+    let ns = Array.length assign in
+    let p = assign.(i) in
     let service =
-      let rate = service_rate t i in
+      let work = spec.Costspec.stage_work.(i) in
+      let rate =
+        if work <= 0.0 then infinity
+        else spec.Costspec.node_rates.(p) /. (work *. Float.of_int sharing)
+      in
       if rate = infinity then 0.0 else 1.0 /. rate
     in
     let move_out =
-      let rate = move_rate t (i + 1) in
+      let time =
+        if i = ns - 1 then
+          spec.Costspec.user_latency.(p)
+          +. (spec.Costspec.output_bytes.(i) /. spec.Costspec.user_bandwidth.(p))
+        else begin
+          let dst = assign.(i + 1) in
+          spec.Costspec.latency.(p).(dst)
+          +. (spec.Costspec.output_bytes.(i) /. spec.Costspec.bandwidth.(p).(dst))
+        end
+      in
+      let rate = if time <= 0.0 then infinity else 1.0 /. time in
       if rate = infinity then 0.0 else 1.0 /. rate
     in
     let cycle = service +. move_out in
-    let rate = if cycle <= 0.0 then infinity else 1.0 /. cycle in
+    if cycle <= 0.0 then infinity else 1.0 /. cycle
+
+  let set_cycle t i =
+    let rate = cycle_rate t.spec t.assign ~sharing:t.counts.(t.assign.(i)) i in
     t.cycle_rate.(i) <- rate;
     note t (t.np + i) rate
 

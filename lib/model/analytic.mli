@@ -63,6 +63,14 @@ module Incr : sig
       [throughput spec (mapping t)] bit-for-bit. O(1) when the tracked
       minimum is valid, O(Ns + Np) rescan otherwise. *)
 
+  val cycle_rate : Costspec.t -> int array -> sharing:int -> int -> float
+  (** [cycle_rate spec assign ~sharing i] is stage [i]'s cycle-station rate
+      when [i]'s processor hosts [sharing] stages: the float operations
+      {!create} and {!move} use, in the same order. Only [assign.(i)] and
+      [assign.(i + 1)] are read, so a prefix of an assignment suffices. Never
+      increases as [sharing] grows, which makes it an admissible bound for
+      branch-and-bound under a prefix's sharing counts. *)
+
   val assignment : t -> int -> int
   (** Processor currently hosting the given stage. *)
 

@@ -19,13 +19,21 @@ val evaluate : t -> Mapping.t -> float
 (** Predicted steady-state throughput (items/s). *)
 
 val choose :
-  ?fix_first_on:int -> ?exhaustive_limit:int -> ?par:Search.par -> t -> Search.result
-(** Best mapping over the full space. The [Analytic] kind runs the
-    incremental fast paths ({!Search.auto_spec} / {!Search.exhaustive_spec},
-    with [par] enabling the chunked parallel backend on large spaces); the
+  ?fix_first_on:int ->
+  ?exhaustive_limit:int ->
+  ?par:Search.par ->
+  ?incumbent:Mapping.t ->
+  t ->
+  Search.result
+(** Best mapping over the full space. The [Analytic] kind runs
+    {!Search.auto_spec} — pinned or not, so [exhaustive_limit] always holds —
+    with [par] enabling the chunked parallel backend on large spaces; the
     [Ctmc] kind keeps the generic {!Search.auto} / {!Search.exhaustive}.
-    All backends obey the lowest-code tie-break, so the chosen mapping is
-    independent of backend and worker count. *)
+    [incumbent], the mapping the pipeline runs now, seeds the analytic
+    branch-and-bound so it scores fewer leaves ([evaluated] falls); it never
+    changes the choice, and the [Ctmc] kind ignores it. All backends obey the
+    lowest-code tie-break, so the chosen mapping is independent of backend,
+    worker count and incumbent. *)
 
 val rank : t -> Mapping.t list -> (Mapping.t * float) list
 (** Candidates with scores, best first; deterministic for equal scores. *)

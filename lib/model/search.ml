@@ -52,11 +52,19 @@ let exhaustive ?fix_first_on ~stages ~processors evaluator =
     evaluated = !count;
   }
 
-let greedy ~stages ~processors evaluator =
+let greedy ?fix_first_on ~stages ~processors evaluator =
   if stages <= 0 || processors <= 0 then invalid_arg "Search.greedy";
   let assignment = Array.make stages 0 in
   let evaluated = ref 0 in
-  for i = 0 to stages - 1 do
+  (* A pinned stage 0 is placed, not chosen; the rest ride along on it. *)
+  let first =
+    match fix_first_on with
+    | Some p ->
+        Array.fill assignment 0 stages p;
+        1
+    | None -> 0
+  in
+  for i = first to stages - 1 do
     let best_processor = ref 0 and best_score = ref neg_infinity in
     for p = 0 to processors - 1 do
       assignment.(i) <- p;
@@ -219,17 +227,33 @@ let check_space ?fix_first_on ~stages ~processors ~cap () =
 
    is an upper bound, {e in float arithmetic}, on every leaf score below the
    prefix: each leaf's throughput is ≤ its own capacity stations, which are
-   ≤ the prefix's. Pruning is on strict [bound < best] only — equal-score
-   subtrees must be visited because the DFS order is not ascending-code, and
-   the contract is lowest-code-wins among ties. *)
-let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) spec =
+   ≤ the prefix's. Once stage [s] is placed, stage [s-1]'s cycle station is
+   fixed except for its sharing count, which can only rise deeper in the
+   tree; [Analytic.Incr.cycle_rate] under the prefix's [used] counts is then
+   ≥ that station's leaf value, and joins the bound (with the last stage's
+   user-link cycle at depth [ns-1]). Pruning is on strict [bound < best]
+   only — equal-score subtrees must be visited because the DFS order is not
+   ascending-code, and the contract is lowest-code-wins among ties. The
+   same strictness lets a caller's [incumbent] seed [best] without changing
+   the winner: it is ranked by its (canonical) code like any leaf.
+
+   The prefix lives in a scratch array; [Incr] is synced only at leaves,
+   from the shallowest stage changed since the previous leaf, so pruned
+   interior nodes cost no evaluator moves. *)
+let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) ?incumbent spec =
   let ns = Costspec.stages spec and np = Costspec.processors spec in
-  let total = check_space ?fix_first_on ~stages:ns ~processors:np ~cap:Mapping.max_enumeration () in
-  ignore total;
+  ignore (check_space ?fix_first_on ~stages:ns ~processors:np ~cap:Mapping.max_enumeration ());
   let start = match fix_first_on with Some _ -> 1 | None -> 0 in
   (match fix_first_on with
   | Some p when p < 0 || p >= np -> invalid_arg "Mapping.enumerate: fix_first_on out of range"
   | _ -> ());
+  (* An incumbent off the pin is not a candidate; range-check the rest. *)
+  let incumbent =
+    match (incumbent, fix_first_on) with
+    | Some m, Some p when Mapping.processor_of m 0 <> p -> None
+    | Some m, _ -> Some (Mapping.of_array ~processors:np (Mapping.to_array m))
+    | None, _ -> None
+  in
   let class_of = if canonical then symmetry_classes ?fix_first_on spec else Array.init np Fun.id in
   (* Canonicalization only pays when at least one class has two members;
      fully heterogeneous specs take the plain pruned walk. *)
@@ -245,10 +269,10 @@ let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) spec =
   let work = spec.Costspec.stage_work in
   let rates = spec.Costspec.node_rates in
   let bound_work = Array.make np 0.0 in
-  let m0 = Array.make ns 0 in
+  let assign = Array.make ns 0 in
   (match fix_first_on with
   | Some p ->
-      m0.(0) <- p;
+      assign.(0) <- p;
       used.(p) <- 1;
       bound_work.(p) <- 0.0 +. work.(0)
   | None -> ());
@@ -261,57 +285,86 @@ let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) spec =
   for k = 1 to ns - start - 1 do
     pow.(k) <- pow.(k - 1) * np
   done;
-  let incr_state = Analytic.Incr.create spec (Mapping.of_array ~processors:np m0) in
+  let incr_state =
+    Analytic.Incr.create spec
+      (match incumbent with Some m -> m | None -> Mapping.of_array ~processors:np assign)
+  in
+  (* Shallowest stage at which [assign] may differ from [incr_state]. *)
+  let dirty = ref start in
   let scored = ref 0 in
   let have = ref false in
   let best_score = ref neg_infinity in
   let best_code = ref max_int in
   let best_assign = ref [||] in
-  let rec dfs s bound code =
-    if s = ns then begin
-      incr scored;
-      let score = Analytic.Incr.score incr_state in
-      if (not !have) || score >= !best_score then begin
-        let leaf = Array.init ns (Analytic.Incr.assignment incr_state) in
-        if canonical then begin
-          (* The representative's score is the whole symmetry class's score;
-             rank the class by its minimal-code member so the winner is the
-             same assignment the plain ascending-code walk returns. *)
-          let relabeled, ccode = relabel_min_code ?fix_first_on ~class_of leaf in
-          if (not !have) || score > !best_score || ccode < !best_code then begin
-            have := true;
-            best_score := score;
-            best_code := ccode;
-            best_assign := relabeled
-          end
-        end
-        else if (not !have) || score > !best_score || code < !best_code then begin
-          have := true;
-          best_score := score;
-          best_code := code;
-          best_assign := leaf
-        end
+  let consider score leaf code =
+    if (not !have) || score >= !best_score then begin
+      (* The representative's score is the whole symmetry class's score;
+         rank the class by its minimal-code member so the winner is the same
+         assignment the plain ascending-code walk returns. *)
+      let leaf, code =
+        if canonical then relabel_min_code ?fix_first_on ~class_of leaf else (leaf, code)
+      in
+      if (not !have) || score > !best_score || code < !best_code then begin
+        have := true;
+        best_score := score;
+        best_code := code;
+        best_assign := Array.copy leaf
       end
     end
-    else
-      for q = 0 to np - 1 do
-        if (not canonical) || pred.(q) < 0 || used.(pred.(q)) > 0 then begin
-          let saved = bound_work.(q) in
-          let w = saved +. work.(s) in
-          bound_work.(q) <- w;
-          let station = if w <= 0.0 then infinity else rates.(q) /. w in
-          let bound' = Float.min bound station in
-          if (not prune) || (not !have) || not (bound' < !best_score) then begin
-            Analytic.Incr.move incr_state ~stage:s q;
-            used.(q) <- used.(q) + 1;
-            dfs (s + 1) bound' (code + (q * pow.(s - start)));
-            used.(q) <- used.(q) - 1
-          end;
-          bound_work.(q) <- saved
-        end
-      done
   in
-  dfs start root_bound 0;
+  (match incumbent with
+  | Some m ->
+      consider (Analytic.Incr.score incr_state) (Mapping.to_array m)
+        (Mapping.code_of ?fix_first_on ~processors:np m)
+  | None -> ());
+  let pruned bound = prune && !have && bound < !best_score in
+  (* Bounds take minima by plain [<], not [Float.min]: they only feed [<]
+     tests, and [Float.min]'s sign-bit check is a C call on the hot path. *)
+  let with_cycle bound i =
+    let c = Analytic.Incr.cycle_rate spec assign ~sharing:used.(assign.(i)) i in
+    if c < bound then c else bound
+  in
+  let leaf code =
+    for i = !dirty to ns - 1 do
+      Analytic.Incr.move incr_state ~stage:i assign.(i)
+    done;
+    dirty := ns;
+    incr scored;
+    consider (Analytic.Incr.score incr_state) assign code
+  in
+  let rec dfs s bound code =
+    for q = 0 to np - 1 do
+      if (not canonical) || pred.(q) < 0 || used.(pred.(q)) > 0 then begin
+        let saved = bound_work.(q) in
+        let w = saved +. work.(s) in
+        let station = if w <= 0.0 then infinity else rates.(q) /. w in
+        let bound' = if station < bound then station else bound in
+        if not (pruned bound') then begin
+          assign.(s) <- q;
+          if s < !dirty then dirty := s;
+          used.(q) <- used.(q) + 1;
+          let bound' =
+            if not prune then bound'
+            else begin
+              let b = if s > 0 then with_cycle bound' (s - 1) else bound' in
+              if s = ns - 1 then with_cycle b s else b
+            end
+          in
+          if not (pruned bound') then begin
+            let code = code + (q * pow.(s - start)) in
+            if s = ns - 1 then leaf code
+            else begin
+              bound_work.(q) <- w;
+              dfs (s + 1) bound' code;
+              bound_work.(q) <- saved
+            end
+          end;
+          used.(q) <- used.(q) - 1
+        end
+      end
+    done
+  in
+  if start = ns then leaf 0 else dfs start root_bound 0;
   {
     mapping = Mapping.of_array ~processors:np !best_assign;
     score = !best_score;
@@ -381,9 +434,16 @@ let exhaustive_par ?fix_first_on ?(par = sequential_par) ?chunks spec =
    tie-breaks replicate [hill_climb] exactly, and [Incr] scores are
    bit-identical to the full evaluator, so the trajectory — and therefore
    the result — matches the generic climb on [Analytic.throughput]. *)
-let hill_climb_spec ?(max_steps = 1000) ~start spec =
+let hill_climb_spec ?(max_steps = 1000) ?fix_first_on ~start spec =
   let np = Costspec.processors spec in
   let ns = Costspec.stages spec in
+  let first =
+    match fix_first_on with
+    | Some p when Mapping.processor_of start 0 <> p ->
+        invalid_arg "Search.hill_climb_spec: start is off the fix_first_on pin"
+    | Some _ -> 1
+    | None -> 0
+  in
   let st = Analytic.Incr.create spec start in
   let evaluated = ref 1 in
   let score = ref (Analytic.Incr.score st) in
@@ -391,7 +451,7 @@ let hill_climb_spec ?(max_steps = 1000) ~start spec =
   let improved = ref true in
   while !improved && !steps < max_steps do
     let best_s = ref neg_infinity and best_stage = ref (-1) and best_q = ref (-1) in
-    for i = 0 to ns - 1 do
+    for i = first to ns - 1 do
       let p = Analytic.Incr.assignment st i in
       for q = 0 to np - 1 do
         if q <> p then begin
@@ -416,16 +476,16 @@ let hill_climb_spec ?(max_steps = 1000) ~start spec =
   done;
   { mapping = Analytic.Incr.mapping st; score = !score; evaluated = !evaluated }
 
-let auto_spec ?(exhaustive_limit = default_exhaustive_limit) ?fix_first_on ?par spec =
+let auto_spec ?(exhaustive_limit = default_exhaustive_limit) ?fix_first_on ?par ?incumbent spec =
   let ns = Costspec.stages spec and np = Costspec.processors spec in
   let free = match fix_first_on with Some _ -> ns - 1 | None -> ns in
   match Mapping.space_within ~stages:free ~processors:np ~cap:exhaustive_limit with
   | Some total ->
       (match par with
       | Some par when total >= 32_768 -> exhaustive_par ?fix_first_on ~par spec
-      | _ -> exhaustive_spec ?fix_first_on spec)
+      | _ -> exhaustive_spec ?fix_first_on ?incumbent spec)
   | None ->
       let evaluator m = Analytic.throughput spec m in
-      let greedy_result = greedy ~stages:ns ~processors:np evaluator in
-      let refined = hill_climb_spec ~start:greedy_result.mapping spec in
+      let greedy_result = greedy ?fix_first_on ~stages:ns ~processors:np evaluator in
+      let refined = hill_climb_spec ?fix_first_on ~start:greedy_result.mapping spec in
       { refined with evaluated = refined.evaluated + greedy_result.evaluated }

@@ -47,17 +47,34 @@ val exhaustive_ref :
     reference for {!exhaustive} and the spec-specialized backends. *)
 
 val exhaustive_spec :
-  ?fix_first_on:int -> ?prune:bool -> ?canonical:bool -> Costspec.t -> result
+  ?fix_first_on:int ->
+  ?prune:bool ->
+  ?canonical:bool ->
+  ?incumbent:Mapping.t ->
+  Costspec.t ->
+  result
 (** Exhaustive search on the incremental evaluator. With [prune] (default
-    [true]) a branch-and-bound prefix bound — adding work to a processor
-    only lowers its capacity station — skips subtrees that provably cannot
-    beat the incumbent (strict inequality only, preserving the tie-break).
-    With [canonical] (default [true]) processors whose rates and link costs
-    are exactly interchangeable are collapsed: only one representative per
-    symmetry class is scored (up to p! shrinkage on uniform grids) and the
-    winner is relabeled to its class's lowest-code member. [evaluated]
-    counts scored leaves, so it shrinks under pruning/canonicalization;
-    with both disabled this is the pure Gray-order incremental walk and
+    [true]) a branch-and-bound prefix bound skips subtrees that provably
+    cannot beat the best candidate so far (strict inequality only,
+    preserving the tie-break). The bound is the minimum of the prefix's
+    processor capacity stations — adding work to a processor only lowers
+    them — and the cycle stations of the stages whose output move is
+    already fixed, taken at the prefix's sharing counts. With [canonical]
+    (default [true]) processors whose rates and link costs are exactly
+    interchangeable are collapsed: only one representative per symmetry
+    class is scored (up to p! shrinkage on uniform grids) and the winner is
+    relabeled to its class's lowest-code member.
+
+    [incumbent] is a known candidate, typically the mapping the pipeline
+    runs now. It is scored first and ranked by its code like any leaf, so
+    pruning starts from its score: the closer it is to the optimum, the
+    fewer leaves are scored. It never changes the result. An incumbent that
+    breaks [fix_first_on] is ignored; one with the wrong stage count or an
+    out-of-range processor raises [Invalid_argument].
+
+    [evaluated] counts the leaves the walk scored (not the incumbent), so it
+    falls with pruning, canonicalization and a good incumbent; with [prune]
+    and [canonical] disabled this is the pure incremental walk and
     [evaluated] equals the space size. The returned mapping and score are
     identical to {!exhaustive} on [Analytic.throughput spec]. *)
 
@@ -69,10 +86,12 @@ val exhaustive_par :
     improvement test — so the result is byte-identical for any worker count,
     including {!sequential_par}. *)
 
-val greedy : stages:int -> processors:int -> evaluator -> result
+val greedy : ?fix_first_on:int -> stages:int -> processors:int -> evaluator -> result
 (** Builds the mapping stage by stage, placing each stage on the processor
     that maximizes the evaluator applied to the partial pipeline (remaining
-    stages tentatively on the last chosen processor). O(Ns·Np) evaluations. *)
+    stages tentatively on the last chosen processor). O(Ns·Np) evaluations.
+    With [fix_first_on], stage 0 is placed on that processor without a
+    choice. *)
 
 val hill_climb :
   ?max_steps:int -> start:Mapping.t -> processors:int -> evaluator -> result
@@ -82,11 +101,13 @@ val hill_climb :
     a candidate is copied only when it improves on the step's incumbent. *)
 
 val hill_climb_spec :
-  ?max_steps:int -> start:Mapping.t -> Costspec.t -> result
+  ?max_steps:int -> ?fix_first_on:int -> start:Mapping.t -> Costspec.t -> result
 (** {!hill_climb} on {!Analytic.Incr}: neighbours are probed as move/undo
     pairs on one incremental state, no full re-evaluation. Same neighbour
     order, same tie-breaks, bit-identical scores — hence the same trajectory
-    and result as the generic climb on [Analytic.throughput spec]. *)
+    and result as the generic climb on [Analytic.throughput spec]. With
+    [fix_first_on], stage 0 never moves ([start] must already have it on the
+    pin, or [Invalid_argument] is raised). *)
 
 val auto :
   ?exhaustive_limit:int -> stages:int -> processors:int -> evaluator -> result
@@ -96,11 +117,19 @@ val auto :
     exact integer arithmetic (no float rounding). *)
 
 val auto_spec :
-  ?exhaustive_limit:int -> ?fix_first_on:int -> ?par:par -> Costspec.t -> result
+  ?exhaustive_limit:int ->
+  ?fix_first_on:int ->
+  ?par:par ->
+  ?incumbent:Mapping.t ->
+  Costspec.t ->
+  result
 (** {!auto} specialized to the analytic evaluator: {!exhaustive_spec} below
     the limit (or {!exhaustive_par} when [par] is given and the space is
     large enough to amortize the fan-out), greedy + {!hill_climb_spec}
-    above. *)
+    above. [fix_first_on] pins stage 0 on both sides of the limit (the free
+    space, one stage smaller, is what the limit is compared with).
+    [incumbent] seeds {!exhaustive_spec}'s pruning and is ignored by the
+    other paths; it never changes the result. *)
 
 val best_of : Mapping.t list -> evaluator -> result
 (** Score an explicit candidate list (e.g. the paper's eight mappings). *)

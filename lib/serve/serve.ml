@@ -156,11 +156,12 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
      the autoscalers are being compared on. *)
   let initial_spec = spec_from (fun i -> Node.availability (Topology.node topo i)) in
   let initial_predictor = Predictor.make ~kind:config.evaluator initial_spec in
-  let initial_search =
-    match config.fix_first_on with
-    | None -> Predictor.choose initial_predictor
-    | Some p -> Predictor.choose ~fix_first_on:p initial_predictor
+  (* The later searches are seeded with the running mapping, which prunes
+     the branch-and-bound without changing its answer. *)
+  let choose ?incumbent predictor =
+    Predictor.choose ?fix_first_on:config.fix_first_on ?incumbent predictor
   in
+  let initial_search = choose initial_predictor in
   let initial_mapping =
     match initial with
     | `Best -> initial_search.Search.mapping
@@ -257,11 +258,7 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
       && !failover_count < config.failover.Policy.max_failovers
     then begin
       let predictor = Predictor.make ~kind:config.evaluator (belief_spec ()) in
-      let result =
-        match config.fix_first_on with
-        | None -> Predictor.choose predictor
-        | Some p -> Predictor.choose ~fix_first_on:p predictor
-      in
+      let result = choose ~incumbent:(Mapping.of_array ~processors current) predictor in
       let target = Mapping.to_array result.Search.mapping in
       if target <> current then begin
         let replayed = List.length (Skel_sim.lost_items sim) in
@@ -326,11 +323,7 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
             backlog () + int_of_float (Float.ceil (arrival_rate *. config.amortize_horizon));
           migration_stall =
             (fun target -> Migration.stall_seconds config.migration ~spec ~stages ~current ~target);
-          choose_best =
-            (fun () ->
-              match config.fix_first_on with
-              | None -> Predictor.choose predictor
-              | Some p -> Predictor.choose ~fix_first_on:p predictor);
+          choose_best = (fun () -> choose ~incumbent:current predictor);
           serving =
             Some
               {

@@ -829,11 +829,31 @@ let test_exhaustive_backends_agree =
         && bits r.Search.score = bits reference.Search.score
       in
       let full (r : Search.result) = same r && r.Search.evaluated = reference.Search.evaluated in
+      (* Incumbents: none, a random candidate (on the pin when there is one),
+         and one off the pin, which must be ignored. *)
+      let free = match fix_first_on with Some _ -> stages - 1 | None -> stages in
+      let random_incumbent =
+        Mapping.decode ?fix_first_on ~stages ~processors
+          (seed / 3 mod Option.get (Mapping.space_size ~stages:free ~processors))
+      in
+      let incumbents =
+        None :: Some random_incumbent
+        :: (match fix_first_on with
+           | Some p when processors > 1 ->
+               let off = Mapping.to_array random_incumbent in
+               off.(0) <- (p + 1) mod processors;
+               [ Some (Mapping.of_array ~processors off) ]
+           | _ -> [])
+      in
       full (Search.exhaustive ?fix_first_on ~stages ~processors (Analytic.throughput spec))
       && full (Search.exhaustive_spec ?fix_first_on ~prune:false ~canonical:false spec)
-      && same (Search.exhaustive_spec ?fix_first_on ~prune:true ~canonical:false spec)
-      && same (Search.exhaustive_spec ?fix_first_on ~prune:false ~canonical:true spec)
-      && same (Search.exhaustive_spec ?fix_first_on spec)
+      && List.for_all
+           (fun incumbent ->
+             List.for_all
+               (fun (prune, canonical) ->
+                 same (Search.exhaustive_spec ?fix_first_on ~prune ~canonical ?incumbent spec))
+               [ (false, false); (true, false); (false, true); (true, true) ])
+           incumbents
       && full (Search.exhaustive_par ?fix_first_on ~chunks:1 spec)
       && full (Search.exhaustive_par ?fix_first_on ~chunks:5 spec))
 
@@ -898,7 +918,84 @@ let test_exhaustive_tie_break_lowest_code () =
   check_backend "gray walk" (Search.exhaustive_spec ~prune:false ~canonical:false spec);
   check_backend "pruned" (Search.exhaustive_spec ~canonical:false spec);
   check_backend "canonicalized" (Search.exhaustive_spec spec);
-  check_backend "parallel 7 chunks" (Search.exhaustive_par ~chunks:7 spec)
+  check_backend "parallel 7 chunks" (Search.exhaustive_par ~chunks:7 spec);
+  (* Seeding with the highest-code tie must not let it win: pruning is
+     strict, so the lower-code ties are still reached and preferred. *)
+  let incumbent =
+    List.fold_left2 (fun acc m s -> if s = best then Some m else acc) None candidates scores
+    |> Option.get
+  in
+  Alcotest.(check bool) "the incumbent is not the lowest-code tie" true
+    (Mapping.code_of ~processors:3 incumbent <> expected_code);
+  List.iter
+    (fun (name, prune, canonical) ->
+      check_backend ("seeded " ^ name) (Search.exhaustive_spec ~prune ~canonical ~incumbent spec))
+    [
+      ("gray walk", false, false);
+      ("pruned", true, false);
+      ("canonicalized", false, true);
+      ("pruned + canonicalized", true, true);
+    ]
+
+(* A forecast-like spec with one loaded node and distinct per-link
+   latencies, so no two processors are interchangeable. Seeded with its
+   optimum, the bound prunes all but a sliver of what the unseeded walk
+   scores. *)
+let test_incumbent_prunes_forecast_spec () =
+  let np = 4 and ns = 9 in
+  let spec =
+    {
+      Costspec.stage_work = Array.make ns 1.0;
+      node_rates = [| 2.4; 10.02; 9.96; 8.03 |];
+      item_bytes = 1e4;
+      output_bytes = Array.make ns 1e4;
+      latency =
+        Array.init np (fun src ->
+            Array.init np (fun dst -> 0.01 +. (1e-4 *. Float.of_int ((src * np) + dst))));
+      bandwidth = Array.init np (fun _ -> Array.make np 1e7);
+      user_latency = Array.init np (fun p -> 0.01 +. (2e-4 *. Float.of_int p));
+      user_bandwidth = Array.make np 1e7;
+    }
+  in
+  (* Leaves the search scored on this spec before it took an incumbent and
+     bounded cycle stations. *)
+  let unseeded_before = 12_259 in
+  let cold = Search.exhaustive_spec spec in
+  let seeded = Search.exhaustive_spec ~incumbent:cold.Search.mapping spec in
+  check_results_identical "seeded vs cold" seeded cold;
+  Alcotest.(check bool)
+    (Printf.sprintf "cold walk scores %d <= %d leaves" cold.Search.evaluated unseeded_before)
+    true
+    (cold.Search.evaluated <= unseeded_before);
+  Alcotest.(check bool)
+    (Printf.sprintf "seeded walk scores %d <= %d / 10 leaves" seeded.Search.evaluated
+       unseeded_before)
+    true
+    (seeded.Search.evaluated * 10 <= unseeded_before)
+
+let test_auto_spec_keeps_pin =
+  qtest ~count:100 "auto_spec keeps stage 0 on the pin on both sides of the limit"
+    QCheck2.Gen.(triple gen_spec (oneofl [ 2; 200_000 ]) small_nat)
+    (fun (spec, limit, raw_pin) ->
+      let processors = Costspec.processors spec in
+      let pin = raw_pin mod processors in
+      let r = Search.auto_spec ~exhaustive_limit:limit ~fix_first_on:pin spec in
+      Mapping.processor_of r.Search.mapping 0 = pin
+      && bits r.Search.score = bits (Analytic.throughput spec r.Search.mapping))
+
+let test_predictor_pinned_respects_limit () =
+  (* 4^12 free assignments exceed both the limit and the enumeration cap:
+     the pinned search must fall back to greedy + climb, not raise. *)
+  let spec =
+    synthetic_spec
+      ~stage_work:(Array.init 13 (fun i -> 0.5 +. (0.1 *. Float.of_int i)))
+      ~node_rates:[| 4.0; 10.0; 9.0; 7.0 |] ()
+  in
+  let r = Predictor.choose ~fix_first_on:0 ~exhaustive_limit:1000 (Predictor.make spec) in
+  Alcotest.(check int) "stage 0 pinned" 0 (Mapping.processor_of r.Search.mapping 0);
+  Alcotest.(check int64) "score is the mapping's throughput"
+    (bits (Analytic.throughput spec r.Search.mapping))
+    (bits r.Search.score)
 
 let test_canonicalization_prunes_symmetric_grid () =
   (* 4 interchangeable processors: only one representative per symmetry
@@ -1044,6 +1141,11 @@ let () =
             test_search_parallel_pool_byte_identical;
           Alcotest.test_case "exhaustive limit raised 10x" `Quick
             test_default_exhaustive_limit_raised;
+          Alcotest.test_case "incumbent prunes a forecast spec" `Quick
+            test_incumbent_prunes_forecast_spec;
+          test_auto_spec_keeps_pin;
+          Alcotest.test_case "pinned choose respects the limit" `Quick
+            test_predictor_pinned_respects_limit;
         ] );
       ( "predictor",
         [
