@@ -57,7 +57,7 @@ let experiment_kind e =
 let list_experiments json =
   if json then
     (* The registry renders itself, so this listing, the text listing and
-       bench --only can never disagree about what exists. *)
+       campaign --only can never disagree about what exists. *)
     print_endline (Json.to_string (Registry.to_json ()))
   else
     List.iter
@@ -73,8 +73,19 @@ let list_cmd =
 
 (* ------------------------------------------------------------- experiment *)
 
+(* [all] runs the campaign's own per-experiment job ([Registry.job]: header
+   plus captured output) in registry order, so [experiment all] and
+   [campaign --jobs 1] print the same bytes by construction. Each output is
+   flushed as soon as its experiment finishes, so a long run streams and a
+   failing experiment keeps the output of the ones before it. *)
 let run_experiment quick id =
-  if String.lowercase_ascii id = "all" then `Ok (Registry.run_all ~quick)
+  if String.lowercase_ascii id = "all" then
+    `Ok
+      (List.iter
+         (fun e ->
+           print_string (Registry.job e ~quick ());
+           flush stdout)
+         Registry.all)
   else
     match Registry.find id with
     | Some e -> `Ok (e.Registry.run ~quick)

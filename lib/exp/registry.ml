@@ -86,10 +86,3 @@ let job e ~quick () =
   Aspipe_util.Out.capture (fun () ->
       Aspipe_util.Out.print_string (header e);
       e.run ~quick)
-
-let run_all ~quick =
-  List.iter
-    (fun e ->
-      Aspipe_util.Out.print_string (header e);
-      e.run ~quick)
-    all

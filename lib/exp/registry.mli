@@ -1,5 +1,5 @@
 (** The experiment index: every reconstructed table and figure, addressable
-    by id, runnable from the CLI and from [bench/main.exe]. *)
+    by id, runnable from the CLI ([experiment], [campaign]). *)
 
 type kind = Table | Figure
 
@@ -15,7 +15,7 @@ val all : t list
 
 val ids : string list
 (** The ids of {!all}, in order — the single source every listing surface
-    (CLI [list-experiments], bench [--only]) derives from. *)
+    (CLI [list-experiments], [campaign --only]) derives from. *)
 
 val to_json : unit -> Aspipe_obs.Json.t
 (** Machine-readable listing: a JSON array of [{id; kind; title}]. *)
@@ -34,6 +34,3 @@ val job : t -> quick:bool -> unit -> string
     runner schedules on worker domains; the experiment's own RNG, engine,
     bus and metrics are all created inside the closure, so runs are
     isolated and byte-identical however they are scheduled. *)
-
-val run_all : quick:bool -> unit
-(** Run every experiment, printing a header per experiment. *)

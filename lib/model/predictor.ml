@@ -14,12 +14,12 @@ let evaluate t m =
   | Analytic -> Analytic.throughput t.spec m
   | Ctmc -> Ctmc.throughput (Ctmc.of_costspec t.spec m)
 
-let choose ?fix_first_on ?exhaustive_limit ?par ?incumbent t =
+let choose ?fix_first_on ?exhaustive_limit ?incumbent t =
   let stages = Costspec.stages t.spec and processors = Costspec.processors t.spec in
   match (t.kind, fix_first_on) with
   (* The analytic evaluator takes the incremental fast paths; the CTMC kind
      keeps the generic walks (its evaluator dwarfs enumeration cost anyway). *)
-  | Analytic, _ -> Search.auto_spec ?exhaustive_limit ?fix_first_on ?par ?incumbent t.spec
+  | Analytic, _ -> Search.auto_spec ?exhaustive_limit ?fix_first_on ?incumbent t.spec
   | Ctmc, None -> Search.auto ?exhaustive_limit ~stages ~processors (evaluate t)
   | Ctmc, Some p ->
       (* Pinning the first stage shrinks the space; exhaustive it if feasible. *)

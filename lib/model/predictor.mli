@@ -21,14 +21,12 @@ val evaluate : t -> Mapping.t -> float
 val choose :
   ?fix_first_on:int ->
   ?exhaustive_limit:int ->
-  ?par:Search.par ->
   ?incumbent:Mapping.t ->
   t ->
   Search.result
 (** Best mapping over the full space. The [Analytic] kind runs
-    {!Search.auto_spec} — pinned or not, so [exhaustive_limit] always holds —
-    with [par] enabling the chunked parallel backend on large spaces; the
-    [Ctmc] kind keeps the generic {!Search.auto} / {!Search.exhaustive}.
+    {!Search.auto_spec} — pinned or not, so [exhaustive_limit] always holds;
+    the [Ctmc] kind keeps the generic {!Search.auto} / {!Search.exhaustive}.
     [incumbent], the mapping the pipeline runs now, seeds the analytic
     branch-and-bound so it scores fewer leaves ([evaluated] falls); it never
     changes the choice, and the [Ctmc] kind ignores it. All backends obey the

@@ -476,14 +476,11 @@ let hill_climb_spec ?(max_steps = 1000) ?fix_first_on ~start spec =
   done;
   { mapping = Analytic.Incr.mapping st; score = !score; evaluated = !evaluated }
 
-let auto_spec ?(exhaustive_limit = default_exhaustive_limit) ?fix_first_on ?par ?incumbent spec =
+let auto_spec ?(exhaustive_limit = default_exhaustive_limit) ?fix_first_on ?incumbent spec =
   let ns = Costspec.stages spec and np = Costspec.processors spec in
   let free = match fix_first_on with Some _ -> ns - 1 | None -> ns in
   match Mapping.space_within ~stages:free ~processors:np ~cap:exhaustive_limit with
-  | Some total ->
-      (match par with
-      | Some par when total >= 32_768 -> exhaustive_par ?fix_first_on ~par spec
-      | _ -> exhaustive_spec ?fix_first_on ?incumbent spec)
+  | Some _ -> exhaustive_spec ?fix_first_on ?incumbent spec
   | None ->
       let evaluator m = Analytic.throughput spec m in
       let greedy_result = greedy ?fix_first_on ~stages:ns ~processors:np evaluator in

@@ -43,8 +43,9 @@ val exhaustive :
 val exhaustive_ref :
   ?fix_first_on:int -> stages:int -> processors:int -> evaluator -> result
 (** The historical materializing implementation ([best_of] over
-    {!Mapping.enumerate}) — kept as the differential-testing and benchmark
-    reference for {!exhaustive} and the spec-specialized backends. *)
+    {!Mapping.enumerate}) — kept as the differential-testing reference for
+    {!exhaustive} and the spec-specialized backends, and as E6's
+    old-path timing column. *)
 
 val exhaustive_spec :
   ?fix_first_on:int ->
@@ -119,15 +120,13 @@ val auto :
 val auto_spec :
   ?exhaustive_limit:int ->
   ?fix_first_on:int ->
-  ?par:par ->
   ?incumbent:Mapping.t ->
   Costspec.t ->
   result
 (** {!auto} specialized to the analytic evaluator: {!exhaustive_spec} below
-    the limit (or {!exhaustive_par} when [par] is given and the space is
-    large enough to amortize the fan-out), greedy + {!hill_climb_spec}
-    above. [fix_first_on] pins stage 0 on both sides of the limit (the free
-    space, one stage smaller, is what the limit is compared with).
+    the limit, greedy + {!hill_climb_spec} above. [fix_first_on] pins
+    stage 0 on both sides of the limit (the free space, one stage smaller,
+    is what the limit is compared with).
     [incumbent] seeds {!exhaustive_spec}'s pruning and is ignored by the
     other paths; it never changes the result. *)
 

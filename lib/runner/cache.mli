@@ -2,7 +2,7 @@
 
     Keys hash the experiment identity (id, title, quick flag) together with
     the digest of the running executable, so a rebuild invalidates every
-    entry and [bench --only] reruns of unchanged code skip straight to the
+    entry and [campaign --only] reruns of unchanged code skip straight to the
     stored bytes. Entries are plain [<md5hex>.out] text files. *)
 
 type t

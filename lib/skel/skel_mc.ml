@@ -10,13 +10,12 @@ let run_seq pipe inputs = List.map (Pipe.apply pipe) inputs
    stage or the feeder) and one consumer (this stage), so the lock-free
    SPSC discipline holds along the whole chain.
 
-   Failure protocol (identical to the old Chan backend): if [f] raises,
-   close both neighbours — upstream senders blocked on a full ring wake up
-   via {!Spsc.Closed} instead of deadlocking — then re-raise for
-   {!Domain.join} to surface. If the *downstream* ring is closed under us
-   mid-push, a later stage failed: relay the shutdown upstream and exit
-   with the typed close signal; the failing stage carries the real
-   exception out through its own join. *)
+   Failure protocol: if [f] raises, close both neighbours — upstream
+   senders blocked on a full ring wake up via {!Spsc.Closed} instead of
+   deadlocking — then re-raise for {!Domain.join} to surface. If the
+   *downstream* ring is closed under us mid-push, a later stage failed:
+   relay the shutdown upstream and exit with the typed close signal; the
+   failing stage carries the real exception out through its own join. *)
 let pump ~batch f cin cout =
   let inbuf = Array.make batch None in
   let outbuf = Array.make batch None in
@@ -154,93 +153,6 @@ let run_fold ?(capacity = 8) ?(batch = 1) pipe ~items ~gen ~init ~f =
 
 let run_grouped ?capacity ?batch ~groups pipe inputs =
   run ?capacity ?batch (Pipe.fuse_groups groups pipe) inputs
-
-(* ------------------------------------------- legacy Chan backend (baseline) *)
-
-(* The pre-SPSC backend — one mutex+condvar bounded channel per inter-stage
-   link, items handed over one at a time. Kept as the measured baseline for
-   `bench --mc` (BENCH_8.json records Chan-vs-Spsc throughput) and as a
-   second implementation of the same close/failure protocol for the
-   differential tests. Semantics are identical to [run]. *)
-let pump_chan f cin cout =
-  let rec loop () =
-    match Chan.recv cin with
-    | None -> Chan.close cout
-    | Some x -> (
-        match try Ok (f x) with e -> Error e with
-        | Error e ->
-            Chan.close cin;
-            Chan.close cout;
-            raise e
-        | Ok y -> (
-            match Chan.send cout y with
-            | () -> loop ()
-            | exception Chan.Closed ->
-                Chan.close cin;
-                raise Chan.Closed))
-  in
-  loop ()
-
-let run_chan_core :
-    type a b c.
-    capacity:int -> (a, b) Pipe.t -> feed:(a Chan.t -> unit) -> consume:(b Chan.t -> c) -> c =
- fun ~capacity pipe ~feed ~consume ->
-  let cin = Chan.create ~capacity in
-  let rec build :
-      type a b. (a, b) Pipe.t -> a Chan.t -> packed_domain list -> packed_domain list * b Chan.t =
-   fun p cin domains ->
-    match p with
-    | Pipe.Last f ->
-        let cout = Chan.create ~capacity in
-        let d = Domain.spawn (fun () -> pump_chan f cin cout) in
-        (Packed d :: domains, cout)
-    | Pipe.Stage (f, rest) ->
-        let cmid = Chan.create ~capacity in
-        let d = Domain.spawn (fun () -> pump_chan f cin cmid) in
-        build rest cmid (Packed d :: domains)
-  in
-  let domains, cout = build pipe cin [] in
-  let feeder = Domain.spawn (fun () -> feed cin) in
-  let result = consume cout in
-  Domain.join feeder;
-  let failures =
-    List.filter_map
-      (fun (Packed d) -> try ignore (Domain.join d); None with e -> Some e)
-      domains
-  in
-  (match List.find_opt (function Chan.Closed -> false | _ -> true) failures with
-  | Some e -> raise e
-  | None -> ( match failures with e :: _ -> raise e | [] -> ()));
-  result
-
-let run_chan ?(capacity = 8) pipe inputs =
-  run_chan_core ~capacity pipe
-    ~feed:(fun cin ->
-      try
-        List.iter (Chan.send cin) inputs;
-        Chan.close cin
-      with Chan.Closed -> ())
-    ~consume:(fun cout ->
-      let rec drain acc =
-        match Chan.recv cout with None -> List.rev acc | Some y -> drain (y :: acc)
-      in
-      drain [])
-
-let run_chan_fold ?(capacity = 8) pipe ~items ~gen ~init ~f =
-  if items < 0 then invalid_arg "Skel_mc.run_chan_fold: items must be non-negative";
-  run_chan_core ~capacity pipe
-    ~feed:(fun cin ->
-      try
-        for i = 0 to items - 1 do
-          Chan.send cin (gen i)
-        done;
-        Chan.close cin
-      with Chan.Closed -> ())
-    ~consume:(fun cout ->
-      let rec drain acc =
-        match Chan.recv cout with None -> acc | Some y -> drain (f acc y)
-      in
-      drain init)
 
 (* ------------------------------------------------------------------ timing *)
 

@@ -5,9 +5,7 @@
     This is the backend used by the real-speedup experiments: the same
     {!Pipe.t} program runs sequentially ({!run_seq}), with one domain per
     stage ({!run}), or with stages fused into processor groups
-    ({!run_grouped}) — the shared-memory analogue of the grid mapping. The
-    pre-SPSC mutex+condvar channel backend survives as {!run_chan}, the
-    measured baseline of `bench --mc` (BENCH_8.json). *)
+    ({!run_grouped}) — the shared-memory analogue of the grid mapping. *)
 
 val run_seq : ('a, 'b) Pipe.t -> 'a list -> 'b list
 (** Reference semantics, zero parallelism. *)
@@ -39,25 +37,10 @@ val run_fold :
     and folds the outputs in order on the caller's domain. The
     tens-of-millions-of-items benchmark path. *)
 
-val run_chan : ?capacity:int -> ('a, 'b) Pipe.t -> 'a list -> 'b list
-(** The legacy backend over {!Chan} (mutex+condvar bounded channels,
-    one-item-at-a-time handoff). Same semantics as {!run}; kept as the
-    benchmark baseline and differential-test foil. *)
-
-val run_chan_fold :
-  ?capacity:int ->
-  ('a, 'b) Pipe.t ->
-  items:int ->
-  gen:(int -> 'a) ->
-  init:'c ->
-  f:('c -> 'b -> 'c) ->
-  'c
-(** {!run_fold} over the legacy {!Chan} backend. *)
-
 val pump : batch:int -> ('a -> 'b) -> 'a Aspipe_util.Spsc.t -> 'b Aspipe_util.Spsc.t -> unit
 (** The per-stage loop: chunked pop → apply → chunked push, with the
-    close/failure relay protocol. Exposed for {!Farm_mc}'s streaming farm;
-    not intended for direct use. *)
+    close/failure relay protocol. Exposed for {!Farm_mc}'s streaming farm
+    and the relay tests; not intended for direct use. *)
 
 val now_seconds : unit -> float
 (** Monotonic clock (bechamel's [Monotonic_clock]), seconds since an

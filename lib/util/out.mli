@@ -5,9 +5,9 @@
     All experiment-facing printing (including {!Render.Table.print} and
     {!Render.print_figure}) goes through this module. With no capture
     installed, everything falls through to stdout, so sequential callers
-    (the CLI's [experiment] subcommand, direct [run_all]) see exactly the
-    bytes they always did. Under {!capture}, the same bytes land in a
-    per-run buffer that the caller flushes in order. *)
+    (the CLI's [experiment <id>]) see exactly the bytes they always did.
+    Under {!capture}, the same bytes land in a per-run buffer that the
+    caller flushes in order. *)
 
 val print_string : string -> unit
 (** To the current domain's capture buffer, or stdout if none. *)

@@ -22,12 +22,12 @@
     so wake-ups cannot be lost; the fast path pays only one atomic read of
     the flag.
 
-    Shutdown mirrors {!Aspipe_skel.Chan}: after [close], pushes raise
-    {!Closed} and pops drain the remaining items then report exhaustion
-    ([None] / chunk count 0). A producer that closes after its last push is
-    guaranteed full drainage on the consumer side; a close racing a push
-    from a third domain may lose that in-flight item, exactly like the
-    failure-abort path it exists for.
+    Shutdown: after [close], pushes raise {!Closed} and pops drain the
+    remaining items then report exhaustion ([None] / chunk count 0). A
+    producer that closes after its last push is guaranteed full drainage
+    on the consumer side; a close racing a push from a third domain may
+    lose that in-flight item, exactly like the failure-abort path it
+    exists for.
 
     See DESIGN.md, "Multicore backend", for the memory-ordering argument. *)
 

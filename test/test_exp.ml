@@ -22,7 +22,7 @@ let test_registry_complete () =
 
 (* Every listing surface must derive from the registry: the id list, the
    JSON rendering and [find] have to agree entry for entry, or the CLI's
-   list-experiments and bench --only drift apart. *)
+   list-experiments and campaign --only drift apart. *)
 let test_registry_single_source () =
   Alcotest.(check (list string))
     "ids mirror all" (List.map (fun e -> e.Registry.id) Registry.all) Registry.ids;

@@ -74,7 +74,7 @@ let test_r3_raw_print () =
   rule_list "Printf.printf flagged" [ "R3" ]
     (rules_of (lint "let f n = Printf.printf \"%d\" n\n"));
   rule_list "executables may print" [] (rules_of (lint ~path:"bin/aspipe_cli.ml" src));
-  rule_list "bench may print" [] (rules_of (lint ~path:"bench/main.ml" src));
+  rule_list "bench may print" [] (rules_of (lint ~path:"bench/layers/main.ml" src));
   rule_list "lib/util/out.ml is the one allowed module" []
     (rules_of (lint ~path:"lib/util/out.ml" src));
   rule_list "Out.print_string is the sanctioned route" []
@@ -142,8 +142,6 @@ let test_r5_shared_state () =
     (rules_of (lint "let create () = Hashtbl.create 16\n"));
   rule_list "nested module state flagged" [ "R5" ]
     (rules_of (lint "module M = struct let cache = Hashtbl.create 8 end\n"));
-  rule_list "structure-level Chan flagged" [ "R5" ]
-    (rules_of (lint "let bus = Chan.create ~capacity:8\n"));
   rule_list "structure-level Spsc ring flagged" [ "R5" ]
     (rules_of (lint "let ring = Spsc.create ~capacity:64\n"));
   rule_list "qualified Spsc flagged too" [ "R5" ]
@@ -151,7 +149,7 @@ let test_r5_shared_state () =
   rule_list "per-run channel creation is fine" []
     (rules_of (lint "let connect n = Array.init n (fun _ -> Spsc.create ~capacity:8)\n"));
   rule_list "outside lib/ not in scope" []
-    (rules_of (lint ~path:"bench/main.ml" "let hook = ref None\n"));
+    (rules_of (lint ~path:"bench/layers/main.ml" "let hook = ref None\n"));
   rule_list "channel waiver" []
     (rules_of
        (lint

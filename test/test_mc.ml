@@ -3,7 +3,7 @@
    fusion, replication and exceptions. *)
 
 module Pipe = Aspipe_skel.Pipe
-module Chan = Aspipe_skel.Chan
+module Spsc = Aspipe_util.Spsc
 module Skel_mc = Aspipe_skel.Skel_mc
 module Farm_mc = Aspipe_skel.Farm_mc
 
@@ -130,9 +130,6 @@ let test_run_fold_matches_run () =
   Alcotest.(check (list int)) "run_fold = run"
     expected
     (List.rev (Skel_mc.run_fold ~capacity:8 ~batch:16 int_chain ~items ~gen:Fun.id ~init:[] ~f:collect));
-  Alcotest.(check (list int)) "run_chan_fold = run"
-    expected
-    (List.rev (Skel_mc.run_chan_fold int_chain ~items ~gen:Fun.id ~init:[] ~f:collect));
   Alcotest.(check int) "run_fold of zero items" 0
     (Skel_mc.run_fold int_chain ~items:0 ~gen:Fun.id ~init:0 ~f:( + ))
 
@@ -212,39 +209,52 @@ let test_map_stream_invalid_args () =
 
 (* ------------------------------------------------- failure paths (Domains) *)
 
-(* The close protocol under real contention: a party blocked on a full
-   (or empty) channel must be woken by [close] with the typed outcome —
-   {!Chan.Closed} for senders, [None] for receivers — never left parked.
-   Each test runs the blocking side on its own domain and joins it, so a
-   regression here hangs the suite instead of passing silently. *)
+(* The stage loop's close relay under real blocking: a pump parked on a
+   full downstream ring (sender side) or an empty upstream ring (receiver
+   side) must be woken by a [close] from another domain and pass the
+   shutdown along the chain — upstream as {!Spsc.Closed}, downstream as a
+   close after the last item — never left parked. Each test runs the pump
+   on its own domain and joins it, so a lost wake-up hangs the suite
+   instead of passing silently. (The ring-level wake-ups are pinned in
+   test_util's spsc-domains suite.) *)
 
-let test_chan_close_wakes_blocked_sender () =
-  let chan = Chan.create ~capacity:1 in
-  Chan.send chan 0;
-  let sender =
-    Domain.spawn (fun () ->
-        (* Blocks: the channel is full and nothing drains it. *)
-        match Chan.send chan 1 with () -> `Sent | exception Chan.Closed -> `Raised_closed)
-  in
+let spawn_pump ?(batch = 1) f cin cout =
+  Domain.spawn (fun () ->
+      match Skel_mc.pump ~batch f cin cout with
+      | () -> `Finished
+      | exception Spsc.Closed -> `Raised_closed)
+
+let test_pump_close_wakes_blocked_sender () =
+  let cin = Spsc.create ~capacity:4 and cout = Spsc.create ~capacity:1 in
+  List.iter (Spsc.push cin) [ 1; 2; 3 ];
+  (* The pump fills [cout] with the first item, then blocks pushing the
+     second: nothing drains it. *)
+  let pump = spawn_pump succ cin cout in
   Unix.sleepf 0.05;
-  Chan.close chan;
-  Alcotest.(check bool) "blocked sender raises Closed" true (Domain.join sender = `Raised_closed)
+  Spsc.close cout;
+  Alcotest.(check bool) "blocked sender raises Closed" true (Domain.join pump = `Raised_closed);
+  Alcotest.(check bool) "shutdown relayed upstream" true (Spsc.is_closed cin)
 
-let test_chan_close_wakes_blocked_receiver () =
-  let chan : int Chan.t = Chan.create ~capacity:4 in
-  let receiver = Domain.spawn (fun () -> Chan.recv chan) in
+let test_pump_close_wakes_blocked_receiver () =
+  let cin : int Spsc.t = Spsc.create ~capacity:4 and cout = Spsc.create ~capacity:4 in
+  let pump = spawn_pump succ cin cout in
   Unix.sleepf 0.05;
-  Chan.close chan;
-  Alcotest.(check (option int)) "blocked receiver gets None" None (Domain.join receiver)
+  Spsc.close cin;
+  Alcotest.(check bool) "blocked receiver finishes" true (Domain.join pump = `Finished);
+  Alcotest.(check bool) "close relayed downstream" true (Spsc.is_closed cout);
+  Alcotest.(check (option int)) "nothing left behind" None (Spsc.pop cout)
 
-let test_chan_drain_after_close () =
-  let chan = Chan.create ~capacity:4 in
-  List.iter (Chan.send chan) [ 1; 2; 3 ];
-  Chan.close chan;
-  Alcotest.check_raises "send after close" Chan.Closed (fun () -> Chan.send chan 4);
+let test_pump_drain_after_close () =
+  let cin = Spsc.create ~capacity:4 and cout = Spsc.create ~capacity:4 in
+  List.iter (Spsc.push cin) [ 1; 2; 3 ];
+  Spsc.close cin;
+  Alcotest.check_raises "send after close" Spsc.Closed (fun () -> Spsc.push cin 4);
+  let pump = spawn_pump ~batch:2 (fun x -> x * 10) cin cout in
+  Alcotest.(check bool) "pump finishes" true (Domain.join pump = `Finished);
+  Alcotest.(check bool) "close relayed after the last item" true (Spsc.is_closed cout);
   Alcotest.(check (list (option int))) "queued elements drain FIFO, then None"
-    [ Some 1; Some 2; Some 3; None ]
-    (List.map (fun _ -> Chan.recv chan) [ (); (); (); () ])
+    [ Some 10; Some 20; Some 30; None ]
+    (List.map (fun _ -> Spsc.pop cout) [ (); (); (); () ])
 
 (* A raising stage function must surface as its exception from [run], not
    as a deadlock. Capacity 1 with many items makes the failure mode real:
@@ -367,9 +377,9 @@ let () =
         ] );
       ( "failure-paths",
         [
-          Alcotest.test_case "close wakes blocked sender" `Quick test_chan_close_wakes_blocked_sender;
-          Alcotest.test_case "close wakes blocked receiver" `Quick test_chan_close_wakes_blocked_receiver;
-          Alcotest.test_case "drain after close" `Quick test_chan_drain_after_close;
+          Alcotest.test_case "close wakes blocked sender" `Quick test_pump_close_wakes_blocked_sender;
+          Alcotest.test_case "close wakes blocked receiver" `Quick test_pump_close_wakes_blocked_receiver;
+          Alcotest.test_case "drain after close" `Quick test_pump_drain_after_close;
           Alcotest.test_case "mid-chain stage exception" `Quick test_pipeline_stage_exception_propagates;
           Alcotest.test_case "first-stage exception" `Quick test_pipeline_first_stage_exception_propagates;
           Alcotest.test_case "last-stage exception" `Quick test_pipeline_last_stage_exception_propagates;

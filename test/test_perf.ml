@@ -3,8 +3,8 @@
    paths must actually be lean.
 
    Two caveats keep these honest on shared CI hardware:
-   - no wall-clock assertions (those live in the bench harness, compared
-     against BENCH_4.json with a tolerance);
+   - no wall-clock assertions (those live in the layered benchmark,
+     bench/layers, compared between commits with a tolerance);
    - allocation budgets are coarse, because the dev profile compiles with
      [-opaque] (no cross-module inlining) and so boxes floats at call
      boundaries that the release profile keeps unboxed. The budgets catch

@@ -229,13 +229,19 @@ let test_campaign_report_sanity () =
     report.Campaign.utilisation
 
 let test_campaign_capped_workers () =
-  (* Without ~oversubscribe a 1-core host runs jobs 4 inline: the request
-     is recorded but the pool is never oversubscribed. *)
-  let report = Campaign.run ~jobs:4 ~only:[ "E1" ] ~quick:true () in
-  Alcotest.(check int) "jobs recorded as requested" 4 report.Campaign.jobs;
-  Alcotest.(check bool) "workers capped to the host" true
-    (report.Campaign.workers <= max 4 (Domain.recommended_domain_count ()));
-  Alcotest.(check bool) "at least one worker" true (report.Campaign.workers >= 1)
+  (* Without ~oversubscribe, asking for more jobs than cores runs exactly
+     one worker per core: the request is recorded but the pool is never
+     oversubscribed (the jobs-4 inversion on a small host). With it, the
+     request is taken literally. *)
+  let cores = Domain.recommended_domain_count () in
+  let jobs = cores + 2 in
+  let report = Campaign.run ~jobs ~only:[ "E1" ] ~quick:true () in
+  Alcotest.(check int) "jobs recorded as requested" jobs report.Campaign.jobs;
+  Alcotest.(check int) "workers capped to the core count" cores report.Campaign.workers;
+  let literal = Campaign.run ~jobs ~oversubscribe:true ~only:[ "E1" ] ~quick:true () in
+  Alcotest.(check int) "oversubscribe takes jobs literally" jobs literal.Campaign.workers;
+  Alcotest.(check int) "jobs 1 runs one inline worker" 1
+    (Campaign.run ~jobs:1 ~only:[ "E1" ] ~quick:true ()).Campaign.workers
 
 let test_campaign_cache_hits () =
   let dir = temp_dir "aspipe-campaign-cache" in

@@ -1,5 +1,5 @@
 (* Tests for the skeleton library: stage/stream descriptors, the simulation
-   backend (including migration), bounded channels and typed pipelines. *)
+   backend (including migration and bounded buffers) and typed pipelines. *)
 
 module Engine = Aspipe_des.Engine
 module Topology = Aspipe_grid.Topology
@@ -8,7 +8,6 @@ module Trace = Aspipe_grid.Trace
 module Stage = Aspipe_skel.Stage
 module Stream_spec = Aspipe_skel.Stream_spec
 module Skel_sim = Aspipe_skel.Skel_sim
-module Chan = Aspipe_skel.Chan
 module Pipe = Aspipe_skel.Pipe
 module Rng = Aspipe_util.Rng
 module Variate = Aspipe_util.Variate
@@ -591,55 +590,6 @@ let test_repl_validation () =
         (Repl_sim.create ~rng:(Rng.create 1) ~topo ~stages ~replicas:[| [ 0 ]; [ 9 ] |] ~input
            ~trace:(Trace.create ()) ()))
 
-(* ----------------------------------------------------------------- Chan *)
-
-let test_chan_fifo () =
-  let c = Chan.create ~capacity:10 in
-  List.iter (Chan.send c) [ 1; 2; 3 ];
-  Alcotest.(check int) "length" 3 (Chan.length c);
-  Alcotest.(check (list (option int))) "fifo recv" [ Some 1; Some 2; Some 3 ]
-    (List.init 3 (fun _ -> Chan.recv c))
-
-let test_chan_close_semantics () =
-  let c = Chan.create ~capacity:4 in
-  Chan.send c 1;
-  Chan.close c;
-  Chan.close c (* idempotent *);
-  Alcotest.(check bool) "closed" true (Chan.is_closed c);
-  Alcotest.(check (option int)) "drains after close" (Some 1) (Chan.recv c);
-  Alcotest.(check (option int)) "then None" None (Chan.recv c);
-  Alcotest.check_raises "send after close" Chan.Closed (fun () -> Chan.send c 2)
-
-let test_chan_try_recv () =
-  let c = Chan.create ~capacity:2 in
-  Alcotest.(check (option int)) "empty" None (Chan.try_recv c);
-  Chan.send c 7;
-  Alcotest.(check (option int)) "non-blocking hit" (Some 7) (Chan.try_recv c)
-
-let test_chan_capacity_validation () =
-  Alcotest.check_raises "capacity 0" (Invalid_argument "Chan.create: capacity must be positive")
-    (fun () -> ignore (Chan.create ~capacity:0 : int Chan.t))
-
-let test_chan_backpressure_across_domains () =
-  (* Producer sends 1000 ints through a capacity-2 channel; consumer domain
-     reads them all: blocking send/recv must neither deadlock nor drop. *)
-  let c = Chan.create ~capacity:2 in
-  let consumer =
-    Domain.spawn (fun () ->
-        let rec drain acc =
-          match Chan.recv c with None -> List.rev acc | Some x -> drain (x :: acc)
-        in
-        drain [])
-  in
-  for i = 1 to 1000 do
-    Chan.send c i
-  done;
-  Chan.close c;
-  let received = Domain.join consumer in
-  Alcotest.(check int) "all delivered" 1000 (List.length received);
-  Alcotest.(check (list int)) "in order (first 5)" [ 1; 2; 3; 4; 5 ]
-    (List.filteri (fun i _ -> i < 5) received)
-
 (* ----------------------------------------------------------------- Pipe *)
 
 let test_pipe_apply () =
@@ -748,15 +698,6 @@ let () =
           Alcotest.test_case "replicas all used" `Quick test_repl_replicas_all_used;
           Alcotest.test_case "order restored" `Quick test_repl_order_restored_despite_variance;
           Alcotest.test_case "validation" `Quick test_repl_validation;
-        ] );
-      ( "chan",
-        [
-          Alcotest.test_case "fifo" `Quick test_chan_fifo;
-          Alcotest.test_case "close semantics" `Quick test_chan_close_semantics;
-          Alcotest.test_case "try_recv" `Quick test_chan_try_recv;
-          Alcotest.test_case "capacity validation" `Quick test_chan_capacity_validation;
-          Alcotest.test_case "backpressure across domains" `Quick
-            test_chan_backpressure_across_domains;
         ] );
       ( "pipe",
         [

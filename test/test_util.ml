@@ -951,8 +951,7 @@ let spsc_stress_cases =
         [ 1; 8; 64 ])
     [ 1; 2; 64 ]
 
-(* The close protocol under real blocking, mirroring the Chan regressions:
-   a party parked on a full (producer) or empty (consumer) ring must be
+(* The close protocol under real blocking: a party parked on a full (producer) or empty (consumer) ring must be
    woken by a [close] from another domain with the typed outcome — never
    left parked. A lost wake-up hangs the suite here instead of passing. *)
 

@@ -76,14 +76,14 @@ let control_events =
    state anywhere in lib/ is therefore shared across domains. *)
 let shared_state_scope path = starts_with ~prefix:"lib/" path
 
-(* Channels are cross-domain by construction: a structure-level Chan or
-   Spsc ring is shared mutable state with a single-producer/single-consumer
-   ownership contract no module-level binding can honour, so both creation
-   heads are watched alongside the classic containers. *)
+(* Channels are cross-domain by construction: a structure-level Spsc ring
+   is shared mutable state with a single-producer/single-consumer
+   ownership contract no module-level binding can honour, so its creation
+   head is watched alongside the classic containers. *)
 let shared_state_heads =
   [
     "ref"; "Stdlib.ref"; "Hashtbl.create"; "Buffer.create"; "Queue.create"; "Stack.create";
-    "Chan.create"; "Aspipe_skel.Chan.create"; "Spsc.create"; "Aspipe_util.Spsc.create";
+    "Spsc.create"; "Aspipe_util.Spsc.create";
   ]
 
 (* -------------------------------------------------- R6 banned-construct *)
@@ -135,7 +135,7 @@ let mutable_heads =
 
 (* Heads whose result is synchronised (or has its own dedicated analysis)
    and is therefore *not* an R8 location: Atomic and DLS are the sanctioned
-   cross-domain cells, a Mutex is itself a guard, and Spsc/Chan rings are
+   cross-domain cells, a Mutex is itself a guard, and Spsc rings are
    channels whose ownership discipline R9 checks instead. *)
 let sync_heads =
   [
@@ -145,7 +145,6 @@ let sync_heads =
     [ "Mutex"; "create" ];
     [ "Condition"; "create" ];
     [ "Spsc"; "create" ];
-    [ "Chan"; "create" ];
   ]
 
 (* A mutable record literal that carries a Mutex field is treated as
@@ -235,8 +234,6 @@ let stage_head_suffixes =
     [ "Skel_mc"; "run_fold" ];
     [ "Skel_mc"; "run_grouped" ];
     [ "Skel_mc"; "run_timed" ];
-    [ "Skel_mc"; "run_chan" ];
-    [ "Skel_mc"; "run_chan_fold" ];
     [ "Farm_mc"; "map" ];
     [ "Farm_mc"; "map_array" ];
     [ "Farm_mc"; "map_stream" ];

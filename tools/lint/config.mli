@@ -39,7 +39,7 @@ val mutable_heads : string list list
 
 val sync_heads : string list list
 (** Heads whose result is synchronised (Atomic/DLS/Mutex) or delegated to
-    its own analysis (Spsc/Chan → R9); never an R8 location. *)
+    its own analysis (Spsc → R9); never an R8 location. *)
 
 val mutex_guard_heads : string list list
 (** A mutable record literal with a field built from one of these heads is

@@ -59,7 +59,7 @@ let all =
       slug = "shared-state-ok";
       summary =
         "structure-level ref/Hashtbl.create/Buffer.create/Queue.create \
-         /Chan.create/Spsc.create bindings in lib/ are state shared across \
+         /Spsc.create bindings in lib/ are state shared across \
          campaign worker domains; they must be Atomic.t, Domain.DLS, or \
          created per run";
     };
