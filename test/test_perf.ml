@@ -87,11 +87,14 @@ let test_pqueue_cycle_allocation_budget () =
   if per_op > 16.0 then
     Alcotest.failf "pop_min/insert cycle allocated %.2f minor words/op" per_op
 
-(* Golden determinism: the campaign output for three registry experiments
+(* Golden determinism: the campaign output for five registry experiments
    is byte-identical to the digests captured before the optimisation, and
-   identical again under --jobs 4. *)
+   identical again under --jobs 4. E12 (task farm) and E14 (replicated
+   pipeline) pin the farm's run on the replicated-pipeline simulator. *)
 let golden_campaign = [ ("E1", "28a482341504a86deef536622a83277c");
                         ("E3", "705233c8dcefc56efb2182bf2f3446ae");
+                        ("E12", "8b654be1b6b70c05f6b5d66200d47056");
+                        ("E14", "2451d0635c75297fead530ef0c76fe1a");
                         ("E18", "d99e1d91c6ba0cf1d9f55a5ee1201040") ]
 
 let campaign_digests ?(oversubscribe = false) ~jobs () =
