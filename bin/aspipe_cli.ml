@@ -49,6 +49,12 @@ let setup_logs verbose =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Root random seed.")
 
+(* A refused input is one line on stderr and exit status 1, never an
+   exception trace. *)
+let fail msg =
+  Printf.eprintf "aspipe: %s\n" msg;
+  exit 1
+
 (* ------------------------------------------------------- list-experiments *)
 
 let experiment_kind e =
@@ -220,11 +226,7 @@ let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec 
   let faults =
     match fault_spec with
     | None -> []
-    | Some spec -> (
-        try Fault.parse_spec spec
-        with Invalid_argument msg ->
-          Printf.eprintf "aspipe: %s\n" msg;
-          exit 1)
+    | Some spec -> ( try Fault.parse_spec spec with Invalid_argument msg -> fail msg)
   in
   let collector = Trace_event.create () in
   let instrument =
@@ -240,12 +242,7 @@ let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec 
            finite batch. Makespan is meaningless here, so both rows report
            serving terms — sojourn quantiles, SLO attainment, node-seconds —
            with the divergence trigger standing in for "adaptive". *)
-        let arrival =
-          try Arrival.parse_spec spec
-          with Invalid_argument msg ->
-            Printf.eprintf "aspipe: %s\n" msg;
-            exit 1
-        in
+        let arrival = try Arrival.parse_spec spec with Invalid_argument msg -> fail msg in
         let horizon = if quick then 120.0 else 300.0 in
         let scenario =
           cli_scenario ~faults ~horizon ~quick ~nodes ~stages ~items ~hot ~step_at ()
@@ -298,9 +295,7 @@ let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec 
           "wrote Chrome trace-event JSON (%d events) to %s — open in ui.perfetto.dev\n"
           (Trace_event.events_collected collector)
           path
-      with Sys_error msg ->
-        Printf.eprintf "aspipe: cannot write trace: %s\n" msg;
-        exit 1));
+      with Sys_error msg -> fail ("cannot write trace: " ^ msg)));
   match csv_dir with
   | None -> ()
   | Some dir ->
@@ -350,10 +345,6 @@ let simulate_cmd =
 let serve_cmd_run verbose quick seed nodes stages horizon arrivals_spec which provision
     threshold quantile window fault_spec show_windows =
   setup_logs verbose;
-  let fail msg =
-    Printf.eprintf "aspipe: %s\n" msg;
-    exit 1
-  in
   let faults =
     match fault_spec with
     | None -> []
@@ -484,9 +475,7 @@ let trace_export verbose quick seed (nodes, stages, items, hot, step_at) format 
             ~finally:(fun () -> close_out oc)
             (fun () -> output_string oc content);
           Printf.eprintf "wrote %s\n" path
-        with Sys_error msg ->
-          Printf.eprintf "aspipe: cannot write %s: %s\n" path msg;
-          exit 1)
+        with Sys_error msg -> fail (Printf.sprintf "cannot write %s: %s" path msg))
   in
   match format with
   | `Perfetto ->
@@ -551,6 +540,10 @@ let metrics_cmd =
 
 let farm verbose seed nodes items step_at =
   setup_logs verbose;
+  (* Speeds fall by 1.5 per node, so ten nodes is the most that stay positive. *)
+  if nodes < 1 || nodes > 10 then
+    fail (Printf.sprintf "--nodes must be between 1 and 10 (got %d)" nodes);
+  if items < 1 then fail (Printf.sprintf "--items must be at least 1 (got %d)" items);
   let speeds = Array.init nodes (fun i -> 14.0 -. (1.5 *. Float.of_int i)) in
   let loads =
     if step_at > 0.0 && nodes > 1 then [ (1, Loadgen.Step { at = step_at; level = 0.15 }) ]
@@ -567,11 +560,13 @@ let farm verbose seed nodes items step_at =
       ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.06) ~items ())
       ~horizon:1e5 ()
   in
-  let module AF = Aspipe_core.Adaptive_farm in
-  let static = AF.run ~config:{ AF.default_config with adapt = false } ~scenario ~seed () in
-  let adaptive = AF.run ~scenario ~seed () in
-  Format.printf "static:   %a@." AF.pp_report static;
-  Format.printf "adaptive: %a@." AF.pp_report adaptive
+  (* The farm is a one-stage replicated pipeline under a round-robin deal. *)
+  let module AR = Aspipe_core.Adaptive_repl in
+  let round_robin = { AR.default_config with dispatch = Aspipe_skel.Repl_sim.Round_robin } in
+  let static = AR.run ~config:{ round_robin with adapt = false } ~scenario ~seed () in
+  let adaptive = AR.run ~config:round_robin ~scenario ~seed () in
+  Format.printf "static:   %a@." AR.pp_report static;
+  Format.printf "adaptive: %a@." AR.pp_report adaptive
 
 let farm_cmd =
   let nodes = Arg.(value & opt int 6 & info [ "nodes" ] ~doc:"Grid size (speeds 14, 12.5, 11, ...).") in
@@ -584,6 +579,13 @@ let farm_cmd =
 
 let replicate verbose seed nodes stages hot items =
   setup_logs verbose;
+  if stages < 1 then fail (Printf.sprintf "--stages must be at least 1 (got %d)" stages);
+  if nodes < stages then
+    fail (Printf.sprintf "--nodes must be at least --stages (%d), one node per stage (got %d)"
+            stages nodes);
+  if not (Float.is_finite hot && hot >= 0.0) then
+    fail (Printf.sprintf "--hot-factor must be finite and non-negative (got %g)" hot);
+  if items < 1 then fail (Printf.sprintf "--items must be at least 1 (got %d)" items);
   let stage_array = Aspipe_workload.Synthetic.hot_stage ~n:stages ~factor:hot () in
   let scenario =
     Scenario.make ~name:"cli-repl"
@@ -610,12 +612,7 @@ let replicate_cmd =
 
 let faults_demo verbose seed nodes stages items fault_spec =
   setup_logs verbose;
-  let schedule =
-    try Fault.parse_spec fault_spec
-    with Invalid_argument msg ->
-      Printf.eprintf "aspipe: %s\n" msg;
-      exit 1
-  in
+  let schedule = try Fault.parse_spec fault_spec with Invalid_argument msg -> fail msg in
   List.iter
     (fun (node, profile) ->
       Format.printf "node %d: %a@." node Fault.pp_profile profile)

@@ -13,6 +13,7 @@ let log_src = Logs.Src.create "aspipe.repl" ~doc:"Adaptive replication engine"
 module Log = (val Logs.src_log log_src)
 
 type config = {
+  dispatch : Repl_sim.dispatch;
   monitor_every : float;
   evaluate_every : float;
   sensor : Monitor.sensor_spec;
@@ -25,6 +26,7 @@ type config = {
 
 let default_config =
   {
+    dispatch = Repl_sim.Least_loaded;
     monitor_every = 5.0;
     evaluate_every = 10.0;
     sensor = Monitor.default_sensor;
@@ -40,6 +42,7 @@ type report = {
   trace : Trace.t;
   initial_replicas : int list array;
   final_replicas : int list array;
+  history : (float * int list array) list;
   makespan : float;
   throughput : float;
   reconfigurations : int;
@@ -47,6 +50,8 @@ type report = {
 }
 
 let run ?(config = default_config) ~scenario ~seed () =
+  if config.dispatch = Repl_sim.Round_robin && Scenario.stage_count scenario <> 1 then
+    invalid_arg "Adaptive_repl.run: round-robin dispatch needs exactly one (farmed) stage";
   let root_rng = Rng.create seed in
   let env_rng = Rng.split root_rng in
   let calib_rng = Rng.split root_rng in
@@ -73,29 +78,39 @@ let run ?(config = default_config) ~scenario ~seed () =
       (Costspec.of_topology ~availability ~topo ~stages ~input:scenario.Scenario.input ())
       (Calibration.work_vector calibration)
   in
-  let initial_spec = spec_from (fun i -> Node.availability (Topology.node topo i)) in
-  let initial_replicas, initial_score =
-    Repl_model.best_replication initial_spec ~budget ~processors
+  (* Round-robin keeps the farm's rule: the best equal-share worker subset.
+     Least-loaded re-derives the greedy allocation of the replica budget. *)
+  let allocate spec =
+    match config.dispatch with
+    | Repl_sim.Round_robin ->
+        let workers, score = Repl_model.best_round_robin spec in
+        ([| workers |], score)
+    | Repl_sim.Least_loaded -> Repl_model.best_replication spec ~budget ~processors
+  in
+  let initial_replicas, _ =
+    allocate (spec_from (fun i -> Node.availability (Topology.node topo i)))
   in
   let trace = Trace.create () in
   let sim =
-    Repl_sim.create ~rng:sim_rng ~topo ~stages ~replicas:initial_replicas
-      ~input:scenario.Scenario.input ~trace ()
+    Repl_sim.create ~dispatch:config.dispatch ~rng:sim_rng ~topo ~stages
+      ~replicas:initial_replicas ~input:scenario.Scenario.input ~trace ()
   in
-  let adopted = ref initial_score in
+  let history = ref [] in
   let reconfigurations = ref 0 in
   if config.adapt then
     Engine.periodic engine ~every:config.evaluate_every (fun () ->
         if Repl_sim.finished sim then false
         else begin
           let spec = spec_from (Monitor.node_forecast monitor) in
-          let candidate, score = Repl_model.best_replication spec ~budget ~processors in
+          let candidate, score = allocate spec in
           let current = Repl_sim.replicas sim in
-          let current_score = Repl_model.throughput spec ~replicas:current in
+          let current_score =
+            Repl_model.throughput ~dispatch:config.dispatch spec ~replicas:current
+          in
           if candidate <> current && score > current_score *. (1.0 +. config.min_gain) then begin
             Repl_sim.set_replicas sim candidate;
             incr reconfigurations;
-            adopted := score;
+            history := (Engine.now engine, candidate) :: !history;
             Log.info (fun m ->
                 m "[%s] t=%.1f replica sets re-shaped (predicted %.2f -> %.2f items/s)"
                   scenario.Scenario.name (Engine.now engine) current_score score);
@@ -116,6 +131,7 @@ let run ?(config = default_config) ~scenario ~seed () =
     trace;
     initial_replicas;
     final_replicas = Repl_sim.replicas sim;
+    history = List.rev !history;
     makespan = Trace.makespan trace;
     throughput = Trace.throughput trace;
     reconfigurations = !reconfigurations;

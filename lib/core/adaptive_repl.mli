@@ -7,27 +7,41 @@
     monitors' forecasts ({!Aspipe_model.Repl_model.best_replication} over
     forecast-scaled rates). If a replica node degrades, the next allocation
     routes around it; if it recovers, it is re-admitted. Replica changes are
-    cheap (the deal is demand-driven and stateless), so the gain threshold is
-    the only brake. *)
+    cheap (the deal is stateless), so the gain threshold is the only brake.
+
+    The adaptive task farm is the one-stage case under [Round_robin]
+    dispatch. A round-robin deal is only as fast as its slowest member, so
+    the engine re-selects the worker set instead
+    ({!Aspipe_model.Repl_model.best_round_robin}): it evicts a worker whose
+    node degrades, which {e raises} throughput, and re-admits it once it
+    recovers. *)
 
 type config = {
+  dispatch : Aspipe_skel.Repl_sim.dispatch;
+      (** [Round_robin] needs a one-stage scenario (the farm) *)
   monitor_every : float;
   evaluate_every : float;
   sensor : Aspipe_grid.Monitor.sensor_spec;
   probes : int;
   measurement_noise : float;
-  min_gain : float;
-  budget : int option;  (** replica budget; default = number of nodes *)
-  adapt : bool;
+  min_gain : float;  (** relative predicted-throughput gain to reconfigure *)
+  budget : int option;
+      (** least-loaded replica budget; default = number of nodes. Round-robin
+          ignores it. *)
+  adapt : bool;  (** [false] = static run with the initial replica sets *)
 }
 
 val default_config : config
+(** Least-loaded, monitor 5 s / evaluate 10 s, default sensor, 5 probes,
+    1% noise, 10% min gain, budget = nodes, adaptation on. *)
 
 type report = {
   scenario_name : string;
   trace : Aspipe_grid.Trace.t;
   initial_replicas : int list array;
   final_replicas : int list array;
+  history : (float * int list array) list;
+      (** reconfigurations, in time order: when, and the sets adopted *)
   makespan : float;
   throughput : float;
   reconfigurations : int;
@@ -35,7 +49,8 @@ type report = {
 }
 
 val run : ?config:config -> scenario:Scenario.t -> seed:int -> unit -> report
-(** Requires at least as many nodes as stages (each stage needs one replica).
-    Deterministic in [(scenario, config, seed)]. *)
+(** Requires at least as many nodes as stages (each stage needs one replica)
+    and, under [Round_robin], exactly one stage; raises [Invalid_argument]
+    otherwise. Deterministic in [(scenario, config, seed)]. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,14 +1,15 @@
 module Stage = Aspipe_skel.Stage
 module Stream_spec = Aspipe_skel.Stream_spec
-module Farm_sim = Aspipe_skel.Farm_sim
+module Repl_sim = Aspipe_skel.Repl_sim
 module Variate = Aspipe_util.Variate
 module Rng = Aspipe_util.Rng
 module Render = Aspipe_util.Render
 module Trace = Aspipe_grid.Trace
 module Loadgen = Aspipe_grid.Loadgen
-module Farm_model = Aspipe_model.Farm_model
+module Costspec = Aspipe_model.Costspec
+module Repl_model = Aspipe_model.Repl_model
 module Scenario = Aspipe_core.Scenario
-module Adaptive_farm = Aspipe_core.Adaptive_farm
+module Adaptive_repl = Aspipe_core.Adaptive_repl
 
 let seed = 12
 let speeds = [| 14.0; 12.0; 10.0; 10.0; 8.0; 6.0 |]
@@ -45,14 +46,20 @@ let dispatch_rows ~quick =
       ~input:(Common.batch_input ~item_bytes:1e4 ~items ())
       ()
   in
-  let model = Farm_model.make ~work:1.0 ~node_rates:speeds in
+  (* The farm is a one-stage replicated pipeline; the static grid's rates
+     are the speeds and the task's mean work is 1. *)
+  let stages = [| task () |] in
+  let spec =
+    Costspec.of_topology ~topo:(Scenario.build scenario ~rng:(Rng.create seed)) ~stages
+      ~input:scenario.Scenario.input ()
+  in
   let all = List.init (Array.length speeds) Fun.id in
-  let best_set, best_predicted = Farm_model.best_round_robin_set model ~candidates:all in
+  let best_set, best_predicted = Repl_model.best_round_robin spec in
   let measure ~workers ~dispatch =
     let topo = Scenario.build scenario ~rng:(Rng.create seed) in
     let trace =
-      Farm_sim.execute ~rng:(Rng.create (seed + 1)) ~topo ~task:(task ()) ~workers ~dispatch
-        ~input:scenario.Scenario.input ()
+      Repl_sim.execute ~rng:(Rng.create (seed + 1)) ~dispatch ~topo ~stages
+        ~replicas:[| workers |] ~input:scenario.Scenario.input ()
     in
     Common.steady_throughput trace
   in
@@ -60,20 +67,20 @@ let dispatch_rows ~quick =
     {
       label = "round-robin, all workers";
       workers = all;
-      predicted = Farm_model.round_robin_throughput model ~workers:all;
-      measured = measure ~workers:all ~dispatch:Farm_sim.Round_robin;
+      predicted = Repl_model.throughput ~dispatch:Repl_sim.Round_robin spec ~replicas:[| all |];
+      measured = measure ~workers:all ~dispatch:Repl_sim.Round_robin;
     };
     {
       label = "round-robin, model-best subset";
       workers = best_set;
       predicted = best_predicted;
-      measured = measure ~workers:best_set ~dispatch:Farm_sim.Round_robin;
+      measured = measure ~workers:best_set ~dispatch:Repl_sim.Round_robin;
     };
     {
       label = "least-loaded, all workers";
       workers = all;
-      predicted = Farm_model.proportional_throughput model ~workers:all;
-      measured = measure ~workers:all ~dispatch:Farm_sim.Least_loaded;
+      predicted = Repl_model.throughput ~dispatch:Repl_sim.Least_loaded spec ~replicas:[| all |];
+      measured = measure ~workers:all ~dispatch:Repl_sim.Least_loaded;
     };
   ]
 
@@ -93,20 +100,21 @@ let adapt_results ~quick =
   let loads = [ (1, Loadgen.Step { at = step_at; level = 0.15 }) ] in
   let scenario = farm_scenario ~quick ~loads ~spacing ~items in
   let window = 15.0 in
-  let static_config = { Adaptive_farm.default_config with adapt = false } in
-  let static = Adaptive_farm.run ~config:static_config ~scenario ~seed () in
-  let adaptive = Adaptive_farm.run ~scenario ~seed () in
-  let least_loaded_config =
-    { Adaptive_farm.default_config with dispatch = Farm_sim.Least_loaded; adapt = false }
+  let round_robin = { Adaptive_repl.default_config with dispatch = Repl_sim.Round_robin } in
+  let static = Adaptive_repl.run ~config:{ round_robin with adapt = false } ~scenario ~seed () in
+  let adaptive = Adaptive_repl.run ~config:round_robin ~scenario ~seed () in
+  let least_loaded =
+    Adaptive_repl.run
+      ~config:{ round_robin with dispatch = Repl_sim.Least_loaded; adapt = false }
+      ~scenario ~seed ()
   in
-  let least_loaded = Adaptive_farm.run ~config:least_loaded_config ~scenario ~seed () in
   List.map
-    (fun (label, r) ->
+    (fun (label, (r : Adaptive_repl.report)) ->
       {
         label;
-        series = Trace.throughput_series r.Adaptive_farm.trace ~window;
-        makespan = r.Adaptive_farm.makespan;
-        reconfigurations = r.Adaptive_farm.reconfigurations;
+        series = Trace.throughput_series r.trace ~window;
+        makespan = r.makespan;
+        reconfigurations = r.reconfigurations;
       })
     [
       ("static round-robin deal", static);

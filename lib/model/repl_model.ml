@@ -1,3 +1,5 @@
+module Repl_sim = Aspipe_skel.Repl_sim
+
 let node_share ~replicas ~processors =
   let counts = Array.make processors 0 in
   Array.iter
@@ -15,25 +17,53 @@ let validate spec replicas =
     invalid_arg "Repl_model: one replica set per stage required";
   Array.iter (fun nodes -> if nodes = [] then invalid_arg "Repl_model: empty replica set") replicas
 
-let stage_capacity spec ~replicas i =
+let stage_capacity ?(dispatch = Repl_sim.Least_loaded) spec ~replicas i =
   validate spec replicas;
   let processors = Costspec.processors spec in
   let counts = node_share ~replicas ~processors in
   let work = spec.Costspec.stage_work.(i) in
+  let share node = spec.Costspec.node_rates.(node) /. Float.of_int counts.(node) /. work in
   if work <= 0.0 then infinity
   else
-    List.fold_left
-      (fun acc node ->
-        acc +. (spec.Costspec.node_rates.(node) /. Float.of_int counts.(node) /. work))
-      0.0 replicas.(i)
+    match dispatch with
+    | Repl_sim.Least_loaded -> List.fold_left (fun acc node -> acc +. share node) 0.0 replicas.(i)
+    | Repl_sim.Round_robin ->
+        (* Equal shares bind at the slowest member. *)
+        Float.of_int (List.length replicas.(i))
+        *. List.fold_left (fun acc node -> Float.min acc (share node)) infinity replicas.(i)
 
-let throughput spec ~replicas =
+let throughput ?dispatch spec ~replicas =
   validate spec replicas;
   let ns = Costspec.stages spec in
   let rec scan i acc =
-    if i = ns then acc else scan (i + 1) (Float.min acc (stage_capacity spec ~replicas i))
+    if i = ns then acc
+    else scan (i + 1) (Float.min acc (stage_capacity ?dispatch spec ~replicas i))
   in
   scan 0 infinity
+
+let best_round_robin spec =
+  if Costspec.stages spec <> 1 then invalid_arg "Repl_model.best_round_robin: one stage required";
+  let rate w = spec.Costspec.node_rates.(w) /. spec.Costspec.stage_work.(0) in
+  (* Sort fastest first (ties by node id for determinism); the best equal-share
+     deal is always a prefix of this order. *)
+  let sorted =
+    List.sort
+      (fun a b ->
+        match Float.compare (rate b) (rate a) with
+        | 0 -> compare a b
+        | c -> c)
+      (List.init (Costspec.processors spec) Fun.id)
+  in
+  let _, _, best_set, best_score =
+    List.fold_left
+      (fun (k, prefix, best_set, best_score) w ->
+        let prefix = w :: prefix in
+        let score = Float.of_int k *. rate w in
+        if score > best_score then (k + 1, prefix, prefix, score)
+        else (k + 1, prefix, best_set, best_score))
+      (1, [], [], neg_infinity) sorted
+  in
+  (List.sort compare best_set, best_score)
 
 let completion_time spec ~replicas ~items =
   if items <= 0 then invalid_arg "Repl_model.completion_time: items must be positive";

@@ -7,10 +7,6 @@ type result = { mapping : Mapping.t; score : float; evaluated : int }
    the historical 20k before bailing to greedy+hill-climb. *)
 let default_exhaustive_limit = 262_144
 
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-
-let sequential_par = { pmap = (fun f xs -> List.map f xs) }
-
 let best_of candidates evaluator =
   match candidates with
   | [] -> invalid_arg "Search.best_of: no candidates"
@@ -369,64 +365,6 @@ let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) ?incumbent
     mapping = Mapping.of_array ~processors:np !best_assign;
     score = !best_score;
     evaluated = !scored;
-  }
-
-(* Best (score, code) over the contiguous code range [lo, hi), walking the
-   odometer with one [Incr.move] per changed digit. Within a chunk the visit
-   order is ascending code, so first-wins ties are lowest-code ties. *)
-let search_range ?fix_first_on spec ~lo ~hi =
-  let ns = Costspec.stages spec and np = Costspec.processors spec in
-  let start = match fix_first_on with Some _ -> 1 | None -> 0 in
-  let scratch = Mapping.to_array (Mapping.decode ?fix_first_on ~stages:ns ~processors:np lo) in
-  let st = Analytic.Incr.create spec (Mapping.of_array ~processors:np scratch) in
-  let best_score = ref (Analytic.Incr.score st) in
-  let best_code = ref lo in
-  for code = lo + 1 to hi - 1 do
-    let i = ref start in
-    while scratch.(!i) = np - 1 do
-      scratch.(!i) <- 0;
-      Analytic.Incr.move st ~stage:!i 0;
-      incr i
-    done;
-    scratch.(!i) <- scratch.(!i) + 1;
-    Analytic.Incr.move st ~stage:!i scratch.(!i);
-    let s = Analytic.Incr.score st in
-    if s > !best_score then begin
-      best_score := s;
-      best_code := code
-    end
-  done;
-  (!best_score, !best_code)
-
-let default_chunks total = if total >= 32_768 then 32 else 1
-
-let exhaustive_par ?fix_first_on ?(par = sequential_par) ?chunks spec =
-  let ns = Costspec.stages spec and np = Costspec.processors spec in
-  let total = check_space ?fix_first_on ~stages:ns ~processors:np ~cap:Mapping.max_enumeration () in
-  let chunks = max 1 (min (match chunks with Some c -> c | None -> default_chunks total) total) in
-  let size = (total + chunks - 1) / chunks in
-  let ranges =
-    List.init chunks (fun i ->
-        let lo = i * size in
-        (lo, min total (lo + size)))
-    |> List.filter (fun (lo, hi) -> lo < hi)
-  in
-  let results = par.pmap (fun (lo, hi) -> search_range ?fix_first_on spec ~lo ~hi) ranges in
-  (* Chunks are merged in ascending range order with a strict improvement
-     test, so equal scores resolve to the earliest chunk — i.e. the lowest
-     code, independent of how [par.pmap] scheduled the chunks. *)
-  let best_score, best_code =
-    match results with
-    | [] -> invalid_arg "Search.exhaustive_par: empty space"
-    | first :: rest ->
-        List.fold_left
-          (fun (bs, bc) (s, c) -> if s > bs then (s, c) else (bs, bc))
-          first rest
-  in
-  {
-    mapping = Mapping.decode ?fix_first_on ~stages:ns ~processors:np best_code;
-    score = best_score;
-    evaluated = total;
   }
 
 (* Steepest-ascent hill climb on the incremental evaluator: neighbour moves

@@ -9,12 +9,12 @@
     {2 Tie-break contract}
 
     Every exhaustive backend — the generic walk, the reference list fold,
-    the pruned/canonicalized branch-and-bound, and the chunked parallel
-    search — resolves equal scores to the candidate with the {e lowest
-    enumeration code} (see {!Mapping.decode}). Scores compare by exact float
-    equality, which is meaningful because {!Analytic.Incr} is bit-identical
-    to the full evaluator. The contract is what makes serial, pruned, and
-    [--jobs N] searches return byte-identical mappings. *)
+    and the pruned/canonicalized branch-and-bound — resolves equal scores
+    to the candidate with the {e lowest enumeration code} (see
+    {!Mapping.decode}). Scores compare by exact float equality, which is
+    meaningful because {!Analytic.Incr} is bit-identical to the full
+    evaluator. The contract is what makes plain, pruned, and seeded
+    searches return byte-identical mappings. *)
 
 type evaluator = Mapping.t -> float
 
@@ -24,15 +24,6 @@ val default_exhaustive_limit : int
 (** Largest candidate space {!auto} / {!auto_spec} searches exhaustively
     before falling back to greedy + hill-climb: [262144] (2¹⁸), raised 13×
     from the historical 20k by the incremental evaluator. *)
-
-type par = { pmap : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
-(** Parallel-map capability injected by callers that own a domain pool
-    (e.g. [Aspipe_runner.Pool.map_list]); the model layer stays free of any
-    runner dependency. Results must come back in input order. *)
-
-val sequential_par : par
-(** [List.map] — the degenerate backend; searches give byte-identical
-    results under any [par]. *)
 
 val exhaustive :
   ?fix_first_on:int -> stages:int -> processors:int -> evaluator -> result
@@ -78,14 +69,6 @@ val exhaustive_spec :
     and [canonical] disabled this is the pure incremental walk and
     [evaluated] equals the space size. The returned mapping and score are
     identical to {!exhaustive} on [Analytic.throughput spec]. *)
-
-val exhaustive_par :
-  ?fix_first_on:int -> ?par:par -> ?chunks:int -> Costspec.t -> result
-(** Splits the code space into [chunks] contiguous ranges (default: 32 for
-    spaces ≥ 2¹⁵, else 1), searches each with the incremental evaluator via
-    [par.pmap], and merges in ascending range order with a strict
-    improvement test — so the result is byte-identical for any worker count,
-    including {!sequential_par}. *)
 
 val greedy : ?fix_first_on:int -> stages:int -> processors:int -> evaluator -> result
 (** Builds the mapping stage by stage, placing each stage on the processor

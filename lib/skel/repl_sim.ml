@@ -10,11 +10,13 @@ module Trace = Aspipe_grid.Trace
 (* src_node = -1 encodes the user site. *)
 let user_site = -1
 
+type dispatch = Round_robin | Least_loaded
+
 type stage_rt = {
   spec : Stage.t;
-  index : int;
   mutable replica_set : int list;  (* ascending *)
   outstanding : int array;  (* per topology node *)
+  mutable rr_cursor : int;  (* deals so far under round-robin *)
   arrived : (int * int) Queue.t;  (* (item, src node), in item order *)
   reorder : (int, int) Hashtbl.t;  (* finished item -> computing node *)
   mutable next_emit : int;
@@ -25,6 +27,7 @@ type t = {
   topo : Topology.t;
   trace : Trace.t;
   window : int;
+  dispatch : dispatch;
   stages : stage_rt array;
   work_table : (int * int, float) Hashtbl.t;
   work_seed : int;
@@ -73,44 +76,54 @@ let rec sink_emit t =
       t.sink_next <- t.sink_next + 1;
       sink_emit t
 
+(* Round-robin deals eagerly (equal shares, the classic farm deal);
+   least-loaded is demand-driven: an item is only dealt while some replica
+   has fewer than [window] items outstanding, so shares follow speed. *)
+let pick t s =
+  match t.dispatch with
+  | Round_robin ->
+      let r = List.nth s.replica_set (s.rr_cursor mod List.length s.replica_set) in
+      s.rr_cursor <- s.rr_cursor + 1;
+      Some r
+  | Least_loaded ->
+      let best =
+        List.fold_left
+          (fun best r -> if s.outstanding.(r) < s.outstanding.(best) then r else best)
+          (List.hd s.replica_set) (List.tl s.replica_set)
+      in
+      if s.outstanding.(best) < t.window then Some best else None
+
 let rec pump t si =
   let s = t.stages.(si) in
-  if not (Queue.is_empty s.arrived) then begin
-    (* Demand-driven least-loaded deal over the current replica set. *)
-    let best =
-      List.fold_left
-        (fun best r -> if s.outstanding.(r) < s.outstanding.(best) then r else best)
-        (List.hd s.replica_set) (List.tl s.replica_set)
-    in
-    if s.outstanding.(best) < t.window then begin
-      let item, src = Queue.pop s.arrived in
-      let replica = best in
-      s.outstanding.(replica) <- s.outstanding.(replica) + 1;
-      let bytes =
-        if si = 0 then t.input.Stream_spec.item_bytes
-        else t.stages.(si - 1).spec.Stage.output_bytes
-      in
-      transfer_from t ~src ~dst:replica ~bytes (fun () ->
-          let node = Topology.node t.topo replica in
-          let start = ref (Engine.now t.engine) in
-          Server.submit (Node.server node) ~work:(work_for t ~item ~stage:si) ~tag:item
-            ~on_start:(fun () -> start := Engine.now t.engine)
-            (fun () ->
-              Trace.record_service t.trace
-                {
-                  Trace.item;
-                  stage = si;
-                  node = replica;
-                  start = !start;
-                  finish = Engine.now t.engine;
-                };
-              s.outstanding.(replica) <- s.outstanding.(replica) - 1;
-              Hashtbl.replace s.reorder item replica;
-              emit t si;
-              pump t si));
-      pump t si
-    end
-  end
+  if not (Queue.is_empty s.arrived) then
+    match pick t s with
+    | None -> () (* every replica is at its window; a service end re-pumps *)
+    | Some replica ->
+        let item, src = Queue.pop s.arrived in
+        s.outstanding.(replica) <- s.outstanding.(replica) + 1;
+        let bytes =
+          if si = 0 then t.input.Stream_spec.item_bytes
+          else t.stages.(si - 1).spec.Stage.output_bytes
+        in
+        transfer_from t ~src ~dst:replica ~bytes (fun () ->
+            let node = Topology.node t.topo replica in
+            let start = ref (Engine.now t.engine) in
+            Server.submit (Node.server node) ~work:(work_for t ~item ~stage:si) ~tag:item
+              ~on_start:(fun () -> start := Engine.now t.engine)
+              (fun () ->
+                Trace.record_service t.trace
+                  {
+                    Trace.item;
+                    stage = si;
+                    node = replica;
+                    start = !start;
+                    finish = Engine.now t.engine;
+                  };
+                s.outstanding.(replica) <- s.outstanding.(replica) - 1;
+                Hashtbl.replace s.reorder item replica;
+                emit t si;
+                pump t si));
+        pump t si
 
 (* Re-sequence: forward every contiguous finished item downstream (or to the
    sink), preserving the input order for the next stage. *)
@@ -134,7 +147,8 @@ and emit t si =
       end;
       emit t si
 
-let create ?(window = 2) ~rng ~topo ~stages ~replicas ~input ~trace () =
+let create ?(window = 2) ?(dispatch = Least_loaded) ~rng ~topo ~stages ~replicas ~input ~trace
+    () =
   if window < 1 then invalid_arg "Repl_sim: window must be at least 1";
   let replica_sets = validate topo stages replicas in
   let t =
@@ -143,14 +157,15 @@ let create ?(window = 2) ~rng ~topo ~stages ~replicas ~input ~trace () =
       topo;
       trace;
       window;
+      dispatch;
       stages =
         Array.mapi
           (fun index spec ->
             {
               spec;
-              index;
               replica_set = replica_sets.(index);
               outstanding = Array.make (Topology.size topo) 0;
+              rr_cursor = 0;
               arrived = Queue.create ();
               reorder = Hashtbl.create 32;
               next_emit = 0;
@@ -176,6 +191,11 @@ let create ?(window = 2) ~rng ~topo ~stages ~replicas ~input ~trace () =
 
 let replicas t = Array.map (fun s -> s.replica_set) t.stages
 
+let outstanding t ~stage node =
+  if stage < 0 || stage >= Array.length t.stages || node < 0 || node >= Topology.size t.topo
+  then invalid_arg "Repl_sim.outstanding";
+  t.stages.(stage).outstanding.(node)
+
 let set_replicas t new_replicas =
   let sets = validate t.topo (Array.map (fun s -> s.spec) t.stages) new_replicas in
   Array.iteri (fun i s -> s.replica_set <- sets.(i)) t.stages;
@@ -197,8 +217,8 @@ let run_to_completion ?(max_time = 1e7) t =
   in
   loop ()
 
-let execute ?(rng = Rng.create 42) ?window ~topo ~stages ~replicas ~input () =
+let execute ?(rng = Rng.create 42) ?window ?dispatch ~topo ~stages ~replicas ~input () =
   let trace = Trace.create () in
-  let t = create ?window ~rng ~topo ~stages ~replicas ~input ~trace () in
+  let t = create ?window ?dispatch ~rng ~topo ~stages ~replicas ~input ~trace () in
   run_to_completion t;
   trace

@@ -1,22 +1,28 @@
 (** Pipelines with replicated stages — a farm nested inside the pipeline.
 
     Each stage runs on a {e set} of replica nodes instead of exactly one:
-    items reaching the stage are dealt to a replica (demand-driven,
-    least-loaded), serviced there, and re-sequenced by a per-stage reorder
-    buffer before moving downstream, so the next stage still observes the
-    input order ([Pipeline1for1] is preserved end to end). Replication is
-    how a hot stage stops being the bottleneck without rewriting the
-    application.
+    items reaching the stage are dealt to a replica by the {!dispatch}
+    policy, serviced there, and re-sequenced by a per-stage reorder buffer
+    before moving downstream, so the next stage still observes the input
+    order ([Pipeline1for1] is preserved end to end). Replication is how a
+    hot stage stops being the bottleneck without rewriting the application.
+    A one-stage replicated pipeline is the ordered task farm: its replica
+    set is the worker set and {!set_replicas} re-selects workers mid-run.
 
     Replicated stages use buffered (asynchronous) sends — the reorder buffer
     decouples the sender anyway — unlike the synchronous moves of the
     single-node {!Skel_sim}; single-replica stages therefore behave like a
     slightly more buffered {!Skel_sim} stage. *)
 
+type dispatch =
+  | Round_robin  (** equal shares in arrival order — eSkel's default deal *)
+  | Least_loaded  (** to the replica with the fewest outstanding items *)
+
 type t
 
 val create :
   ?window:int ->
+  ?dispatch:dispatch ->
   rng:Aspipe_util.Rng.t ->
   topo:Aspipe_grid.Topology.t ->
   stages:Stage.t array ->
@@ -26,8 +32,17 @@ val create :
   unit ->
   t
 (** [replicas.(i)] is stage [i]'s replica node set (non-empty, in range,
-    duplicates removed). [window] (default 2) caps each replica's
-    outstanding items. Raises [Invalid_argument] on bad inputs. *)
+    duplicates removed). Raises [Invalid_argument] on bad inputs or a
+    [window < 1].
+
+    A replica's {e outstanding} items are those dealt to it whose service
+    has not ended: in transit to it, queued, or in service. Its slot frees
+    when service ends, not when the result reaches the next stage or the
+    user. Under [Least_loaded] dispatch (the default) [window] (default 2)
+    caps each replica's outstanding items: the deal is demand-driven, so
+    shares follow speed. [Round_robin] deals every arrival at once to the
+    next replica in turn (one cursor per stage, kept across
+    {!set_replicas}) and ignores [window], so shares are equal. *)
 
 val replicas : t -> int list array
 (** Current replica sets, ascending. *)
@@ -36,6 +51,10 @@ val set_replicas : t -> int list array -> unit
 (** Replace every stage's replica set; takes effect for future deals (items
     already dealt to a removed replica finish there). Raises
     [Invalid_argument] on bad sets. *)
+
+val outstanding : t -> stage:int -> int -> int
+(** [outstanding t ~stage node]: items dealt to [node] for [stage] whose
+    service has not ended. Raises [Invalid_argument] out of range. *)
 
 val items_total : t -> int
 val items_completed : t -> int
@@ -46,6 +65,7 @@ val run_to_completion : ?max_time:float -> t -> unit
 val execute :
   ?rng:Aspipe_util.Rng.t ->
   ?window:int ->
+  ?dispatch:dispatch ->
   topo:Aspipe_grid.Topology.t ->
   stages:Stage.t array ->
   replicas:int list array ->

@@ -343,10 +343,12 @@ let test_adaptive_colocates_under_congestion () =
     true
     (adaptive.Adaptive.makespan < static.Baselines.makespan)
 
-(* --------------------------------------------------------- Adaptive_farm *)
+(* ------------------------------- the adaptive farm: round-robin Adaptive_repl *)
 
-module Adaptive_farm = Aspipe_core.Adaptive_farm
-module Farm_sim = Aspipe_skel.Farm_sim
+module Adaptive_repl = Aspipe_core.Adaptive_repl
+module Repl_sim = Aspipe_skel.Repl_sim
+
+let farm_config = { Adaptive_repl.default_config with dispatch = Repl_sim.Round_robin }
 
 let farm_scenario ?(loads = []) ?(items = 200) () =
   Scenario.make ~name:"farm-test"
@@ -369,51 +371,47 @@ let test_adaptive_farm_requires_one_stage () =
       ~input:(Stream_spec.make ~items:1 ())
       ()
   in
-  Alcotest.check_raises "multi-stage scenario rejected"
-    (Invalid_argument "Adaptive_farm.run: the scenario must have exactly one (farmed) stage")
-    (fun () -> ignore (Adaptive_farm.run ~scenario:bad ~seed:1 ()))
+  Alcotest.check_raises "multi-stage round-robin rejected"
+    (Invalid_argument "Adaptive_repl.run: round-robin dispatch needs exactly one (farmed) stage")
+    (fun () -> ignore (Adaptive_repl.run ~config:farm_config ~scenario:bad ~seed:1 ()))
 
 let test_adaptive_farm_static_completes () =
-  let config = { Adaptive_farm.default_config with adapt = false } in
-  let report = Adaptive_farm.run ~config ~scenario:(farm_scenario ()) ~seed:2 () in
+  let config = { farm_config with adapt = false } in
+  let report = Adaptive_repl.run ~config ~scenario:(farm_scenario ()) ~seed:2 () in
   Alcotest.(check int) "all items emitted" 200
-    (Trace.items_completed report.Adaptive_farm.trace);
+    (Trace.items_completed report.Adaptive_repl.trace);
   Alcotest.(check int) "no reconfigurations when static" 0
-    report.Adaptive_farm.reconfigurations;
+    report.Adaptive_repl.reconfigurations;
   (* The initial reading sees the heterogeneous speeds: the model drops the
      slow node 3 from the round-robin deal. *)
-  Alcotest.(check (list int)) "slow node excluded" [ 0; 1; 2 ]
-    report.Adaptive_farm.initial_workers
+  Alcotest.(check (array (list int))) "slow node excluded" [| [ 0; 1; 2 ] |]
+    report.Adaptive_repl.initial_replicas
 
 let test_adaptive_farm_evicts_degraded_worker () =
   let scenario =
     farm_scenario ~items:400 ~loads:[ (1, Loadgen.Step { at = 5.0; level = 0.1 }) ] ()
   in
   let static =
-    Adaptive_farm.run
-      ~config:{ Adaptive_farm.default_config with adapt = false }
-      ~scenario ~seed:3 ()
+    Adaptive_repl.run ~config:{ farm_config with adapt = false } ~scenario ~seed:3 ()
   in
-  let adaptive = Adaptive_farm.run ~scenario ~seed:3 () in
+  let adaptive = Adaptive_repl.run ~config:farm_config ~scenario ~seed:3 () in
   Alcotest.(check bool) "reconfigured at least once" true
-    (adaptive.Adaptive_farm.reconfigurations >= 1);
+    (adaptive.Adaptive_repl.reconfigurations >= 1);
   Alcotest.(check bool) "degraded worker evicted" true
-    (not (List.mem 1 adaptive.Adaptive_farm.final_workers));
+    (not (List.mem 1 adaptive.Adaptive_repl.final_replicas.(0)));
   Alcotest.(check bool)
     (Printf.sprintf "adaptive (%.1f) faster than static (%.1f)"
-       adaptive.Adaptive_farm.makespan static.Adaptive_farm.makespan)
+       adaptive.Adaptive_repl.makespan static.Adaptive_repl.makespan)
     true
-    (adaptive.Adaptive_farm.makespan < static.Adaptive_farm.makespan);
+    (adaptive.Adaptive_repl.makespan < static.Adaptive_repl.makespan);
   Alcotest.(check bool) "history recorded" true
-    (List.length adaptive.Adaptive_farm.worker_history
-     = adaptive.Adaptive_farm.reconfigurations)
+    (List.length adaptive.Adaptive_repl.history = adaptive.Adaptive_repl.reconfigurations)
 
 let test_adaptive_farm_deterministic () =
   let scenario = farm_scenario () in
-  let a = Adaptive_farm.run ~scenario ~seed:5 () in
-  let b = Adaptive_farm.run ~scenario ~seed:5 () in
-  check_float "same seed, same makespan" a.Adaptive_farm.makespan b.Adaptive_farm.makespan
-
+  let a = Adaptive_repl.run ~config:farm_config ~scenario ~seed:5 () in
+  let b = Adaptive_repl.run ~config:farm_config ~scenario ~seed:5 () in
+  check_float "same seed, same makespan" a.Adaptive_repl.makespan b.Adaptive_repl.makespan
 
 let test_adaptive_with_ctmc_evaluator () =
   (* The exact evaluator on a small instance: slower, same decisions class. *)
@@ -452,8 +450,6 @@ let test_adaptive_conservation_under_dynamics =
 
 
 (* --------------------------------------------------------- Adaptive_repl *)
-
-module Adaptive_repl = Aspipe_core.Adaptive_repl
 
 let repl_scenario ?(loads = []) ?(items = 300) () =
   Scenario.make ~name:"repl-test"
@@ -494,7 +490,9 @@ let test_adaptive_repl_routes_around_collapse () =
        static.Adaptive_repl.makespan)
     true
     (adaptive.Adaptive_repl.makespan < static.Adaptive_repl.makespan);
-  Alcotest.(check int) "no items lost" 400 (Trace.items_completed adaptive.Adaptive_repl.trace)
+  Alcotest.(check int) "no items lost" 400 (Trace.items_completed adaptive.Adaptive_repl.trace);
+  Alcotest.(check int) "one history entry per reconfiguration"
+    adaptive.Adaptive_repl.reconfigurations (List.length adaptive.Adaptive_repl.history)
 
 let test_adaptive_repl_needs_enough_nodes () =
   let scenario =
@@ -511,14 +509,12 @@ let test_adaptive_repl_needs_enough_nodes () =
 
 
 let test_adaptive_farm_least_loaded_mode () =
-  let config =
-    { Adaptive_farm.default_config with dispatch = Farm_sim.Least_loaded; adapt = false }
-  in
-  let report = Adaptive_farm.run ~config ~scenario:(farm_scenario ()) ~seed:6 () in
+  let config = { Adaptive_repl.default_config with adapt = false } in
+  let report = Adaptive_repl.run ~config ~scenario:(farm_scenario ()) ~seed:6 () in
   (* Least-loaded keeps every node in the deal. *)
-  Alcotest.(check (list int)) "all nodes enrolled" [ 0; 1; 2; 3 ]
-    report.Adaptive_farm.initial_workers;
-  Alcotest.(check int) "completes" 200 (Trace.items_completed report.Adaptive_farm.trace)
+  Alcotest.(check (array (list int))) "all nodes enrolled" [| [ 0; 1; 2; 3 ] |]
+    report.Adaptive_repl.initial_replicas;
+  Alcotest.(check int) "completes" 200 (Trace.items_completed report.Adaptive_repl.trace)
 
 let test_adaptive_repl_records_adaptations_in_trace () =
   let scenario =

@@ -307,25 +307,37 @@ let test_ctmc_of_costspec_consistency () =
     (x > 0.5 *. Analytic.throughput spec m && x <= Analytic.throughput spec m +. 1e-9)
 
 
-(* ----------------------------------------------------------- Farm_model *)
+(* ---------------------------------- the farm model: one-stage Repl_model *)
 
-module Farm_model = Aspipe_model.Farm_model
+module Repl_model = Aspipe_model.Repl_model
+module Repl_sim = Aspipe_skel.Repl_sim
+
+let farm_spec ~work rates = synthetic_spec ~stage_work:[| work |] ~node_rates:rates ()
+
+let round_robin spec workers =
+  Repl_model.throughput ~dispatch:Repl_sim.Round_robin spec ~replicas:[| workers |]
 
 let test_farm_model_rates () =
-  let model = Farm_model.make ~work:2.0 ~node_rates:[| 10.0; 4.0 |] in
-  check_float "worker rate" 5.0 (Farm_model.worker_rate model 0);
-  check_float "rr binds at the slowest" 4.0
-    (Farm_model.round_robin_throughput model ~workers:[ 0; 1 ]);
-  check_float "proportional sums" 7.0 (Farm_model.proportional_throughput model ~workers:[ 0; 1 ]);
-  check_float "empty set" 0.0 (Farm_model.round_robin_throughput model ~workers:[]);
-  Alcotest.check_raises "bad work" (Invalid_argument "Farm_model.make: work must be positive")
-    (fun () -> ignore (Farm_model.make ~work:0.0 ~node_rates:[| 1.0 |]))
+  let spec = farm_spec ~work:2.0 [| 10.0; 4.0 |] in
+  check_float "worker rate" 5.0 (Repl_model.throughput spec ~replicas:[| [ 0 ] |]);
+  check_float "rr binds at the slowest" 4.0 (round_robin spec [ 0; 1 ]);
+  check_float "proportional sums" 7.0 (Repl_model.throughput spec ~replicas:[| [ 0; 1 ] |]);
+  (* Equal shares: |R| x the slowest member's rate, float for float. *)
+  Alcotest.(check int64) "n x min rate, bit for bit"
+    (Int64.bits_of_float (3.0 *. (6.0 /. 0.7)))
+    (Int64.bits_of_float (round_robin (farm_spec ~work:0.7 [| 14.0; 12.0; 6.0 |]) [ 0; 1; 2 ]));
+  Alcotest.check_raises "empty set" (Invalid_argument "Repl_model: empty replica set") (fun () ->
+      ignore (round_robin spec []));
+  Alcotest.check_raises "best set needs one stage"
+    (Invalid_argument "Repl_model.best_round_robin: one stage required") (fun () ->
+      let pipeline = synthetic_spec ~stage_work:[| 1.0; 1.0 |] ~node_rates:[| 10.0 |] () in
+      ignore (Repl_model.best_round_robin pipeline))
 
 let test_farm_model_best_set () =
   (* rates 14,12,10,10,8,6: prefixes give 14,24,30,40,40,36 -> best is the
      4-element prefix (ties resolve to the first maximum found). *)
-  let model = Farm_model.make ~work:1.0 ~node_rates:[| 14.0; 12.0; 10.0; 10.0; 8.0; 6.0 |] in
-  let set, score = Farm_model.best_round_robin_set model ~candidates:[ 0; 1; 2; 3; 4; 5 ] in
+  let spec = farm_spec ~work:1.0 [| 14.0; 12.0; 10.0; 10.0; 8.0; 6.0 |] in
+  let set, score = Repl_model.best_round_robin spec in
   Alcotest.(check (list int)) "drops the slow tail" [ 0; 1; 2; 3 ] set;
   check_float "score" 40.0 score
 
@@ -333,25 +345,21 @@ let test_farm_model_best_set_exhaustive =
   qtest ~count:60 "best prefix beats every subset"
     QCheck2.Gen.(array_size (int_range 1 8) (float_range 1.0 20.0))
     (fun rates ->
-      let model = Farm_model.make ~work:1.0 ~node_rates:rates in
+      let spec = farm_spec ~work:1.0 rates in
       let candidates = List.init (Array.length rates) Fun.id in
-      let _, best = Farm_model.best_round_robin_set model ~candidates in
+      let _, best = Repl_model.best_round_robin spec in
       (* Enumerate all non-empty subsets and verify none beats the prefix. *)
       let n = List.length candidates in
       let rec subsets mask =
         if mask >= 1 lsl n then true
         else begin
           let subset = List.filter (fun i -> mask land (1 lsl i) <> 0) candidates in
-          (subset = [] || Farm_model.round_robin_throughput model ~workers:subset <= best +. 1e-9)
-          && subsets (mask + 1)
+          round_robin spec subset <= best +. 1e-9 && subsets (mask + 1)
         end
       in
       subsets 1)
 
-
 (* ----------------------------------------------------------- Repl_model *)
-
-module Repl_model = Aspipe_model.Repl_model
 
 let test_repl_model_capacity () =
   let spec = synthetic_spec ~stage_work:[| 1.0; 4.0 |] ~node_rates:[| 10.0; 10.0; 10.0 |] () in
@@ -853,9 +861,7 @@ let test_exhaustive_backends_agree =
                (fun (prune, canonical) ->
                  same (Search.exhaustive_spec ?fix_first_on ~prune ~canonical ?incumbent spec))
                [ (false, false); (true, false); (false, true); (true, true) ])
-           incumbents
-      && full (Search.exhaustive_par ?fix_first_on ~chunks:1 spec)
-      && full (Search.exhaustive_par ?fix_first_on ~chunks:5 spec))
+           incumbents)
 
 let test_hill_climb_spec_matches_generic =
   qtest ~count:200 "hill_climb_spec replicates the generic climb exactly"
@@ -886,7 +892,7 @@ let test_auto_spec_matches_auto =
 
 (* The uniform grid is maximally tie-heavy: every processor permutation of a
    mapping scores identically. The contract — lowest enumeration code wins —
-   must hold on every backend, or serial and parallel searches diverge. *)
+   must hold on every backend, or plain and pruned searches diverge. *)
 let test_exhaustive_tie_break_lowest_code () =
   let spec =
     synthetic_spec ~stage_work:[| 1.0; 1.0; 1.0; 1.0 |]
@@ -918,7 +924,6 @@ let test_exhaustive_tie_break_lowest_code () =
   check_backend "gray walk" (Search.exhaustive_spec ~prune:false ~canonical:false spec);
   check_backend "pruned" (Search.exhaustive_spec ~canonical:false spec);
   check_backend "canonicalized" (Search.exhaustive_spec spec);
-  check_backend "parallel 7 chunks" (Search.exhaustive_par ~chunks:7 spec);
   (* Seeding with the highest-code tie must not let it win: pruning is
      strict, so the lower-code ties are still reached and preferred. *)
   let incumbent =
@@ -1011,27 +1016,6 @@ let test_canonicalization_prunes_symmetric_grid () =
     (Printf.sprintf "scored %d << %d leaves" canon.Search.evaluated plain.Search.evaluated)
     true
     (canon.Search.evaluated * 4 < plain.Search.evaluated)
-
-let test_search_parallel_pool_byte_identical () =
-  (* The real domain pool against the sequential backend: byte-identical
-     results regardless of worker count or chunking. *)
-  let rng = Rng.create 23 in
-  let stages = 7 and processors = 4 in
-  let spec =
-    synthetic_spec
-      ~stage_work:(Array.init stages (fun _ -> Rng.range rng 0.5 2.0))
-      ~node_rates:(Array.init processors (fun _ -> Rng.range rng 5.0 15.0))
-      ()
-  in
-  let seq = Search.exhaustive_par ~chunks:8 spec in
-  let pool = Aspipe_runner.Pool.create ~workers:4 () in
-  let par = { Search.pmap = (fun f xs -> Aspipe_runner.Pool.map_list pool f xs) } in
-  let jobs4 = Search.exhaustive_par ~par ~chunks:8 spec in
-  Aspipe_runner.Pool.shutdown pool;
-  check_results_identical "jobs 1 vs jobs 4" jobs4 seq;
-  Alcotest.(check int) "every candidate accounted" (4 * 4 * 4 * 4 * 4 * 4 * 4)
-    jobs4.Search.evaluated;
-  check_results_identical "matches the serial spec walk" jobs4 (Search.exhaustive_spec spec)
 
 let test_default_exhaustive_limit_raised () =
   Alcotest.(check bool)
@@ -1137,15 +1121,13 @@ let () =
             test_exhaustive_tie_break_lowest_code;
           Alcotest.test_case "symmetry canonicalization prunes" `Quick
             test_canonicalization_prunes_symmetric_grid;
-          Alcotest.test_case "parallel pool byte-identical" `Quick
-            test_search_parallel_pool_byte_identical;
           Alcotest.test_case "exhaustive limit raised 10x" `Quick
             test_default_exhaustive_limit_raised;
           Alcotest.test_case "incumbent prunes a forecast spec" `Quick
             test_incumbent_prunes_forecast_spec;
-          test_auto_spec_keeps_pin;
           Alcotest.test_case "pinned choose respects the limit" `Quick
             test_predictor_pinned_respects_limit;
+          test_auto_spec_keeps_pin;
         ] );
       ( "predictor",
         [

@@ -371,24 +371,24 @@ let test_sim_work_draws_paired_across_mappings () =
   Alcotest.(check bool) "identical per-item service durations" true
     (run [| 0 |] = run [| 2 |])
 
-(* ------------------------------------------------------------- Farm_sim *)
+(* ------------------------------------- the task farm: one-stage Repl_sim *)
 
-module Farm_sim = Aspipe_skel.Farm_sim
+module Repl_sim = Aspipe_skel.Repl_sim
 
 let farm_task ?(work = Variate.Constant 1.0) () =
   Stage.make ~name:"task" ~output_bytes:10.0 ~state_bytes:0.0 ~work ()
 
-let run_farm ?(items = 40) ?(dispatch = Farm_sim.Round_robin) ?(speeds = [| 10.0; 10.0 |])
+let run_farm ?(items = 40) ?(dispatch = Repl_sim.Round_robin) ?(speeds = [| 10.0; 10.0 |])
     ~workers () =
   let engine = Engine.create () in
   let topo = Topology.heterogeneous engine ~speeds ~latency:1e-4 ~bandwidth:1e9 () in
   let input = Stream_spec.make ~items ~item_bytes:10.0 () in
   let trace = Trace.create () in
   let farm =
-    Farm_sim.create ~rng:(Rng.create 3) ~topo ~task:(farm_task ()) ~workers ~dispatch ~input
-      ~trace ()
+    Repl_sim.create ~dispatch ~rng:(Rng.create 3) ~topo ~stages:[| farm_task () |]
+      ~replicas:[| workers |] ~input ~trace ()
   in
-  Farm_sim.run_to_completion farm;
+  Repl_sim.run_to_completion farm;
   (farm, trace)
 
 let test_farm_completes_in_order () =
@@ -405,7 +405,7 @@ let test_farm_round_robin_shares () =
 let test_farm_least_loaded_proportional () =
   (* Node 0 is 4x faster: demand-driven dealing should give it ~4x the work. *)
   let _, trace =
-    run_farm ~items:200 ~dispatch:Farm_sim.Least_loaded ~speeds:[| 40.0; 10.0 |]
+    run_farm ~items:200 ~dispatch:Repl_sim.Least_loaded ~speeds:[| 40.0; 10.0 |]
       ~workers:[ 0; 1 ] ()
   in
   let n0 = Trace.services_on_node trace ~node:0 in
@@ -427,42 +427,47 @@ let test_farm_set_workers_mid_run () =
   in
   let trace = Trace.create () in
   let farm =
-    Farm_sim.create ~rng:(Rng.create 4) ~topo ~task:(farm_task ()) ~workers:[ 0 ]
-      ~dispatch:Farm_sim.Round_robin ~input ~trace ()
+    Repl_sim.create ~dispatch:Repl_sim.Round_robin ~rng:(Rng.create 4) ~topo
+      ~stages:[| farm_task () |] ~replicas:[| [ 0 ] |] ~input ~trace ()
   in
-  ignore (Engine.schedule engine ~delay:4.0 (fun () -> Farm_sim.set_workers farm [ 1; 2 ]));
-  Farm_sim.run_to_completion farm;
-  Alcotest.(check (list int)) "worker set replaced" [ 1; 2 ] (Farm_sim.workers farm);
+  ignore (Engine.schedule engine ~delay:4.0 (fun () -> Repl_sim.set_replicas farm [| [ 1; 2 ] |]));
+  Repl_sim.run_to_completion farm;
+  Alcotest.(check (array (list int))) "worker set replaced" [| [ 1; 2 ] |] (Repl_sim.replicas farm);
   Alcotest.(check int) "all items out" 50 (Trace.items_completed trace);
-  Alcotest.(check bool) "early work on node 0" true (Trace.services_on_node trace ~node:0 > 0);
-  Alcotest.(check bool) "late work on the new set" true
-    (Trace.services_on_node trace ~node:1 + Trace.services_on_node trace ~node:2 > 0)
+  (* Items 0..20 arrive by t = 4 and go to node 0. The deal's cursor is kept
+     across the change, so item 21 goes to the new set's second member. *)
+  Alcotest.(check (list int)) "deal continues from its cursor" [ 21; 14; 15 ]
+    (List.map (fun node -> Trace.services_on_node trace ~node) [ 0; 1; 2 ])
 
 let test_farm_validation () =
   let engine = Engine.create () in
   let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:1e-4 ~bandwidth:1e9 () in
   let input = Stream_spec.make ~items:1 () in
-  Alcotest.check_raises "empty workers" (Invalid_argument "Farm_sim: empty worker set")
-    (fun () ->
-      ignore
-        (Farm_sim.create ~rng:(Rng.create 1) ~topo ~task:(farm_task ()) ~workers:[]
-           ~dispatch:Farm_sim.Round_robin ~input ~trace:(Trace.create ()) ()));
-  Alcotest.check_raises "unknown node" (Invalid_argument "Farm_sim: unknown worker node")
-    (fun () ->
-      ignore
-        (Farm_sim.create ~rng:(Rng.create 1) ~topo ~task:(farm_task ()) ~workers:[ 7 ]
-           ~dispatch:Farm_sim.Round_robin ~input ~trace:(Trace.create ()) ()))
-
-
+  let create workers =
+    Repl_sim.create ~dispatch:Repl_sim.Round_robin ~rng:(Rng.create 1) ~topo
+      ~stages:[| farm_task () |] ~replicas:[| workers |] ~input ~trace:(Trace.create ()) ()
+  in
+  Alcotest.check_raises "empty workers" (Invalid_argument "Repl_sim: empty replica set")
+    (fun () -> ignore (create []));
+  Alcotest.check_raises "unknown node" (Invalid_argument "Repl_sim: unknown replica node")
+    (fun () -> ignore (create [ 7 ]));
+  (* A live farm refuses a bad re-selection and keeps its workers. *)
+  let farm = create [ 0 ] in
+  Alcotest.check_raises "empty re-selection" (Invalid_argument "Repl_sim: empty replica set")
+    (fun () -> Repl_sim.set_replicas farm [| [] |]);
+  Alcotest.check_raises "one set per stage"
+    (Invalid_argument "Repl_sim: one replica set per stage required") (fun () ->
+      Repl_sim.set_replicas farm [| [ 0 ]; [ 1 ] |]);
+  Alcotest.(check (array (list int))) "workers kept" [| [ 0 ] |] (Repl_sim.replicas farm)
 
 let test_farm_window_validation () =
   let engine = Engine.create () in
   let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:1e-4 ~bandwidth:1e9 () in
-  Alcotest.check_raises "window 0" (Invalid_argument "Farm_sim: window must be at least 1")
+  Alcotest.check_raises "window 0" (Invalid_argument "Repl_sim: window must be at least 1")
     (fun () ->
       ignore
-        (Farm_sim.create ~window:0 ~rng:(Rng.create 1) ~topo ~task:(farm_task ())
-           ~workers:[ 0 ] ~dispatch:Farm_sim.Round_robin
+        (Repl_sim.create ~window:0 ~dispatch:Repl_sim.Round_robin ~rng:(Rng.create 1) ~topo
+           ~stages:[| farm_task () |] ~replicas:[| [ 0 ] |]
            ~input:(Stream_spec.make ~items:1 ())
            ~trace:(Trace.create ()) ()))
 
@@ -472,8 +477,8 @@ let test_farm_wider_window_keeps_results () =
     let engine = Engine.create () in
     let topo = Topology.heterogeneous engine ~speeds:[| 20.0; 10.0 |] ~latency:1e-4 ~bandwidth:1e9 () in
     let trace =
-      Farm_sim.execute ~rng:(Rng.create 3) ~window ~topo ~task:(farm_task ())
-        ~workers:[ 0; 1 ] ~dispatch:Farm_sim.Least_loaded
+      Repl_sim.execute ~rng:(Rng.create 3) ~window ~dispatch:Repl_sim.Least_loaded ~topo
+        ~stages:[| farm_task () |] ~replicas:[| [ 0; 1 ] |]
         ~input:(Stream_spec.make ~items:50 ~item_bytes:10.0 ())
         ()
     in
@@ -483,27 +488,37 @@ let test_farm_wider_window_keeps_results () =
   Alcotest.(check int) "window 8" 50 (run 8)
 
 let test_farm_outstanding_bounds () =
-  let engine = Engine.create () in
-  let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:1e-4 ~bandwidth:1e9 () in
-  let farm =
-    Farm_sim.create ~rng:(Rng.create 3) ~topo ~task:(farm_task ()) ~workers:[ 0; 1 ]
-      ~dispatch:Farm_sim.Least_loaded
-      ~input:(Stream_spec.make ~items:40 ~item_bytes:10.0 ())
-      ~trace:(Trace.create ()) ()
+  let peak dispatch =
+    let engine = Engine.create () in
+    let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:1e-4 ~bandwidth:1e9 () in
+    let farm =
+      Repl_sim.create ~dispatch ~rng:(Rng.create 3) ~topo ~stages:[| farm_task () |]
+        ~replicas:[| [ 0; 1 ] |]
+        ~input:(Stream_spec.make ~items:40 ~item_bytes:10.0 ())
+        ~trace:(Trace.create ()) ()
+    in
+    (* Sample outstanding during the run. *)
+    let peak = ref 0 in
+    Aspipe_des.Engine.periodic engine ~every:0.05 (fun () ->
+        peak :=
+          max !peak
+            (max (Repl_sim.outstanding farm ~stage:0 0) (Repl_sim.outstanding farm ~stage:0 1));
+        not (Repl_sim.finished farm));
+    Repl_sim.run_to_completion farm;
+    Alcotest.check_raises "node bounds" (Invalid_argument "Repl_sim.outstanding") (fun () ->
+        ignore (Repl_sim.outstanding farm ~stage:0 9));
+    Alcotest.check_raises "stage bounds" (Invalid_argument "Repl_sim.outstanding") (fun () ->
+        ignore (Repl_sim.outstanding farm ~stage:1 0));
+    !peak
   in
-  (* Sample outstanding during the run: never above the window (2). *)
-  Aspipe_des.Engine.periodic engine ~every:0.05 (fun () ->
-      if Farm_sim.outstanding farm 0 > 2 || Farm_sim.outstanding farm 1 > 2 then
-        Alcotest.fail "window exceeded";
-      not (Farm_sim.finished farm));
-  Farm_sim.run_to_completion farm;
-  Alcotest.check_raises "outstanding bounds" (Invalid_argument "Farm_sim.outstanding")
-    (fun () -> ignore (Farm_sim.outstanding farm 9))
-
+  Alcotest.(check int) "least-loaded never above the window (2)" 2 (peak Repl_sim.Least_loaded);
+  (* The eager round-robin deal ignores the window: all 40 items are dealt
+     at t = 0, half to each worker. *)
+  Alcotest.(check int) "round-robin deals past the window" 20 (peak Repl_sim.Round_robin)
 
 let test_farm_emission_times_non_decreasing () =
   let _, trace =
-    run_farm ~items:100 ~dispatch:Farm_sim.Least_loaded ~speeds:[| 30.0; 10.0 |]
+    run_farm ~items:100 ~dispatch:Repl_sim.Least_loaded ~speeds:[| 30.0; 10.0 |]
       ~workers:[ 0; 1 ] ()
   in
   let times = Array.map snd (Trace.completions trace) in
@@ -514,8 +529,6 @@ let test_farm_emission_times_non_decreasing () =
     times
 
 (* ------------------------------------------------------------- Repl_sim *)
-
-module Repl_sim = Aspipe_skel.Repl_sim
 
 let run_repl ?(items = 40) ~stages ~replicas () =
   let engine = Engine.create () in
