@@ -1,5 +1,3 @@
-module Spsc = Aspipe_util.Spsc
-
 let map_array ~workers f xs =
   if workers <= 0 then invalid_arg "Farm_mc: workers must be positive";
   let n = Array.length xs in
@@ -29,96 +27,3 @@ let map_array ~workers f xs =
   end
 
 let map ~workers f xs = Array.to_list (map_array ~workers f (Array.of_list xs))
-
-(* ------------------------------------------------------- streaming farm *)
-
-(* The ordered streaming farm over SPSC rings: a feeder domain deals chunks
-   of [batch] items round-robin into one input ring per worker; each worker
-   is exactly {!Skel_mc.pump} (chunked pop → apply → chunked push) onto its
-   own output ring; the caller's domain reassembles chunks in deal order, so
-   the output order equals the input order and every ring keeps a single
-   producer and a single consumer.
-
-   Unlike {!map}, nothing is materialized per item beyond the rings'
-   windows, and a slow item only delays its own worker's lane — the
-   streaming analogue of the simulator's ordered farm.
-
-   Failure: a raising worker closes both its rings (via pump); the feeder's
-   next push into that lane raises [Closed] and shuts every input ring, the
-   remaining workers drain out and close, and the collector — finding a lane
-   closed before its expected chunk arrived — closes everything still open
-   and joins. The worker's own exception then wins over the [Closed] relays,
-   exactly as in {!Skel_mc.run}. *)
-let map_stream ?(capacity = 64) ?(batch = 1) ~workers f xs =
-  if workers <= 0 then invalid_arg "Farm_mc: workers must be positive";
-  if capacity <= 0 then invalid_arg "Farm_mc: capacity must be positive";
-  if batch <= 0 then invalid_arg "Farm_mc: batch must be positive";
-  match xs with
-  | [] -> []
-  | xs when workers = 1 -> List.map f xs
-  | xs ->
-      let n = List.length xs in
-      let w = workers in
-      let ins = Array.init w (fun _ -> Spsc.create ~capacity) in
-      let outs = Array.init w (fun _ -> Spsc.create ~capacity) in
-      let domains =
-        Array.init w (fun i -> Domain.spawn (fun () -> Skel_mc.pump ~batch f ins.(i) outs.(i)))
-      in
-      let feeder =
-        Domain.spawn (fun () ->
-            let buf = Array.make batch None in
-            let rec fill i xs =
-              match xs with
-              | x :: rest when i < batch ->
-                  buf.(i) <- Some x;
-                  fill (i + 1) rest
-              | rest -> (i, rest)
-            in
-            try
-              let rec go j xs =
-                match xs with
-                | [] -> Array.iter Spsc.close ins
-                | xs ->
-                    let k, rest = fill 0 xs in
-                    Spsc.push_chunk ins.(j mod w) buf ~pos:0 ~len:k;
-                    go (j + 1) rest
-              in
-              go 0 xs
-            with Spsc.Closed -> Array.iter Spsc.close ins)
-      in
-      let buf = Array.make batch None in
-      let acc = ref [] in
-      let failed = ref false in
-      (try
-         let chunks = (n + batch - 1) / batch in
-         for j = 0 to chunks - 1 do
-           let expect = min batch (n - (j * batch)) in
-           let got = ref 0 in
-           while !got < expect do
-             let m = Spsc.pop_chunk outs.(j mod w) buf ~pos:!got ~len:(expect - !got) in
-             if m = 0 then raise Exit;
-             got := !got + m
-           done;
-           for i = 0 to expect - 1 do
-             (match buf.(i) with Some y -> acc := y :: !acc | None -> assert false);
-             buf.(i) <- None
-           done
-         done
-       with Exit ->
-         failed := true;
-         Array.iter Spsc.close ins;
-         Array.iter Spsc.close outs);
-      Domain.join feeder;
-      let failures =
-        Array.to_list domains
-        |> List.filter_map (fun d -> try ignore (Domain.join d); None with e -> Some e)
-      in
-      (match List.find_opt (function Spsc.Closed -> false | _ -> true) failures with
-      | Some e -> raise e
-      | None -> (
-          match failures with
-          | e :: _ -> raise e
-          | [] -> if !failed then failwith "Farm_mc.map_stream: lane closed without a failure"));
-      List.rev !acc
-
-let pipeline_stage ~workers f xs = map_stream ~workers f xs

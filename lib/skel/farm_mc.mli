@@ -9,16 +9,3 @@ val map : workers:int -> ('a -> 'b) -> 'a list -> 'b list
     re-raised in the caller after all workers stop. *)
 
 val map_array : workers:int -> ('a -> 'b) -> 'a array -> 'b array
-
-val map_stream : ?capacity:int -> ?batch:int -> workers:int -> ('a -> 'b) -> 'a list -> 'b list
-(** The ordered {e streaming} farm: chunks of [batch] items (default 1) are
-    dealt round-robin into one lock-free SPSC ring per worker domain
-    (capacity [capacity], default 64) and reassembled in deal order, so the
-    output order equals the input order while items flow through bounded
-    buffers instead of a materialized shared array. [workers = 1] computes
-    in the calling domain. Exceptions raised by [f] are re-raised in the
-    caller after the fan-out shuts down. *)
-
-val pipeline_stage : workers:int -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map_stream} with its default ring shape; named for use as a
-    replicated stage inside a pipeline. *)

@@ -34,13 +34,18 @@ val run_fold :
   f:('c -> 'b -> 'c) ->
   'c
 (** [run] without materializing either stream: feeds [gen 0 .. gen (items-1)]
-    and folds the outputs in order on the caller's domain. The
-    tens-of-millions-of-items benchmark path. *)
+    (each called once, in order, on the feeder domain) and folds the
+    outputs in order on the caller's domain. The
+    tens-of-millions-of-items benchmark path. An exception raised by [gen]
+    or [f] is re-raised here after every domain of the run has been
+    joined. *)
 
 val pump : batch:int -> ('a -> 'b) -> 'a Aspipe_util.Spsc.t -> 'b Aspipe_util.Spsc.t -> unit
 (** The per-stage loop: chunked pop → apply → chunked push, with the
-    close/failure relay protocol. Exposed for {!Farm_mc}'s streaming farm
-    and the relay tests; not intended for direct use. *)
+    close/failure relay protocol. The first item is taken with
+    {!Aspipe_util.Spsc.pop} and sizes the two plain chunk buffers, so a
+    chunk allocates nothing beyond what [f] does. Exposed for the relay
+    and allocation tests; not intended for direct use. *)
 
 val now_seconds : unit -> float
 (** Monotonic clock (bechamel's [Monotonic_clock]), seconds since an

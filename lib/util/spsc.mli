@@ -29,6 +29,15 @@
     lose that in-flight item, exactly like the failure-abort path it
     exists for.
 
+    Storage: items are stored unboxed, in a plain ['a array], and the
+    chunk operations move them through plain ['a array] windows, so no
+    handoff allocates. A [float] ring's slots are a flat float array. The
+    slots are allocated by the first push and filled with that push's item,
+    because there is no other value of type ['a] to fill them with; the
+    consumer resets every vacated slot to that same first item. Popped
+    items are therefore not retained, except the first item ever pushed,
+    which stays reachable until the ring itself is dropped.
+
     See DESIGN.md, "Multicore backend", for the memory-ordering argument. *)
 
 type 'a t
@@ -36,8 +45,9 @@ type 'a t
 exception Closed
 
 val create : capacity:int -> 'a t
-(** Ring with at least [capacity] slots (rounded up to a power of two).
-    Raises [Invalid_argument] if [capacity <= 0]. *)
+(** Ring with at least [capacity] slots (rounded up to a power of two),
+    allocated by the first push. Raises [Invalid_argument] if
+    [capacity <= 0]. *)
 
 val capacity : 'a t -> int
 (** The actual (power-of-two) slot count. *)
@@ -58,11 +68,12 @@ val push : 'a t -> 'a -> unit
 val try_push : 'a t -> 'a -> bool
 (** [false] when currently full. Raises {!Closed} if closed. *)
 
-val push_chunk : 'a t -> 'a option array -> pos:int -> len:int -> unit
-(** Transfer [src.(pos..pos+len-1)] — every cell must be [Some] — into the
-    ring, blocking for space as needed; the option cells are moved, not
-    re-allocated. Raises {!Closed} if the ring is closed before all [len]
-    items are in (items already transferred stay transferred). *)
+val push_chunk : 'a t -> 'a array -> pos:int -> len:int -> unit
+(** Copy the window [src.(pos..pos+len-1)] into the ring, blocking for
+    space as needed. Raises {!Closed} if the ring is closed before all
+    [len] items are in (items already transferred stay transferred), and
+    [Invalid_argument] if the window is not inside [src]. The caller keeps
+    [src] and may refill it at once. *)
 
 (** {1 Consumer side} — one domain only. *)
 
@@ -72,9 +83,12 @@ val pop : 'a t -> 'a option
 val try_pop : 'a t -> 'a option
 (** Non-blocking; [None] when currently empty (even if open). *)
 
-val pop_chunk : 'a t -> 'a option array -> pos:int -> len:int -> int
-(** Pop up to [len] items into [dst.(pos..)], blocking until at least one
-    item is available or the ring is closed and drained; returns the count
-    popped — [0] if and only if the ring is closed and empty ([len = 0]
-    also returns 0 immediately). Vacated ring slots are reset so popped
-    items are not retained. *)
+val pop_chunk : 'a t -> 'a array -> pos:int -> len:int -> int
+(** Pop up to [len] items into the window [dst.(pos..pos+len-1)], blocking
+    until at least one item is available or the ring is closed and
+    drained; returns the count [n] popped, written to [dst.(pos..pos+n-1)]
+    — [0] if and only if the ring is closed and empty ([len = 0] also
+    returns 0 immediately). The rest of the window is left untouched.
+    Raises [Invalid_argument] if the window is not inside [dst]. A consumer
+    that has no ['a] to build [dst] from can take its first item with
+    {!pop}. *)

@@ -53,6 +53,20 @@ let test_run_heterogeneous_types () =
   Alcotest.(check (list int)) "types change across stages" [ 10; 20; 30; 40 ]
     (Skel_mc.run chain [ 1; 10; 100; 1000 ])
 
+(* Float items travel in flat float arrays (the rings' slots and every
+   chunk buffer are sized from a float), mixed here with boxed stages. *)
+let test_run_float_payloads () =
+  let open Pipe in
+  let chain = (fun x -> x *. 0.5) @> (fun x -> (x, -.x)) @> last (fun (a, b) -> a -. b) in
+  let inputs = List.init 300 (fun i -> Float.of_int i +. 0.25) in
+  List.iter
+    (fun batch ->
+      Alcotest.(check (list (float 0.0)))
+        (Printf.sprintf "batch %d" batch)
+        (Skel_mc.run_seq chain inputs)
+        (Skel_mc.run ~capacity:4 ~batch chain inputs))
+    [ 1; 8 ]
+
 let test_run_timed_returns_outputs () =
   let outputs, seconds = Skel_mc.run_timed int_chain [ 1; 2; 3 ] in
   Alcotest.(check (list int)) "outputs intact" (Skel_mc.run_seq int_chain [ 1; 2; 3 ]) outputs;
@@ -163,49 +177,6 @@ let test_farm_exception_propagates () =
 let test_farm_invalid_workers () =
   Alcotest.check_raises "workers 0" (Invalid_argument "Farm_mc: workers must be positive")
     (fun () -> ignore (Farm_mc.map ~workers:0 Fun.id [ 1 ]))
-
-let test_farm_as_pipeline_stage () =
-  Alcotest.(check (list int)) "pipeline_stage alias" [ 1; 8; 27 ]
-    (Farm_mc.pipeline_stage ~workers:2 (fun x -> x * x * x) [ 1; 2; 3 ])
-
-(* ------------------------------------------------------- streaming farm *)
-
-let test_map_stream_matches_map =
-  qtest "map_stream = List.map over workers x batch x capacity"
-    QCheck2.Gen.(
-      quad (list_size (int_range 0 120) int) (int_range 1 5) (int_range 1 9) (int_range 1 5))
-    (fun (xs, workers, batch, capacity) ->
-      Farm_mc.map_stream ~capacity ~batch ~workers (fun x -> (x * 13) mod 997) xs
-      = List.map (fun x -> (x * 13) mod 997) xs)
-
-let test_map_stream_empty_and_single () =
-  Alcotest.(check (list int)) "empty" [] (Farm_mc.map_stream ~workers:4 (fun x -> x) []);
-  Alcotest.(check (list int)) "workers=1 computes inline" [ 2; 4 ]
-    (Farm_mc.map_stream ~workers:1 (fun x -> x * 2) [ 1; 2 ])
-
-let test_map_stream_preserves_order () =
-  (* Workers finish chunks at different speeds; the collector must still
-     reassemble in deal order. Reversed input makes a reorder visible. *)
-  let inputs = List.init 200 (fun i -> 199 - i) in
-  Alcotest.(check (list int)) "order preserved under contention"
-    (List.map (fun x -> x + 1) inputs)
-    (Farm_mc.map_stream ~capacity:2 ~batch:4 ~workers:3 (fun x -> x + 1) inputs)
-
-let test_map_stream_exception_propagates () =
-  let boom = Failure "stream-boom" in
-  Alcotest.check_raises "worker exception re-raised" boom (fun () ->
-      ignore
-        (Farm_mc.map_stream ~capacity:2 ~batch:8 ~workers:3
-           (fun x -> if x = 150 then raise boom else x)
-           (List.init 400 Fun.id)))
-
-let test_map_stream_invalid_args () =
-  Alcotest.check_raises "workers 0" (Invalid_argument "Farm_mc: workers must be positive")
-    (fun () -> ignore (Farm_mc.map_stream ~workers:0 Fun.id [ 1 ]));
-  Alcotest.check_raises "batch 0" (Invalid_argument "Farm_mc: batch must be positive") (fun () ->
-      ignore (Farm_mc.map_stream ~batch:0 ~workers:2 Fun.id [ 1 ]));
-  Alcotest.check_raises "capacity 0" (Invalid_argument "Farm_mc: capacity must be positive")
-    (fun () -> ignore (Farm_mc.map_stream ~capacity:0 ~workers:2 Fun.id [ 1 ]))
 
 (* ------------------------------------------------- failure paths (Domains) *)
 
@@ -323,6 +294,33 @@ let test_run_fold_exception_propagates () =
   Alcotest.check_raises "run_fold failure re-raised" boom (fun () ->
       ignore (Skel_mc.run_fold ~capacity:4 ~batch:16 chain ~items:2000 ~gen:Fun.id ~init:0 ~f:( + )))
 
+(* A raising generator runs on the feeder domain: it must close the first
+   ring so the chain drains and shuts down, and surface from [run_fold]
+   instead of leaving every stage and the caller parked. *)
+let test_run_fold_gen_exception () =
+  let boom = Failure "gen-boom" in
+  let chain = Pipe.((fun x -> x + 1) @> last (fun x -> x * 2)) in
+  let gen i = if i = 100 then raise boom else i in
+  List.iter
+    (fun batch ->
+      Alcotest.check_raises (Printf.sprintf "gen failure re-raised, batch %d" batch) boom
+        (fun () ->
+          ignore (Skel_mc.run_fold ~capacity:4 ~batch chain ~items:1000 ~gen ~init:0 ~f:( + ))))
+    [ 1; 2; 16 ]
+
+(* A raising fold runs on the caller's domain: every domain of the run must
+   still be joined before its exception surfaces. Sixty leaked runs of
+   three domains each would pass the runtime's 128-domain limit, so a leak
+   fails here as "failed to allocate domain". *)
+let test_run_fold_f_exception_joins_domains () =
+  let boom = Failure "f-boom" in
+  let chain = Pipe.((fun x -> x + 1) @> last (fun x -> x * 2)) in
+  let f acc y = if y > 40 then raise boom else acc + y in
+  for _ = 1 to 60 do
+    Alcotest.check_raises "fold failure re-raised" boom (fun () ->
+        ignore (Skel_mc.run_fold ~capacity:4 ~batch:2 chain ~items:1000 ~gen:Fun.id ~init:0 ~f))
+  done
+
 (* --------------------------------------------------- cross-backend checks *)
 
 let test_image_chain_backends_agree () =
@@ -351,6 +349,7 @@ let () =
           Alcotest.test_case "capacity 1" `Quick test_run_capacity_one;
           Alcotest.test_case "grouped" `Quick test_run_grouped_matches;
           Alcotest.test_case "heterogeneous types" `Quick test_run_heterogeneous_types;
+          Alcotest.test_case "float payloads" `Quick test_run_float_payloads;
           Alcotest.test_case "timed" `Quick test_run_timed_returns_outputs;
           Alcotest.test_case "single-stage pipe" `Quick test_single_stage_pipe;
           Alcotest.test_case "empty on every backend" `Quick test_empty_every_backend;
@@ -368,12 +367,6 @@ let () =
           Alcotest.test_case "array variant" `Quick test_farm_array;
           Alcotest.test_case "exception propagates" `Quick test_farm_exception_propagates;
           Alcotest.test_case "invalid workers" `Quick test_farm_invalid_workers;
-          Alcotest.test_case "pipeline stage alias" `Quick test_farm_as_pipeline_stage;
-          test_map_stream_matches_map;
-          Alcotest.test_case "map_stream empty & single" `Quick test_map_stream_empty_and_single;
-          Alcotest.test_case "map_stream preserves order" `Quick test_map_stream_preserves_order;
-          Alcotest.test_case "map_stream exception" `Quick test_map_stream_exception_propagates;
-          Alcotest.test_case "map_stream invalid args" `Quick test_map_stream_invalid_args;
         ] );
       ( "failure-paths",
         [
@@ -387,6 +380,9 @@ let () =
           Alcotest.test_case "batched first-stage exception" `Quick test_batched_first_stage_exception;
           Alcotest.test_case "batched last-stage exception" `Quick test_batched_last_stage_exception;
           Alcotest.test_case "run_fold exception" `Quick test_run_fold_exception_propagates;
+          Alcotest.test_case "run_fold gen exception" `Quick test_run_fold_gen_exception;
+          Alcotest.test_case "run_fold raising fold joins every domain" `Quick
+            test_run_fold_f_exception_joins_domains;
         ] );
       ( "cross-backend",
         [ Alcotest.test_case "image chain agreement" `Slow test_image_chain_backends_agree ] );

@@ -87,6 +87,43 @@ let test_pqueue_cycle_allocation_budget () =
   if per_op > 16.0 then
     Alcotest.failf "pop_min/insert cycle allocated %.2f minor words/op" per_op
 
+(* The multicore chunk path: pumping a pre-filled, closed int ring through
+   one stage at batch 64, then draining the stage's output ring with
+   pop_chunk, all on one domain. Neither may allocate per item: a boxed
+   item costs >= 2 words per item, a closure per chunk ~0.1. The budget
+   leaves room for the pump's two chunk buffers and first [Spsc.pop]. *)
+let test_ring_pump_allocation_budget () =
+  let module Spsc = Aspipe_util.Spsc in
+  let items = 65_536 and batch = 64 in
+  let cin = Spsc.create ~capacity:items and cout = Spsc.create ~capacity:items in
+  Spsc.push_chunk cin (Array.init items Fun.id) ~pos:0 ~len:items;
+  Spsc.close cin;
+  let per_item w0 = (Gc.minor_words () -. w0) /. Float.of_int items in
+  let w0 = Gc.minor_words () in
+  Aspipe_skel.Skel_mc.pump ~batch succ cin cout;
+  let pump_words = per_item w0 in
+  let dst = Array.make batch 0 in
+  let sum = ref 0 and popped = ref 0 in
+  let w0 = Gc.minor_words () in
+  let rec drain () =
+    let n = Spsc.pop_chunk cout dst ~pos:0 ~len:batch in
+    if n > 0 then begin
+      for k = 0 to n - 1 do
+        sum := !sum + dst.(k)
+      done;
+      popped := !popped + n;
+      drain ()
+    end
+  in
+  drain ();
+  let pop_words = per_item w0 in
+  Alcotest.(check int) "every item pumped" items !popped;
+  Alcotest.(check int) "pumped values" (items * (items + 1) / 2) !sum;
+  if pump_words > 0.05 then
+    Alcotest.failf "pump allocated %.3f minor words/item" pump_words;
+  if pop_words > 0.05 then
+    Alcotest.failf "pop_chunk allocated %.3f minor words/item" pop_words
+
 (* Golden determinism: the campaign output for five registry experiments
    is byte-identical to the digests captured before the optimisation, and
    identical again under --jobs 4. E12 (task farm) and E14 (replicated
@@ -171,6 +208,7 @@ let () =
             test_guarded_emit_allocation_budget;
           Alcotest.test_case "pqueue cycle budget" `Quick
             test_pqueue_cycle_allocation_budget;
+          Alcotest.test_case "ring pump budget" `Quick test_ring_pump_allocation_budget;
         ] );
       ( "golden",
         [

@@ -787,15 +787,17 @@ let test_spsc_close_semantics () =
 
 let test_spsc_chunk_roundtrip () =
   let q = Spsc.create ~capacity:8 in
-  let src = Array.init 6 (fun i -> Some (i * 10)) in
+  let src = Array.init 6 (fun i -> i * 10) in
   Spsc.push_chunk q src ~pos:0 ~len:6;
   Alcotest.(check int) "chunk in" 6 (Spsc.length q);
-  let dst = Array.make 8 None in
+  let dst = Array.make 8 (-1) in
   let n = Spsc.pop_chunk q dst ~pos:1 ~len:4 in
   Alcotest.(check int) "partial chunk out" 4 n;
   for k = 0 to 3 do
-    Alcotest.(check (option int)) "values at pos offset" (Some (k * 10)) dst.(1 + k)
+    Alcotest.(check int) "values at pos offset" (k * 10) dst.(1 + k)
   done;
+  Alcotest.(check int) "window start untouched" (-1) dst.(0);
+  Alcotest.(check int) "window end untouched" (-1) dst.(5);
   Alcotest.(check int) "rest of chunk" 2 (Spsc.pop_chunk q dst ~pos:0 ~len:8);
   Spsc.close q;
   Alcotest.(check int) "pop_chunk closed+drained" 0 (Spsc.pop_chunk q dst ~pos:0 ~len:8);
@@ -808,6 +810,105 @@ let test_spsc_chunk_roundtrip () =
   Alcotest.check_raises "pop_chunk bounds"
     (Invalid_argument "Spsc.pop_chunk: window out of bounds") (fun () ->
       ignore (Spsc.pop_chunk q dst ~pos:7 ~len:2))
+
+(* A ring closed before any push has never allocated its slots: every
+   consumer operation must report exhaustion without touching them. *)
+let test_spsc_closed_before_push () =
+  let q : string Spsc.t = Spsc.create ~capacity:4 in
+  Spsc.close q;
+  Alcotest.(check (option string)) "try_pop" None (Spsc.try_pop q);
+  Alcotest.(check (option string)) "pop" None (Spsc.pop q);
+  Alcotest.(check int) "pop_chunk" 0 (Spsc.pop_chunk q (Array.make 4 "") ~pos:0 ~len:4);
+  Alcotest.(check int) "length" 0 (Spsc.length q);
+  Alcotest.check_raises "push" Spsc.Closed (fun () -> Spsc.push q "x");
+  Alcotest.check_raises "push_chunk" Spsc.Closed (fun () ->
+      Spsc.push_chunk q [| "x" |] ~pos:0 ~len:1)
+
+(* Windows of every representation: a float ring's slots and windows are
+   flat float arrays, a record ring's hold pointers. Both must round-trip
+   through push_chunk, pop_chunk and try_pop, across wrap-around. *)
+let spsc_roundtrip ~eq ~show items =
+  let q = Spsc.create ~capacity:4 in
+  let n = Array.length items in
+  let got = ref [] in
+  let dst = Array.make 3 items.(0) in
+  let i = ref 0 in
+  while !i < n do
+    let len = min 3 (n - !i) in
+    Spsc.push_chunk q items ~pos:!i ~len;
+    i := !i + len;
+    (* Alternate the two consumer paths. *)
+    if !i mod 2 = 0 then
+      let m = Spsc.pop_chunk q dst ~pos:0 ~len:3 in
+      got := List.rev_append (Array.to_list (Array.sub dst 0 m)) !got
+    else
+      let rec drain () =
+        match Spsc.try_pop q with
+        | Some x ->
+            got := x :: !got;
+            drain ()
+        | None -> ()
+      in
+      drain ()
+  done;
+  Spsc.close q;
+  let rec rest () =
+    let m = Spsc.pop_chunk q dst ~pos:0 ~len:3 in
+    if m > 0 then begin
+      got := List.rev_append (Array.to_list (Array.sub dst 0 m)) !got;
+      rest ()
+    end
+  in
+  rest ();
+  let got = Array.of_list (List.rev !got) in
+  Alcotest.(check int) "every item out" n (Array.length got);
+  Array.iteri
+    (fun k x ->
+      if not (eq x items.(k)) then
+        Alcotest.failf "item %d: got %s, pushed %s" k (show x) (show items.(k)))
+    got
+
+let test_spsc_float_ring () =
+  spsc_roundtrip ~eq:(fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+    ~show:string_of_float
+    [| 0.5; -0.0; Float.nan; infinity; 1e-300; 3.25; -7.0; Float.max_float; 2.0; 0.1; 42.0 |]
+
+type spsc_record = { id : int; label : string }
+
+let test_spsc_record_ring () =
+  spsc_roundtrip ~eq:( = )
+    ~show:(fun r -> Printf.sprintf "{%d; %s}" r.id r.label)
+    (Array.init 13 (fun id -> { id; label = String.make (id + 1) 'r' }))
+
+(* Retention: the slots are filled with the first item pushed and every
+   vacated slot is reset to it, so after a full drain the ring holds that
+   one item and nothing else. The items are built and pushed in a separate
+   function so no stack slot of the test keeps one alive. *)
+let spsc_fill_and_drain q weak n =
+  for i = 0 to n - 1 do
+    let item = Bytes.make 16 (Char.chr (65 + (i mod 26))) in
+    Weak.set weak i (Some item);
+    Spsc.push q item
+  done;
+  ignore (Sys.opaque_identity (Spsc.pop q));
+  let dst = Array.make 3 Bytes.empty in
+  ignore (Sys.opaque_identity (Spsc.pop_chunk q dst ~pos:0 ~len:3));
+  while Spsc.try_pop q <> None do
+    ()
+  done
+[@@inline never]
+
+let test_spsc_retains_only_first_item () =
+  let n = 8 in
+  let q = Spsc.create ~capacity:n in
+  let weak = Weak.create n in
+  spsc_fill_and_drain q weak n;
+  Gc.full_major ();
+  Alcotest.(check bool) "first item held by the live ring" true (Weak.check weak 0);
+  for i = 1 to n - 1 do
+    if Weak.check weak i then Alcotest.failf "item %d retained after its pop" (i + 1)
+  done;
+  Alcotest.(check int) "ring still live and empty" 0 (Spsc.length (Sys.opaque_identity q))
 
 (* Model check: a ring driven by a random script of non-blocking operations
    (try_push / try_pop / space-clipped chunk push / chunk pop / close)
@@ -856,13 +957,13 @@ let test_prop_spsc_matches_list_model =
                 if (not !closed) && n > 0 then begin
                   let xs = List.init n (fun i -> !counter + 1 + i) in
                   counter := !counter + n;
-                  Spsc.push_chunk q (Array.of_list (List.map Option.some xs)) ~pos:0 ~len:n;
+                  Spsc.push_chunk q (Array.of_list xs) ~pos:0 ~len:n;
                   model := !model @ xs
                 end
             | 3 ->
                 let avail = List.length !model in
                 if avail > 0 then begin
-                  let dst = Array.make k None in
+                  let dst = Array.make k 0 in
                   let n = Spsc.pop_chunk q dst ~pos:0 ~len:k in
                   (* The count may be partial — a stale tail snapshot
                      under-reports availability — but never zero while items
@@ -873,7 +974,7 @@ let test_prop_spsc_matches_list_model =
                     else
                       match remaining with
                       | x :: rest ->
-                          check (dst.(i) = Some x);
+                          check (dst.(i) = x);
                           consume (i + 1) rest
                       | [] ->
                           check false;
@@ -882,7 +983,7 @@ let test_prop_spsc_matches_list_model =
                   model := consume 0 !model
                 end
                 else if !closed then
-                  check (Spsc.pop_chunk q (Array.make k None) ~pos:0 ~len:k = 0)
+                  check (Spsc.pop_chunk q (Array.make k 0) ~pos:0 ~len:k = 0)
                 else check (Spsc.try_pop q = None)
             | _ ->
                 Spsc.close q;
@@ -896,7 +997,10 @@ let test_prop_spsc_matches_list_model =
 (* Producer and consumer on separate domains, across the capacity × batch
    grid the backend actually uses: every item must arrive exactly once, in
    order, and the producer's close-after-last-push must leave nothing
-   stranded. A lost item, reorder or lost wake-up hangs or fails the case. *)
+   stranded. A lost item, reorder or lost wake-up hangs or fails the case.
+   Items are non-negative and the consumer pre-fills its window with a
+   negative sentinel it writes back after every check, so a slot that
+   [pop_chunk] counted but did not fill shows up as a hole. *)
 let spsc_stress ~capacity ~batch ~items () =
   let q = Spsc.create ~capacity in
   let producer =
@@ -906,12 +1010,12 @@ let spsc_stress ~capacity ~batch ~items () =
             Spsc.push q i
           done
         else begin
-          let buf = Array.make batch None in
+          let buf = Array.make batch 0 in
           let i = ref 0 in
           while !i < items do
             let n = min batch (items - !i) in
             for k = 0 to n - 1 do
-              buf.(k) <- Some (!i + k)
+              buf.(k) <- !i + k
             done;
             Spsc.push_chunk q buf ~pos:0 ~len:n;
             i := !i + n
@@ -919,19 +1023,19 @@ let spsc_stress ~capacity ~batch ~items () =
         end;
         Spsc.close q)
   in
+  let hole = -1 in
   let next = ref 0 in
-  let buf = Array.make batch None in
+  let buf = Array.make batch hole in
   let running = ref true in
   while !running do
     let n = Spsc.pop_chunk q buf ~pos:0 ~len:batch in
     if n = 0 then running := false
     else begin
       for k = 0 to n - 1 do
-        (match buf.(k) with
-        | Some x when x = !next + k -> ()
-        | Some x -> Alcotest.failf "out of order: got %d, expected %d" x (!next + k)
-        | None -> Alcotest.fail "hole in popped chunk");
-        buf.(k) <- None
+        let x = buf.(k) in
+        if x = hole then Alcotest.fail "hole in popped chunk";
+        if x <> !next + k then Alcotest.failf "out of order: got %d, expected %d" x (!next + k);
+        buf.(k) <- hole
       done;
       next := !next + n
     end
@@ -976,7 +1080,7 @@ let test_spsc_close_wakes_blocked_consumer () =
 let test_spsc_close_wakes_blocked_chunk_consumer () =
   let q : int Spsc.t = Spsc.create ~capacity:4 in
   let consumer =
-    Domain.spawn (fun () -> Spsc.pop_chunk q (Array.make 4 None) ~pos:0 ~len:4)
+    Domain.spawn (fun () -> Spsc.pop_chunk q (Array.make 4 0) ~pos:0 ~len:4)
   in
   Unix.sleepf 0.05;
   Spsc.close q;
@@ -1099,6 +1203,10 @@ let () =
           Alcotest.test_case "fifo single domain" `Quick test_spsc_fifo_single_domain;
           Alcotest.test_case "close semantics" `Quick test_spsc_close_semantics;
           Alcotest.test_case "chunk roundtrip" `Quick test_spsc_chunk_roundtrip;
+          Alcotest.test_case "closed before any push" `Quick test_spsc_closed_before_push;
+          Alcotest.test_case "float ring" `Quick test_spsc_float_ring;
+          Alcotest.test_case "record ring" `Quick test_spsc_record_ring;
+          Alcotest.test_case "retains only the first item" `Quick test_spsc_retains_only_first_item;
           test_prop_spsc_matches_list_model;
         ] );
       ( "spsc-domains",

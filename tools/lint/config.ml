@@ -236,8 +236,6 @@ let stage_head_suffixes =
     [ "Skel_mc"; "run_timed" ];
     [ "Farm_mc"; "map" ];
     [ "Farm_mc"; "map_array" ];
-    [ "Farm_mc"; "map_stream" ];
-    [ "Farm_mc"; "pipeline_stage" ];
     [ "Common"; "par_map" ];
   ]
 
