@@ -55,6 +55,11 @@ let fail msg =
   Printf.eprintf "aspipe: %s\n" msg;
   exit 1
 
+(* The size flags the commands share (--items, --nodes, --stages): a value
+   below 1 is refused before any scenario is built. *)
+let at_least_one flag value =
+  if value < 1 then fail (Printf.sprintf "--%s must be at least 1 (got %d)" flag value)
+
 (* ------------------------------------------------------- list-experiments *)
 
 let experiment_kind e =
@@ -217,7 +222,11 @@ let scenario_args =
   let items = Arg.(value & opt int 500 & info [ "items" ] ~doc:"Input items.") in
   let hot = Arg.(value & opt float 1.0 & info [ "hot-factor" ] ~doc:"Cost multiplier of the middle stage.") in
   let step = Arg.(value & opt float 60.0 & info [ "step-at" ] ~doc:"Time of a load step on node 0 (0 = none).") in
-  Term.(const (fun nodes stages items hot step_at -> (nodes, stages, items, hot, step_at))
+  Term.(const (fun nodes stages items hot step_at ->
+            at_least_one "nodes" nodes;
+            at_least_one "stages" stages;
+            at_least_one "items" items;
+            (nodes, stages, items, hot, step_at))
         $ nodes $ stages $ items $ hot $ step)
 
 let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec arrivals summary
@@ -229,12 +238,20 @@ let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec 
     | Some spec -> ( try Fault.parse_spec spec with Invalid_argument msg -> fail msg)
   in
   let collector = Trace_event.create () in
+  (* The per-stage summary and the Gantt rows read every service and
+     transfer, which only a trace subscribed to the bus records; the run's
+     own trace keeps just completions, sojourns and adaptations. *)
+  let records = Aspipe_grid.Trace.create () in
+  let wants_records = summary || csv_dir <> None in
   let instrument =
-    match trace_out with
-    | None -> None
-    | Some _ -> Some (fun bus -> Trace_event.attach collector bus)
+    if trace_out = None && not wants_records then None
+    else
+      Some
+        (fun bus ->
+          if trace_out <> None then Trace_event.attach collector bus;
+          if wants_records then Aspipe_grid.Trace.subscribe records bus)
   in
-  let trace =
+  let () =
     match arrivals with
     | Some spec ->
         (* Open serving mode: the same ad-hoc grid (load step and --faults
@@ -254,8 +271,7 @@ let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec 
         let static = run (Autoscaler.static ()) in
         let adaptive = run ?instrument (Autoscaler.remap_on_divergence ()) in
         Format.printf "static-best-mapping : %a@." Serve.pp_report static;
-        Format.printf "adaptive            : %a@." Serve.pp_report adaptive;
-        adaptive.Serve.trace
+        Format.printf "adaptive            : %a@." Serve.pp_report adaptive
     | None ->
         let scenario = cli_scenario ~faults ~quick ~nodes ~stages ~items ~hot ~step_at () in
         (* Under a fault schedule the static mapping may never finish, so
@@ -281,11 +297,10 @@ let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec 
              | None -> "DNF")
              static.Baselines.completed static.Baselines.total static.Baselines.items_lost);
         let adaptive = Adaptive.run ?instrument ~scenario ~seed () in
-        Format.printf "adaptive          : %a@." Adaptive.pp_report adaptive;
-        adaptive.Adaptive.trace
+        Format.printf "adaptive          : %a@." Adaptive.pp_report adaptive
   in
   if summary then
-    Aspipe_util.Render.Table.print (Aspipe_grid.Trace_stats.summary_table trace ~stages);
+    Aspipe_util.Render.Table.print (Aspipe_grid.Trace_stats.summary_table records ~stages);
   (match trace_out with
   | None -> ()
   | Some path -> (
@@ -301,10 +316,10 @@ let simulate verbose quick seed (nodes, stages, items, hot, step_at) fault_spec 
   | Some dir ->
       Aspipe_util.Csvio.write_rows
         ~path:(Filename.concat dir "gantt.csv")
-        (Aspipe_grid.Trace_stats.gantt_rows trace);
+        (Aspipe_grid.Trace_stats.gantt_rows records);
       let path =
         Aspipe_util.Csvio.save_table ~dir ~basename:"stage_summary"
-          (Aspipe_grid.Trace_stats.summary_table trace ~stages)
+          (Aspipe_grid.Trace_stats.summary_table records ~stages)
       in
       Printf.printf "wrote %s and %s\n" (Filename.concat dir "gantt.csv") path
 
@@ -345,6 +360,8 @@ let simulate_cmd =
 let serve_cmd_run verbose quick seed nodes stages horizon arrivals_spec which provision
     threshold quantile window fault_spec show_windows =
   setup_logs verbose;
+  at_least_one "nodes" nodes;
+  at_least_one "stages" stages;
   let faults =
     match fault_spec with
     | None -> []
@@ -543,7 +560,7 @@ let farm verbose seed nodes items step_at =
   (* Speeds fall by 1.5 per node, so ten nodes is the most that stay positive. *)
   if nodes < 1 || nodes > 10 then
     fail (Printf.sprintf "--nodes must be between 1 and 10 (got %d)" nodes);
-  if items < 1 then fail (Printf.sprintf "--items must be at least 1 (got %d)" items);
+  at_least_one "items" items;
   let speeds = Array.init nodes (fun i -> 14.0 -. (1.5 *. Float.of_int i)) in
   let loads =
     if step_at > 0.0 && nodes > 1 then [ (1, Loadgen.Step { at = step_at; level = 0.15 }) ]
@@ -579,13 +596,13 @@ let farm_cmd =
 
 let replicate verbose seed nodes stages hot items =
   setup_logs verbose;
-  if stages < 1 then fail (Printf.sprintf "--stages must be at least 1 (got %d)" stages);
+  at_least_one "stages" stages;
   if nodes < stages then
     fail (Printf.sprintf "--nodes must be at least --stages (%d), one node per stage (got %d)"
             stages nodes);
   if not (Float.is_finite hot && hot >= 0.0) then
     fail (Printf.sprintf "--hot-factor must be finite and non-negative (got %g)" hot);
-  if items < 1 then fail (Printf.sprintf "--items must be at least 1 (got %d)" items);
+  at_least_one "items" items;
   let stage_array = Aspipe_workload.Synthetic.hot_stage ~n:stages ~factor:hot () in
   let scenario =
     Scenario.make ~name:"cli-repl"
@@ -612,6 +629,9 @@ let replicate_cmd =
 
 let faults_demo verbose seed nodes stages items fault_spec =
   setup_logs verbose;
+  at_least_one "nodes" nodes;
+  at_least_one "stages" stages;
+  at_least_one "items" items;
   let schedule = try Fault.parse_spec fault_spec with Invalid_argument msg -> fail msg in
   List.iter
     (fun (node, profile) ->
@@ -675,6 +695,8 @@ let calibrate_cmd =
 (* ------------------------------------------------------------ export-pepa *)
 
 let export_pepa stages nodes hot =
+  at_least_one "stages" stages;
+  at_least_one "nodes" nodes;
   let engine = Aspipe_des.Engine.create () in
   let topo =
     Aspipe_grid.Topology.uniform engine ~n:nodes ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ()

@@ -241,17 +241,20 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
           let gain = Predictor.evaluate predictor target -. Predictor.evaluate predictor current in
           ignore (Skel_sim.remap sim (Mapping.to_array target));
           incr adaptation_count;
-          (* The committed event reaches the trace through its bus
-             subscription — the bus, not the trace, is the system of
-             record. *)
+          let mapping_before = Mapping.to_array current and mapping_after = Mapping.to_array target in
+          (* The trace is written directly, not subscribed to the bus, so
+             the per-item emits stay off when no sink listens. *)
+          Trace.record_adaptation trace
+            {
+              Trace.at = now;
+              mapping_before;
+              mapping_after;
+              predicted_gain = gain;
+              migration_cost = stall;
+            };
           Aspipe_obs.Bus.emit bus
             (Aspipe_obs.Event.Adaptation_committed
-               {
-                 mapping_before = Mapping.to_array current;
-                 mapping_after = Mapping.to_array target;
-                 predicted_gain = gain;
-                 migration_cost = stall;
-               });
+               { mapping_before; mapping_after; predicted_gain = gain; migration_cost = stall });
           adopted_throughput := Predictor.evaluate predictor target;
           Log.info (fun m ->
               m "[%s] t=%.1f remap %s -> %s (gain %.3f items/s, stall %.2f s)"

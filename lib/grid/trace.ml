@@ -29,19 +29,24 @@ let create () =
     arrivals = Hashtbl.create 64;
   }
 
+let record_entry t ~item ~time =
+  if not (Hashtbl.mem t.first_start item) then Hashtbl.add t.first_start item time
+
+let record_arrival t ~item ~time =
+  if not (Hashtbl.mem t.arrivals item) then Hashtbl.add t.arrivals item time
+
 let record_service t (s : service) =
-  if not (Hashtbl.mem t.first_start s.item) then Hashtbl.add t.first_start s.item s.start;
+  record_entry t ~item:s.item ~time:s.start;
   t.services <- s :: t.services
 
 let record_transfer t (tr : transfer) = t.transfers <- tr :: t.transfers
 let record_completion t ~item ~time = t.completions <- (item, time) :: t.completions
 let record_adaptation t a = t.adaptations <- a :: t.adaptations
 
-(* The trace is one sink among others on the event bus: the simulators emit
-   structured events and this translation rebuilds the classic record lists
-   from them, so every post-hoc consumer (experiments, trace_stats, the
-   adaptive engine's windowed throughput) keeps working unchanged while the
-   bus stays the single source of truth. *)
+(* The full-stream path: as one sink among others on the event bus, the
+   trace rebuilds every record list, services and transfers included, from
+   the simulator's events. Subscribing turns the bus's guarded per-item
+   emits on; a summary needs only what the simulator records directly. *)
 let subscribe t bus =
   let module Event = Aspipe_obs.Event in
   ignore
@@ -52,8 +57,7 @@ let subscribe t bus =
          | Event.Transfer { item; from_stage; src; dst; start; bytes = _ } ->
              record_transfer t { item; from_stage; src; dst; start; finish = event.time }
          | Event.Completion { item } -> record_completion t ~item ~time:event.time
-         | Event.Sojourn { item; arrival } ->
-             if not (Hashtbl.mem t.arrivals item) then Hashtbl.add t.arrivals item arrival
+         | Event.Sojourn { item; arrival } -> record_arrival t ~item ~time:arrival
          | Event.Adaptation_committed
              { mapping_before; mapping_after; predicted_gain; migration_cost } ->
              record_adaptation t

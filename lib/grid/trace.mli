@@ -1,9 +1,20 @@
-(** Execution traces: everything the simulated pipeline emits.
+(** Execution traces: what the simulated pipeline did.
 
     The trace is both the measurement instrument (throughput, completion
-    time, per-stage service samples feed the experiments) and the
+    time, sojourns and adaptations feed the experiments) and the
     observability channel the adaptive engine itself uses (windowed output
-    rate). *)
+    rate).
+
+    A trace is filled one of two ways, never both (each record would then
+    be kept twice):
+    - {e passed} to a simulator ({!Aspipe_skel.Skel_sim.create}
+      [~trace], {!Aspipe_skel.Repl_sim.create}), which records what the
+      summaries read — completions, each item's entry instant and
+      open-arrival stamp, and the drivers' committed adaptations — straight
+      into it, leaving the bus's per-item emits off;
+    - {e subscribed} to the engine bus with {!subscribe}, which records the
+      full stream, per-service and per-transfer records included, at the
+      price of switching those emits on. *)
 
 type service = { item : int; stage : int; node : int; start : float; finish : float }
 type transfer = { item : int; from_stage : int; src : int; dst : int; start : float; finish : float }
@@ -20,16 +31,27 @@ type t
 val create : unit -> t
 
 val record_service : t -> service -> unit
+(** Also records the service's start as the item's entry instant (see
+    {!record_entry}). *)
+
 val record_transfer : t -> transfer -> unit
 val record_completion : t -> item:int -> time:float -> unit
 val record_adaptation : t -> adaptation -> unit
 
+val record_entry : t -> item:int -> time:float -> unit
+(** The instant [item] entered the pipeline: its first service start. The
+    first record per item wins. *)
+
+val record_arrival : t -> item:int -> time:float -> unit
+(** [item]'s open-arrival stamp; the first record per item wins. *)
+
 val subscribe : t -> Aspipe_obs.Bus.t -> unit
-(** Attach this trace as a sink on an event bus: [Service_finish],
-    [Transfer], [Completion] and [Adaptation_committed] events are
-    translated into the corresponding records (other events are ignored).
-    {!Aspipe_skel.Skel_sim.create} does this automatically, making the bus
-    the single source of truth while the trace keeps its classic shape. *)
+(** Attach this trace as an [All]-interest sink on an event bus:
+    [Service_finish], [Transfer], [Completion], [Sojourn] and
+    [Adaptation_committed] events are translated into the corresponding
+    records (other events are ignored). This is the full-stream path, the
+    only one that fills {!services} and {!transfers}; a trace subscribed
+    here must not also be passed to a simulator. *)
 
 val completions : t -> (int * float) array
 (** (item, departure time), in departure order. *)
@@ -51,7 +73,7 @@ val throughput_series : t -> window:float -> (float * float) array
     completions divided by [w], stamped at the window's midpoint. *)
 
 val services : t -> service list
-(** In recording order. *)
+(** In recording order. Empty unless the trace was {!subscribe}d. *)
 
 val service_times : t -> stage:int -> float array
 (** Durations of every service of [stage]. *)
@@ -64,10 +86,9 @@ val adaptations : t -> adaptation list
 val sojourns : t -> (int * float) array
 (** Per-item sojourn series, in completion order: [(item, sojourn)] for
     every completed item whose entry instant is known. The entry instant is
-    the item's open-arrival stamp when the trace recorded a
-    [Aspipe_obs.Event.Sojourn] event for it (serving runs), and its first
-    service start otherwise — so histograms and quantiles are computable
-    from any recorded trace, not just the mean. *)
+    the item's open-arrival stamp when the trace holds one (serving runs),
+    and its first service start otherwise — so histograms and quantiles are
+    computable from any recorded trace, not just the mean. *)
 
 val mean_sojourn : t -> float
 (** Mean of the {!sojourns} series ([nan] if nothing completed). *)

@@ -2,9 +2,12 @@ type t = {
   stages : int;
   states : int;
   service_rates : float array;
-  transitions : (int * float) list array;  (* per source state: (target, rate) *)
+  offsets : int array;
+      (* state [s]'s transitions are entries [offsets.(s)] .. [offsets.(s + 1) - 1]
+         of [targets] and [rates], newest-added first *)
+  targets : int array;
+  rates : float array;
   outflow : float array;  (* total exit rate per state *)
-  transition_count : int;
 }
 
 (* Phases: 0 = awaiting input move, 1 = ready to process, 2 = awaiting
@@ -25,6 +28,20 @@ let clamp_rate r =
   else if r = infinity then 1e12
   else r
 
+(* Calls [add target rate] for every transition out of [s], in a fixed
+   order: processing, the input move, interior moves, the output move. *)
+let iter_transitions ~ns ~mu ~lambda s add =
+  for i = 0 to ns - 1 do
+    if digit s i = 1 then add (with_digit s i 2) mu.(i)
+  done;
+  if digit s 0 = 0 then add (with_digit s 0 1) lambda.(0);
+  (* interior moves: stage e-1 puts, stage e gets *)
+  for e = 1 to ns - 1 do
+    if digit s (e - 1) = 2 && digit s e = 0 then
+      add (with_digit (with_digit s (e - 1) 0) e 1) lambda.(e)
+  done;
+  if digit s (ns - 1) = 2 then add (with_digit s (ns - 1) 0) lambda.(ns)
+
 let build ~service_rates ~move_rates =
   let ns = Array.length service_rates in
   if ns = 0 then invalid_arg "Ctmc.build: no stages";
@@ -33,30 +50,27 @@ let build ~service_rates ~move_rates =
   let mu = Array.map clamp_rate service_rates in
   let lambda = Array.map clamp_rate move_rates in
   let states = pow3 ns in
-  let transitions = Array.make states [] in
-  let outflow = Array.make states 0.0 in
-  let count = ref 0 in
+  (* Two passes: count each state's transitions, then fill them in. Within
+     a state they are stored newest-added first, the order the sweeps have
+     always summed them in; the outflow sums in the order they are added. *)
+  let offsets = Array.make (states + 1) 0 in
   for s = 0 to states - 1 do
-    let add target rate =
-      transitions.(s) <- (target, rate) :: transitions.(s);
-      outflow.(s) <- outflow.(s) +. rate;
-      incr count
-    in
-    (* process_i *)
-    for i = 0 to ns - 1 do
-      if digit s i = 1 then add (with_digit s i 2) mu.(i)
-    done;
-    (* input move *)
-    if digit s 0 = 0 then add (with_digit s 0 1) lambda.(0);
-    (* interior moves: stage e-1 puts, stage e gets *)
-    for e = 1 to ns - 1 do
-      if digit s (e - 1) = 2 && digit s e = 0 then
-        add (with_digit (with_digit s (e - 1) 0) e 1) lambda.(e)
-    done;
-    (* output move *)
-    if digit s (ns - 1) = 2 then add (with_digit s (ns - 1) 0) lambda.(ns)
+    let count = ref 0 in
+    iter_transitions ~ns ~mu ~lambda s (fun _ _ -> incr count);
+    offsets.(s + 1) <- offsets.(s) + !count
   done;
-  { stages = ns; states; service_rates = mu; transitions; outflow; transition_count = !count }
+  let total = offsets.(states) in
+  let targets = Array.make total 0 and rates = Array.make total 0.0 in
+  let outflow = Array.make states 0.0 in
+  for s = 0 to states - 1 do
+    let slot = ref offsets.(s + 1) in
+    iter_transitions ~ns ~mu ~lambda s (fun target rate ->
+        decr slot;
+        targets.(!slot) <- target;
+        rates.(!slot) <- rate;
+        outflow.(s) <- outflow.(s) +. rate)
+  done;
+  { stages = ns; states; service_rates = mu; offsets; targets; rates; outflow }
 
 let of_costspec spec m =
   let ns = Costspec.stages spec in
@@ -65,25 +79,43 @@ let of_costspec spec m =
     ~move_rates:(Array.init (ns + 1) (Costspec.move_rate spec m))
 
 let state_count t = t.states
-let transition_count t = t.transition_count
+let transition_count t = Array.length t.targets
 
 type solver = Gauss_seidel | Power
 
+(* The sweeps below are plain loops over flat arrays: no closure and no
+   boxed float per state or transition, so a solve allocates only its
+   vectors. Every sum runs in the order the per-state transition lists it
+   replaced were folded in, which keeps the results bit-identical. *)
+
+let sum a =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length a - 1 do
+    acc := !acc +. a.(i)
+  done;
+  !acc
+
 let steady_state_power ~tol ~max_iter t =
   let n = t.states in
-  let uniform = Array.fold_left Float.max 0.0 t.outflow *. 1.001 in
+  let max_outflow = ref 0.0 in
+  for s = 0 to n - 1 do
+    max_outflow := Float.max !max_outflow t.outflow.(s)
+  done;
+  let uniform = !max_outflow *. 1.001 in
   if uniform <= 0.0 then failwith "Ctmc.steady_state: chain has no transitions";
   let pi = Array.make n (1.0 /. Float.of_int n) in
   let next = Array.make n 0.0 in
-  let rec iterate k =
+  let k = ref 1 and converged = ref false in
+  while not !converged do
     Array.fill next 0 n 0.0;
     for s = 0 to n - 1 do
       let mass = pi.(s) in
       if mass > 0.0 then begin
         next.(s) <- next.(s) +. (mass *. (1.0 -. (t.outflow.(s) /. uniform)));
-        List.iter
-          (fun (target, rate) -> next.(target) <- next.(target) +. (mass *. rate /. uniform))
-          t.transitions.(s)
+        for e = t.offsets.(s) to t.offsets.(s + 1) - 1 do
+          let target = t.targets.(e) in
+          next.(target) <- next.(target) +. (mass *. t.rates.(e) /. uniform)
+        done
       end
     done;
     let diff = ref 0.0 in
@@ -92,10 +124,10 @@ let steady_state_power ~tol ~max_iter t =
       pi.(s) <- next.(s)
     done;
     if !diff > tol then
-      if k >= max_iter then failwith "Ctmc.steady_state: no convergence" else iterate (k + 1)
-  in
-  iterate 1;
-  let total = Array.fold_left ( +. ) 0.0 pi in
+      if !k >= max_iter then failwith "Ctmc.steady_state: no convergence" else incr k
+    else converged := true
+  done;
+  let total = sum pi in
   Array.map (fun p -> p /. total) pi
 
 let steady_state_gauss_seidel ~tol ~max_iter t =
@@ -103,36 +135,52 @@ let steady_state_gauss_seidel ~tol ~max_iter t =
      Unlike uniformized power iteration, convergence does not degrade when
      rates span many orders of magnitude (local moves vs slow services). *)
   let n = t.states in
-  let incoming = Array.make n [] in
-  for s = 0 to n - 1 do
-    List.iter
-      (fun (target, rate) -> incoming.(target) <- (s, rate) :: incoming.(target))
-      t.transitions.(s)
+  (* Incoming transitions per target state, flat like the outgoing ones.
+     Each target's entries are ordered by source descending and, within a
+     source, in the order its transitions were added: the order in which
+     consing onto per-target lists, sources ascending, left them. *)
+  let in_offsets = Array.make (n + 1) 0 in
+  Array.iter (fun target -> in_offsets.(target + 1) <- in_offsets.(target + 1) + 1) t.targets;
+  for j = 0 to n - 1 do
+    in_offsets.(j + 1) <- in_offsets.(j + 1) + in_offsets.(j)
+  done;
+  let fill = Array.sub in_offsets 0 n in
+  let sources = Array.make (Array.length t.targets) 0 in
+  let in_rates = Array.make (Array.length t.targets) 0.0 in
+  for s = n - 1 downto 0 do
+    for e = t.offsets.(s + 1) - 1 downto t.offsets.(s) do
+      let target = t.targets.(e) in
+      sources.(fill.(target)) <- s;
+      in_rates.(fill.(target)) <- t.rates.(e);
+      fill.(target) <- fill.(target) + 1
+    done
   done;
   let pi = Array.make n (1.0 /. Float.of_int n) in
-  let rec sweep k =
+  let k = ref 1 and converged = ref false in
+  while not !converged do
     let diff = ref 0.0 in
     for j = 0 to n - 1 do
       if t.outflow.(j) > 0.0 then begin
-        let inflow =
-          List.fold_left (fun acc (src, rate) -> acc +. (pi.(src) *. rate)) 0.0 incoming.(j)
-        in
-        let updated = inflow /. t.outflow.(j) in
+        let inflow = ref 0.0 in
+        for e = in_offsets.(j) to in_offsets.(j + 1) - 1 do
+          inflow := !inflow +. (pi.(sources.(e)) *. in_rates.(e))
+        done;
+        let updated = !inflow /. t.outflow.(j) in
         diff := !diff +. Float.abs (updated -. pi.(j));
         pi.(j) <- updated
       end
       else pi.(j) <- 0.0
     done;
     (* Renormalize each sweep so the fixed point is a distribution. *)
-    let total = Array.fold_left ( +. ) 0.0 pi in
+    let total = sum pi in
     if total > 0.0 then
       for j = 0 to n - 1 do
         pi.(j) <- pi.(j) /. total
       done;
     if !diff > tol then
-      if k >= max_iter then failwith "Ctmc.steady_state: no convergence" else sweep (k + 1)
-  in
-  sweep 1;
+      if !k >= max_iter then failwith "Ctmc.steady_state: no convergence" else incr k
+    else converged := true
+  done;
   pi
 
 let steady_state ?(solver = Gauss_seidel) ?(tol = 1e-12) ?(max_iter = 200_000) t =
@@ -153,8 +201,9 @@ let residual t pi =
   let flux = Array.make t.states 0.0 in
   for s = 0 to t.states - 1 do
     flux.(s) <- flux.(s) -. (pi.(s) *. t.outflow.(s));
-    List.iter
-      (fun (target, rate) -> flux.(target) <- flux.(target) +. (pi.(s) *. rate))
-      t.transitions.(s)
+    for e = t.offsets.(s) to t.offsets.(s + 1) - 1 do
+      let target = t.targets.(e) in
+      flux.(target) <- flux.(target) +. (pi.(s) *. t.rates.(e))
+    done
   done;
   Array.fold_left (fun acc f -> acc +. Float.abs f) 0.0 flux

@@ -33,3 +33,68 @@ let predicted_completion t m ~items =
   let x = evaluate t m in
   if x <= 0.0 then infinity
   else Analytic.fill_latency t.spec m +. (Float.of_int (items - 1) /. x)
+
+(* One reflected Gray walk over the space: every step moves one stage, so
+   the analytic kind re-scores with a single [Incr.move] (bit-identical to
+   [Analytic.throughput] by contract). The incumbent lives in flat refs and
+   a one-slot float array, so a candidate allocates at most the boxed score
+   of a call that is not inlined. A candidate with more distinct nodes than
+   the incumbent cannot win and is not scored. *)
+let cheapest ?fix_first_on ~required t =
+  let stages = Costspec.stages t.spec and processors = Costspec.processors t.spec in
+  let free = match fix_first_on with Some _ -> stages - 1 | None -> stages in
+  let pin_ok = match fix_first_on with Some p -> p >= 0 && p < processors | None -> true in
+  if
+    (not pin_ok)
+    || Mapping.space_within ~stages:free ~processors ~cap:Mapping.max_enumeration = None
+  then None
+  else begin
+    let stamp = Array.make processors 0 and round = ref 0 in
+    let distinct_nodes m =
+      incr round;
+      let nodes = ref 0 in
+      for i = 0 to stages - 1 do
+        let p = Mapping.processor_of m i in
+        if stamp.(p) <> !round then begin
+          stamp.(p) <- !round;
+          incr nodes
+        end
+      done;
+      !nodes
+    in
+    let incr_state = ref None in
+    let found = ref false and best_nodes = ref 0 and best_code = ref 0 in
+    let best_rate = [| 0.0 |] in
+    let consider m ~code =
+      let nodes = distinct_nodes m in
+      if not (!found && nodes > !best_nodes) then begin
+        let rate =
+          match !incr_state with Some inc -> Analytic.Incr.score inc | None -> evaluate t m
+        in
+        if
+          (not (rate < required))
+          && ((not !found) || nodes < !best_nodes
+             || (nodes = !best_nodes
+                && (rate > best_rate.(0) || (rate = best_rate.(0) && code < !best_code))))
+        then begin
+          found := true;
+          best_nodes := nodes;
+          best_rate.(0) <- rate;
+          best_code := code
+        end
+      end
+    in
+    Mapping.iter_gray ?fix_first_on ~stages ~processors
+      ~init:(fun m ->
+        (match t.kind with
+        | Analytic -> incr_state := Some (Analytic.Incr.create t.spec m)
+        | Ctmc -> ());
+        consider m ~code:0)
+      ~step:(fun m ~stage ~code ->
+        (match !incr_state with
+        | Some inc -> Analytic.Incr.move inc ~stage (Mapping.processor_of m stage)
+        | None -> ());
+        consider m ~code)
+      ();
+    if !found then Some (Mapping.decode ?fix_first_on ~stages ~processors !best_code) else None
+  end

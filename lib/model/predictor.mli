@@ -33,6 +33,22 @@ val choose :
     lowest-code tie-break, so the chosen mapping is independent of backend,
     worker count and incumbent. *)
 
+val cheapest : ?fix_first_on:int -> required:float -> t -> Mapping.t option
+(** [cheapest ~required t] is the scale-down target: among the mappings
+    whose predicted rate ({!evaluate}) is at least [required], one with the
+    fewest distinct processors; ties go to the higher rate, then to the
+    lower enumeration code ({!Mapping.decode}'s order), so the answer is
+    the one a fold over {!Mapping.enumerate} in code order would keep.
+    [None] when no mapping covers [required], when [fix_first_on] names no
+    processor, or when the space exceeds {!Mapping.max_enumeration}.
+
+    One {!Mapping.iter_gray} walk visits the space. The [Analytic] kind
+    re-scores each candidate with one {!Analytic.Incr.move}; the [Ctmc]
+    kind solves each candidate's chain. A candidate using more processors
+    than the best so far is not scored. Apart from that walk's fixed
+    setup, the [Analytic] kind allocates at most a boxed score per
+    candidate. *)
+
 val rank : t -> Mapping.t list -> (Mapping.t * float) list
 (** Candidates with scores, best first; deterministic for equal scores. *)
 

@@ -1,7 +1,6 @@
 module Rng = Aspipe_util.Rng
 module Variate = Aspipe_util.Variate
 module Engine = Aspipe_des.Engine
-module Stream_spec = Aspipe_skel.Stream_spec
 
 type t =
   | Poisson of { rate : float }
@@ -68,13 +67,6 @@ let flash_crowd ~base ~peak ~at ~ramp ~decay =
           else base +. (surge *. exp (-.(t -. at -. ramp) /. decay)));
       rate_max = peak;
     }
-
-let of_stream_spec (spec : Stream_spec.t) =
-  match spec.arrival with
-  | Stream_spec.Immediate -> Replay { times = Array.make spec.items 0.0 }
-  | Stream_spec.Spaced dt ->
-      Replay { times = Array.init spec.items (fun i -> dt *. Float.of_int i) }
-  | Stream_spec.Poisson rate -> Poisson { rate }
 
 (* A stateful source of successive arrival instants: [None] once the next
    instant would land past [until]. Each call draws from [rng] at most a

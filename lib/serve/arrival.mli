@@ -5,8 +5,8 @@
     process: {!schedule} plants exactly one pending arrival event on the
     engine at a time, and each firing draws the next instant — so a serving
     run only ever pays for the arrivals it reaches, and an unbounded
-    process is perfectly representable. Closed streams embed via
-    {!of_stream_spec} as the bounded special case. *)
+    process is perfectly representable. A closed stream's materialized
+    instants replay verbatim through {!replay}. *)
 
 type t
 
@@ -39,12 +39,6 @@ val flash_crowd :
 (** Steady [base] until [at], linear ramp to [peak] over [ramp] seconds,
     then exponential relaxation back towards [base] with time constant
     [decay]. *)
-
-val of_stream_spec : Aspipe_skel.Stream_spec.t -> t
-(** The closed stream as a bounded arrival process: [Immediate] and
-    [Spaced] become {!replay} of the materialized instants; [Poisson]
-    becomes the lazy {!poisson} — pass the spec's [items] as [max_items]
-    to {!schedule} to keep the bound. *)
 
 val times :
   ?max_items:int -> until:float -> rng:Aspipe_util.Rng.t -> t -> float array

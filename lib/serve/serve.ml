@@ -83,27 +83,6 @@ let quantile_sorted a q =
 
 let distinct_nodes m = List.length (List.sort_uniq Int.compare (Array.to_list m))
 
-(* Cheapest adequate mapping: fewest distinct nodes whose predicted
-   throughput still covers [required]; ties broken towards the higher
-   predicted rate, then enumeration order. The scale-down target. *)
-let cheapest predictor ~stages ~processors ~fix_first_on ~required =
-  match Mapping.enumerate ?fix_first_on ~stages ~processors () with
-  | exception Invalid_argument _ -> None
-  | candidates ->
-      let best =
-        List.fold_left
-          (fun acc m ->
-            let rate = Predictor.evaluate predictor m in
-            if rate < required then acc
-            else
-              let cost = distinct_nodes (Mapping.to_array m) in
-              match acc with
-              | Some (bc, br, _) when bc < cost || (bc = cost && br >= rate) -> acc
-              | _ -> Some (cost, rate, m))
-          None candidates
-      in
-      Option.map (fun (_, _, m) -> m) best
-
 let run ?(config = default_config) ?instrument ?(max_items = max_int)
     ?(initial = `Cheapest) ~autoscaler ~arrival ~slo ?(provision_rate = 0.0) ~scenario
     ~seed () =
@@ -123,7 +102,6 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
   (* Runaway guard: a stalled pipeline (dead node, failover disabled) would
      otherwise keep the periodic evaluators alive forever. *)
   let drain_limit = 3.0 *. horizon in
-  let ns = Array.length stages in
   let processors = Topology.size topo in
   let policy = Autoscaler.fresh autoscaler in
 
@@ -167,9 +145,8 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
     | `Best -> initial_search.Search.mapping
     | `Cheapest -> (
         match
-          cheapest initial_predictor ~stages:ns ~processors
-            ~fix_first_on:config.fix_first_on
-            ~required:(provision_rate *. config.headroom)
+          Predictor.cheapest ?fix_first_on:config.fix_first_on
+            ~required:(provision_rate *. config.headroom) initial_predictor
         with
         | Some m -> m
         | None -> initial_search.Search.mapping)
@@ -334,9 +311,8 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
                 slo_threshold = slo.Slo.threshold;
                 choose_cheapest =
                   (fun ~headroom ->
-                    cheapest predictor ~stages:ns ~processors
-                      ~fix_first_on:config.fix_first_on
-                      ~required:(arrival_rate *. headroom));
+                    Predictor.cheapest ?fix_first_on:config.fix_first_on
+                      ~required:(arrival_rate *. headroom) predictor);
               };
         }
       in
@@ -358,14 +334,18 @@ let run ?(config = default_config) ?instrument ?(max_items = max_int)
           adopt_mapping (Mapping.to_array target);
           ignore (Skel_sim.remap sim (Mapping.to_array target));
           incr adaptation_count;
+          let mapping_before = Mapping.to_array current and mapping_after = Mapping.to_array target in
+          Trace.record_adaptation trace
+            {
+              Trace.at = now;
+              mapping_before;
+              mapping_after;
+              predicted_gain = gain;
+              migration_cost = stall;
+            };
           Aspipe_obs.Bus.emit bus
             (Aspipe_obs.Event.Adaptation_committed
-               {
-                 mapping_before = Mapping.to_array current;
-                 mapping_after = Mapping.to_array target;
-                 predicted_gain = gain;
-                 migration_cost = stall;
-               });
+               { mapping_before; mapping_after; predicted_gain = gain; migration_cost = stall });
           adopted_throughput := Predictor.evaluate predictor target;
           Log.info (fun m ->
               m "[%s/%s] t=%.1f remap %s -> %s (%d in flight, p99 %.2fs)"

@@ -49,6 +49,9 @@ type t = {
       (* item -> open-arrival instant, removed at completion; only populated
          in open-stream mode so closed runs keep their exact event stream *)
   on_completion : (item:int -> arrival:float -> unit) option;
+  trace : Trace.t option;
+      (* recorded directly, not through the bus: completions, entry
+         instants and arrival stamps *)
   mutable injected : int;
   mutable completed : int;
   mutable lost_total : int;
@@ -109,6 +112,11 @@ let rec try_dispatch t si =
         if Bus.active t.bus then
           Bus.emit t.bus
             (Event.Service_finish { item; stage = si; node = node_idx; start = !start });
+        (* An item enters the pipeline when its first stage-0 service
+           starts: the instant a closed stream's sojourn counts from. *)
+        (match t.trace with
+        | Some trace when si = 0 -> Trace.record_entry trace ~item ~time:!start
+        | Some _ | None -> ());
         (* The output move is part of the stage's cycle — the stage stays
            busy until its output is delivered downstream (synchronous send,
            as in the skeleton's (move).(process).(move) behaviour), so slow
@@ -127,11 +135,17 @@ and forward t ~item ~from_stage ~from_node ~on_delivered =
     Link.transfer link ~bytes (fun () ->
         t.completed <- t.completed + 1;
         if Bus.active t.bus then Bus.emit t.bus (Event.Completion { item });
+        (match t.trace with
+        | Some trace -> Trace.record_completion trace ~item ~time:(Engine.now t.engine)
+        | None -> ());
         if t.open_stream then begin
           match Hashtbl.find_opt t.arrival_stamps item with
           | Some arrival ->
               Hashtbl.remove t.arrival_stamps item;
               if Bus.active t.bus then Bus.emit t.bus (Event.Sojourn { item; arrival });
+              (match t.trace with
+              | Some trace -> Trace.record_arrival trace ~item ~time:arrival
+              | None -> ());
               (match t.on_completion with Some f -> f ~item ~arrival | None -> ())
           | None -> ()
         end;
@@ -286,12 +300,10 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng 
   | Some c when c < 1 -> invalid_arg "Skel_sim: queue capacity must be at least 1"
   | Some _ | None -> ());
   let engine = Topology.engine topo in
-  (* The simulator emits structured events on the engine's bus; the caller's
-     trace (when given) is subscribed as one sink among any others (JSONL,
-     Perfetto, metrics) attached before or during the run. Without any such
-     full-stream sink the bus stays inactive and the guarded hot emits
-     construct no payloads at all. *)
-  (match trace with Some trace -> Trace.subscribe trace (Engine.bus engine) | None -> ());
+  (* The caller's trace (when given) is written directly, not subscribed:
+     without a full-stream sink (JSONL, Perfetto, metrics, a subscribed
+     trace) the bus stays inactive and the guarded hot emits construct no
+     payloads at all. *)
   let t =
     {
       engine;
@@ -321,6 +333,7 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng 
       open_stream = (arrivals = `External);
       arrival_stamps = Hashtbl.create (if arrivals = `External then 1024 else 1);
       on_completion;
+      trace;
       injected = (if arrivals = `External then 0 else input.Stream_spec.items);
       completed = 0;
       lost_total = 0;

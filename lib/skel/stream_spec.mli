@@ -5,8 +5,8 @@
     arrival instants can be materialized up front. Open-ended serving
     workloads (time-varying Poisson, Markov-modulated, trace replay) live
     in [Aspipe_serve.Arrival], which generates arrivals lazily on the
-    engine; a closed stream is the bounded special case, embedded there by
-    [Arrival.of_stream_spec]. *)
+    engine; a closed stream's materialized instants replay there verbatim
+    through [Arrival.replay]. *)
 
 type arrival =
   | Immediate  (** the whole input set is available at t = 0 *)

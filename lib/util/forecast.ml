@@ -1,165 +1,242 @@
-type core = {
+(* Every forecaster is one record: its numbers live unboxed in the float
+   array [f] (slot layout below), its counters in int fields and an
+   ensemble's members in an array, so [observe] allocates nothing. The prediction is computed once, at the end
+   of [observe], and cached in [f.(prediction)] until the next one — it is
+   needed anyway to score the next measurement. *)
+
+type kind =
+  | Last
+  | Running_mean
+  | Sliding_mean
+  | Sliding_median
+  | Ewma
+  | Trend
+  | Ar1
+  | Ensemble of t array
+
+and t = {
   name : string;
-  observe_core : float -> unit;
-  predict_core : unit -> float;
-}
-
-type t = {
-  core : core;
-  fallback : float;
+  kind : kind;
+  f : float array;
+  window : float array;  (* sliding kinds: the last [length window] values, a ring *)
+  sorted : float array;  (* sliding median: scratch for the sorted window *)
+  mutable next : int;  (* ring slot the next value goes to *)
+  mutable filled : int;  (* ring slots in use *)
+  mutable count : int;  (* running mean: values seen; AR(1): fitted pairs *)
   mutable observations : int;
-  mutable error_sq_sum : float;
-  mutable error_abs_sum : float;
   mutable errors_counted : int;
-  bank : t list; (* non-empty only for the adaptive ensemble *)
 }
 
-let name t = t.core.name
+(* Slots of [f]. [state] .. [state + 4] hold the kind's own numbers:
+   last value; running mean; EWMA level; Holt level, slope; AR(1) sums of
+   x_{t-1}, x_t, x_{t-1}², x_{t-1}·x_t and the last value. *)
+let prediction = 0
+let error_sq = 1
+let error_abs = 2
+let gain = 3
+let trend_gain = 4
+let state = 5
+let slots = state + 5
 
-let predict t = if t.observations = 0 then t.fallback else t.core.predict_core ()
-
-let rec observe t x =
-  if t.observations > 0 then begin
-    (* Score the prediction that was in force before this measurement. *)
-    let err = predict t -. x in
-    t.error_sq_sum <- t.error_sq_sum +. (err *. err);
-    t.error_abs_sum <- t.error_abs_sum +. Float.abs err;
-    t.errors_counted <- t.errors_counted + 1
-  end;
-  List.iter (fun member -> observe member x) t.bank;
-  t.core.observe_core x;
-  t.observations <- t.observations + 1
+let name t = t.name
+let predict t = t.f.(prediction)
 
 let mse t =
-  if t.errors_counted = 0 then nan else t.error_sq_sum /. Float.of_int t.errors_counted
+  if t.errors_counted = 0 then nan else t.f.(error_sq) /. Float.of_int t.errors_counted
 
 let mae t =
-  if t.errors_counted = 0 then nan else t.error_abs_sum /. Float.of_int t.errors_counted
+  if t.errors_counted = 0 then nan else t.f.(error_abs) /. Float.of_int t.errors_counted
 
-let make ?(fallback = 0.0) core = {
-  core;
-  fallback;
-  observations = 0;
-  error_sq_sum = 0.0;
-  error_abs_sum = 0.0;
-  errors_counted = 0;
-  bank = [];
-}
+let make ?(fallback = 0.0) ?(window = 0) ?(g = nan) ~name kind =
+  let f = Array.make slots 0.0 in
+  f.(prediction) <- fallback;
+  f.(gain) <- g;
+  f.(trend_gain) <- g /. 2.0;
+  (* EWMA and Holt levels, and AR(1)'s last value, start at "none yet". *)
+  (match kind with
+  | Ewma | Trend -> f.(state) <- nan
+  | Ar1 -> f.(state + 4) <- nan
+  | Last | Running_mean | Sliding_mean | Sliding_median | Ensemble _ -> ());
+  {
+    name;
+    kind;
+    f;
+    window = Array.make window 0.0;
+    sorted = (match kind with Sliding_median -> Array.make window 0.0 | _ -> [||]);
+    next = 0;
+    filled = 0;
+    count = 0;
+    observations = 0;
+    errors_counted = 0;
+  }
 
-let last_value ?fallback () =
-  let last = ref 0.0 in
-  make ?fallback
-    { name = "last"; observe_core = (fun x -> last := x); predict_core = (fun () -> !last) }
+(* Push [x] into the window ring, overwriting the oldest value when full. *)
+let push t x =
+  let w = Array.length t.window in
+  t.window.(t.next) <- x;
+  t.next <- (if t.next + 1 = w then 0 else t.next + 1);
+  if t.filled < w then t.filled <- t.filled + 1
 
-let running_mean ?fallback () =
-  let acc = Stats.Welford.create () in
-  make ?fallback
-    {
-      name = "run_mean";
-      observe_core = (fun x -> Stats.Welford.add acc x);
-      predict_core = (fun () -> Stats.Welford.mean acc);
-    }
+(* The helpers below store their result in [f.(prediction)] rather than
+   return it: a float returned from a call that is not inlined is boxed. The
+   window is read in place, oldest first: the oldest value sits at [next]
+   once the ring is full, at 0 before. *)
 
-let window_buffer window =
-  if window <= 0 then invalid_arg "Forecast: window must be positive";
-  let buf = Array.make window 0.0 in
-  let filled = ref 0 in
-  let next = ref 0 in
-  let push x =
-    buf.(!next) <- x;
-    next := (!next + 1) mod window;
-    if !filled < window then incr filled
-  in
-  let contents () = Array.init !filled (fun i -> buf.((!next - !filled + i + (2 * window)) mod window)) in
-  (push, contents)
+(* Mean of the window, summed oldest → newest and then divided: the float
+   operations of [Stats.mean] on the oldest-first contents. *)
+let predict_window_mean t =
+  let w = Array.length t.window in
+  let oldest = if t.filled < w then 0 else t.next in
+  let acc = ref 0.0 in
+  for k = 0 to t.filled - 1 do
+    let i = oldest + k in
+    acc := !acc +. t.window.(if i >= w then i - w else i)
+  done;
+  t.f.(prediction) <- !acc /. Float.of_int t.filled
+
+(* Median of the window with [Stats.quantile _ 0.5]'s arithmetic. The sorted
+   copy is built by insertion into [t.sorted] under [Float.compare]'s order
+   (NaN first), so it equals the copy-and-sort of the window value for
+   value; only the relative order of -0. and 0. can differ. *)
+let predict_window_median t =
+  let w = Array.length t.window in
+  let oldest = if t.filled < w then 0 else t.next in
+  let s = t.sorted in
+  let n = t.filled in
+  for k = 0 to n - 1 do
+    let i = oldest + k in
+    let x = t.window.(if i >= w then i - w else i) in
+    let j = ref (k - 1) in
+    (* [Float.compare s.(!j) x > 0], spelled out. *)
+    while !j >= 0 && (s.(!j) > x || (Float.is_nan x && not (Float.is_nan s.(!j)))) do
+      s.(!j + 1) <- s.(!j);
+      decr j
+    done;
+    s.(!j + 1) <- x
+  done;
+  let position = 0.5 *. Float.of_int (n - 1) in
+  let below = int_of_float (Float.floor position) in
+  let above = int_of_float (Float.ceil position) in
+  if below = above then t.f.(prediction) <- s.(below)
+  else begin
+    let frac = position -. Float.of_int below in
+    t.f.(prediction) <- (s.(below) *. (1.0 -. frac)) +. (s.(above) *. frac)
+  end
+
+(* x_t ≈ a·x_{t−1} + c by least squares over the running sums; the last
+   value until the fit is identifiable. *)
+let predict_ar1 t =
+  let f = t.f in
+  let sum_prev = f.(state) and sum_cur = f.(state + 1) in
+  let sum_prev_sq = f.(state + 2) and sum_cross = f.(state + 3) in
+  let last = f.(state + 4) in
+  let nf = Float.of_int t.count in
+  let denom = (nf *. sum_prev_sq) -. (sum_prev *. sum_prev) in
+  if t.count < 3 || Float.abs denom < 1e-12 then f.(prediction) <- last
+  else begin
+    let a = ((nf *. sum_cross) -. (sum_prev *. sum_cur)) /. denom in
+    let c = (sum_cur -. (a *. sum_prev)) /. nf in
+    f.(prediction) <- (a *. last) +. c
+  end
+
+(* Adopt the prediction of the bank member of least running MSE, NaN
+   scoring as infinity; the first such member on ties. *)
+let predict_best t bank =
+  let best = ref 0 in
+  let best_score = ref infinity in
+  for i = 0 to Array.length bank - 1 do
+    let m = bank.(i) in
+    let mse = m.f.(error_sq) /. Float.of_int m.errors_counted in
+    let score = if m.errors_counted = 0 || Float.is_nan mse then infinity else mse in
+    if i = 0 || score < !best_score then begin
+      best := i;
+      best_score := score
+    end
+  done;
+  t.f.(prediction) <- bank.(!best).f.(prediction)
+
+(* Never inlined: an inlined copy would unbox [x] at the call site and then
+   box it again for every ensemble member it feeds. *)
+let[@inline never] rec observe t x =
+  let f = t.f in
+  if t.observations > 0 then begin
+    (* Score the prediction that was in force before this measurement. *)
+    let err = f.(prediction) -. x in
+    f.(error_sq) <- f.(error_sq) +. (err *. err);
+    f.(error_abs) <- f.(error_abs) +. Float.abs err;
+    t.errors_counted <- t.errors_counted + 1
+  end;
+  (match t.kind with
+  | Last -> f.(prediction) <- x
+  | Running_mean ->
+      t.count <- t.count + 1;
+      let delta = x -. f.(state) in
+      f.(state) <- f.(state) +. (delta /. Float.of_int t.count);
+      f.(prediction) <- f.(state)
+  | Sliding_mean ->
+      push t x;
+      predict_window_mean t
+  | Sliding_median ->
+      push t x;
+      predict_window_median t
+  | Ewma ->
+      let g = f.(gain) in
+      if Float.is_nan f.(state) then f.(state) <- x
+      else f.(state) <- (g *. x) +. ((1.0 -. g) *. f.(state));
+      f.(prediction) <- f.(state)
+  | Trend ->
+      let g = f.(gain) and tg = f.(trend_gain) in
+      if Float.is_nan f.(state) then f.(state) <- x
+      else begin
+        let previous = f.(state) in
+        f.(state) <- (g *. x) +. ((1.0 -. g) *. (f.(state) +. f.(state + 1)));
+        f.(state + 1) <- (tg *. (f.(state) -. previous)) +. ((1.0 -. tg) *. f.(state + 1))
+      end;
+      f.(prediction) <- f.(state) +. f.(state + 1)
+  | Ar1 ->
+      let last = f.(state + 4) in
+      if not (Float.is_nan last) then begin
+        t.count <- t.count + 1;
+        f.(state) <- f.(state) +. last;
+        f.(state + 1) <- f.(state + 1) +. x;
+        f.(state + 2) <- f.(state + 2) +. (last *. last);
+        f.(state + 3) <- f.(state + 3) +. (last *. x)
+      end;
+      f.(state + 4) <- x;
+      predict_ar1 t
+  | Ensemble bank ->
+      for i = 0 to Array.length bank - 1 do
+        observe bank.(i) x
+      done;
+      predict_best t bank);
+  t.observations <- t.observations + 1
+
+let last_value ?fallback () = make ?fallback ~name:"last" Last
+let running_mean ?fallback () = make ?fallback ~name:"run_mean" Running_mean
+
+let check_window window = if window <= 0 then invalid_arg "Forecast: window must be positive"
 
 let sliding_mean ?fallback ~window () =
-  let push, contents = window_buffer window in
-  make ?fallback
-    {
-      name = Printf.sprintf "mean_%d" window;
-      observe_core = push;
-      predict_core = (fun () -> Stats.mean (contents ()));
-    }
+  check_window window;
+  make ?fallback ~window ~name:(Printf.sprintf "mean_%d" window) Sliding_mean
 
 let sliding_median ?fallback ~window () =
-  let push, contents = window_buffer window in
-  make ?fallback
-    {
-      name = Printf.sprintf "median_%d" window;
-      observe_core = push;
-      predict_core = (fun () -> Stats.median (contents ()));
-    }
+  check_window window;
+  make ?fallback ~window ~name:(Printf.sprintf "median_%d" window) Sliding_median
 
 let ewma ?fallback ~gain () =
   if gain <= 0.0 || gain > 1.0 then invalid_arg "Forecast.ewma: gain must be in (0,1]";
-  let state = ref nan in
-  make ?fallback
-    {
-      name = Printf.sprintf "ewma_%.2g" gain;
-      observe_core =
-        (fun x -> if Float.is_nan !state then state := x else state := (gain *. x) +. ((1.0 -. gain) *. !state));
-      predict_core = (fun () -> !state);
-    }
+  make ?fallback ~g:gain ~name:(Printf.sprintf "ewma_%.2g" gain) Ewma
 
 let trend ?fallback ~gain () =
   if gain <= 0.0 || gain > 1.0 then invalid_arg "Forecast.trend: gain must be in (0,1]";
-  let trend_gain = gain /. 2.0 in
-  let level = ref nan in
-  let slope = ref 0.0 in
-  make ?fallback
-    {
-      name = Printf.sprintf "trend_%.2g" gain;
-      observe_core =
-        (fun x ->
-          if Float.is_nan !level then level := x
-          else begin
-            let previous = !level in
-            level := (gain *. x) +. ((1.0 -. gain) *. (!level +. !slope));
-            slope := (trend_gain *. (!level -. previous)) +. ((1.0 -. trend_gain) *. !slope)
-          end);
-      predict_core = (fun () -> !level +. !slope);
-    }
+  make ?fallback ~g:gain ~name:(Printf.sprintf "trend_%.2g" gain) Trend
 
-let ar1 ?fallback () =
-  (* Running sums for the least-squares fit of x_t = a·x_{t−1} + c. *)
-  let n = ref 0 in
-  let sum_prev = ref 0.0 and sum_cur = ref 0.0 in
-  let sum_prev_sq = ref 0.0 and sum_cross = ref 0.0 in
-  let last = ref nan in
-  let coefficients () =
-    let nf = Float.of_int !n in
-    let denom = (nf *. !sum_prev_sq) -. (!sum_prev *. !sum_prev) in
-    if !n < 3 || Float.abs denom < 1e-12 then None
-    else begin
-      let a = ((nf *. !sum_cross) -. (!sum_prev *. !sum_cur)) /. denom in
-      let c = (!sum_cur -. (a *. !sum_prev)) /. nf in
-      Some (a, c)
-    end
-  in
-  make ?fallback
-    {
-      name = "ar1";
-      observe_core =
-        (fun x ->
-          if not (Float.is_nan !last) then begin
-            incr n;
-            sum_prev := !sum_prev +. !last;
-            sum_cur := !sum_cur +. x;
-            sum_prev_sq := !sum_prev_sq +. (!last *. !last);
-            sum_cross := !sum_cross +. (!last *. x)
-          end;
-          last := x);
-      predict_core =
-        (fun () ->
-          match coefficients () with
-          | Some (a, c) -> (a *. !last) +. c
-          | None -> !last);
-    }
+let ar1 ?fallback () = make ?fallback ~name:"ar1" Ar1
 
 let adaptive ?(fallback = 0.0) () =
   let bank =
-    [
+    [|
       last_value ~fallback ();
       running_mean ~fallback ();
       sliding_mean ~fallback ~window:5 ();
@@ -174,24 +251,11 @@ let adaptive ?(fallback = 0.0) () =
       ewma ~fallback ~gain:0.75 ();
       trend ~fallback ~gain:0.3 ();
       ar1 ~fallback ();
-    ]
+    |]
   in
-  let best () =
-    let score member = if Float.is_nan (mse member) then infinity else mse member in
-    List.fold_left
-      (fun acc member -> if score member < score acc then member else acc)
-      (List.hd bank) (List.tl bank)
-  in
-  let core =
-    {
-      name = "adaptive";
-      observe_core = (fun _ -> ()) (* members are fed by [observe] itself *);
-      predict_core = (fun () -> predict (best ()));
-    }
-  in
-  { (make ~fallback core) with bank }
+  make ~fallback ~name:"adaptive" (Ensemble bank)
 
 let members t =
-  match t.bank with
-  | [] -> [ (name t, mse t) ]
-  | bank -> List.map (fun member -> (name member, mse member)) bank
+  match t.kind with
+  | Ensemble bank -> Array.to_list (Array.map (fun m -> (name m, mse m)) bank)
+  | Last | Running_mean | Sliding_mean | Sliding_median | Ewma | Trend | Ar1 -> [ (name t, mse t) ]

@@ -449,6 +449,33 @@ let test_adaptive_conservation_under_dynamics =
          && Array.map fst (Trace.completions report.Adaptive.trace) = Array.init 60 Fun.id))
 
 
+(* The report's trace is written directly by the simulator and the
+   engine; a trace subscribed through [~instrument] rebuilds the same
+   records from the bus. Both must agree on every summary, committed
+   adaptations included, on a load step and on a crash answered by
+   failover. *)
+let test_adaptive_trace_matches_subscribed () =
+  let check name scenario =
+    let subscribed = Trace.create () in
+    let report =
+      Adaptive.run ~instrument:(Trace.subscribe subscribed) ~scenario ~seed:7 ()
+    in
+    Alcotest.(check bool) (name ^ ": adapts") true
+      (report.Adaptive.adaptation_count + report.Adaptive.failover_count >= 1);
+    match Trace_diff.differs report.Adaptive.trace subscribed with
+    | Some what -> Alcotest.failf "%s: %s differ" name what
+    | None -> ()
+  in
+  check "load step" (step_scenario ());
+  check "crash"
+    (Scenario.make ~name:"crash"
+       ~make_topo:(fun engine ->
+         Topology.uniform engine ~n:4 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+       ~faults:(Aspipe_fault.Fault.parse_spec "0:crash@20;1:crash@20")
+       ~stages:(Stage.balanced ~n:3 ~work:1.0 ~state_bytes:1e4 ())
+       ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.3) ~items:150 ~item_bytes:1e3 ())
+       ~horizon:1e4 ())
+
 (* --------------------------------------------------------- Adaptive_repl *)
 
 let repl_scenario ?(loads = []) ?(items = 300) () =
@@ -638,6 +665,8 @@ let () =
           Alcotest.test_case "colocates under congestion" `Slow
             test_adaptive_colocates_under_congestion;
           test_adaptive_conservation_under_dynamics;
+          Alcotest.test_case "trace matches subscribed" `Quick
+            test_adaptive_trace_matches_subscribed;
         ] );
       ( "adaptive_farm",
         [

@@ -52,8 +52,16 @@ let run_sim shape =
   let stages = Stage.balanced ~n:shape.stages ~work:0.1 () in
   let mapping = Array.init shape.stages (fun i -> i mod shape.nodes) in
   let input = Stream_spec.make ~items:shape.items ~item_bytes:10.0 ~batch:shape.batch () in
-  Skel_sim.execute ~rng:(Rng.create 5) ~queue_capacity:shape.capacity ~topo ~stages ~mapping
-    ~input ()
+  (* Subscribed, not passed to the simulator: the visit counts read every
+     service record, which only the full stream carries. *)
+  let trace = Trace.create () in
+  Trace.subscribe trace (Engine.bus engine);
+  let sim =
+    Skel_sim.create ~rng:(Rng.create 5) ~queue_capacity:shape.capacity ~topo ~stages ~mapping
+      ~input ()
+  in
+  Skel_sim.run_to_completion sim;
+  trace
 
 (* Per-stage service counts from a trace. *)
 let sim_visits trace ~stages =

@@ -746,10 +746,10 @@ let test_iter_neighbours_matches_neighbours () =
    about: zero-work stages, [infinity] node rates, duplicated rates and
    uniform link matrices (so processor-symmetry classes are non-trivial),
    plus fully heterogeneous draws. *)
-let gen_spec =
+let gen_spec_sized ~max_processors =
   QCheck2.Gen.(
     let* stages = int_range 1 5 in
-    let* processors = int_range 1 4 in
+    let* processors = int_range 1 max_processors in
     let* uniform = bool in
     let rate =
       if uniform then oneofl [ 5.0; 10.0; infinity ]
@@ -790,6 +790,8 @@ let gen_spec =
         user_latency = Array.make processors (if uniform then 0.01 else base_latency);
         user_bandwidth = Array.make processors (if uniform then 1e6 else base_bandwidth);
       })
+
+let gen_spec = gen_spec_sized ~max_processors:4
 
 let bits = Int64.bits_of_float
 
@@ -1024,6 +1026,122 @@ let test_default_exhaustive_limit_raised () =
     true
     (Search.default_exhaustive_limit >= 200_000)
 
+(* The enumerate-and-fold scale-down search that [Predictor.cheapest]
+   replaced: materialize every mapping in code order, keep the fewest
+   distinct nodes covering [required], then the higher rate; an equal rate
+   keeps the earlier mapping. *)
+let cheapest_ref ?fix_first_on ~required predictor =
+  let spec = Predictor.spec predictor in
+  let stages = Costspec.stages spec and processors = Costspec.processors spec in
+  let distinct_nodes m = List.length (List.sort_uniq Int.compare (Array.to_list m)) in
+  match Mapping.enumerate ?fix_first_on ~stages ~processors () with
+  | exception Invalid_argument _ -> None
+  | candidates ->
+      let best =
+        List.fold_left
+          (fun acc m ->
+            let rate = Predictor.evaluate predictor m in
+            if rate < required then acc
+            else
+              let cost = distinct_nodes (Mapping.to_array m) in
+              match acc with
+              | Some (bc, br, _) when bc < cost || (bc = cost && br >= rate) -> acc
+              | _ -> Some (cost, rate, m))
+          None candidates
+      in
+      Option.map (fun (_, _, m) -> m) best
+
+(* [required] is 0 (everything qualifies), just above the best rate
+   (nothing does), or exactly some candidate's rate, so ties on the
+   threshold and between equal-rate candidates are exercised. The pin is
+   absent, in range, or one past the last processor. *)
+let cheapest_agrees ~kind (spec, pick, pin, k) =
+  let predictor = Predictor.make ~kind spec in
+  let processors = Costspec.processors spec and stages = Costspec.stages spec in
+  let fix_first_on =
+    match pin with 0 -> None | p -> Some ((p - 1) mod (processors + 1))
+  in
+  let rates =
+    match Mapping.enumerate ?fix_first_on ~stages ~processors () with
+    | exception Invalid_argument _ -> [| 0.0 |]
+    | candidates -> Array.of_list (List.map (Predictor.evaluate predictor) candidates)
+  in
+  let required =
+    match pick with
+    | 0 -> 0.0
+    | 1 -> Float.succ (Array.fold_left Float.max 0.0 rates)
+    | _ -> rates.(k mod Array.length rates)
+  in
+  let show = Option.map Mapping.to_array in
+  show (Predictor.cheapest ?fix_first_on ~required predictor)
+  = show (cheapest_ref ?fix_first_on ~required predictor)
+
+let test_cheapest_matches_fold =
+  qtest ~count:300 "cheapest walk = enumerate-and-fold (analytic)"
+    QCheck2.Gen.(
+      quad (gen_spec_sized ~max_processors:5) (int_range 0 2) (int_range 0 4) (int_range 0 10_000))
+    (cheapest_agrees ~kind:Predictor.Analytic)
+
+(* The CTMC kind on chains small enough to solve 27 times per case, with
+   positive rates only (a zero rate is not a valid CTMC input). *)
+let test_cheapest_matches_fold_ctmc =
+  let spec =
+    QCheck2.Gen.(
+      let* stages = int_range 1 3 in
+      let* processors = int_range 1 3 in
+      let* stage_work = array_size (return stages) (float_range 0.2 3.0) in
+      let* node_rates = array_size (return processors) (oneof [ float_range 1.0 20.0; return 10.0 ]) in
+      return (synthetic_spec ~stage_work ~node_rates ~latency:0.01 ~bandwidth:1e6 ()))
+  in
+  qtest ~count:40 "cheapest walk = enumerate-and-fold (ctmc)"
+    QCheck2.Gen.(quad spec (int_range 0 2) (int_range 0 4) (int_range 0 10_000))
+    (cheapest_agrees ~kind:Predictor.Ctmc)
+
+(* The flat CTMC against the list-based one it replaced (test/ctmc_ref.ml)
+   on random chains of 1-5 stages: the same state and transition counts,
+   and bit-identical power and Gauss-Seidel vectors, residuals and
+   throughputs. Move rates up to 1e3 times the service rates make some
+   power solves run out of iterations; both must then fail alike. *)
+let test_flat_ctmc_matches_lists =
+  let module Ref = Ctmc_ref in
+  let same_vector a b =
+    Array.length a = Array.length b && Array.for_all2 (fun x y -> Int64.equal (bits x) (bits y)) a b
+  in
+  let solve solve model =
+    match solve model with pi -> Ok pi | exception Failure message -> Error message
+  in
+  let agree a b =
+    match (a, b) with
+    | Ok a, Ok b -> same_vector a b
+    | Error a, Error b -> String.equal a b
+    | Ok _, Error _ | Error _, Ok _ -> false
+  in
+  qtest ~count:150 "flat sweeps = list sweeps, bit for bit"
+    QCheck2.Gen.(
+      let* stages = int_range 1 5 in
+      let* service_rates = array_size (return stages) (float_range 0.1 20.0) in
+      let* move_rates =
+        array_size (return (stages + 1)) (oneof [ float_range 0.5 100.0; return 1e3; return infinity ])
+      in
+      return (service_rates, move_rates))
+    (fun (service_rates, move_rates) ->
+      let flat = Ctmc.build ~service_rates ~move_rates in
+      let lists = Ref.build ~service_rates ~move_rates in
+      let power = solve (Ctmc.steady_state ~solver:Ctmc.Power ~max_iter:3000) flat in
+      let power_ref = solve (Ref.steady_state ~solver:Ref.Power ~max_iter:3000) lists in
+      let gs = solve (Ctmc.steady_state ~solver:Ctmc.Gauss_seidel) flat in
+      let gs_ref = solve (Ref.steady_state ~solver:Ref.Gauss_seidel) lists in
+      Ctmc.state_count flat = Ref.state_count lists
+      && Ctmc.transition_count flat = Ref.transition_count lists
+      && agree power power_ref && agree gs gs_ref
+      && (match gs with
+         | Ok pi ->
+             Int64.equal (bits (Ctmc.residual flat pi)) (bits (Ref.residual lists pi))
+             && Int64.equal
+                  (bits (Ctmc.throughput flat))
+                  (bits (Ref.throughput lists))
+         | Error _ -> true))
+
 let () =
   Alcotest.run "aspipe_model"
     [
@@ -1085,6 +1203,7 @@ let () =
         ] );
       ( "solvers",
         [
+          test_flat_ctmc_matches_lists;
           Alcotest.test_case "agree" `Quick test_ctmc_solvers_agree;
           Alcotest.test_case "stiff chains" `Quick test_ctmc_gauss_seidel_handles_stiff;
           test_cross_model_bounds;
@@ -1134,5 +1253,7 @@ let () =
           Alcotest.test_case "kinds agree" `Quick test_predictor_kinds_agree_on_ranking;
           Alcotest.test_case "rank sorted" `Quick test_predictor_rank_sorted;
           Alcotest.test_case "choose & completion" `Quick test_predictor_choose_and_completion;
+          test_cheapest_matches_fold;
+          test_cheapest_matches_fold_ctmc;
         ] );
     ]

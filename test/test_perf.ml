@@ -15,14 +15,14 @@ module Engine = Aspipe_des.Engine
 module Bus = Aspipe_obs.Bus
 module Pqueue = Aspipe_des.Pqueue
 
-let make_sim ?trace ~items engine =
+let make_sim ~items engine =
   let rng = Aspipe_util.Rng.create 42 in
   let topo =
     Aspipe_grid.Topology.uniform engine ~n:3 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ()
   in
   let stages = Aspipe_skel.Stage.balanced ~n:4 ~work:1.0 () in
   let input = Aspipe_skel.Stream_spec.make ~items () in
-  Aspipe_skel.Skel_sim.create ?trace ~rng ~topo ~stages ~mapping:[| 0; 1; 2; 0 |] ~input ()
+  Aspipe_skel.Skel_sim.create ~rng ~topo ~stages ~mapping:[| 0; 1; 2; 0 |] ~input ()
 
 (* A sink-free simulation run stamps no events at all: every hot emit is
    guarded by [Bus.active], and fault-free runs emit no control events. *)
@@ -34,14 +34,15 @@ let test_sink_free_run_emits_nothing () =
   Alcotest.(check int) "completed" 500 (Aspipe_skel.Skel_sim.items_completed sim);
   Alcotest.(check int) "no events stamped" 0 (Bus.events_emitted (Engine.bus engine))
 
-(* The same workload, observed and unobserved: the unobserved run must
-   allocate strictly less (it builds no payloads), and both must agree on
-   every simulation-visible outcome. *)
+(* The same workload, observed (a trace subscribed to the bus, which turns
+   the guarded emits on) and unobserved: the unobserved run must allocate
+   strictly less (it builds no payloads), and both must agree on every
+   simulation-visible outcome. *)
 let test_unobserved_run_allocates_less () =
   let run ~observed =
     let engine = Engine.create () in
-    let trace = if observed then Some (Aspipe_grid.Trace.create ()) else None in
-    let sim = make_sim ?trace ~items:2000 engine in
+    if observed then Aspipe_grid.Trace.subscribe (Aspipe_grid.Trace.create ()) (Engine.bus engine);
+    let sim = make_sim ~items:2000 engine in
     let a0 = Gc.allocated_bytes () in
     Aspipe_skel.Skel_sim.run_to_completion sim;
     let bytes = Gc.allocated_bytes () -. a0 in
@@ -123,6 +124,109 @@ let test_ring_pump_allocation_budget () =
     Alcotest.failf "pump allocated %.3f minor words/item" pump_words;
   if pop_words > 0.05 then
     Alcotest.failf "pop_chunk allocated %.3f minor words/item" pop_words
+
+(* The NWS ensemble the monitor feeds once per sensor and sample: its 14
+   members update unboxed state and cache their predictions, so neither
+   [observe] nor [predict] allocates per member. A boxed float per call
+   (dev-profile boxing of the argument or result) fits the budget; a
+   closure or window copy per member does not. *)
+let test_forecast_ensemble_allocation_budget () =
+  let module Forecast = Aspipe_util.Forecast in
+  let f = Forecast.adaptive ~fallback:1.0 () in
+  let signal i = 0.5 +. (0.4 *. sin (0.37 *. Float.of_int i)) in
+  (* Fill every window first, so the budget covers the steady state. *)
+  for i = 0 to 99 do
+    Forecast.observe f (signal i)
+  done;
+  let iters = 20_000 in
+  let inputs = Array.init iters signal in
+  let sink = ref 0.0 in
+  let w0 = Gc.minor_words () in
+  for i = 0 to iters - 1 do
+    Forecast.observe f inputs.(i)
+  done;
+  let observe_words = (Gc.minor_words () -. w0) /. Float.of_int iters in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    sink := !sink +. Forecast.predict f
+  done;
+  let predict_words = (Gc.minor_words () -. w0) /. Float.of_int iters in
+  Printf.eprintf "DEBUG observe %.2f predict %.2f\n" observe_words predict_words;
+  Alcotest.(check bool) "predictions are finite" true (Float.is_finite !sink);
+  if observe_words > 16.0 then
+    Alcotest.failf "ensemble observe allocated %.1f minor words/call" observe_words;
+  if predict_words > 8.0 then
+    Alcotest.failf "ensemble predict allocated %.1f minor words/call" predict_words
+
+(* The scale-down search on a 4-stage x 5-node space (625 mappings): one
+   Gray walk with one incremental move per candidate. The enumerate-and-
+   fold it replaced allocated about 276 words per candidate. *)
+let test_cheapest_allocation_budget () =
+  let module Predictor = Aspipe_model.Predictor in
+  let engine = Engine.create () in
+  let topo =
+    Aspipe_grid.Topology.heterogeneous engine ~speeds:[| 12.0; 10.0; 10.0; 8.0; 6.0 |]
+      ~latency:0.01 ~bandwidth:1e7 ()
+  in
+  let stages = Aspipe_skel.Stage.balanced ~n:4 ~work:1.0 ~output_bytes:1e4 () in
+  let spec =
+    Aspipe_model.Costspec.of_topology ~topo ~stages
+      ~input:(Aspipe_skel.Stream_spec.make ~item_bytes:1e4 ~items:1 ())
+      ()
+  in
+  let predictor = Predictor.make spec in
+  let best = (Predictor.choose predictor).Aspipe_model.Search.score in
+  let required = 0.5 *. best in
+  ignore (Predictor.cheapest ~required predictor);
+  let w0 = Gc.minor_words () in
+  let target = Predictor.cheapest ~required predictor in
+  let per_candidate = (Gc.minor_words () -. w0) /. 625.0 in
+  Alcotest.(check bool) "a target exists" true (Option.is_some target);
+  if per_candidate > 8.0 then
+    Alcotest.failf "cheapest allocated %.1f minor words per candidate" per_candidate
+
+(* E13b's stiffness-1e3 chain (4 stages, 81 states) solved by power
+   iteration, which takes thousands of sweeps: the flat sweeps allocate
+   only the solve's vectors, where the list sweeps boxed a float per
+   transition per sweep (76.55 M words). *)
+let test_ctmc_power_allocation_budget () =
+  let module Ctmc = Aspipe_model.Ctmc in
+  let model = Ctmc.build ~service_rates:(Array.make 4 1.0) ~move_rates:(Array.make 5 1e3) in
+  let w0 = Gc.minor_words () in
+  let x = Ctmc.throughput ~solver:Ctmc.Power ~max_iter:2_000_000 model in
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "plausible throughput" true (x > 0.3 && x <= 1.0);
+  if words > 10_000.0 then Alcotest.failf "power solve allocated %.0f minor words" words
+
+(* An adaptive run with only a [Control] sink attached (what the layered
+   benchmark's decision hook does): the report's trace is written directly,
+   so the guarded per-item emits stay off and the bus sees only control
+   events. With the trace subscribed it saw about 46 events per item. *)
+let test_adaptive_control_sink_event_budget () =
+  let items = 150 in
+  let scenario =
+    Aspipe_core.Scenario.make ~name:"perf-events"
+      ~make_topo:(fun engine ->
+        Aspipe_grid.Topology.uniform engine ~n:3 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+      ~loads:[ (0, Aspipe_grid.Loadgen.Step { at = 20.0; level = 0.2 }) ]
+      ~stages:(Aspipe_workload.Synthetic.hot_stage ~n:4 ~factor:3.0 ())
+      ~input:
+        (Aspipe_skel.Stream_spec.make ~arrival:(Aspipe_skel.Stream_spec.Spaced 0.3) ~items ())
+      ~horizon:1e5 ()
+  in
+  let bus = ref None in
+  let report =
+    Aspipe_core.Adaptive.run
+      ~instrument:(fun b ->
+        bus := Some b;
+        ignore (Bus.subscribe ~interest:Bus.Control b (fun _ -> ())))
+      ~scenario ~seed:3 ()
+  in
+  let events = match !bus with Some b -> Bus.events_emitted b | None -> 0 in
+  Alcotest.(check int) "completed" items
+    (Aspipe_grid.Trace.items_completed report.Aspipe_core.Adaptive.trace);
+  let per_item = Float.of_int events /. Float.of_int items in
+  if per_item > 1.0 then Alcotest.failf "%.1f bus events per item with a Control sink" per_item
 
 (* Golden determinism: the campaign output for five registry experiments
    is byte-identical to the digests captured before the optimisation, and
@@ -209,6 +313,12 @@ let () =
           Alcotest.test_case "pqueue cycle budget" `Quick
             test_pqueue_cycle_allocation_budget;
           Alcotest.test_case "ring pump budget" `Quick test_ring_pump_allocation_budget;
+          Alcotest.test_case "forecast ensemble budget" `Quick
+            test_forecast_ensemble_allocation_budget;
+          Alcotest.test_case "cheapest walk budget" `Quick test_cheapest_allocation_budget;
+          Alcotest.test_case "ctmc power solve budget" `Quick test_ctmc_power_allocation_budget;
+          Alcotest.test_case "control sink event budget" `Quick
+            test_adaptive_control_sink_event_budget;
         ] );
       ( "golden",
         [

@@ -234,6 +234,23 @@ let test_serve_accounts_every_arrival () =
   Alcotest.(check bool) "slo windows sealed" true (List.length r.Serve.windows > 0);
   Alcotest.(check bool) "node-seconds accrued" true (r.Serve.node_seconds > 0.0)
 
+(* The report's trace is written directly; one subscribed through
+   [~instrument] rebuilds it from the bus. Completions, arrival-stamped
+   sojourns and committed adaptations must all agree. *)
+let test_serve_trace_matches_subscribed () =
+  let subscribed = Trace.create () in
+  let r =
+    Serve.run ~instrument:(Trace.subscribe subscribed)
+      ~autoscaler:(Autoscaler.latency_gradient ())
+      ~arrival:(Arrival.diurnal ~base:1.6 ~amplitude:1.2 ~period:240.0)
+      ~slo:(Slo.spec ~target_quantile:0.95 ~threshold:6.0 ~window:30.0)
+      ~provision_rate:1.6 ~scenario:(small_scenario ()) ~seed:11 ()
+  in
+  Alcotest.(check bool) "adapts" true (r.Serve.adaptation_count >= 1);
+  match Trace_diff.differs r.Serve.trace subscribed with
+  | Some what -> Alcotest.failf "%s differ" what
+  | None -> ()
+
 let test_e21_jobs_determinism () =
   (* The acceptance criterion: E21 byte-identical at --jobs 1 and --jobs 4
      (oversubscribed so real pool workers run even on one core). *)
@@ -273,6 +290,8 @@ let () =
         [
           Alcotest.test_case "deterministic report" `Quick test_serve_deterministic;
           Alcotest.test_case "accounts every arrival" `Quick test_serve_accounts_every_arrival;
+          Alcotest.test_case "trace matches subscribed" `Quick
+            test_serve_trace_matches_subscribed;
           Alcotest.test_case "E21 golden jobs 1 vs 4" `Slow test_e21_jobs_determinism;
         ] );
     ]

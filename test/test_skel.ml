@@ -72,12 +72,20 @@ let test_stream_invalid () =
 let quiet_topo ?(n = 3) engine =
   Topology.uniform engine ~n ~speed:10.0 ~latency:1e-4 ~bandwidth:1e9 ()
 
+(* A trace subscribed to the engine bus: the full stream, per-service and
+   per-transfer records included. A trace passed to [Skel_sim.create]
+   keeps only completions, entry instants and arrival stamps. *)
+let subscribed_trace engine =
+  let trace = Trace.create () in
+  Trace.subscribe trace (Engine.bus engine);
+  trace
+
 let run_sim ?(n = 3) ?(items = 10) ?arrival ~stages ~mapping () =
   let engine = Engine.create () in
   let topo = quiet_topo ~n engine in
   let input = Stream_spec.make ?arrival ~items ~item_bytes:10.0 () in
-  let trace = Trace.create () in
-  let sim = Skel_sim.create ~rng:(Rng.create 7) ~topo ~stages ~mapping ~input ~trace () in
+  let trace = subscribed_trace engine in
+  let sim = Skel_sim.create ~rng:(Rng.create 7) ~topo ~stages ~mapping ~input () in
   Skel_sim.run_to_completion sim;
   (sim, trace)
 
@@ -167,8 +175,8 @@ let test_sim_remap_moves_services () =
   let topo = quiet_topo ~n:2 engine in
   let stages = Stage.balanced ~n:2 ~work:1.0 ~state_bytes:100.0 () in
   let input = Stream_spec.make ~items:30 ~item_bytes:10.0 () in
-  let trace = Trace.create () in
-  let sim = Skel_sim.create ~rng:(Rng.create 7) ~topo ~stages ~mapping:[| 0; 0 |] ~input ~trace () in
+  let trace = subscribed_trace engine in
+  let sim = Skel_sim.create ~rng:(Rng.create 7) ~topo ~stages ~mapping:[| 0; 0 |] ~input () in
   ignore (Engine.schedule engine ~delay:1.0 (fun () -> ignore (Skel_sim.remap sim [| 0; 1 |])));
   Skel_sim.run_to_completion sim;
   Alcotest.(check (array int)) "mapping updated" [| 0; 1 |] (Skel_sim.mapping sim);
@@ -292,9 +300,9 @@ let test_sim_conservation_under_random_dynamics =
       let stages = Stage.balanced ~n:3 ~work:0.5 () in
       let items = 30 in
       let input = Stream_spec.make ~items ~item_bytes:10.0 () in
-      let trace = Trace.create () in
+      let trace = subscribed_trace engine in
       let sim =
-        Skel_sim.create ~rng:(Rng.split rng) ~topo ~stages ~mapping:[| 0; 1; 2 |] ~input ~trace ()
+        Skel_sim.create ~rng:(Rng.split rng) ~topo ~stages ~mapping:[| 0; 1; 2 |] ~input ()
       in
       (* And a random remap mid-flight. *)
       ignore
@@ -305,6 +313,73 @@ let test_sim_conservation_under_random_dynamics =
       Trace.items_completed trace = items
       && Array.map fst (Trace.completions trace) = Array.init items Fun.id
       && List.length (Trace.services trace) = items * 3)
+
+(* A trace passed to [Skel_sim.create] (recorded directly) against one
+   subscribed to the same run's bus (rebuilt from events): the summaries
+   must agree bit for bit. Four kinds of run: a closed batch with a remap,
+   an open stream of injected items (sojourns from arrival stamps), a
+   crash followed by a restore in place, and a crash answered by a
+   failover; both crashes catch a queue at stage 0. The drivers' committed
+   adaptations are compared in test_core and test_serve. *)
+let test_sim_passed_trace_matches_subscribed =
+  qtest ~count:40 "passed trace = subscribed trace"
+    QCheck2.Gen.(triple (int_range 0 3) (int_range 0 10_000) (int_range 1 4))
+    (fun (kind, seed, stage_count) ->
+      let rng = Rng.create seed in
+      let engine = Engine.create () in
+      let topo = quiet_topo ~n:3 engine in
+      let stages =
+        Array.init stage_count (fun i ->
+            Stage.make ~name:(Printf.sprintf "s%d" i) ~output_bytes:10.0 ~state_bytes:100.0
+              ~work:(Variate.Exponential { rate = 0.4 }) ())
+      in
+      let items = 25 in
+      let input = Stream_spec.make ~items ~item_bytes:10.0 () in
+      let mapping = Array.init stage_count (fun i -> i mod 3) in
+      let subscribed = subscribed_trace engine in
+      let passed = Trace.create () in
+      let arrivals = if kind = 1 then `External else `From_input in
+      let sim =
+        Skel_sim.create ~arrivals ~rng:(Rng.split rng) ~topo ~stages ~mapping ~input
+          ~trace:passed ()
+      in
+      let at time f = ignore (Engine.schedule_at engine ~time f) in
+      let node0 = Topology.node topo 0 in
+      (match kind with
+      | 0 ->
+          let shifted = Array.map (fun n -> (n + 1) mod 3) mapping in
+          at 1.5 (fun () -> ignore (Skel_sim.remap sim shifted))
+      | 1 ->
+          let t = ref 0.0 in
+          for item = 0 to items - 1 do
+            t := !t +. (0.05 +. (0.4 *. Rng.float rng));
+            at !t (fun () -> Skel_sim.inject sim ~item)
+          done
+      | 2 ->
+          at 1.0 (fun () -> Node.set_up node0 false);
+          at 3.0 (fun () -> Node.set_up node0 true)
+      | _ ->
+          at 1.0 (fun () -> Node.set_up node0 false);
+          at 1.5 (fun () -> Skel_sim.failover sim (Array.map (fun _ -> 1) mapping)));
+      (* An open stream is finished whenever nothing is in flight, so it is
+         drained by running the engine dry, as the serving driver does. *)
+      if kind = 1 then Engine.run engine
+      else begin
+        match Skel_sim.run sim with
+        | `Completed -> ()
+        | `Stalled message -> QCheck2.Test.fail_report message
+      end;
+      if Trace.items_completed passed <> items then
+        QCheck2.Test.fail_reportf "kind %d seed %d: %d of %d items completed" kind seed
+          (Trace.items_completed passed) items;
+      if kind >= 2 && Skel_sim.items_lost_total sim = 0 then
+        QCheck2.Test.fail_reportf "kind %d seed %d: the crash lost no item" kind seed;
+      (match Trace_diff.differs passed subscribed with
+      | Some what ->
+          QCheck2.Test.fail_reportf "kind %d seed %d stages %d: %s differ" kind seed stage_count
+            what
+      | None -> ());
+      true)
 
 (* ------------------------------------------------------- bounded buffers *)
 
@@ -360,8 +435,8 @@ let test_sim_work_draws_paired_across_mappings () =
     let topo = quiet_topo ~n:3 engine in
     let stages = [| Stage.make ~work:(Variate.Exponential { rate = 1.0 }) () |] in
     let input = Stream_spec.make ~items:20 ~item_bytes:10.0 () in
-    let trace = Trace.create () in
-    let sim = Skel_sim.create ~rng:(Rng.create 9) ~topo ~stages ~mapping ~input ~trace () in
+    let trace = subscribed_trace engine in
+    let sim = Skel_sim.create ~rng:(Rng.create 9) ~topo ~stages ~mapping ~input () in
     Skel_sim.run_to_completion sim;
     List.map
       (fun (s : Trace.service) -> (s.Trace.item, s.Trace.finish -. s.Trace.start))
@@ -682,6 +757,7 @@ let () =
           Alcotest.test_case "execute one-shot" `Quick test_sim_execute_oneshot;
           Alcotest.test_case "starvation & recovery" `Quick test_sim_total_starvation_and_recovery;
           test_sim_conservation_under_random_dynamics;
+          test_sim_passed_trace_matches_subscribed;
         ] );
       ( "buffers",
         [

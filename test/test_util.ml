@@ -630,6 +630,58 @@ let test_prop_forecast_constant_fixed_point =
           Forecast.adaptive ();
         ])
 
+(* The flat forecaster bank against the closure-based one it replaced
+   (test/forecast_ref.ml): same constructor, same finite stream, and after
+   every observation the same bits from [predict], [mse], [mae] and
+   [members]. The stream mixes a wide range, small integers (ties in the
+   median and in the ensemble's MSE race) and values near 1 (the monitor's
+   availability readings). *)
+let test_prop_forecast_matches_reference =
+  let module Ref = Forecast_ref in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let agree (f, r) =
+    same (Forecast.predict f) (Ref.predict r)
+    && same (Forecast.mse f) (Ref.mse r)
+    && same (Forecast.mae f) (Ref.mae r)
+    && String.equal (Forecast.name f) (Ref.name r)
+    && List.equal
+         (fun (n, e) (n', e') -> String.equal n n' && same e e')
+         (Forecast.members f) (Ref.members r)
+  in
+  let value =
+    QCheck2.Gen.(
+      oneof
+        [
+          float_range (-1000.0) 1000.0;
+          map Float.of_int (int_range (-3) 3);
+          float_range 0.0 1.2;
+        ])
+  in
+  qtest ~count:300 "flat bank = closure bank, bit for bit"
+    QCheck2.Gen.(
+      tup4 (int_range 0 7) (int_range 1 30) (pair (float_range 0.0 2.0) (float_range 0.01 1.0))
+        (list_size (int_range 0 80) value))
+    (fun (which, window, (fallback, gain), stream) ->
+      let pair =
+        match which with
+        | 0 -> (Forecast.last_value ~fallback (), Ref.last_value ~fallback ())
+        | 1 -> (Forecast.running_mean ~fallback (), Ref.running_mean ~fallback ())
+        | 2 -> (Forecast.sliding_mean ~fallback ~window (), Ref.sliding_mean ~fallback ~window ())
+        | 3 ->
+            (Forecast.sliding_median ~fallback ~window (), Ref.sliding_median ~fallback ~window ())
+        | 4 -> (Forecast.ewma ~fallback ~gain (), Ref.ewma ~fallback ~gain ())
+        | 5 -> (Forecast.trend ~fallback ~gain (), Ref.trend ~fallback ~gain ())
+        | 6 -> (Forecast.ar1 ~fallback (), Ref.ar1 ~fallback ())
+        | _ -> (Forecast.adaptive ~fallback (), Ref.adaptive ~fallback ())
+      in
+      agree pair
+      && List.for_all
+           (fun x ->
+             Forecast.observe (fst pair) x;
+             Ref.observe (snd pair) x;
+             agree pair)
+           stream)
+
 (* Pearson chi-square statistic of [counts] against a uniform expectation. *)
 let chi_square counts total =
   let cells = Array.length counts in
@@ -1228,6 +1280,7 @@ let () =
           test_prop_quantile_bounded;
           test_prop_resample_conserves_integral;
           test_prop_forecast_constant_fixed_point;
+          test_prop_forecast_matches_reference;
           Alcotest.test_case "rng split chi-square" `Quick test_rng_split_chi_square;
         ] );
       ( "render",
