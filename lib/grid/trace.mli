@@ -7,11 +7,11 @@
 
     A trace is filled one of two ways, never both (each record would then
     be kept twice):
-    - {e passed} to a simulator ({!Aspipe_skel.Skel_sim.create}
-      [~trace], {!Aspipe_skel.Repl_sim.create}), which records what the
-      summaries read — completions, each item's entry instant and
-      open-arrival stamp, and the drivers' committed adaptations — straight
-      into it, leaving the bus's per-item emits off;
+    - {e passed} to a simulator, which writes into it directly and leaves
+      the bus's guarded per-item emits off. [Skel_sim] records what the
+      summaries read: completions, each item's entry instant and
+      open-arrival stamp; the adaptive and serving drivers add their
+      committed adaptations. [Repl_sim] also records its services;
     - {e subscribed} to the engine bus with {!subscribe}, which records the
       full stream, per-service and per-transfer records included, at the
       price of switching those emits on. *)
@@ -73,7 +73,7 @@ val throughput_series : t -> window:float -> (float * float) array
     completions divided by [w], stamped at the window's midpoint. *)
 
 val services : t -> service list
-(** In recording order. Empty unless the trace was {!subscribe}d. *)
+(** In recording order. A trace passed to [Skel_sim] holds none. *)
 
 val service_times : t -> stage:int -> float array
 (** Durations of every service of [stage]. *)

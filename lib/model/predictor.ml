@@ -34,6 +34,19 @@ let predicted_completion t m ~items =
   if x <= 0.0 then infinity
   else Analytic.fill_latency t.spec m +. (Float.of_int (items - 1) /. x)
 
+(* Distinct processors of [m]. [seen.(p) = round] marks [p] as counted, so
+   a fresh [round] per call needs no clearing. *)
+let distinct_processors seen ~round m =
+  let nodes = ref 0 in
+  for i = 0 to Mapping.stages m - 1 do
+    let p = Mapping.processor_of m i in
+    if seen.(p) <> round then begin
+      seen.(p) <- round;
+      incr nodes
+    end
+  done;
+  !nodes
+
 (* One reflected Gray walk over the space: every step moves one stage, so
    the analytic kind re-scores with a single [Incr.move] (bit-identical to
    [Analytic.throughput] by contract). The incumbent lives in flat refs and
@@ -49,27 +62,21 @@ let cheapest ?fix_first_on ~required t =
     || Mapping.space_within ~stages:free ~processors ~cap:Mapping.max_enumeration = None
   then None
   else begin
-    let stamp = Array.make processors 0 and round = ref 0 in
-    let distinct_nodes m =
-      incr round;
-      let nodes = ref 0 in
-      for i = 0 to stages - 1 do
-        let p = Mapping.processor_of m i in
-        if stamp.(p) <> !round then begin
-          stamp.(p) <- !round;
-          incr nodes
-        end
-      done;
-      !nodes
+    let seen = Array.make processors 0 and round = ref 0 in
+    let incremental =
+      match t.kind with
+      | Analytic ->
+          Some (Analytic.Incr.create t.spec (Mapping.decode ?fix_first_on ~stages ~processors 0))
+      | Ctmc -> None
     in
-    let incr_state = ref None in
     let found = ref false and best_nodes = ref 0 and best_code = ref 0 in
     let best_rate = [| 0.0 |] in
     let consider m ~code =
-      let nodes = distinct_nodes m in
+      incr round;
+      let nodes = distinct_processors seen ~round:!round m in
       if not (!found && nodes > !best_nodes) then begin
         let rate =
-          match !incr_state with Some inc -> Analytic.Incr.score inc | None -> evaluate t m
+          match incremental with Some inc -> Analytic.Incr.score inc | None -> evaluate t m
         in
         if
           (not (rate < required))
@@ -85,13 +92,9 @@ let cheapest ?fix_first_on ~required t =
       end
     in
     Mapping.iter_gray ?fix_first_on ~stages ~processors
-      ~init:(fun m ->
-        (match t.kind with
-        | Analytic -> incr_state := Some (Analytic.Incr.create t.spec m)
-        | Ctmc -> ());
-        consider m ~code:0)
+      ~init:(fun m -> consider m ~code:0)
       ~step:(fun m ~stage ~code ->
-        (match !incr_state with
+        (match incremental with
         | Some inc -> Analytic.Incr.move inc ~stage (Mapping.processor_of m stage)
         | None -> ());
         consider m ~code)

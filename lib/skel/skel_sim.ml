@@ -82,6 +82,11 @@ let work_for t ~item ~stage =
       Hashtbl.add t.work_table (item, stage) w;
       w
 
+(* An item enters the pipeline when its first stage-0 service starts: the
+   instant a closed stream's sojourn counts from. *)
+let record_entry t ~item ~start =
+  match t.trace with Some trace -> Trace.record_entry trace ~item ~time:start | None -> ()
+
 let rec try_dispatch t si =
   let s = t.stages.(si) in
   if
@@ -112,11 +117,7 @@ let rec try_dispatch t si =
         if Bus.active t.bus then
           Bus.emit t.bus
             (Event.Service_finish { item; stage = si; node = node_idx; start = !start });
-        (* An item enters the pipeline when its first stage-0 service
-           starts: the instant a closed stream's sojourn counts from. *)
-        (match t.trace with
-        | Some trace when si = 0 -> Trace.record_entry trace ~item ~time:!start
-        | Some _ | None -> ());
+        if si = 0 then record_entry t ~item ~start:!start;
         (* The output move is part of the stage's cycle — the stage stays
            busy until its output is delivered downstream (synchronous send,
            as in the skeleton's (move).(process).(move) behaviour), so slow

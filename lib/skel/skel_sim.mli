@@ -55,9 +55,15 @@ val create :
     [queue_capacity] bounds every stage's input buffer (default unbounded):
     a delivery to a full stage parks, holding the upstream sender busy —
     with capacity 1 the pipeline approaches the bufferless synchronization
-    of the CTMC model. [trace], when given, is subscribed to the engine bus
-    as a full-stream sink; without it (or any other such sink) the run is
-    unobserved and the hot path emits no event payloads at all.
+    of the CTMC model. [trace], when given, is written directly: each
+    completion, each item's entry instant (the start of its first stage-0
+    service) and, on open streams, each arrival stamp — what throughput,
+    makespan and sojourn summaries read. It is not subscribed to the bus,
+    so it holds no per-service or per-transfer records and keeps the
+    guarded hot emits off: without a full-stream sink the run constructs
+    no event payloads at all. A caller that needs every record subscribes
+    a trace of its own with {!Aspipe_grid.Trace.subscribe}; a trace is
+    passed here or subscribed, never both.
 
     [arrivals] selects the stream model. The default, [`From_input],
     schedules the closed stream described by [input] up front, exactly as
@@ -140,4 +146,5 @@ val execute :
   input:Stream_spec.t ->
   unit ->
   Aspipe_grid.Trace.t
-(** One-shot static run: create, drain, return the trace. *)
+(** One-shot static run: create, drain, return the trace passed to
+    {!create} (completions, entry instants, no service records). *)

@@ -1,8 +1,9 @@
 (* Every forecaster is one record: its numbers live unboxed in the float
    array [f] (slot layout below), its counters in int fields and an
-   ensemble's members in an array, so [observe] allocates nothing. The prediction is computed once, at the end
-   of [observe], and cached in [f.(prediction)] until the next one — it is
-   needed anyway to score the next measurement. *)
+   ensemble's members in an array, so [observe] allocates nothing. The
+   prediction is computed once, at the end of [observe], and cached in
+   [f.(prediction)] until the next one — it is needed anyway to score the
+   next measurement. *)
 
 type kind =
   | Last
@@ -47,7 +48,7 @@ let mse t =
 let mae t =
   if t.errors_counted = 0 then nan else t.f.(error_abs) /. Float.of_int t.errors_counted
 
-let make ?(fallback = 0.0) ?(window = 0) ?(g = nan) ~name kind =
+let make ?(fallback = 0.0) ?(window = 0) ?gain:(g = nan) ~name kind =
   let f = Array.make slots 0.0 in
   f.(prediction) <- fallback;
   f.(gain) <- g;
@@ -214,23 +215,22 @@ let[@inline never] rec observe t x =
 let last_value ?fallback () = make ?fallback ~name:"last" Last
 let running_mean ?fallback () = make ?fallback ~name:"run_mean" Running_mean
 
-let check_window window = if window <= 0 then invalid_arg "Forecast: window must be positive"
+let sliding ?fallback ~window ~statistic kind =
+  if window <= 0 then invalid_arg "Forecast: window must be positive";
+  make ?fallback ~window ~name:(Printf.sprintf "%s_%d" statistic window) kind
 
-let sliding_mean ?fallback ~window () =
-  check_window window;
-  make ?fallback ~window ~name:(Printf.sprintf "mean_%d" window) Sliding_mean
+let sliding_mean ?fallback ~window () = sliding ?fallback ~window ~statistic:"mean" Sliding_mean
 
 let sliding_median ?fallback ~window () =
-  check_window window;
-  make ?fallback ~window ~name:(Printf.sprintf "median_%d" window) Sliding_median
+  sliding ?fallback ~window ~statistic:"median" Sliding_median
 
 let ewma ?fallback ~gain () =
   if gain <= 0.0 || gain > 1.0 then invalid_arg "Forecast.ewma: gain must be in (0,1]";
-  make ?fallback ~g:gain ~name:(Printf.sprintf "ewma_%.2g" gain) Ewma
+  make ?fallback ~gain ~name:(Printf.sprintf "ewma_%.2g" gain) Ewma
 
 let trend ?fallback ~gain () =
   if gain <= 0.0 || gain > 1.0 then invalid_arg "Forecast.trend: gain must be in (0,1]";
-  make ?fallback ~g:gain ~name:(Printf.sprintf "trend_%.2g" gain) Trend
+  make ?fallback ~gain ~name:(Printf.sprintf "trend_%.2g" gain) Trend
 
 let ar1 ?fallback () = make ?fallback ~name:"ar1" Ar1
 
@@ -256,6 +256,9 @@ let adaptive ?(fallback = 0.0) () =
   make ~fallback ~name:"adaptive" (Ensemble bank)
 
 let members t =
-  match t.kind with
-  | Ensemble bank -> Array.to_list (Array.map (fun m -> (name m, mse m)) bank)
-  | Last | Running_mean | Sliding_mean | Sliding_median | Ewma | Trend | Ar1 -> [ (name t, mse t) ]
+  let bank =
+    match t.kind with
+    | Ensemble bank -> bank
+    | Last | Running_mean | Sliding_mean | Sliding_median | Ewma | Trend | Ar1 -> [| t |]
+  in
+  Array.to_list (Array.map (fun m -> (name m, mse m)) bank)

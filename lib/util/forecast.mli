@@ -5,7 +5,18 @@
     A forecaster consumes a stream of measurements and predicts the next one.
     The {!adaptive} forecaster runs a whole bank of primitive forecasters and
     answers with the one whose past mean-squared error is currently lowest —
-    the NWS "dynamic predictor selection" idea. *)
+    the NWS "dynamic predictor selection" idea.
+
+    Cost contract. A forecaster keeps its state unboxed, and {!observe}
+    computes the next prediction once and caches it, so {!predict} is a
+    read until the next observation. Neither allocates beyond the boxing
+    of its float argument or result at a call that is not inlined; the
+    ensemble feeds its members the caller's value without re-boxing it.
+    Sliding windows are read in place. Every prediction is bit-identical
+    to the straightforward definitions below (mean summed oldest first,
+    median by {!Stats.quantile}'s arithmetic), except that a sliding
+    median over a window holding both [-0.] and [0.] may return either
+    zero. *)
 
 type t
 
