@@ -151,7 +151,6 @@ let test_forecast_ensemble_allocation_budget () =
     sink := !sink +. Forecast.predict f
   done;
   let predict_words = (Gc.minor_words () -. w0) /. Float.of_int iters in
-  Printf.eprintf "DEBUG observe %.2f predict %.2f\n" observe_words predict_words;
   Alcotest.(check bool) "predictions are finite" true (Float.is_finite !sink);
   if observe_words > 16.0 then
     Alcotest.failf "ensemble observe allocated %.1f minor words/call" observe_words;
@@ -160,7 +159,7 @@ let test_forecast_ensemble_allocation_budget () =
 
 (* The scale-down search on a 4-stage x 5-node space (625 mappings): one
    Gray walk with one incremental move per candidate. The enumerate-and-
-   fold it replaced allocated about 276 words per candidate. *)
+   fold it replaced allocated about 260 words per candidate. *)
 let test_cheapest_allocation_budget () =
   let module Predictor = Aspipe_model.Predictor in
   let engine = Engine.create () in
