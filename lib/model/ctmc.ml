@@ -85,8 +85,8 @@ type solver = Gauss_seidel | Power
 
 (* The sweeps below are plain loops over flat arrays: no closure and no
    boxed float per state or transition, so a solve allocates only its
-   vectors. Every sum runs in the order the per-state transition lists it
-   replaced were folded in, which keeps the results bit-identical. *)
+   vectors. Every sum runs in a fixed order (a state's transitions newest
+   added first), and the differential tests pin the results bit for bit. *)
 
 let sum a =
   let acc = ref 0.0 in
@@ -137,8 +137,8 @@ let steady_state_gauss_seidel ~tol ~max_iter t =
   let n = t.states in
   (* Incoming transitions per target state, flat like the outgoing ones.
      Each target's entries are ordered by source descending and, within a
-     source, in the order its transitions were added: the order in which
-     consing onto per-target lists, sources ascending, left them. *)
+     source, in the order its transitions were added; the inflow sums run
+     in that order. *)
   let in_offsets = Array.make (n + 1) 0 in
   Array.iter (fun target -> in_offsets.(target + 1) <- in_offsets.(target + 1) + 1) t.targets;
   for j = 0 to n - 1 do

@@ -158,8 +158,9 @@ let test_forecast_ensemble_allocation_budget () =
     Alcotest.failf "ensemble predict allocated %.1f minor words/call" predict_words
 
 (* The scale-down search on a 4-stage x 5-node space (625 mappings): one
-   Gray walk with one incremental move per candidate. The enumerate-and-
-   fold it replaced allocated about 260 words per candidate. *)
+   Gray walk with one incremental move per candidate. A boxed score per
+   candidate fits the budget; a materialized mapping or list cell per
+   candidate does not. *)
 let test_cheapest_allocation_budget () =
   let module Predictor = Aspipe_model.Predictor in
   let engine = Engine.create () in
@@ -185,9 +186,9 @@ let test_cheapest_allocation_budget () =
     Alcotest.failf "cheapest allocated %.1f minor words per candidate" per_candidate
 
 (* E13b's stiffness-1e3 chain (4 stages, 81 states) solved by power
-   iteration, which takes thousands of sweeps: the flat sweeps allocate
-   only the solve's vectors, where the list sweeps boxed a float per
-   transition per sweep (76.55 M words). *)
+   iteration, which takes thousands of sweeps: the solve may allocate its
+   vectors, but one boxed float per transition per sweep would run to
+   tens of millions of words. *)
 let test_ctmc_power_allocation_budget () =
   let module Ctmc = Aspipe_model.Ctmc in
   let model = Ctmc.build ~service_rates:(Array.make 4 1.0) ~move_rates:(Array.make 5 1e3) in
@@ -200,7 +201,8 @@ let test_ctmc_power_allocation_budget () =
 (* An adaptive run with only a [Control] sink attached (what the layered
    benchmark's decision hook does): the report's trace is written directly,
    so the guarded per-item emits stay off and the bus sees only control
-   events. With the trace subscribed it saw about 46 events per item. *)
+   events, a few per adaptation epoch. A trace subscribed behind the
+   caller's back would turn on several events per item and stage. *)
 let test_adaptive_control_sink_event_budget () =
   let items = 150 in
   let scenario =
