@@ -290,8 +290,8 @@ let () =
         [
           Alcotest.test_case "deterministic report" `Quick test_serve_deterministic;
           Alcotest.test_case "accounts every arrival" `Quick test_serve_accounts_every_arrival;
+          Alcotest.test_case "E21 golden jobs 1 vs 4" `Slow test_e21_jobs_determinism;
           Alcotest.test_case "trace matches subscribed" `Quick
             test_serve_trace_matches_subscribed;
-          Alcotest.test_case "E21 golden jobs 1 vs 4" `Slow test_e21_jobs_determinism;
         ] );
     ]
