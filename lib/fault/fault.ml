@@ -17,18 +17,33 @@ let pp_profile ppf = function
   | Windows ws -> Format.fprintf ppf "windows(%d)" (List.length ws)
   | Poisson { mtbf; mttr } -> Format.fprintf ppf "poisson(mtbf=%g,mttr=%g)" mtbf mttr
 
+(* Every number must be finite: a NaN slips past the range checks (every
+   comparison with it is false) and an infinity passes them, and either one
+   crashes the schedule or silently disables it instead of being refused. *)
+let finite name v =
+  if not (Float.is_finite v) then
+    invalid_arg (Printf.sprintf "Fault: %s must be finite (got %g)" name v)
+
 let validate = function
-  | Crash_at t -> if t < 0.0 then invalid_arg "Fault: crash time must be non-negative"
+  | Crash_at t ->
+      finite "crash time" t;
+      if t < 0.0 then invalid_arg "Fault: crash time must be non-negative"
   | Crash_recover { at; duration } ->
+      finite "crash time" at;
+      finite "crash duration" duration;
       if at < 0.0 || duration <= 0.0 then
         invalid_arg "Fault: crash window needs at >= 0 and duration > 0"
   | Windows ws ->
       List.iter
         (fun (at, duration) ->
+          finite "window start" at;
+          finite "window duration" duration;
           if at < 0.0 || duration <= 0.0 then
             invalid_arg "Fault: every window needs at >= 0 and duration > 0")
         ws
   | Poisson { mtbf; mttr } ->
+      finite "mtbf" mtbf;
+      finite "mttr" mttr;
       if mtbf <= 0.0 || mttr <= 0.0 then invalid_arg "Fault: mtbf and mttr must be positive"
 
 let require_rng = function

@@ -13,11 +13,14 @@ type t = {
   mutable transfers : transfer list;
   mutable completions : (int * float) list;
   mutable adaptations : adaptation list;
-  first_start : (int, float) Hashtbl.t;
-  arrivals : (int, float) Hashtbl.t;
+  mutable first_start : float array;
+  mutable arrivals : float array;
       (* open-arrival stamps from Sojourn events; preferred over first_start
          when present, so serving traces measure the full queueing delay *)
 }
+(* [first_start] and [arrivals] are columns indexed by item id, NaN where
+   nothing is recorded. They start with 64 slots and grow, at least
+   doubling, to the largest id recorded. *)
 
 let create () =
   {
@@ -25,15 +28,27 @@ let create () =
     transfers = [];
     completions = [];
     adaptations = [];
-    first_start = Hashtbl.create 64;
-    arrivals = Hashtbl.create 64;
+    first_start = Array.make 64 nan;
+    arrivals = Array.make 64 nan;
   }
 
+(* [column] long enough to index [item], NaN beyond its old end. *)
+let grow name column item =
+  if item < 0 then invalid_arg (name ^ ": item ids must be non-negative");
+  let n = Array.length column in
+  let grown = Array.make (Int.max (item + 1) (2 * n)) nan in
+  Array.blit column 0 grown 0 n;
+  grown
+
 let record_entry t ~item ~time =
-  if not (Hashtbl.mem t.first_start item) then Hashtbl.add t.first_start item time
+  if item < 0 || item >= Array.length t.first_start then
+    t.first_start <- grow "Trace.record_entry" t.first_start item;
+  if Float.is_nan t.first_start.(item) then t.first_start.(item) <- time
 
 let record_arrival t ~item ~time =
-  if not (Hashtbl.mem t.arrivals item) then Hashtbl.add t.arrivals item time
+  if item < 0 || item >= Array.length t.arrivals then
+    t.arrivals <- grow "Trace.record_arrival" t.arrivals item;
+  if Float.is_nan t.arrivals.(item) then t.arrivals.(item) <- time
 
 let record_service t (s : service) =
   record_entry t ~item:s.item ~time:s.start;
@@ -119,32 +134,33 @@ let services_on_node t ~node =
 let transfers t = List.rev t.transfers
 let adaptations t = List.rev t.adaptations
 
+let read column item = if item >= 0 && item < Array.length column then column.(item) else nan
+
 (* An item's sojourn starts at its open-arrival stamp when one was recorded
    (Sojourn events carry it) and otherwise at its first service start — the
-   only entry instant a closed-stream trace knows. *)
+   only entry instant a closed-stream trace knows. NaN when neither is. *)
 let entered t item =
-  match Hashtbl.find_opt t.arrivals item with
-  | Some arrival -> Some arrival
-  | None -> Hashtbl.find_opt t.first_start item
+  let arrival = read t.arrivals item in
+  if Float.is_nan arrival then read t.first_start item else arrival
 
 let sojourns t =
   let series =
     List.filter_map
       (fun (item, time) ->
-        match entered t item with
-        | Some start -> Some (item, time -. start)
-        | None -> None)
+        let start = entered t item in
+        if Float.is_nan start then None else Some (item, time -. start))
       (List.rev t.completions)
   in
   Array.of_list series
 
 let mean_sojourn t =
-  let total, count =
-    List.fold_left
-      (fun (total, count) (item, time) ->
-        match entered t item with
-        | Some start -> (total +. (time -. start), count + 1)
-        | None -> (total, count))
-      (0.0, 0) t.completions
-  in
-  if count = 0 then nan else total /. Float.of_int count
+  let total = ref 0.0 and count = ref 0 in
+  List.iter
+    (fun (item, time) ->
+      let start = entered t item in
+      if not (Float.is_nan start) then begin
+        total := !total +. (time -. start);
+        incr count
+      end)
+    t.completions;
+  if !count = 0 then nan else !total /. Float.of_int !count

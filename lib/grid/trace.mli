@@ -40,10 +40,15 @@ val record_adaptation : t -> adaptation -> unit
 
 val record_entry : t -> item:int -> time:float -> unit
 (** The instant [item] entered the pipeline: its first service start. The
-    first record per item wins. *)
+    first record per item wins. Entry instants and arrival stamps are kept
+    in dense float columns indexed by item id (NaN for "no record"), so
+    ids must be non-negative and callers number them densely from 0:
+    memory grows with the largest id recorded. Raises [Invalid_argument]
+    on a negative [item]. *)
 
 val record_arrival : t -> item:int -> time:float -> unit
-(** [item]'s open-arrival stamp; the first record per item wins. *)
+(** [item]'s open-arrival stamp; the first record per item wins. Same
+    column layout and [Invalid_argument] as {!record_entry}. *)
 
 val subscribe : t -> Aspipe_obs.Bus.t -> unit
 (** Attach this trace as an [All]-interest sink on an event bus:

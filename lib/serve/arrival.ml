@@ -8,11 +8,20 @@ type t =
   | Mmpp of { rates : float array; mean_holding : float array }
   | Replay of { times : float array }
 
+(* Every parameter must be finite: a NaN slips past the range checks below
+   (every comparison with it is false) and an infinity passes them, and
+   either one hangs or crashes the generator instead of being refused. *)
+let finite constructor name v =
+  if not (Float.is_finite v) then
+    invalid_arg (Printf.sprintf "Arrival.%s: %s must be finite (got %g)" constructor name v)
+
 let poisson ~rate =
+  finite "poisson" "rate" rate;
   if rate <= 0.0 then invalid_arg "Arrival.poisson: rate must be positive";
   Poisson { rate }
 
 let nhpp ~rate ~rate_max =
+  finite "nhpp" "rate_max" rate_max;
   if rate_max <= 0.0 then invalid_arg "Arrival.nhpp: rate_max must be positive";
   Nhpp { rate; rate_max }
 
@@ -20,6 +29,8 @@ let mmpp ~rates ~mean_holding =
   let n = Array.length rates in
   if n = 0 || Array.length mean_holding <> n then
     invalid_arg "Arrival.mmpp: rates and mean_holding must have equal nonzero length";
+  Array.iter (finite "mmpp" "every rate") rates;
+  Array.iter (finite "mmpp" "every holding time") mean_holding;
   Array.iter
     (fun r -> if r < 0.0 then invalid_arg "Arrival.mmpp: negative rate")
     rates;
@@ -33,6 +44,7 @@ let mmpp ~rates ~mean_holding =
 let replay times =
   let n = Array.length times in
   for i = 0 to n - 1 do
+    finite "replay" "every arrival time" times.(i);
     if times.(i) < 0.0 then invalid_arg "Arrival.replay: negative arrival time";
     if i > 0 && times.(i) < times.(i - 1) then
       invalid_arg "Arrival.replay: times must be non-decreasing"
@@ -40,6 +52,9 @@ let replay times =
   Replay { times = Array.copy times }
 
 let diurnal ~base ~amplitude ~period =
+  finite "diurnal" "base" base;
+  finite "diurnal" "amplitude" amplitude;
+  finite "diurnal" "period" period;
   if base <= 0.0 then invalid_arg "Arrival.diurnal: base rate must be positive";
   if amplitude < 0.0 || amplitude > base then
     invalid_arg "Arrival.diurnal: amplitude must lie in [0, base]";
@@ -52,6 +67,11 @@ let diurnal ~base ~amplitude ~period =
     }
 
 let flash_crowd ~base ~peak ~at ~ramp ~decay =
+  finite "flash_crowd" "base" base;
+  finite "flash_crowd" "peak" peak;
+  finite "flash_crowd" "at" at;
+  finite "flash_crowd" "ramp" ramp;
+  finite "flash_crowd" "decay" decay;
   if base <= 0.0 then invalid_arg "Arrival.flash_crowd: base rate must be positive";
   if peak < base then invalid_arg "Arrival.flash_crowd: peak must be >= base";
   if at < 0.0 then invalid_arg "Arrival.flash_crowd: surge start must be >= 0";

@@ -1,7 +1,6 @@
 module Engine = Aspipe_des.Engine
 module Server = Aspipe_des.Server
 module Rng = Aspipe_util.Rng
-module Variate = Aspipe_util.Variate
 module Topology = Aspipe_grid.Topology
 module Node = Aspipe_grid.Node
 module Link = Aspipe_grid.Link
@@ -29,8 +28,7 @@ type t = {
   window : int;
   dispatch : dispatch;
   stages : stage_rt array;
-  work_table : (int * int, float) Hashtbl.t;
-  work_seed : int;
+  work_seed : int;  (* keys every work draw, with the item and stage index *)
   input : Stream_spec.t;
   (* Ordered completion at the sink. *)
   sink_delivered : (int, float) Hashtbl.t;
@@ -51,15 +49,6 @@ let validate topo stages replicas =
         nodes;
       List.sort_uniq compare nodes)
     replicas
-
-let work_for t ~item ~stage =
-  match Hashtbl.find_opt t.work_table (item, stage) with
-  | Some w -> w
-  | None ->
-      let keyed = Rng.create (t.work_seed lxor (item * 0x9E3779) lxor (stage * 0x85EB51)) in
-      let w = Float.max 0.0 (Variate.sample keyed t.stages.(stage).spec.Stage.work) in
-      Hashtbl.add t.work_table (item, stage) w;
-      w
 
 let transfer_from t ~src ~dst ~bytes k =
   if src = user_site then Link.transfer (Topology.user_link t.topo dst) ~bytes k
@@ -108,7 +97,9 @@ let rec pump t si =
         transfer_from t ~src ~dst:replica ~bytes (fun () ->
             let node = Topology.node t.topo replica in
             let start = ref (Engine.now t.engine) in
-            Server.submit (Node.server node) ~work:(work_for t ~item ~stage:si) ~tag:item
+            Server.submit (Node.server node)
+              ~work:(Stage.keyed_work s.spec ~seed:t.work_seed ~item ~stage:si)
+              ~tag:item
               ~on_start:(fun () -> start := Engine.now t.engine)
               (fun () ->
                 Trace.record_service t.trace
@@ -171,7 +162,6 @@ let create ?(window = 2) ?(dispatch = Least_loaded) ~rng ~topo ~stages ~replicas
               next_emit = 0;
             })
           stages;
-      work_table = Hashtbl.create 1024;
       work_seed = Int64.to_int (Rng.bits64 rng) land max_int;
       input;
       sink_delivered = Hashtbl.create 32;

@@ -12,7 +12,12 @@
     Replicated stages use buffered (asynchronous) sends — the reorder buffer
     decouples the sender anyway — unlike the synchronous moves of the
     single-node {!Skel_sim}; single-replica stages therefore behave like a
-    slightly more buffered {!Skel_sim} stage. *)
+    slightly more buffered {!Skel_sim} stage.
+
+    Work is recomputed at every deal, never memoised, with
+    {!Stage.keyed_work} on (work seed, item id, stage index), the work seed
+    being one draw of [rng] at {!create}: an item costs the same whichever
+    replica, replica set or dispatch policy serves it. *)
 
 type dispatch =
   | Round_robin  (** equal shares in arrival order — eSkel's default deal *)

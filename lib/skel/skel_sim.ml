@@ -1,7 +1,6 @@
 module Engine = Aspipe_des.Engine
 module Server = Aspipe_des.Server
 module Rng = Aspipe_util.Rng
-module Variate = Aspipe_util.Variate
 module Topology = Aspipe_grid.Topology
 module Node = Aspipe_grid.Node
 module Link = Aspipe_grid.Link
@@ -37,17 +36,17 @@ type t = {
   topo : Topology.t;
   rng : Rng.t;
   stages : stage_state array;
-  work_table : (int * int, float) Hashtbl.t;
-  work_seed : int;
+  work_seed : int;  (* keys every work draw, with the item and stage index *)
   input : Stream_spec.t;
   queue_capacity : int option;  (* per-stage buffer bound; None = unbounded *)
   open_stream : bool;
       (* arrivals are injected by an external driver (the serving layer)
          rather than scheduled from [input] at creation; items_total tracks
          what has actually been injected *)
-  arrival_stamps : (int, float) Hashtbl.t;
-      (* item -> open-arrival instant, removed at completion; only populated
-         in open-stream mode so closed runs keep their exact event stream *)
+  mutable arrival_stamps : float array;
+      (* item id -> open-arrival instant, NaN when none (never stamped, or
+         cleared at completion); only written in open-stream mode so closed
+         runs keep their exact event stream *)
   on_completion : (item:int -> arrival:float -> unit) option;
   trace : Trace.t option;
       (* recorded directly, not through the bus: completions, entry
@@ -66,21 +65,6 @@ let check_mapping topo stages mapping =
       if node < 0 || node >= Topology.size topo then
         invalid_arg "Skel_sim: mapping names an unknown node")
     mapping
-
-(* Work is drawn from a generator keyed on (item, stage) — not on dispatch
-   order — so every item costs the same under any mapping, buffer capacity or
-   adaptation schedule. Comparisons across strategies are therefore paired on
-   an identical workload realization, and migrating a stage never re-rolls
-   the work its queued items will cost. The same keying makes a re-dispatched
-   item cost what its lost first attempt did. *)
-let work_for t ~item ~stage =
-  match Hashtbl.find_opt t.work_table (item, stage) with
-  | Some w -> w
-  | None ->
-      let keyed = Rng.create (t.work_seed lxor (item * 0x9E3779) lxor (stage * 0x85EB51)) in
-      let w = Float.max 0.0 (Variate.sample keyed t.stages.(stage).spec.Stage.work) in
-      Hashtbl.add t.work_table (item, stage) w;
-      w
 
 (* An item enters the pipeline when its first stage-0 service starts: the
    instant a closed stream's sojourn counts from. *)
@@ -106,7 +90,7 @@ let rec try_dispatch t si =
     let node_idx = s.node in
     let node = Topology.node t.topo node_idx in
     let start = ref (Engine.now t.engine) in
-    let work = work_for t ~item ~stage:si in
+    let work = Stage.keyed_work s.spec ~seed:t.work_seed ~item ~stage:si in
     Server.submit (Node.server node) ~work ~tag:item
       ~on_start:(fun () ->
         start := Engine.now t.engine;
@@ -140,15 +124,15 @@ and forward t ~item ~from_stage ~from_node ~on_delivered =
         | Some trace -> Trace.record_completion trace ~item ~time:(Engine.now t.engine)
         | None -> ());
         if t.open_stream then begin
-          match Hashtbl.find_opt t.arrival_stamps item with
-          | Some arrival ->
-              Hashtbl.remove t.arrival_stamps item;
-              if Bus.active t.bus then Bus.emit t.bus (Event.Sojourn { item; arrival });
-              (match t.trace with
-              | Some trace -> Trace.record_arrival trace ~item ~time:arrival
-              | None -> ());
-              (match t.on_completion with Some f -> f ~item ~arrival | None -> ())
-          | None -> ()
+          let arrival = t.arrival_stamps.(item) in
+          if not (Float.is_nan arrival) then begin
+            t.arrival_stamps.(item) <- nan;
+            if Bus.active t.bus then Bus.emit t.bus (Event.Sojourn { item; arrival });
+            (match t.trace with
+            | Some trace -> Trace.record_arrival trace ~item ~time:arrival
+            | None -> ());
+            match t.on_completion with Some f -> f ~item ~arrival | None -> ()
+          end
         end;
         on_delivered ())
   else begin
@@ -327,12 +311,11 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng 
               replaying = false;
             })
           stages;
-      work_table = Hashtbl.create 1024;
       work_seed = Int64.to_int (Rng.bits64 rng) land max_int;
       input;
       queue_capacity;
       open_stream = (arrivals = `External);
-      arrival_stamps = Hashtbl.create (if arrivals = `External then 1024 else 1);
+      arrival_stamps = [||];
       on_completion;
       trace;
       injected = (if arrivals = `External then 0 else input.Stream_spec.items);
@@ -366,7 +349,14 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng 
 let inject_external t ~item =
   if not t.open_stream then
     invalid_arg "Skel_sim.inject: simulator was created with ~arrivals:`From_input";
-  Hashtbl.replace t.arrival_stamps item (Engine.now t.engine);
+  if item < 0 then invalid_arg "Skel_sim.inject: item ids must be non-negative";
+  let n = Array.length t.arrival_stamps in
+  if item >= n then begin
+    let grown = Array.make (Int.max (item + 1) (Int.max 1024 (2 * n))) nan in
+    Array.blit t.arrival_stamps 0 grown 0 n;
+    t.arrival_stamps <- grown
+  end;
+  t.arrival_stamps.(item) <- Engine.now t.engine;
   t.injected <- t.injected + 1;
   inject t ~item
 

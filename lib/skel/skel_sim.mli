@@ -33,6 +33,18 @@
       corpse: the stage is re-instantiated at its new node and its
       checkpoint replayed there.
 
+    Work is recomputed, never memoised: each dispatch draws the item's work
+    at the stage with {!Stage.keyed_work}, keyed on (work seed, item id,
+    stage index), the work seed being one draw of [rng] at {!create}. An
+    item therefore costs the same under any mapping, buffer capacity or
+    adaptation schedule, and a re-dispatched item costs what its lost first
+    attempt did.
+
+    Item ids are non-negative, and a caller numbers them densely from 0:
+    per-item state (the open-stream arrival stamps, and the entry instants
+    and stamps of a passed trace) lives in columns indexed by id, so memory
+    grows with the largest id seen.
+
     The executor never looks at ground-truth availability — only the
     simulated clock — so adaptive policies on top of it are honestly
     evaluated against imperfect information. *)
@@ -84,7 +96,9 @@ val inject : t -> item:int -> unit
     hands it to the first stage (crossing the user link like any other
     arrival). Only valid on a simulator created with [~arrivals:`External]
     — raises [Invalid_argument] on a closed-stream simulator, whose
-    arrivals were already scheduled by {!create}. *)
+    arrivals were already scheduled by {!create}, and on a negative
+    [item]. The stamp is stored in a column indexed by [item] and cleared
+    when the item completes. *)
 
 val items_injected : t -> int
 (** Arrivals accepted so far via {!inject} (0 on closed streams, where

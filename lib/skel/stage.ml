@@ -1,3 +1,4 @@
+module Rng = Aspipe_util.Rng
 module Variate = Aspipe_util.Variate
 
 type t = {
@@ -21,6 +22,22 @@ let make ?name ?(output_bytes = 1e5) ?(state_bytes = 1e6) ~work () =
   { name; work; output_bytes; state_bytes }
 
 let mean_work t = Variate.mean_of_spec t.work
+
+(* Each draw gets its own generator keyed on (seed, item, stage), not on
+   dispatch order: every item costs the same under any mapping, buffer
+   capacity, replica set or adaptation schedule, so comparisons across
+   strategies are paired on one workload realization, migrating a stage
+   never re-rolls the work its queued items will cost, and a re-dispatched
+   item costs what its lost first attempt did. Nothing memoises the draw,
+   so it must stay a pure function of its key. Kept out of line: it
+   carries a generator's whole seeding, and both simulators' dispatch
+   paths call it. *)
+let[@inline never] keyed_work t ~seed ~item ~stage =
+  match t.work with
+  | Variate.Constant c -> Float.max 0.0 c
+  | spec ->
+      let keyed = Rng.create (seed lxor (item * 0x9E3779) lxor (stage * 0x85EB51)) in
+      Float.max 0.0 (Variate.sample keyed spec)
 
 let balanced ?output_bytes ?state_bytes ~n ~work () =
   if n <= 0 then invalid_arg "Stage.balanced: n must be positive";

@@ -24,6 +24,14 @@ val make :
 
 val mean_work : t -> float
 
+val keyed_work : t -> seed:int -> item:int -> stage:int -> float
+(** [keyed_work t ~seed ~item ~stage] is the work [item] costs at stage
+    index [stage] of a simulator whose work seed is [seed]: a draw of
+    [t.work] (clamped at 0) from a generator keyed on the three, so the
+    same key always gives the same bits. Both simulators recompute it at
+    every dispatch instead of memoising it; a [Constant] spec builds no
+    generator. *)
+
 val balanced :
   ?output_bytes:float -> ?state_bytes:float -> n:int -> work:float -> unit -> t array
 (** [n] stages of constant [work] each. *)

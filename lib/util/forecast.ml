@@ -20,7 +20,7 @@ and t = {
   kind : kind;
   f : float array;
   window : float array;  (* sliding kinds: the last [length window] values, a ring *)
-  sorted : float array;  (* sliding median: scratch for the sorted window *)
+  sorted : float array;  (* sliding median: the window's values, sorted *)
   mutable next : int;  (* ring slot the next value goes to *)
   mutable filled : int;  (* ring slots in use *)
   mutable count : int;  (* running mean: values seen; AR(1): fitted pairs *)
@@ -95,26 +95,46 @@ let predict_window_mean t =
   done;
   t.f.(prediction) <- !acc /. Float.of_int t.filled
 
-(* Median of the window with [Stats.quantile _ 0.5]'s arithmetic. The sorted
-   copy is built by insertion into [t.sorted] under [Float.compare]'s order
-   (NaN first), so it equals the copy-and-sort of the window value for
-   value; only the relative order of -0. and 0. can differ. *)
+(* A sliding median keeps the window's values in [t.sorted] under
+   [Float.compare]'s order (NaN first) across observations: a full ring's
+   evicted value is removed, the new one inserted, and the median read off.
+   The sorted values equal the copy-and-sort of the window value for value;
+   only the relative order of values that compare equal with different bits
+   (-0. and 0., NaN payloads) can differ. *)
+
+(* Before [push]: on a full ring, remove the oldest value, which [push] is
+   about to overwrite, from the sorted values, then insert [x] after every
+   value that compares equal to it. The evicted value is matched by its
+   bits: [=] never matches a NaN and cannot tell -0. from 0., either of
+   which would leave in [sorted] a value the window no longer holds. *)
+let slide_sorted t x =
+  let s = t.sorted in
+  let n =
+    if t.filled < Array.length t.window then t.filled
+    else begin
+      let bits = Int64.bits_of_float t.window.(t.next) in
+      let k = ref 0 in
+      while Int64.bits_of_float s.(!k) <> bits do
+        incr k
+      done;
+      for i = !k to t.filled - 2 do
+        s.(i) <- s.(i + 1)
+      done;
+      t.filled - 1
+    end
+  in
+  let j = ref (n - 1) in
+  (* [Float.compare s.(!j) x > 0], spelled out. *)
+  while !j >= 0 && (s.(!j) > x || (Float.is_nan x && not (Float.is_nan s.(!j)))) do
+    s.(!j + 1) <- s.(!j);
+    decr j
+  done;
+  s.(!j + 1) <- x
+
+(* Median of the sorted window with [Stats.quantile _ 0.5]'s arithmetic. *)
 let predict_window_median t =
-  let w = Array.length t.window in
-  let oldest = if t.filled < w then 0 else t.next in
   let s = t.sorted in
   let n = t.filled in
-  for k = 0 to n - 1 do
-    let i = oldest + k in
-    let x = t.window.(if i >= w then i - w else i) in
-    let j = ref (k - 1) in
-    (* [Float.compare s.(!j) x > 0], spelled out. *)
-    while !j >= 0 && (s.(!j) > x || (Float.is_nan x && not (Float.is_nan s.(!j)))) do
-      s.(!j + 1) <- s.(!j);
-      decr j
-    done;
-    s.(!j + 1) <- x
-  done;
   let position = 0.5 *. Float.of_int (n - 1) in
   let below = int_of_float (Float.floor position) in
   let above = int_of_float (Float.ceil position) in
@@ -178,6 +198,7 @@ let[@inline never] rec observe t x =
       push t x;
       predict_window_mean t
   | Sliding_median ->
+      slide_sorted t x;
       push t x;
       predict_window_median t
   | Ewma ->

@@ -12,11 +12,15 @@
     read until the next observation. Neither allocates beyond the boxing
     of its float argument or result at a call that is not inlined; the
     ensemble feeds its members the caller's value without re-boxing it.
-    Sliding windows are read in place. Every prediction is bit-identical
-    to the straightforward definitions below (mean summed oldest first,
-    median by {!Stats.quantile}'s arithmetic), except that a sliding
-    median over a window holding both [-0.] and [0.] may return either
-    zero. *)
+    Sliding windows are read in place. A sliding median keeps its window
+    sorted across observations: an observation removes the evicted value
+    (matched by its bits) and inserts the new one, O(window) comparisons
+    and moves and no allocation, instead of re-sorting the window. Every
+    prediction is bit-identical to the straightforward definitions below
+    (mean summed oldest first, median by {!Stats.quantile}'s arithmetic),
+    except that a sliding median over a window holding both [-0.] and
+    [0.] may return either zero, or over NaNs of different payloads
+    either NaN. *)
 
 type t
 

@@ -1,48 +1,54 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256++ state: four 64-bit words s0..s3, stored unboxed and
+   little-endian at byte offsets 0, 8, 16 and 24 of a 32-byte buffer. A
+   draw reads the four words into registers, steps them and writes them
+   back, so it allocates nothing (a record of mutable [int64] fields would
+   box every word it stores). *)
+type t = Bytes.t
 
-(* splitmix64: used only to stretch a seed into the 256-bit xoshiro state. *)
-let splitmix64 state =
+let golden = 0x9E3779B97F4A7C15L
+
+(* splitmix64's output function; the generator's state advances by
+   [golden] before each output. Used only to stretch a seed into the
+   256-bit xoshiro state. *)
+let[@inline] mix z =
   let open Int64 in
-  state := add !state 0x9E3779B97F4A7C15L;
-  let z = !state in
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+(* The four splitmix64 outputs that follow the splitmix state [x]. *)
+let[@inline] of_splitmix x =
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_le t (8 * i) (mix (Int64.add x (Int64.mul (Int64.of_int (i + 1)) golden)))
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_splitmix (Int64.of_int seed)
+let copy t = Bytes.copy t
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_le t 0 s0;
+  Bytes.set_int64_le t 8 s1;
+  Bytes.set_int64_le t 16 (logxor s2 tmp);
+  Bytes.set_int64_le t 24 (rotl s3 45);
   result
 
-let split t =
-  (* Derive a child by seeding splitmix64 from the parent's next output;
-     xoshiro outputs are equidistributed enough for stream separation. *)
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+(* Derive a child by seeding splitmix64 from the parent's next output;
+   xoshiro outputs are equidistributed enough for stream separation. *)
+let split t = of_splitmix (bits64 t)
 
 let float t =
   (* 53 high bits -> [0,1). *)
@@ -53,13 +59,12 @@ let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Rejection sampling to avoid modulo bias. *)
   let n64 = Int64.of_int n in
-  let rec draw () =
-    let bits = Int64.shift_right_logical (bits64 t) 1 in
-    let value = Int64.rem bits n64 in
-    if Int64.sub bits value > Int64.sub Int64.max_int (Int64.sub n64 1L) then draw ()
-    else Int64.to_int value
-  in
-  draw ()
+  let limit = Int64.sub Int64.max_int (Int64.sub n64 1L) in
+  let bits = ref (Int64.shift_right_logical (bits64 t) 1) in
+  while Int64.sub !bits (Int64.rem !bits n64) > limit do
+    bits := Int64.shift_right_logical (bits64 t) 1
+  done;
+  Int64.to_int (Int64.rem !bits n64)
 
 let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 let range t lo hi = lo +. ((hi -. lo) *. float t)

@@ -4,7 +4,14 @@
     high-quality 64-bit streams with a tiny state. Every stochastic component
     of the simulator takes an explicit [Rng.t] so whole experiments are
     reproducible from a single integer seed, and [split] derives statistically
-    independent child streams for concurrent components. *)
+    independent child streams for concurrent components.
+
+    Cost contract. A generator is one 32-byte [Bytes.t] holding the four
+    64-bit xoshiro words unboxed, little-endian, [s0] to [s3] at offsets 0,
+    8, 16 and 24. A draw reads them, steps them in registers and writes
+    them back, so no draw allocates beyond the boxing of its [int64] or
+    [float] result at a call that is not inlined. {!create}, {!copy} and
+    {!split} allocate the new buffer and nothing else. *)
 
 type t
 

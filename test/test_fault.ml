@@ -152,6 +152,40 @@ let test_profile_validation () =
     (Invalid_argument "Fault: the Poisson profile is stochastic and needs ~rng") (fun () ->
       Fault.apply_node ~horizon:100.0 topo 0 (Fault.Poisson { mtbf = 10.0; mttr = 1.0 }))
 
+(* A NaN slips past every range check and an infinity passes them; both
+   must be refused by name, in [parse_spec] (the CLI's path) and when a
+   profile is applied directly. *)
+let test_profile_rejects_non_finite () =
+  let refused_with message f =
+    match f () with
+    | exception Invalid_argument m -> String.equal m message
+    | _ -> false
+  in
+  List.iter
+    (fun (spec, message) ->
+      if not (refused_with message (fun () -> Fault.parse_spec spec)) then
+        Alcotest.failf "%S was not refused with %S" spec message)
+    [
+      ("0:crash@nan", "Fault: crash time must be finite (got nan)");
+      ("0:crash@inf", "Fault: crash time must be finite (got inf)");
+      ("0:crash@10+nan", "Fault: crash duration must be finite (got nan)");
+      ("0:crash@10+inf", "Fault: crash duration must be finite (got inf)");
+      ("0:windows=nan+5", "Fault: window start must be finite (got nan)");
+      ("0:windows=1+5,2+inf", "Fault: window duration must be finite (got inf)");
+      ("0:mtbf=inf,mttr=1", "Fault: mtbf must be finite (got inf)");
+      ("0:mtbf=nan,mttr=1", "Fault: mtbf must be finite (got nan)");
+      ("0:mtbf=5,mttr=-inf", "Fault: mttr must be finite (got -inf)");
+    ];
+  let engine = Engine.create () in
+  let topo = quiet_topo engine in
+  Alcotest.(check bool) "apply_node refuses a NaN crash" true
+    (refused_with "Fault: crash time must be finite (got nan)" (fun () ->
+         Fault.apply_node ~horizon:100.0 topo 0 (Fault.Crash_at nan)));
+  Alcotest.(check bool) "apply_link refuses an infinite mttr" true
+    (refused_with "Fault: mttr must be finite (got inf)" (fun () ->
+         Fault.apply_link ~rng:(Rng.create 1) ~horizon:100.0 topo 0 1
+           (Fault.Poisson { mtbf = 10.0; mttr = infinity })))
+
 let test_windows_drive_liveness () =
   let engine = Engine.create () in
   let topo = quiet_topo engine in
@@ -326,6 +360,7 @@ let () =
           Alcotest.test_case "windows drive liveness" `Quick test_windows_drive_liveness;
           Alcotest.test_case "poisson respects the seed" `Quick test_poisson_respects_seed;
           Alcotest.test_case "parse_spec grammar" `Quick test_parse_spec;
+          Alcotest.test_case "non-finite numbers refused" `Quick test_profile_rejects_non_finite;
         ] );
       ( "detection",
         [ Alcotest.test_case "monitor suspects a dead node" `Quick test_monitor_suspects_dead_node ] );

@@ -457,6 +457,34 @@ let test_trace_empty () =
   Alcotest.(check bool) "series empty" true (Trace.throughput_series t ~window:1.0 = [||]);
   Alcotest.(check bool) "sojourn nan" true (Float.is_nan (Trace.mean_sojourn t))
 
+(* Entry instants and arrival stamps live in columns indexed by item id.
+   Sparse ids (0, 5, 1000) leave NaN holes that must read as "no record":
+   the sojourns are those of the records, the first record per item wins,
+   a completion with no entry instant is skipped, and a negative id is
+   refused. *)
+let test_trace_sparse_ids () =
+  let t = Trace.create () in
+  Trace.record_entry t ~item:1000 ~time:3.0;
+  Trace.record_entry t ~item:5 ~time:1.0;
+  Trace.record_entry t ~item:0 ~time:0.5;
+  Trace.record_entry t ~item:5 ~time:9.0;
+  Trace.record_arrival t ~item:1000 ~time:2.0;
+  Trace.record_arrival t ~item:1000 ~time:2.5;
+  Trace.record_completion t ~item:5 ~time:4.0;
+  Trace.record_completion t ~item:7 ~time:4.5;
+  Trace.record_completion t ~item:1000 ~time:6.0;
+  Trace.record_completion t ~item:0 ~time:7.0;
+  Alcotest.(check (list (pair int (float 0.0))))
+    "sojourns in completion order, unrecorded item 7 skipped"
+    [ (5, 3.0); (1000, 4.0); (0, 6.5) ]
+    (Array.to_list (Trace.sojourns t));
+  check_float "mean sojourn" ((3.0 +. 4.0 +. 6.5) /. 3.0) (Trace.mean_sojourn t);
+  Alcotest.check_raises "negative entry id"
+    (Invalid_argument "Trace.record_entry: item ids must be non-negative") (fun () ->
+      Trace.record_entry t ~item:(-1) ~time:0.0);
+  Alcotest.check_raises "negative arrival id"
+    (Invalid_argument "Trace.record_arrival: item ids must be non-negative") (fun () ->
+      Trace.record_arrival t ~item:(-3) ~time:0.0)
 
 (* ---------------------------------------------------------- Trace_stats *)
 
@@ -568,5 +596,6 @@ let () =
           Alcotest.test_case "sojourn" `Quick test_trace_sojourn;
           Alcotest.test_case "adaptations" `Quick test_trace_adaptations;
           Alcotest.test_case "empty" `Quick test_trace_empty;
+          Alcotest.test_case "sparse ids" `Quick test_trace_sparse_ids;
         ] );
     ]

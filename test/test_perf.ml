@@ -229,6 +229,60 @@ let test_adaptive_control_sink_event_budget () =
   let per_item = Float.of_int events /. Float.of_int items in
   if per_item > 1.0 then Alcotest.failf "%.1f bus events per item with a Control sink" per_item
 
+(* The generator keeps its state unboxed in a byte buffer: a draw may box
+   its float result (dev-profile boxing at the call), nothing more, and a
+   new generator is its buffer. Boxing the state words the draw stores
+   would cost about 20 words per draw, far over the budget. *)
+let test_rng_allocation_budget () =
+  let module Rng = Aspipe_util.Rng in
+  let rng = Rng.create 7 in
+  let iters = 100_000 in
+  let sink = ref 0.0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    sink := !sink +. Rng.float rng
+  done;
+  let per_float = (Gc.minor_words () -. w0) /. Float.of_int iters in
+  let seeds = ref 0 in
+  let w0 = Gc.minor_words () in
+  for seed = 1 to iters do
+    if Rng.bool (Rng.create seed) then incr seeds
+  done;
+  let per_create = (Gc.minor_words () -. w0) /. Float.of_int iters in
+  Alcotest.(check bool) "draws in [0, 1)" true (!sink >= 0.0 && !sink < Float.of_int iters);
+  Alcotest.(check bool) "some seeds flip heads" true (!seeds > 0);
+  if per_float > 3.0 then Alcotest.failf "Rng.float allocated %.1f minor words/draw" per_float;
+  if per_create > 8.0 then Alcotest.failf "Rng.create allocated %.1f minor words" per_create
+
+(* A closed 10,000-item, 4-stage run with exponential work: every dispatch
+   recomputes its keyed draw, a generator and a sample of a few dozen words.
+   Exponential work, not Constant, so the budget covers that draw and not
+   only the constant short cut; a per-item memo table or a boxed generator
+   state would push the run over it. *)
+let test_skel_sim_keyed_work_budget () =
+  let items = 10_000 in
+  let engine = Engine.create () in
+  let topo =
+    Aspipe_grid.Topology.uniform engine ~n:3 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ()
+  in
+  let stages =
+    Array.init 4 (fun i ->
+        Aspipe_skel.Stage.make ~name:(Printf.sprintf "s%d" i)
+          ~work:(Aspipe_util.Variate.Exponential { rate = 1.0 })
+          ())
+  in
+  let input = Aspipe_skel.Stream_spec.make ~items () in
+  let w0 = Gc.minor_words () in
+  let sim =
+    Aspipe_skel.Skel_sim.create ~rng:(Aspipe_util.Rng.create 42) ~topo ~stages
+      ~mapping:[| 0; 1; 2; 0 |] ~input ()
+  in
+  Aspipe_skel.Skel_sim.run_to_completion sim;
+  let per_item = (Gc.minor_words () -. w0) /. Float.of_int items in
+  Alcotest.(check int) "completed" items (Aspipe_skel.Skel_sim.items_completed sim);
+  if per_item > 500.0 then
+    Alcotest.failf "closed run allocated %.0f minor words per item" per_item
+
 (* Golden determinism: the campaign output for five registry experiments
    is byte-identical to the digests captured before the optimisation, and
    identical again under --jobs 4. E12 (task farm) and E14 (replicated
@@ -320,6 +374,8 @@ let () =
           Alcotest.test_case "ctmc power solve budget" `Quick test_ctmc_power_allocation_budget;
           Alcotest.test_case "control sink event budget" `Quick
             test_adaptive_control_sink_event_budget;
+          Alcotest.test_case "rng draw budget" `Quick test_rng_allocation_budget;
+          Alcotest.test_case "keyed work budget" `Quick test_skel_sim_keyed_work_budget;
         ] );
       ( "golden",
         [

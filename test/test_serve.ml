@@ -123,6 +123,47 @@ let test_parse_spec () =
   Alcotest.(check bool) "missing colon refused" true (refused "poisson");
   Alcotest.(check bool) "constructor validation applies" true (refused "poisson:-1")
 
+(* A NaN slips past every range check and an infinity passes them; each
+   constructor must refuse both by naming the parameter, and the spec
+   grammar reaches the same checks. *)
+let test_non_finite_refused () =
+  let refused_with message f =
+    match f () with
+    | exception Invalid_argument m -> String.equal m message
+    | _ -> false
+  in
+  let check name message f =
+    Alcotest.(check bool) name true (refused_with message f)
+  in
+  check "poisson nan" "Arrival.poisson: rate must be finite (got nan)" (fun () ->
+      Arrival.poisson ~rate:nan);
+  check "nhpp inf" "Arrival.nhpp: rate_max must be finite (got inf)" (fun () ->
+      Arrival.nhpp ~rate:(fun _ -> 1.0) ~rate_max:infinity);
+  check "mmpp holding" "Arrival.mmpp: every holding time must be finite (got inf)" (fun () ->
+      Arrival.mmpp ~rates:[| 1.0; 2.0 |] ~mean_holding:[| 1.0; infinity |]);
+  check "replay -inf" "Arrival.replay: every arrival time must be finite (got -inf)" (fun () ->
+      Arrival.replay [| neg_infinity |]);
+  check "diurnal period" "Arrival.diurnal: period must be finite (got nan)" (fun () ->
+      Arrival.diurnal ~base:1.0 ~amplitude:0.5 ~period:nan);
+  check "flash decay" "Arrival.flash_crowd: decay must be finite (got inf)" (fun () ->
+      Arrival.flash_crowd ~base:1.0 ~peak:2.0 ~at:1.0 ~ramp:1.0 ~decay:infinity);
+  List.iter
+    (fun (spec, message) ->
+      check spec message (fun () -> Arrival.parse_spec spec))
+    [
+      ("poisson:inf", "Arrival.poisson: rate must be finite (got inf)");
+      ("poisson:nan", "Arrival.poisson: rate must be finite (got nan)");
+      ("diurnal:1,nan,240", "Arrival.diurnal: amplitude must be finite (got nan)");
+      ("diurnal:nan,0,240", "Arrival.diurnal: base must be finite (got nan)");
+      ("diurnal:1,0.5,inf", "Arrival.diurnal: period must be finite (got inf)");
+      ("flash:1,2,nan,1,1", "Arrival.flash_crowd: at must be finite (got nan)");
+      ("flash:1,inf,1,1,1", "Arrival.flash_crowd: peak must be finite (got inf)");
+      ("mmpp:inf/1,1/1", "Arrival.mmpp: every rate must be finite (got inf)");
+      ("mmpp:nan/1,1/1", "Arrival.mmpp: every rate must be finite (got nan)");
+      ("mmpp:1/nan,1/1", "Arrival.mmpp: every holding time must be finite (got nan)");
+      ("replay:1,nan", "Arrival.replay: every arrival time must be finite (got nan)");
+    ]
+
 (* ------------------------------------------------------------------ slo *)
 
 let test_slo_window_arithmetic () =
@@ -275,6 +316,7 @@ let () =
           Alcotest.test_case "replay round-trip" `Quick test_replay_round_trip;
           Alcotest.test_case "schedule = times" `Quick test_schedule_matches_times;
           Alcotest.test_case "CLI spec grammar" `Quick test_parse_spec;
+          Alcotest.test_case "non-finite numbers refused" `Quick test_non_finite_refused;
         ] );
       ( "slo",
         [

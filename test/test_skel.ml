@@ -234,7 +234,15 @@ let test_sim_invalid_mapping () =
     (fun () ->
       ignore
         (Skel_sim.create ~rng:(Rng.create 1) ~topo ~stages ~mapping:[| 0; 9 |] ~input
-           ~trace:(Trace.create ()) ()))
+           ~trace:(Trace.create ()) ()));
+  (* Open-stream stamps live in a column indexed by item id. *)
+  let sim =
+    Skel_sim.create ~arrivals:`External ~rng:(Rng.create 1) ~topo ~stages ~mapping:[| 0; 1 |]
+      ~input ()
+  in
+  Alcotest.check_raises "negative item id"
+    (Invalid_argument "Skel_sim.inject: item ids must be non-negative") (fun () ->
+      Skel_sim.inject sim ~item:(-1))
 
 let test_sim_deterministic () =
   let stages = Stage.balanced ~n:3 ~work:1.0 () in
@@ -380,6 +388,61 @@ let test_sim_passed_trace_matches_subscribed =
             what
       | None -> ());
       true)
+
+(* Work is recomputed from (seed, item, stage) at every dispatch; nothing
+   memoises it. An item lost in a crash and re-dispatched when its node
+   recovers must still cost what it costs in a fault-free run. Each stage
+   has a node of its own, so a service lasts its work over the node's
+   speed. *)
+let test_sim_redispatch_costs_the_same () =
+  let run ~crash =
+    let engine = Engine.create () in
+    let topo = quiet_topo ~n:3 engine in
+    let stages =
+      Array.init 3 (fun i ->
+          Stage.make ~name:(Printf.sprintf "s%d" i) ~output_bytes:10.0 ~state_bytes:100.0
+            ~work:(Variate.Lognormal { mu = -0.72; sigma = 1.2 }) ())
+    in
+    let input = Stream_spec.make ~items:30 ~item_bytes:10.0 () in
+    let trace = subscribed_trace engine in
+    let redispatched = ref [] in
+    ignore
+      (Aspipe_obs.Bus.subscribe (Engine.bus engine) (fun (e : Aspipe_obs.Event.t) ->
+           match e.Aspipe_obs.Event.payload with
+           | Aspipe_obs.Event.Item_redispatched { item; stage; _ } ->
+               redispatched := (item, stage) :: !redispatched
+           | _ -> ()));
+    let sim =
+      Skel_sim.create ~rng:(Rng.create 17) ~topo ~stages ~mapping:[| 0; 1; 2 |] ~input ()
+    in
+    if crash then begin
+      let node1 = Topology.node topo 1 in
+      ignore (Engine.schedule_at engine ~time:1.0 (fun () -> Node.set_up node1 false));
+      ignore (Engine.schedule_at engine ~time:3.0 (fun () -> Node.set_up node1 true))
+    end;
+    Skel_sim.run_to_completion sim;
+    let durations = Hashtbl.create 128 in
+    List.iter
+      (fun (s : Trace.service) ->
+        Hashtbl.replace durations (s.Trace.item, s.Trace.stage) (s.Trace.finish -. s.Trace.start))
+      (Trace.services trace);
+    Alcotest.(check int) "one service per item and stage" 90 (List.length (Trace.services trace));
+    (durations, !redispatched)
+  in
+  let clean, none = run ~crash:false in
+  let faulty, redispatched = run ~crash:true in
+  Alcotest.(check int) "nothing re-dispatched without a crash" 0 (List.length none);
+  if redispatched = [] then Alcotest.fail "the crash re-dispatched no item";
+  List.iter
+    (fun (item, stage) ->
+      check_close ~eps:1e-9
+        (Printf.sprintf "re-dispatched item %d at stage %d" item stage)
+        (Hashtbl.find clean (item, stage))
+        (Hashtbl.find faulty (item, stage)))
+    redispatched;
+  Hashtbl.iter
+    (fun key d -> check_close ~eps:1e-9 "every service" d (Hashtbl.find faulty key))
+    clean
 
 (* ------------------------------------------------------- bounded buffers *)
 
@@ -658,6 +721,44 @@ let test_repl_order_restored_despite_variance () =
   Alcotest.(check (array int)) "order restored" (Array.init 100 Fun.id)
     (Array.map fst (Trace.completions trace))
 
+(* Repl_sim recomputes work from the same key: an item costs the same
+   whichever replica serves it. Window 1 keeps at most one item on a
+   replica, and each run's stages use disjoint node sets, so a service
+   lasts its work over the (uniform) node speed. *)
+let test_repl_work_keyed_across_replica_sets () =
+  let run replicas =
+    let engine = Engine.create () in
+    let topo = quiet_topo ~n:6 engine in
+    let stages =
+      Array.init 2 (fun i ->
+          Stage.make ~name:(Printf.sprintf "s%d" i) ~output_bytes:10.0
+            ~work:(Variate.Lognormal { mu = -0.72; sigma = 1.2 }) ())
+    in
+    let input = Stream_spec.make ~items:40 ~item_bytes:10.0 () in
+    let trace = Trace.create () in
+    let sim =
+      Repl_sim.create ~window:1 ~rng:(Rng.create 11) ~topo ~stages ~replicas ~input ~trace ()
+    in
+    Repl_sim.run_to_completion sim;
+    List.sort compare
+      (List.map
+         (fun (s : Trace.service) ->
+           ((s.Trace.item, s.Trace.stage), (s.Trace.node, s.Trace.finish -. s.Trace.start)))
+         (Trace.services trace))
+  in
+  let a = run [| [ 0 ]; [ 1; 2 ] |] and b = run [| [ 3; 4 ]; [ 5; 0; 1 ] |] in
+  Alcotest.(check int) "one service per item and stage" 80 (List.length a);
+  Alcotest.(check (list (pair int int))) "same items and stages" (List.map fst a)
+    (List.map fst b);
+  Alcotest.(check bool) "every stage-0 item changed node" true
+    (List.for_all2 (fun (_, (node_a, _)) (_, (node_b, _)) -> node_a <> node_b)
+       (List.filter (fun ((_, stage), _) -> stage = 0) a)
+       (List.filter (fun ((_, stage), _) -> stage = 0) b));
+  List.iter2
+    (fun ((item, stage), (_, da)) (_, (_, db)) ->
+      check_close ~eps:1e-9 (Printf.sprintf "item %d at stage %d" item stage) da db)
+    a b
+
 let test_repl_validation () =
   let engine = Engine.create () in
   let topo = quiet_topo ~n:2 engine in
@@ -758,6 +859,8 @@ let () =
           Alcotest.test_case "starvation & recovery" `Quick test_sim_total_starvation_and_recovery;
           test_sim_conservation_under_random_dynamics;
           test_sim_passed_trace_matches_subscribed;
+          Alcotest.test_case "re-dispatch costs the same" `Quick
+            test_sim_redispatch_costs_the_same;
         ] );
       ( "buffers",
         [
@@ -787,6 +890,8 @@ let () =
           Alcotest.test_case "replicas all used" `Quick test_repl_replicas_all_used;
           Alcotest.test_case "order restored" `Quick test_repl_order_restored_despite_variance;
           Alcotest.test_case "validation" `Quick test_repl_validation;
+          Alcotest.test_case "work keyed across replica sets" `Quick
+            test_repl_work_keyed_across_replica_sets;
         ] );
       ( "pipe",
         [

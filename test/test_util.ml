@@ -634,11 +634,20 @@ let test_prop_forecast_constant_fixed_point =
    (test/forecast_ref.ml): same constructor, same finite stream, and after
    every observation the same bits from [predict], [mse], [mae] and
    [members]. The stream mixes a wide range, small integers (ties in the
-   median and in the ensemble's MSE race) and values near 1 (the monitor's
-   availability readings). *)
+   median and in the ensemble's MSE race), values near 1 (the monitor's
+   availability readings), NaN and both infinities, in single values and in
+   runs of one repeated value, so the sliding median's evict-and-insert path
+   sees every value class leave a full window. -0. stays out: a window
+   holding both zeros is the documented deviation. *)
 let test_prop_forecast_matches_reference =
   let module Ref = Forecast_ref in
-  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  (* Equal bits, or NaN on both sides: which operand's payload a float add
+     passes on when both are NaN is the code generator's choice, and no
+     output shows a payload. *)
+  let same a b =
+    Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    || (Float.is_nan a && Float.is_nan b)
+  in
   let agree (f, r) =
     same (Forecast.predict f) (Ref.predict r)
     && same (Forecast.mse f) (Ref.mse r)
@@ -655,12 +664,23 @@ let test_prop_forecast_matches_reference =
           float_range (-1000.0) 1000.0;
           map Float.of_int (int_range (-3) 3);
           float_range 0.0 1.2;
+          oneofl [ nan; infinity; neg_infinity ];
         ])
+  in
+  let stream =
+    QCheck2.Gen.(
+      map List.concat
+        (list_size (int_range 0 40)
+           (frequency
+              [
+                (3, map (fun x -> [ x ]) value);
+                (1, map2 (fun x n -> List.init n (fun _ -> x)) value (int_range 2 12));
+              ])))
   in
   qtest ~count:300 "flat bank = closure bank, bit for bit"
     QCheck2.Gen.(
       tup4 (int_range 0 7) (int_range 1 30) (pair (float_range 0.0 2.0) (float_range 0.01 1.0))
-        (list_size (int_range 0 80) value))
+        stream)
     (fun (which, window, (fallback, gain), stream) ->
       let pair =
         match which with
@@ -681,6 +701,46 @@ let test_prop_forecast_matches_reference =
              Ref.observe (snd pair) x;
              agree pair)
            stream)
+
+(* The unboxed generator against the boxed one it replaced
+   (test/rng_ref.ml): from one seed, a random plan of splits and copies
+   grows a family of generator pairs, and 1,000 or more draws cycling
+   through [bits64], [float], [int], [bool] and [range] over the family
+   must agree bit for bit. The [int] bounds include 2^61 + 1, where about
+   a quarter of the draws are rejected and redrawn. *)
+let test_prop_rng_matches_reference =
+  let module Ref = Rng_ref in
+  let bounds = [| 1; 2; 3; 10; 1000; 1 lsl 30; (1 lsl 61) + 1; max_int |] in
+  let ranges = [| (-1.0, 1.0); (0.0, 1e6); (5.0, 5.0) |] in
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+  let agree k (g, r) =
+    match k mod 5 with
+    | 0 -> Int64.equal (Rng.bits64 g) (Ref.bits64 r)
+    | 1 -> same (Rng.float g) (Ref.float r)
+    | 2 ->
+        let n = bounds.(k / 5 mod Array.length bounds) in
+        Rng.int g n = Ref.int r n
+    | 3 -> Bool.equal (Rng.bool g) (Ref.bool r)
+    | _ ->
+        let lo, hi = ranges.(k / 5 mod Array.length ranges) in
+        same (Rng.range g lo hi) (Ref.range r lo hi)
+  in
+  qtest ~count:100 "unboxed rng = boxed rng, bit for bit"
+    QCheck2.Gen.(pair int (list_size (int_range 4 8) (pair (int_range 0 2) nat)))
+    (fun (seed, plan) ->
+      let family = ref [| (Rng.create seed, Ref.create seed) |] in
+      List.for_all
+        (fun (op, pick) ->
+          let g, r = !family.(pick mod Array.length !family) in
+          (match op with
+          | 0 -> ()
+          | 1 -> family := Array.append !family [| (Rng.split g, Ref.split r) |]
+          | _ -> family := Array.append !family [| (Rng.copy g, Ref.copy r) |]);
+          let members = Array.length !family in
+          List.for_all
+            (fun k -> agree k !family.((k + pick) mod members))
+            (List.init 250 Fun.id))
+        plan)
 
 (* Pearson chi-square statistic of [counts] against a uniform expectation. *)
 let chi_square counts total =
@@ -1282,6 +1342,7 @@ let () =
           test_prop_forecast_constant_fixed_point;
           test_prop_forecast_matches_reference;
           Alcotest.test_case "rng split chi-square" `Quick test_rng_split_chi_square;
+          test_prop_rng_matches_reference;
         ] );
       ( "render",
         [
