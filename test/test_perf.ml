@@ -283,15 +283,21 @@ let test_skel_sim_keyed_work_budget () =
   if per_item > 500.0 then
     Alcotest.failf "closed run allocated %.0f minor words per item" per_item
 
-(* Golden determinism: the campaign output for five registry experiments
+(* Golden determinism: the campaign output for nine registry experiments
    is byte-identical to the digests captured before the optimisation, and
    identical again under --jobs 4. E12 (task farm) and E14 (replicated
-   pipeline) pin the farm's run on the replicated-pipeline simulator. *)
+   pipeline) pin the farm's run on the replicated-pipeline simulator. E7
+   (threshold and min_gain sweeps), E17 (policy ablation), E22 (flash-crowd
+   scale-ups) and E24 (failover under serving) pin the decision paths. *)
 let golden_campaign = [ ("E1", "28a482341504a86deef536622a83277c");
                         ("E3", "705233c8dcefc56efb2182bf2f3446ae");
                         ("E12", "8b654be1b6b70c05f6b5d66200d47056");
                         ("E14", "2451d0635c75297fead530ef0c76fe1a");
-                        ("E18", "d99e1d91c6ba0cf1d9f55a5ee1201040") ]
+                        ("E18", "d99e1d91c6ba0cf1d9f55a5ee1201040");
+                        ("E7", "51217a700f1a508aca36e7f3a8205434");
+                        ("E17", "04786c4d0fb9d2f62d3c373ee15adc1e");
+                        ("E22", "35f65ab5ca0dfadb0ca2fea323b1b4b2");
+                        ("E24", "1e062d4d47dc2c7ec9822fb6723523a8") ]
 
 let campaign_digests ?(oversubscribe = false) ~jobs () =
   let report =
@@ -354,6 +360,66 @@ let test_golden_jsonl () =
         (Digest.to_hex (Digest.string (Buffer.contents buffer))))
     golden_jsonl
 
+(* Golden determinism of the mapping decisions: the benchmark's
+   adaptive_search world (9 unit stages on nodes of speed 12/10/10/8, node 0
+   stepping to 0.2 at 40 % of the run), shrunk to 1,000 items, under the
+   three searching policies. Every epoch searches the whole 4^9 space, so
+   the digest covers the makespan, throughput, adaptation count, policy
+   evaluations, both mappings and every completion time, as captured before
+   the decisions were bounded. *)
+let golden_decisions =
+  [ ("periodic_best", 1, "b417405bfe1b124aab6456fb3eaab20c");
+    ("periodic_best", 7, "1561a270ba776d6fcb2df15718b9d899");
+    ("always_best", 1, "b417405bfe1b124aab6456fb3eaab20c");
+    ("always_best", 7, "1561a270ba776d6fcb2df15718b9d899");
+    ("threshold", 1, "b417405bfe1b124aab6456fb3eaab20c");
+    ("threshold", 7, "1561a270ba776d6fcb2df15718b9d899") ]
+
+let decisions_scenario =
+  let items = 1_000 in
+  Aspipe_core.Scenario.make ~name:"perf-decisions"
+    ~make_topo:(fun engine ->
+      Aspipe_grid.Topology.heterogeneous engine ~speeds:[| 12.0; 10.0; 10.0; 8.0 |]
+        ~latency:0.01 ~bandwidth:1e7 ())
+    ~loads:[ (0, Aspipe_grid.Loadgen.Step { at = 0.25 *. Float.of_int items *. 0.4; level = 0.2 }) ]
+    ~stages:
+      (Array.init 9 (fun i ->
+           Aspipe_skel.Stage.make ~name:(Printf.sprintf "s%d" i) ~output_bytes:1e4
+             ~state_bytes:2e6 ~work:(Aspipe_util.Variate.Constant 1.0) ()))
+    ~input:
+      (Aspipe_skel.Stream_spec.make ~arrival:(Aspipe_skel.Stream_spec.Spaced 0.25)
+         ~item_bytes:1e4 ~items ())
+    ~horizon:1e6 ()
+
+let decisions_digest (r : Aspipe_core.Adaptive.report) =
+  let module Mapping = Aspipe_model.Mapping in
+  let b = Buffer.create 16384 in
+  Printf.bprintf b "%h %h %d %d %s %s" r.Aspipe_core.Adaptive.makespan
+    r.Aspipe_core.Adaptive.throughput r.Aspipe_core.Adaptive.adaptation_count
+    r.Aspipe_core.Adaptive.policy_evaluations
+    (Mapping.to_string r.Aspipe_core.Adaptive.initial_mapping)
+    (Mapping.to_string r.Aspipe_core.Adaptive.final_mapping);
+  Array.iter
+    (fun (item, t) -> Printf.bprintf b " %d:%h" item t)
+    (Aspipe_grid.Trace.completions r.Aspipe_core.Adaptive.trace);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_golden_decisions () =
+  let module Policy = Aspipe_core.Policy in
+  List.iter
+    (fun (name, seed, expected) ->
+      let policy =
+        match name with
+        | "periodic_best" -> fun () -> Policy.periodic_best ()
+        | "always_best" -> fun () -> Policy.always_best ()
+        | _ -> fun () -> Policy.threshold ()
+      in
+      let config = { Aspipe_core.Adaptive.default_config with Aspipe_core.Adaptive.policy } in
+      let report = Aspipe_core.Adaptive.run ~config ~scenario:decisions_scenario ~seed () in
+      Alcotest.(check string) (Printf.sprintf "%s seed %d digest" name seed) expected
+        (decisions_digest report))
+    golden_decisions
+
 let () =
   Alcotest.run "perf"
     [
@@ -382,5 +448,6 @@ let () =
           Alcotest.test_case "campaign jobs 1" `Quick test_golden_campaign_jobs1;
           Alcotest.test_case "campaign jobs 4" `Quick test_golden_campaign_jobs4;
           Alcotest.test_case "jsonl streams" `Quick test_golden_jsonl;
+          Alcotest.test_case "adaptive_search decisions" `Quick test_golden_decisions;
         ] );
     ]
