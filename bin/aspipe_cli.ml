@@ -209,12 +209,14 @@ let cli_scenario ?(faults = []) ?(horizon = 1e5) ~quick ~nodes ~stages ~items ~h
   let loads =
     if step_at > 0.0 then [ (0, Loadgen.Step { at = step_at; level = 0.2 }) ] else []
   in
-  Scenario.make ~name:"cli"
-    ~make_topo:(fun engine ->
-      Aspipe_grid.Topology.uniform engine ~n:nodes ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
-    ~loads ~faults ~stages:stage_array
-    ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.3) ~items ())
-    ~horizon ()
+  try
+    Scenario.make ~name:"cli"
+      ~make_topo:(fun engine ->
+        Aspipe_grid.Topology.uniform engine ~n:nodes ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+      ~loads ~faults ~stages:stage_array
+      ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.3) ~items ())
+      ~horizon ()
+  with Invalid_argument msg -> fail msg
 
 let scenario_args =
   let nodes = Arg.(value & opt int 3 & info [ "nodes" ] ~doc:"Grid size.") in
@@ -374,16 +376,18 @@ let serve_cmd_run verbose quick seed nodes stages horizon arrivals_spec which pr
   in
   let horizon = if quick then horizon /. 2.0 else horizon in
   let scenario =
-    Scenario.make ~name:"cli-serve"
-      ~make_topo:(fun engine ->
-        Aspipe_grid.Topology.uniform engine ~n:nodes ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
-      ~faults
-      ~stages:
-        (Array.init stages (fun i ->
-             Stage.make ~name:(Printf.sprintf "srv%d" i) ~output_bytes:1e4 ~state_bytes:1e5
-               ~work:(Aspipe_util.Variate.Constant 1.0) ()))
-      ~input:(Stream_spec.make ~item_bytes:1e4 ~items:1 ())
-      ~horizon ()
+    try
+      Scenario.make ~name:"cli-serve"
+        ~make_topo:(fun engine ->
+          Aspipe_grid.Topology.uniform engine ~n:nodes ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+        ~faults
+        ~stages:
+          (Array.init stages (fun i ->
+               Stage.make ~name:(Printf.sprintf "srv%d" i) ~output_bytes:1e4 ~state_bytes:1e5
+                 ~work:(Aspipe_util.Variate.Constant 1.0) ()))
+        ~input:(Stream_spec.make ~item_bytes:1e4 ~items:1 ())
+        ~horizon ()
+    with Invalid_argument msg -> fail msg
   in
   let run (initial, autoscaler) =
     Serve.run ~initial ~autoscaler ~arrival ~slo ~provision_rate:provision ~scenario ~seed ()
@@ -633,24 +637,27 @@ let faults_demo verbose seed nodes stages items fault_spec =
   at_least_one "stages" stages;
   at_least_one "items" items;
   let schedule = try Fault.parse_spec fault_spec with Invalid_argument msg -> fail msg in
+  let scenario ~faults =
+    try
+      Scenario.make ~name:"cli-faults"
+        ~make_topo:(fun engine ->
+          Aspipe_grid.Topology.uniform engine ~n:nodes ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+        ~faults
+        ~stages:(Aspipe_workload.Synthetic.balanced ~n:stages ())
+        ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.3) ~items ())
+        ~horizon:1e5 ()
+    with Invalid_argument msg -> fail msg
+  in
+  let faulty = scenario ~faults:schedule in
   List.iter
     (fun (node, profile) ->
       Format.printf "node %d: %a@." node Fault.pp_profile profile)
     schedule;
-  let scenario ~faults =
-    Scenario.make ~name:"cli-faults"
-      ~make_topo:(fun engine ->
-        Aspipe_grid.Topology.uniform engine ~n:nodes ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
-      ~faults
-      ~stages:(Aspipe_workload.Synthetic.balanced ~n:stages ())
-      ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.3) ~items ())
-      ~horizon:1e5 ()
-  in
   let nominal = Baselines.static_model_best ~scenario:(scenario ~faults:[]) ~seed () in
   let static =
     Baselines.static_faulty ~label:"static"
       ~mapping:(Aspipe_model.Mapping.to_array nominal.Baselines.mapping)
-      ~scenario:(scenario ~faults:schedule) ~seed ()
+      ~scenario:faulty ~seed ()
   in
   (match static.Baselines.finish with
   | Some f ->
@@ -660,7 +667,7 @@ let faults_demo verbose seed nodes stages items fault_spec =
       Printf.printf "static   : DNF at %d/%d items\n" static.Baselines.completed
         static.Baselines.total;
       Option.iter (Printf.printf "%s\n") static.Baselines.stall);
-  let adaptive = Adaptive.run ~scenario:(scenario ~faults:schedule) ~seed () in
+  let adaptive = Adaptive.run ~scenario:faulty ~seed () in
   Format.printf "adaptive : %a@." Adaptive.pp_report adaptive
 
 let faults_cmd =

@@ -32,24 +32,41 @@ let decide t ctx = t.decide ctx
 
 let never () = { name = "never"; decide = (fun _ -> Keep) }
 
+(* True when no mapping can clear [min_gain] over the current one, so the
+   search below could only end in Keep. The search's winner scores at most
+   the predictor's bound, and the gain test accepts it only above
+   [c *. (1 + min_gain)]; the two round apart by a few ulps, which the
+   1e-9 relative margin covers. The [Ctmc] kind's bound is [infinity], so
+   it pays no extra evaluation. *)
+let cannot_gain ~min_gain ctx =
+  let bound = Predictor.upper_bound ctx.predictor in
+  bound < infinity
+  &&
+  let current_rate = Predictor.evaluate ctx.predictor ctx.current in
+  current_rate > 0.0 && current_rate < infinity
+  && bound < current_rate *. (1.0 +. min_gain) *. (1.0 -. 1e-9)
+
 (* Shared gain/amortization test: switch to the search's winner only if the
    relative improvement clears [min_gain] and the time saved on the items
    still to flow exceeds the migration stall. *)
 let consider_switch ~min_gain ctx =
-  let result = ctx.choose_best () in
-  let candidate = result.Search.mapping in
-  if Mapping.equal candidate ctx.current then Keep
+  if cannot_gain ~min_gain ctx then Keep
   else begin
-    let current_rate = Predictor.evaluate ctx.predictor ctx.current in
-    let candidate_rate = result.Search.score in
-    if current_rate <= 0.0 then Remap candidate
+    let result = ctx.choose_best () in
+    let candidate = result.Search.mapping in
+    if Mapping.equal candidate ctx.current then Keep
     else begin
-      let gain = (candidate_rate -. current_rate) /. current_rate in
-      if gain <= min_gain then Keep
+      let current_rate = Predictor.evaluate ctx.predictor ctx.current in
+      let candidate_rate = result.Search.score in
+      if current_rate <= 0.0 then Remap candidate
       else begin
-        let remaining = Float.of_int ctx.items_remaining in
-        let saved = remaining *. ((1.0 /. current_rate) -. (1.0 /. candidate_rate)) in
-        if saved > ctx.migration_stall candidate then Remap candidate else Keep
+        let gain = (candidate_rate -. current_rate) /. current_rate in
+        if gain <= min_gain then Keep
+        else begin
+          let remaining = Float.of_int ctx.items_remaining in
+          let saved = remaining *. ((1.0 /. current_rate) -. (1.0 /. candidate_rate)) in
+          if saved > ctx.migration_stall candidate then Remap candidate else Keep
+        end
       end
     end
   end

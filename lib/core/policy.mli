@@ -54,7 +54,15 @@ val periodic_best : ?min_gain:float -> unit -> t
 (** At every epoch, search for the best mapping under current beliefs and
     switch when its predicted throughput exceeds the current mapping's by
     more than [min_gain] (relative, default 0.1) {e and} the predicted time
-    saved on the remaining items amortizes the migration stall. *)
+    saved on the remaining items amortizes the migration stall.
+
+    This gain test is shared by {!threshold}, {!always_best} and the
+    scale-up path of the serving triggers. It may decide [Keep] without
+    calling [choose_best]: when {!Aspipe_model.Predictor.upper_bound} is
+    below the current rate times [(1 + min_gain)], less a [1e-9] relative
+    margin for rounding, no mapping could pass the test. Such a [Keep] is
+    the one the search would have led to, so every decision is unchanged;
+    only the search is saved. *)
 
 val threshold :
   ?drop:float -> ?min_gain:float -> ?cooldown:float -> unit -> t

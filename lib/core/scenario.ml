@@ -21,6 +21,8 @@ let make ~name ~make_topo ?(loads = []) ?(net_loads = []) ?(faults = []) ?(net_f
     ~stages ~input ?(horizon = 1e6) () =
   if Array.length stages = 0 then invalid_arg "Scenario.make: empty pipeline";
   if horizon <= 0.0 then invalid_arg "Scenario.make: horizon must be positive";
+  List.iter (fun (_, profile) -> Fault.check_horizon ~horizon profile) faults;
+  List.iter (fun (_, profile) -> Fault.check_horizon ~horizon profile) net_faults;
   { name; make_topo; loads; net_loads; faults; net_faults; stages; input; horizon }
 
 let build t ~rng =

@@ -34,7 +34,10 @@ val make :
   ?horizon:float ->
   unit ->
   t
-(** Defaults: no loads, net loads or faults, horizon 1e6 s. *)
+(** Defaults: no loads, net loads or faults, horizon 1e6 s. Raises
+    [Invalid_argument] on an empty pipeline, a non-positive horizon, or a
+    fault profile that {!Aspipe_fault.Fault.check_horizon} refuses under
+    this horizon. *)
 
 val build : t -> rng:Aspipe_util.Rng.t -> Aspipe_grid.Topology.t
 (** Fresh engine + topology with all load profiles and fault schedules

@@ -46,6 +46,22 @@ let validate = function
       finite "mttr" mttr;
       if mtbf <= 0.0 || mttr <= 0.0 then invalid_arg "Fault: mtbf and mttr must be positive"
 
+(* A Poisson schedule is planned whole, up front, one pair of events per
+   crash–repair cycle, so the expected number of cycles before the horizon
+   is what planning it costs in time and memory. *)
+let max_planned_cycles = 1e6
+
+let check_horizon ~horizon = function
+  | Poisson { mtbf; mttr } ->
+      let cycles = horizon /. (mtbf +. mttr) in
+      if not (cycles <= max_planned_cycles) then
+        invalid_arg
+          (Printf.sprintf
+             "Fault: mtbf=%g,mttr=%g expects %.3g crash-repair cycles before the horizon (%g s); \
+              at most %g are planned"
+             mtbf mttr cycles horizon max_planned_cycles)
+  | Crash_at _ | Crash_recover _ | Windows _ -> ()
+
 let require_rng = function
   | Some rng -> rng
   | None -> invalid_arg "Fault: the Poisson profile is stochastic and needs ~rng"
@@ -55,6 +71,7 @@ let require_rng = function
    mirroring how [Netgen.drive] reuses the Loadgen profiles. *)
 let drive ?rng ~horizon engine ~go_down ~go_up profile =
   validate profile;
+  check_horizon ~horizon profile;
   let at time f =
     if time <= Engine.now engine then f ()
     else ignore (Engine.schedule_at engine ~time (fun () -> f ()))

@@ -21,6 +21,14 @@ type profile =
 
 val pp_profile : Format.formatter -> profile -> unit
 
+val check_horizon : horizon:float -> profile -> unit
+(** Raises [Invalid_argument], naming mtbf, mttr and the horizon, when a
+    [Poisson] profile cannot be planned up to [horizon]:
+    [horizon / (mtbf + mttr)], the expected number of crash–repair cycles
+    before it, exceeds 10⁶ (an infinite horizon always does). The schedule
+    is drawn whole before the run starts, so such a profile would exhaust
+    memory. Other profiles pass. *)
+
 val apply_node :
   ?rng:Aspipe_util.Rng.t ->
   horizon:float ->
@@ -31,7 +39,8 @@ val apply_node :
 (** Schedule the profile's up/down transitions for one node. Stochastic
     profiles draw their whole schedule from [~rng] up front, so the fault
     times are a pure function of the seed. Raises [Invalid_argument] on
-    malformed profiles or a missing [~rng]. *)
+    malformed profiles, a missing [~rng], or a [Poisson] profile that
+    {!check_horizon} refuses. *)
 
 val apply_link :
   ?rng:Aspipe_util.Rng.t ->

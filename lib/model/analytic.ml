@@ -49,6 +49,101 @@ let bottleneck spec m =
 
 let throughput spec m = snd (bottleneck spec m)
 
+(* A stage's share of a cycle: its output move as [stage_cycle_time] takes
+   it from [Costspec.move_rate], given the transfer time. *)
+let[@inline] move_share time =
+  let rate = if time <= 0.0 then infinity else 1.0 /. time in
+  if rate = infinity then 0.0 else 1.0 /. rate
+
+(* A stage cycle station with the given work, sharing count and move share:
+   the float operations of [Costspec.service_rate], [stage_cycle_time] and
+   [stations], in their order. [Incr] scores every cycle through it. *)
+let[@inline] cycle_station ~rate ~work ~sharing move =
+  let service =
+    let r = if work <= 0.0 then infinity else rate /. (work *. Float.of_int sharing) in
+    if r = infinity then 0.0 else 1.0 /. r
+  in
+  let cycle = service +. move in
+  if cycle <= 0.0 then infinity else 1.0 /. cycle
+
+(* The smallest move share any stage can have under any mapping: the last
+   stage's user links and every interior move over every link. NaN
+   propagates through [Float.min]. *)
+let cheapest_move spec =
+  let ns = Costspec.stages spec and np = Costspec.processors spec in
+  let out = spec.Costspec.output_bytes in
+  let low = ref infinity in
+  for p = 0 to np - 1 do
+    let time =
+      spec.Costspec.user_latency.(p) +. (out.(ns - 1) /. spec.Costspec.user_bandwidth.(p))
+    in
+    low := Float.min !low (move_share time)
+  done;
+  for i = 0 to ns - 2 do
+    for src = 0 to np - 1 do
+      for dst = 0 to np - 1 do
+        low := Float.min !low (move_share (Costspec.transfer_cost spec ~src ~dst ~bytes:out.(i)))
+      done
+    done
+  done;
+  !low
+
+(* The smaller of two terms, each at least every mapping's score in float
+   arithmetic (see the interface). A processor's work sum is a left fold of
+   non-negative works, and every step of a station's formula is monotone
+   in float arithmetic: [fl (a +. b)] in each argument, [fl (r /. x)] in
+   [x], the reciprocals and the [infinity] cases. So putting [w_min] in
+   place of each work and the cheapest move in place of each move gives
+   stations no lower than the mapping's.
+
+   - Dealing: [station p k] bounds the processor station and every cycle
+     station of a processor hosting [k] stages, and never rises with [k].
+     Deal [ns] stages, each to the processor whose station stays highest
+     after the add. The stations taken never rise along the deal, so its
+     minimum is the [ns]-th largest station any distribution of [ns]
+     stages could reach: no distribution has a higher minimum.
+   - Largest stage: the heaviest stage's host carries at least [w_max],
+     and its cycle serves [w_max] at no more than the fastest rate. *)
+let upper_bound spec =
+  let works = spec.Costspec.stage_work and rates = spec.Costspec.node_rates in
+  let np = Array.length rates in
+  let w_min = Array.fold_left Float.min infinity works in
+  let w_max = Array.fold_left Float.max 0.0 works in
+  let r_max = Array.fold_left Float.max 0.0 rates in
+  let move = cheapest_move spec in
+  if (not (Float.is_finite w_max)) || Float.is_nan r_max || Float.is_nan move then infinity
+  else begin
+    let largest =
+      if w_max <= 0.0 then infinity
+      else Float.min (r_max /. w_max) (cycle_station ~rate:r_max ~work:w_max ~sharing:1 move)
+    in
+    let fill = Array.make np 0.0 and count = Array.make np 0 in
+    let station p ~fill ~count =
+      let cycle = cycle_station ~rate:rates.(p) ~work:w_min ~sharing:count move in
+      if w_min <= 0.0 then cycle else Float.min (rates.(p) /. fill) cycle
+    in
+    for _ = 1 to Array.length works do
+      let best = ref 0 and best_rate = ref neg_infinity in
+      for p = 0 to np - 1 do
+        let rate = station p ~fill:(fill.(p) +. w_min) ~count:(count.(p) + 1) in
+        if rate > !best_rate then begin
+          best := p;
+          best_rate := rate
+        end
+      done;
+      fill.(!best) <- fill.(!best) +. w_min;
+      count.(!best) <- count.(!best) + 1
+    done;
+    let dealing = ref infinity in
+    for p = 0 to np - 1 do
+      if count.(p) > 0 then begin
+        let rate = station p ~fill:fill.(p) ~count:count.(p) in
+        if rate < !dealing then dealing := rate
+      end
+    done;
+    Float.min !dealing largest
+  end
+
 (* ------------------------------------------------------------------ *)
 (* Incremental evaluation.
 
@@ -114,30 +209,18 @@ module Incr = struct
   let[@inline] cycle_rate spec assign ~sharing i =
     let ns = Array.length assign in
     let p = assign.(i) in
-    let service =
-      let work = spec.Costspec.stage_work.(i) in
-      let rate =
-        if work <= 0.0 then infinity
-        else spec.Costspec.node_rates.(p) /. (work *. Float.of_int sharing)
-      in
-      if rate = infinity then 0.0 else 1.0 /. rate
+    let time =
+      if i = ns - 1 then
+        spec.Costspec.user_latency.(p)
+        +. (spec.Costspec.output_bytes.(i) /. spec.Costspec.user_bandwidth.(p))
+      else begin
+        let dst = assign.(i + 1) in
+        spec.Costspec.latency.(p).(dst)
+        +. (spec.Costspec.output_bytes.(i) /. spec.Costspec.bandwidth.(p).(dst))
+      end
     in
-    let move_out =
-      let time =
-        if i = ns - 1 then
-          spec.Costspec.user_latency.(p)
-          +. (spec.Costspec.output_bytes.(i) /. spec.Costspec.user_bandwidth.(p))
-        else begin
-          let dst = assign.(i + 1) in
-          spec.Costspec.latency.(p).(dst)
-          +. (spec.Costspec.output_bytes.(i) /. spec.Costspec.bandwidth.(p).(dst))
-        end
-      in
-      let rate = if time <= 0.0 then infinity else 1.0 /. time in
-      if rate = infinity then 0.0 else 1.0 /. rate
-    in
-    let cycle = service +. move_out in
-    if cycle <= 0.0 then infinity else 1.0 /. cycle
+    cycle_station ~rate:spec.Costspec.node_rates.(p) ~work:spec.Costspec.stage_work.(i) ~sharing
+      (move_share time)
 
   let set_cycle t i =
     let rate = cycle_rate t.spec t.assign ~sharing:t.counts.(t.assign.(i)) i in

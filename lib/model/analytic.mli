@@ -22,6 +22,29 @@ val throughput : Costspec.t -> Mapping.t -> float
 val bottleneck : Costspec.t -> Mapping.t -> bottleneck * float
 (** The binding station and its capacity. *)
 
+val upper_bound : Costspec.t -> float
+(** A throughput no mapping of the spec exceeds: for every mapping [m],
+    [not (throughput spec m > upper_bound spec)], bit for bit in float
+    arithmetic, not just in ℝ. It ignores any pin on stage 0, so it holds
+    for every pinned space too. O(Ns·Np²), no search.
+
+    Each term replaces every stage's work by the smallest (or, for the
+    heaviest stage, the largest) work and every output move by the
+    cheapest move any stage has over any link. The bound is the smaller of
+    two terms:
+    - {e Dealing}: deal [Ns] stages of the smallest work, one at a time,
+      each to the processor whose station stays highest after the add. A
+      processor's station is the lower of its [rate / work] capacity and
+      the cycle of one of its stages at its sharing count. The term is the
+      lowest station of the loaded processors. This is list scheduling of
+      identical jobs on uniform processors, which is optimal for max–min.
+    - {e Largest stage}: the largest stage work served alone at the
+      fastest rate, as a processor capacity and as a cycle.
+
+    A zero-work stage leaves only the cycle part of the dealing term. The
+    bound is [infinity] when a work is not finite or a rate or move is
+    NaN. *)
+
 val stage_cycle_time : Costspec.t -> Mapping.t -> int -> float
 (** Shared service time plus output-move time of stage [i]. *)
 

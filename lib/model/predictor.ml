@@ -14,6 +14,9 @@ let evaluate t m =
   | Analytic -> Analytic.throughput t.spec m
   | Ctmc -> Ctmc.throughput (Ctmc.of_costspec t.spec m)
 
+let upper_bound t =
+  match t.kind with Analytic -> Analytic.upper_bound t.spec | Ctmc -> infinity
+
 let choose ?fix_first_on ?exhaustive_limit ?incumbent t =
   let stages = Costspec.stages t.spec and processors = Costspec.processors t.spec in
   match (t.kind, fix_first_on) with

@@ -18,6 +18,13 @@ val spec : t -> Costspec.t
 val evaluate : t -> Mapping.t -> float
 (** Predicted steady-state throughput (items/s). *)
 
+val upper_bound : t -> float
+(** A rate no mapping's {!evaluate} exceeds, bit for bit in float
+    arithmetic: {!Analytic.upper_bound} for the [Analytic] kind, and
+    [infinity] for [Ctmc], whose solved rates carry no such float
+    guarantee. It holds under any [fix_first_on], so it also bounds every
+    {!choose} result's score. *)
+
 val choose :
   ?fix_first_on:int ->
   ?exhaustive_limit:int ->

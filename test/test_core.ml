@@ -187,6 +187,168 @@ let test_policy_always_best_small_gains () =
   | Policy.Remap _ -> ()
   | Policy.Keep -> Alcotest.fail "always_best should chase the gain"
 
+(* The gain test as it stood before the predictor's throughput bound could
+   settle a Keep: always search, then test the winner. The bounded policies
+   must decide exactly as this does. *)
+let decide_ref ~min_gain (ctx : Policy.context) =
+  let result = ctx.Policy.choose_best () in
+  let candidate = result.Search.mapping in
+  if Mapping.equal candidate ctx.Policy.current then Policy.Keep
+  else begin
+    let current_rate = Predictor.evaluate ctx.Policy.predictor ctx.Policy.current in
+    let candidate_rate = result.Search.score in
+    if current_rate <= 0.0 then Policy.Remap candidate
+    else begin
+      let gain = (candidate_rate -. current_rate) /. current_rate in
+      if gain <= min_gain then Policy.Keep
+      else begin
+        let remaining = Float.of_int ctx.Policy.items_remaining in
+        let saved = remaining *. ((1.0 /. current_rate) -. (1.0 /. candidate_rate)) in
+        if saved > ctx.Policy.migration_stall candidate then Policy.Remap candidate
+        else Policy.Keep
+      end
+    end
+  end
+
+let same_decision a b =
+  match (a, b) with
+  | Policy.Keep, Policy.Keep -> true
+  | Policy.Remap x, Policy.Remap y -> Mapping.equal x y
+  | _ -> false
+
+(* A context over [spec] whose [choose_best] counts its calls in [calls]. *)
+let bound_context ?(calls = ref 0) ~items_remaining ~stall spec current =
+  let predictor = Predictor.make spec in
+  {
+    Policy.time = 0.0;
+    current;
+    predictor;
+    observed_throughput = 0.0;
+    adopted_throughput = 0.0;
+    items_remaining;
+    migration_stall = (fun _ -> stall);
+    choose_best =
+      (fun () ->
+        incr calls;
+        Predictor.choose ~incumbent:current predictor);
+    serving = None;
+  }
+
+let test_policy_bound_keeps_decisions =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"bounded periodic_best and always_best decide as the full search"
+       QCheck2.Gen.(
+         let* spec = Spec_gen.bound_spec in
+         let* at_best = bool in
+         let* seed = int_range 0 10_000 in
+         let* min_gain = oneofl [ -0.05; 0.0; 0.01; 0.02; 0.1; 0.5 ] in
+         let* items_remaining = oneofl [ 1; 50; 10_000 ] in
+         let* stall = oneofl [ 0.0; 1.0; 1e3 ] in
+         return (spec, at_best, seed, min_gain, items_remaining, stall))
+       (fun (spec, at_best, seed, min_gain, items_remaining, stall) ->
+         let stages = Costspec.stages spec and processors = Costspec.processors spec in
+         let current =
+           if at_best then (Predictor.choose (Predictor.make spec)).Search.mapping
+           else Mapping.random (Rng.create seed) ~stages ~processors
+         in
+         let ctx = bound_context ~items_remaining ~stall spec current in
+         same_decision
+           (Policy.decide (Policy.periodic_best ~min_gain ()) ctx)
+           (decide_ref ~min_gain ctx)
+         && same_decision (Policy.decide (Policy.always_best ()) ctx) (decide_ref ~min_gain:0.01 ctx)))
+
+(* Two unit stages on free links (no latency, no bytes) over nodes of rates
+   [r0 > r1 > r0 / 2]: the best mapping puts one stage on each node and
+   scores [r1], exactly the bound, and both stages on node 0 score [r0 / 2].
+   With [min_gain] at the exact float gain the search's winner is kept; one
+   ulp below it, it is taken. The rate pairs are ones where
+   [c *. (1 +. min_gain)] rounds above [r1] one ulp below the gain, so
+   without the margin the bound would wrongly settle that decision. *)
+let test_policy_bound_boundary () =
+  List.iter
+    (fun (r0, r1) ->
+      let spec =
+        {
+          Costspec.stage_work = [| 1.0; 1.0 |];
+          node_rates = [| r0; r1 |];
+          item_bytes = 0.0;
+          output_bytes = [| 0.0; 0.0 |];
+          latency = Array.make_matrix 2 2 0.0;
+          bandwidth = Array.make_matrix 2 2 1e7;
+          user_latency = [| 0.0; 0.0 |];
+          user_bandwidth = [| 1e7; 1e7 |];
+        }
+      in
+      let current = Mapping.of_array ~processors:2 [| 0; 0 |] in
+      let predictor = Predictor.make spec in
+      let best = (Predictor.choose predictor).Search.score in
+      let label = Printf.sprintf "rates %g/%g" r0 r1 in
+      Alcotest.(check bool) (label ^ ": bound attained") true (Predictor.upper_bound predictor = best);
+      let c = Predictor.evaluate predictor current in
+      let gain = (best -. c) /. c in
+      List.iter
+        (fun (min_gain, what, remap) ->
+          let ctx = bound_context ~items_remaining:10_000 ~stall:0.0 spec current in
+          let got = Policy.decide (Policy.periodic_best ~min_gain ()) ctx in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, min_gain %s: same as the full search" label what)
+            true
+            (same_decision got (decide_ref ~min_gain ctx));
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, min_gain %s: remaps" label what)
+            remap
+            (match got with Policy.Remap _ -> true | Policy.Keep -> false))
+        [ (gain, "= gain", false); (Float.pred gain, "= pred gain", true);
+          (Float.succ gain, "= succ gain", false) ])
+    [ (12.07, 6.39); (13.36, 6.77); (6.91, 3.72) ]
+
+(* The forecast-like 9-stage x 4-node spec of test_model's incumbent test:
+   the bound sits within 1 % of the best score, so with the best mapping
+   running neither periodic_best nor always_best searches. With all nine
+   stages on the loaded node, both search once and take the best. *)
+let test_policy_bound_witness () =
+  let np = 4 and ns = 9 in
+  let spec =
+    {
+      Costspec.stage_work = Array.make ns 1.0;
+      node_rates = [| 2.4; 10.02; 9.96; 8.03 |];
+      item_bytes = 1e4;
+      output_bytes = Array.make ns 1e4;
+      latency =
+        Array.init np (fun src ->
+            Array.init np (fun dst -> 0.01 +. (1e-4 *. Float.of_int ((src * np) + dst))));
+      bandwidth = Array.init np (fun _ -> Array.make np 1e7);
+      user_latency = Array.init np (fun p -> 0.01 +. (2e-4 *. Float.of_int p));
+      user_bandwidth = Array.make np 1e7;
+    }
+  in
+  let best = Predictor.choose (Predictor.make spec) in
+  let bound = Predictor.upper_bound (Predictor.make spec) in
+  Alcotest.(check bool)
+    (Printf.sprintf "bound %.6f within [score, 1.01 x score %.6f)" bound best.Search.score)
+    true
+    (bound >= best.Search.score && bound < 1.01 *. best.Search.score);
+  let decide policy current =
+    let calls = ref 0 in
+    let ctx = bound_context ~calls ~items_remaining:10_000 ~stall:1.0 spec current in
+    let decision = Policy.decide policy ctx in
+    (decision, !calls)
+  in
+  let all_on_loaded = Mapping.all_on ~stages:ns ~processor:0 ~processors:np in
+  List.iter
+    (fun (name, policy) ->
+      (match decide (policy ()) best.Search.mapping with
+      | Policy.Keep, calls -> Alcotest.(check int) (name ^ " at the best: searches") 0 calls
+      | Policy.Remap _, _ -> Alcotest.failf "%s left the best mapping" name);
+      match decide (policy ()) all_on_loaded with
+      | Policy.Remap m, calls ->
+          Alcotest.(check int) (name ^ " on the loaded node: searches") 1 calls;
+          Alcotest.(check string) (name ^ " remaps to the best")
+            (Mapping.to_string best.Search.mapping) (Mapping.to_string m)
+      | Policy.Keep, _ -> Alcotest.failf "%s kept all stages on the loaded node" name)
+    [ ("periodic_best", fun () -> Policy.periodic_best ()); ("always_best", Policy.always_best) ]
+
 (* -------------------------------------------------------------- Scenario *)
 
 let small_scenario ?(loads = []) ?(items = 40) () =
@@ -646,6 +808,9 @@ let () =
           Alcotest.test_case "threshold degradation" `Quick test_policy_threshold_requires_degradation;
           Alcotest.test_case "threshold cooldown" `Quick test_policy_threshold_cooldown;
           Alcotest.test_case "always best" `Quick test_policy_always_best_small_gains;
+          test_policy_bound_keeps_decisions;
+          Alcotest.test_case "bound boundary" `Quick test_policy_bound_boundary;
+          Alcotest.test_case "bound witness" `Quick test_policy_bound_witness;
         ] );
       ( "scenario",
         [

@@ -186,6 +186,40 @@ let test_profile_rejects_non_finite () =
          Fault.apply_link ~rng:(Rng.create 1) ~horizon:100.0 topo 0 1
            (Fault.Poisson { mtbf = 10.0; mttr = infinity })))
 
+(* A Poisson schedule is planned whole before the run: a profile expecting
+   more than 10^6 crash-repair cycles before the horizon, or any profile
+   under an infinite horizon, is refused by name where the scenario is made
+   and where the profile is applied. 5 * 10^5 cycles are still planned. *)
+let test_poisson_too_dense_refused () =
+  let refused f = match f () with exception Invalid_argument _ -> true | _ -> false in
+  let dense = Fault.Poisson { mtbf = 1e-300; mttr = 1e-300 } in
+  Alcotest.check_raises "check_horizon names mtbf, mttr and the horizon"
+    (Invalid_argument
+       "Fault: mtbf=1e-300,mttr=1e-300 expects 5e+304 crash-repair cycles before the horizon \
+        (100000 s); at most 1e+06 are planned")
+    (fun () -> Fault.check_horizon ~horizon:1e5 dense);
+  Alcotest.check_raises "an infinite horizon is refused"
+    (Invalid_argument
+       "Fault: mtbf=10,mttr=1 expects inf crash-repair cycles before the horizon (inf s); at \
+        most 1e+06 are planned")
+    (fun () -> Fault.check_horizon ~horizon:infinity (Fault.Poisson { mtbf = 10.0; mttr = 1.0 }));
+  Fault.check_horizon ~horizon:1e5 (Fault.Poisson { mtbf = 0.1; mttr = 0.1 });
+  Fault.check_horizon ~horizon:infinity (Fault.Crash_at 5.0);
+  let scenario ?(faults = []) ?(net_faults = []) () =
+    Scenario.make ~name:"dense" ~make_topo:quiet_topo ~faults ~net_faults
+      ~stages:(Stage.balanced ~n:2 ~work:1.0 ())
+      ~input:(Stream_spec.make ~items:10 ())
+      ~horizon:1e5 ()
+  in
+  Alcotest.(check bool) "Scenario.make refuses a dense node fault" true
+    (refused (fun () -> scenario ~faults:[ (0, dense) ] ()));
+  Alcotest.(check bool) "Scenario.make refuses a dense link fault" true
+    (refused (fun () -> scenario ~net_faults:[ ((0, 1), dense) ] ()));
+  let engine = Engine.create () in
+  Alcotest.(check bool) "apply_node refuses it" true
+    (refused (fun () ->
+         Fault.apply_node ~rng:(Rng.create 1) ~horizon:1e5 (quiet_topo engine) 0 dense))
+
 let test_windows_drive_liveness () =
   let engine = Engine.create () in
   let topo = quiet_topo engine in
@@ -361,6 +395,8 @@ let () =
           Alcotest.test_case "poisson respects the seed" `Quick test_poisson_respects_seed;
           Alcotest.test_case "parse_spec grammar" `Quick test_parse_spec;
           Alcotest.test_case "non-finite numbers refused" `Quick test_profile_rejects_non_finite;
+          Alcotest.test_case "poisson too dense to plan refused" `Quick
+            test_poisson_too_dense_refused;
         ] );
       ( "detection",
         [ Alcotest.test_case "monitor suspects a dead node" `Quick test_monitor_suspects_dead_node ] );

@@ -234,6 +234,17 @@ let test_analytic_monotone_in_speed =
       let m = Mapping.of_array ~processors:3 [| 0; 1; 2 |] in
       Analytic.throughput spec' m >= Analytic.throughput spec m -. 1e-9)
 
+(* The decision-skipping bound is admissible in float arithmetic: no
+   mapping of the space, pinned or not, scores above it. *)
+let test_upper_bound_admissible =
+  qtest ~count:500 "no mapping scores above Analytic.upper_bound" Spec_gen.bound_spec
+    (fun spec ->
+      let bound = Analytic.upper_bound spec in
+      List.for_all
+        (fun m -> not (Analytic.throughput spec m > bound))
+        (Mapping.enumerate ~stages:(Costspec.stages spec)
+           ~processors:(Costspec.processors spec) ()))
+
 (* ----------------------------------------------------------------- Ctmc *)
 
 let test_ctmc_state_count () =
@@ -1170,6 +1181,7 @@ let () =
           Alcotest.test_case "colocation halves" `Quick test_analytic_colocation_halves;
           Alcotest.test_case "fill and completion" `Quick test_analytic_fill_and_completion;
           test_analytic_monotone_in_speed;
+          test_upper_bound_admissible;
         ] );
       ( "ctmc",
         [
