@@ -283,12 +283,15 @@ let test_skel_sim_keyed_work_budget () =
   if per_item > 500.0 then
     Alcotest.failf "closed run allocated %.0f minor words per item" per_item
 
-(* Golden determinism: the campaign output for nine registry experiments
-   is byte-identical to the digests captured before the optimisation, and
-   identical again under --jobs 4. E12 (task farm) and E14 (replicated
-   pipeline) pin the farm's run on the replicated-pipeline simulator. E7
-   (threshold and min_gain sweeps), E17 (policy ablation), E22 (flash-crowd
-   scale-ups) and E24 (failover under serving) pin the decision paths. *)
+(* Golden determinism: the campaign output for seventeen registry
+   experiments is byte-identical to the digests captured before the
+   optimisation, and identical again under --jobs 4. E12 (task farm) and E14
+   (replicated pipeline) pin the farm's run on the replicated-pipeline
+   simulator. E7 (threshold and min_gain sweeps), E17 (policy ablation), E22
+   (flash-crowd scale-ups) and E24 (failover under serving) pin the decision
+   paths. E4, E8, E11, E15, E19, E20, E21 and E23 pin the rest of the
+   adaptive and serving drivers' experiments: E19 is the only one that sets
+   a failover cap, and E21 is the serving autoscaler panel. *)
 let golden_campaign = [ ("E1", "28a482341504a86deef536622a83277c");
                         ("E3", "705233c8dcefc56efb2182bf2f3446ae");
                         ("E12", "8b654be1b6b70c05f6b5d66200d47056");
@@ -297,7 +300,15 @@ let golden_campaign = [ ("E1", "28a482341504a86deef536622a83277c");
                         ("E7", "51217a700f1a508aca36e7f3a8205434");
                         ("E17", "04786c4d0fb9d2f62d3c373ee15adc1e");
                         ("E22", "35f65ab5ca0dfadb0ca2fea323b1b4b2");
-                        ("E24", "1e062d4d47dc2c7ec9822fb6723523a8") ]
+                        ("E24", "1e062d4d47dc2c7ec9822fb6723523a8");
+                        ("E4", "2c0a51e1ecff765f04352c8371b0ac5c");
+                        ("E8", "3722131ed2f7756132f872298abf3b3a");
+                        ("E11", "a3add2ad6eaea66bac60bf8afbf241bb");
+                        ("E15", "79b86194f57f6587a213084eecb03902");
+                        ("E19", "b3d663d90265b42c9d275c077f2ec248");
+                        ("E20", "c045fd04d75269b107ea823181a8e812");
+                        ("E21", "ed3b6b44407fb7ae1e882f8d47977629");
+                        ("E23", "2599c703397318811f05ed88d1151269") ]
 
 let campaign_digests ?(oversubscribe = false) ~jobs () =
   let report =
@@ -330,35 +341,90 @@ let test_golden_campaign_jobs4 () =
 let golden_jsonl = [ (3, "e383d75d7c75493e32b4ea2417b03a96", 141161);
                      (7, "7eaf8f4683aa8f447850bc8f554531f9", 135858) ]
 
+let golden_scenario ?faults () =
+  Aspipe_core.Scenario.make ~name:"perf-golden"
+    ~make_topo:(fun engine ->
+      Aspipe_grid.Topology.uniform engine ~n:3 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+    ~loads:[ (0, Aspipe_grid.Loadgen.Step { at = 20.0; level = 0.2 }) ]
+    ?faults
+    ~stages:(Aspipe_workload.Synthetic.hot_stage ~n:4 ~factor:3.0 ())
+    ~input:
+      (Aspipe_skel.Stream_spec.make ~arrival:(Aspipe_skel.Stream_spec.Spaced 0.3) ~items:80 ())
+    ~horizon:1e5 ()
+
+(* Runs [run] with a JSONL sink on its bus and checks the stream's length
+   and digest; returns the run's result. *)
+let check_stream ~name ~expected ~expected_bytes run =
+  let buffer = Buffer.create 65536 in
+  let result =
+    run (fun bus -> ignore (Bus.subscribe bus (Aspipe_obs.Jsonl.sink_to_buffer buffer)))
+  in
+  Alcotest.(check int) (name ^ " stream length") expected_bytes (Buffer.length buffer);
+  Alcotest.(check string) (name ^ " stream digest") expected
+    (Digest.to_hex (Digest.string (Buffer.contents buffer)));
+  result
+
 let test_golden_jsonl () =
   List.iter
     (fun (seed, expected, expected_bytes) ->
-      let scenario =
-        Aspipe_core.Scenario.make ~name:"perf-golden"
-          ~make_topo:(fun engine ->
-            Aspipe_grid.Topology.uniform engine ~n:3 ~speed:10.0 ~latency:0.01
-              ~bandwidth:1e7 ())
-          ~loads:[ (0, Aspipe_grid.Loadgen.Step { at = 20.0; level = 0.2 }) ]
-          ~stages:(Aspipe_workload.Synthetic.hot_stage ~n:4 ~factor:3.0 ())
-          ~input:
-            (Aspipe_skel.Stream_spec.make ~arrival:(Aspipe_skel.Stream_spec.Spaced 0.3)
-               ~items:80 ())
-          ~horizon:1e5 ()
-      in
-      let buffer = Buffer.create 65536 in
       ignore
-        (Aspipe_core.Adaptive.run
-           ~instrument:(fun bus ->
-             ignore (Bus.subscribe bus (Aspipe_obs.Jsonl.sink_to_buffer buffer)))
-           ~scenario ~seed ());
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d stream length" seed)
-        expected_bytes (Buffer.length buffer);
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d stream digest" seed)
-        expected
-        (Digest.to_hex (Digest.string (Buffer.contents buffer))))
+        (check_stream ~name:(Printf.sprintf "seed %d" seed) ~expected ~expected_bytes
+           (fun instrument ->
+             Aspipe_core.Adaptive.run ~instrument ~scenario:(golden_scenario ()) ~seed ())))
     golden_jsonl
+
+(* Golden determinism of the serving loop and of both failover paths: the
+   JSONL stream of Serve.run under latency_gradient on test_serve's diurnal
+   scenario, of the same run with its provisioned host crashing at 40 s,
+   and of the seed-3 adaptive run above with node 1 crashing at 10 s. Each
+   pins the order of the considered, rejected, committed and failover
+   events, not just the rounded tables. *)
+let golden_streams =
+  [ ("serve latency_gradient", "cd922ee190d85439c5ac2020cc8f1dc0", 447906);
+    ("serve provisioned host crash", "70e270232355c9d44e97a1dd54ea2a42", 444306);
+    ("adaptive mid-run crash", "9fb23e7944145a0579644c48075886d1", 141843) ]
+
+let serve_scenario ?faults () =
+  Aspipe_core.Scenario.make ~name:"serve-test"
+    ~make_topo:(fun engine ->
+      Aspipe_grid.Topology.uniform engine ~n:3 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+    ?faults
+    ~stages:
+      (Array.init 3 (fun i ->
+           Aspipe_skel.Stage.make ~name:(Printf.sprintf "s%d" i) ~output_bytes:1e4
+             ~state_bytes:1e5 ~work:(Aspipe_util.Variate.Constant 1.0) ()))
+    ~input:(Aspipe_skel.Stream_spec.make ~item_bytes:1e4 ~items:1 ())
+    ~horizon:120.0 ()
+
+let serve_diurnal ~scenario instrument =
+  let module Serve = Aspipe_serve in
+  Serve.Serve.run ~instrument
+    ~autoscaler:(Serve.Autoscaler.latency_gradient ())
+    ~arrival:(Serve.Arrival.diurnal ~base:1.6 ~amplitude:1.2 ~period:240.0)
+    ~slo:(Serve.Slo.spec ~target_quantile:0.95 ~threshold:6.0 ~window:30.0)
+    ~provision_rate:1.6 ~scenario ~seed:11 ()
+
+let test_golden_streams () =
+  let check name run =
+    let _, expected, expected_bytes = List.find (fun (n, _, _) -> n = name) golden_streams in
+    check_stream ~name ~expected ~expected_bytes run
+  in
+  let fault_free = check "serve latency_gradient" (serve_diurnal ~scenario:(serve_scenario ())) in
+  let host = (Aspipe_model.Mapping.to_array fault_free.Aspipe_serve.Serve.initial_mapping).(0) in
+  let crashed =
+    check "serve provisioned host crash"
+      (serve_diurnal
+         ~scenario:(serve_scenario ~faults:[ (host, Aspipe_fault.Fault.Crash_at 40.0) ] ()))
+  in
+  Alcotest.(check int) "serving failover committed" 1 crashed.Aspipe_serve.Serve.failover_count;
+  let adaptive =
+    check "adaptive mid-run crash" (fun instrument ->
+        Aspipe_core.Adaptive.run ~instrument
+          ~scenario:(golden_scenario ~faults:[ (1, Aspipe_fault.Fault.Crash_at 10.0) ] ())
+          ~seed:3 ())
+  in
+  Alcotest.(check int) "adaptive failover committed" 1
+    adaptive.Aspipe_core.Adaptive.failover_count
 
 (* Golden determinism of the mapping decisions: the benchmark's
    adaptive_search world (9 unit stages on nodes of speed 12/10/10/8, node 0
@@ -448,6 +514,7 @@ let () =
           Alcotest.test_case "campaign jobs 1" `Quick test_golden_campaign_jobs1;
           Alcotest.test_case "campaign jobs 4" `Quick test_golden_campaign_jobs4;
           Alcotest.test_case "jsonl streams" `Quick test_golden_jsonl;
+          Alcotest.test_case "serving and failover streams" `Quick test_golden_streams;
           Alcotest.test_case "adaptive_search decisions" `Quick test_golden_decisions;
         ] );
     ]
