@@ -390,7 +390,8 @@ let serve_cmd_run verbose quick seed nodes stages horizon arrivals_spec which pr
     with Invalid_argument msg -> fail msg
   in
   let run (initial, autoscaler) =
-    Serve.run ~initial ~autoscaler ~arrival ~slo ~provision_rate:provision ~scenario ~seed ()
+    try Serve.run ~initial ~autoscaler ~arrival ~slo ~provision_rate:provision ~scenario ~seed ()
+    with Invalid_argument msg -> fail msg
   in
   let row = function
     | `Static -> (`Best, Autoscaler.static ())

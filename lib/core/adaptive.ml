@@ -22,11 +22,8 @@ type config = {
   sensor : Monitor.sensor_spec;
   probes : int;
   measurement_noise : float;
-  migration : Migration.t;
-  fix_first_on : int option;
   initial_resource_reading : bool;
-  failover : Policy.failover;
-  exhaustive_limit : int;
+  max_failovers : int;
 }
 
 let default_config =
@@ -38,12 +35,13 @@ let default_config =
     sensor = Monitor.default_sensor;
     probes = 5;
     measurement_noise = 0.01;
-    migration = Migration.default;
-    fix_first_on = None;
     initial_resource_reading = true;
-    failover = Policy.default_failover;
-    exhaustive_limit = Search.default_exhaustive_limit;
+    max_failovers = 16;
   }
+
+(* Seconds after a committed failover before another may trigger: guards
+   against remap storms while suspicion settles. *)
+let failover_backoff = 10.0
 
 type report = {
   scenario_name : string;
@@ -62,125 +60,132 @@ type report = {
   items_redispatched : int;
 }
 
-let run ?(config = default_config) ?instrument ~scenario ~seed () =
-  let root_rng = Rng.create seed in
-  let env_rng = Rng.split root_rng in
-  let calib_rng = Rng.split root_rng in
-  let sim_rng = Rng.split root_rng in
-  let monitor_rng = Rng.split root_rng in
+type world = {
+  config : config;
+  scenario : Scenario.t;
+  rng : Rng.t;
+  sim_rng : Rng.t;
+  topo : Topology.t;
+  engine : Engine.t;
+  calibration : Calibration.t;
+  work : float array;
+  monitor : Monitor.t;
+  trace : Trace.t;
+  initial_predictor : Predictor.t;
+  initial_search : Search.result;
+}
+
+let spec_from ~topo ~scenario ~work ?link_quality ?user_link_quality availability =
+  Costspec.with_stage_work
+    (Costspec.of_topology ~availability ?link_quality ?user_link_quality ~topo
+       ~stages:scenario.Scenario.stages ~input:scenario.Scenario.input ())
+    work
+
+(* Suspected nodes get availability ~0 rather than their forecast: a dead
+   node answers no sensor, so its forecast is stale pre-crash history that
+   would happily invite the search to map back onto the corpse. Suspicion
+   is observable monitor state, so the performance policy is entitled to
+   it too — and fault-free runs never suspect anyone, leaving this path
+   bit-identical to the pre-fault build. *)
+let belief_spec w =
+  let monitor = w.monitor in
+  spec_from ~topo:w.topo ~scenario:w.scenario ~work:w.work
+    ~link_quality:(fun ~src ~dst -> Monitor.link_forecast monitor ~src ~dst)
+    ~user_link_quality:(Monitor.user_link_forecast monitor)
+    (fun i -> if Monitor.suspected monitor i then 1e-9 else Monitor.node_forecast monitor i)
+
+let start config ?instrument ~scenario ~seed () =
+  let rng = Rng.create seed in
+  let env_rng = Rng.split rng in
+  let calib_rng = Rng.split rng in
+  let sim_rng = Rng.split rng in
+  let monitor_rng = Rng.split rng in
   let topo = Scenario.build scenario ~rng:env_rng in
   let engine = Topology.engine topo in
   let bus = Engine.bus engine in
   (* Telemetry sinks attach before anything observable happens, so they see
      the calibration samples and monitor readings behind every decision. *)
   (match instrument with Some f -> f bus | None -> ());
-  let stages = scenario.Scenario.stages in
-  let input = scenario.Scenario.input in
-  let policy = config.policy () in
-
-  (* Phase 1: calibration. *)
   let calibration =
     Calibration.run ~probes:config.probes ~measurement_noise:config.measurement_noise ~bus
-      ~rng:calib_rng stages
+      ~rng:calib_rng scenario.Scenario.stages
   in
-  let calibrated_work = Calibration.work_vector calibration in
-
-  (* Phase 2: initial scheduling. *)
+  let work = Calibration.work_vector calibration in
   let monitor =
-    Monitor.create ~sensor:config.sensor ~suspect_after:config.failover.Policy.suspect_after
-      ~rng:monitor_rng ~every:config.monitor_every ~horizon:scenario.Scenario.horizon topo
-  in
-  let spec_from ?link_quality ?user_link_quality availability =
-    Costspec.with_stage_work
-      (Costspec.of_topology ~availability ?link_quality ?user_link_quality ~topo ~stages ~input
-         ())
-      calibrated_work
-  in
-  (* Suspected nodes get availability ~0 rather than their forecast: a dead
-     node answers no sensor, so its forecast is stale pre-crash history that
-     would happily invite the search to map back onto the corpse. Suspicion
-     is observable monitor state, so the performance policy is entitled to
-     it too — and fault-free runs never suspect anyone, leaving this path
-     bit-identical to the pre-fault build. *)
-  let belief_spec () =
-    spec_from
-      ~link_quality:(fun ~src ~dst -> Monitor.link_forecast monitor ~src ~dst)
-      ~user_link_quality:(Monitor.user_link_forecast monitor)
-      (fun i -> if Monitor.suspected monitor i then 1e-9 else Monitor.node_forecast monitor i)
+    Monitor.create ~sensor:config.sensor ~rng:monitor_rng ~every:config.monitor_every
+      ~horizon:scenario.Scenario.horizon topo
   in
   let initial_spec =
     if config.initial_resource_reading then
-      spec_from (fun i -> Node.availability (Topology.node topo i))
+      spec_from ~topo ~scenario ~work (fun i -> Node.availability (Topology.node topo i))
     else
-      spec_from
+      spec_from ~topo ~scenario ~work
         ~link_quality:(fun ~src:_ ~dst:_ -> 1.0)
         ~user_link_quality:(fun _ -> 1.0)
         (fun _ -> 1.0)
   in
   let initial_predictor = Predictor.make ~kind:config.evaluator initial_spec in
-  (* Every search pins stage 0 when the config asks for it; the later ones
-     are seeded with the running mapping, which prunes the branch-and-bound
-     without changing its answer. *)
-  let choose ?incumbent predictor =
-    Predictor.choose ?fix_first_on:config.fix_first_on ~exhaustive_limit:config.exhaustive_limit
-      ?incumbent predictor
-  in
-  let initial_search = choose initial_predictor in
-  let initial_mapping = initial_search.Search.mapping in
-  Log.info (fun m ->
-      m "[%s] initial mapping %s (predicted %.4f items/s, %d candidates scored)"
-        scenario.Scenario.name
-        (Mapping.to_string initial_mapping)
-        initial_search.Search.score initial_search.Search.evaluated);
+  {
+    config;
+    scenario;
+    rng;
+    sim_rng;
+    topo;
+    engine;
+    calibration;
+    work;
+    monitor;
+    trace = Trace.create ();
+    initial_predictor;
+    initial_search = Predictor.choose initial_predictor;
+  }
 
-  (* Phase 3 & 4: execution with monitoring and adaptation. *)
-  let trace = Trace.create () in
-  let sim =
-    Skel_sim.create ~rng:sim_rng ~topo ~stages ~mapping:(Mapping.to_array initial_mapping)
-      ~input ~trace ()
-  in
-  let adopted_throughput = ref initial_search.Search.score in
+type tally = { mutable evaluations : int; mutable adaptations : int; mutable failovers : int }
+
+let epochs w policy sim ~adopted ~live ~context ~on_commit =
+  let { config; scenario; engine; monitor; trace; _ } = w in
+  let bus = Engine.bus engine in
+  let stages = scenario.Scenario.stages in
+  let processors = Topology.size w.topo in
+  let label = scenario.Scenario.name ^ "/" ^ Policy.name policy in
+  let tally = { evaluations = 0; adaptations = 0; failovers = 0 } in
+  let adopted = ref adopted in
   let last_eval_time = ref 0.0 in
   let last_eval_completed = ref 0 in
-  let evaluations = ref 0 in
-  let adaptation_count = ref 0 in
-  let failover_count = ref 0 in
   let last_failover = ref neg_infinity in
   (* Failure response, checked before the performance policy: a suspected
      node holding a stage makes throughput arguments moot — the workload
      simply never finishes without a re-map. The search is re-run over the
      belief spec with suspects' availability crushed to ~0, which makes it
      route around the dead nodes with the same machinery that balances the
-     live ones. *)
+     live ones. The later searches are seeded with the running mapping,
+     which prunes the branch-and-bound without changing its answer. *)
   let try_failover () =
     let current = Skel_sim.mapping sim in
-    let suspect_mapped =
-      config.failover.Policy.enabled
-      && Array.exists (fun node -> Monitor.suspected monitor node) current
-    in
     if
-      suspect_mapped
-      && Engine.now engine -. !last_failover >= config.failover.Policy.backoff
-      && !failover_count < config.failover.Policy.max_failovers
+      Array.exists (fun node -> Monitor.suspected monitor node) current
+      && Engine.now engine -. !last_failover >= failover_backoff
+      && tally.failovers < config.max_failovers
     then begin
-      let predictor = Predictor.make ~kind:config.evaluator (belief_spec ()) in
+      let predictor = Predictor.make ~kind:config.evaluator (belief_spec w) in
       let result =
-        choose ~incumbent:(Mapping.of_array ~processors:(Topology.size topo) current) predictor
+        Predictor.choose ~incumbent:(Mapping.of_array ~processors current) predictor
       in
       let target = Mapping.to_array result.Search.mapping in
       if target <> current then begin
         let replayed = List.length (Skel_sim.lost_items sim) in
+        on_commit target;
         Skel_sim.failover sim target;
-        incr failover_count;
+        tally.failovers <- tally.failovers + 1;
         last_failover := Engine.now engine;
-        adopted_throughput := result.Search.score;
+        adopted := result.Search.score;
         Aspipe_obs.Bus.emit bus
           (Aspipe_obs.Event.Failover_committed
              { mapping_before = current; mapping_after = target; items_redispatched = replayed });
         Log.info (fun m ->
-            m "[%s] t=%.1f failover %s -> %s (%d checkpointed items replayed)"
-              scenario.Scenario.name (Engine.now engine)
-              (Mapping.to_string (Mapping.of_array ~processors:(Topology.size topo) current))
+            m "[%s] t=%.1f failover %s -> %s (%d checkpointed items replayed)" label
+              (Engine.now engine)
+              (Mapping.to_string (Mapping.of_array ~processors current))
               (Mapping.to_string result.Search.mapping)
               replayed);
         true
@@ -189,12 +194,12 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
     end
     else false
   in
-  let evaluate () =
-    if Skel_sim.finished sim then false
+  let step () =
+    if not (live ()) then false
     else if Skel_sim.migrating sim then true (* let the move settle first *)
     else if try_failover () then true
     else begin
-      incr evaluations;
+      tally.evaluations <- tally.evaluations + 1;
       let now = Engine.now engine in
       let completed = Skel_sim.items_completed sim in
       let window = now -. !last_eval_time in
@@ -204,21 +209,24 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
       in
       last_eval_time := now;
       last_eval_completed := completed;
-      let spec = belief_spec () in
+      let spec = belief_spec w in
       let predictor = Predictor.make ~kind:config.evaluator spec in
-      let current = Mapping.of_array ~processors:(Topology.size topo) (Skel_sim.mapping sim) in
+      let current = Mapping.of_array ~processors (Skel_sim.mapping sim) in
+      let items_remaining, serving = context ~window predictor in
+      let stall target =
+        Migration.stall_seconds Migration.default ~spec ~stages ~current ~target
+      in
       let ctx =
         {
           Policy.time = now;
           current;
           predictor;
           observed_throughput = observed;
-          adopted_throughput = !adopted_throughput;
-          items_remaining = Skel_sim.items_total sim - completed;
-          migration_stall =
-            (fun target -> Migration.stall_seconds config.migration ~spec ~stages ~current ~target);
-          choose_best = (fun () -> choose ~incumbent:current predictor);
-          serving = None;
+          adopted_throughput = !adopted;
+          items_remaining;
+          migration_stall = stall;
+          choose_best = (fun () -> Predictor.choose ~incumbent:current predictor);
+          serving;
         }
       in
       Aspipe_obs.Bus.emit bus
@@ -226,7 +234,7 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
            {
              mapping = Mapping.to_array current;
              observed_throughput = observed;
-             adopted_throughput = !adopted_throughput;
+             adopted_throughput = !adopted;
            });
       (match Policy.decide policy ctx with
       | Policy.Keep ->
@@ -234,14 +242,15 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
             (Aspipe_obs.Event.Adaptation_rejected
                { mapping = Mapping.to_array current; observed_throughput = observed });
           Log.debug (fun m ->
-              m "[%s] t=%.1f keep %s (observed %.3f, adopted %.3f)" scenario.Scenario.name now
-                (Mapping.to_string current) observed !adopted_throughput)
+              m "[%s] t=%.1f keep %s (observed %.3f, adopted %.3f)" label now
+                (Mapping.to_string current) observed !adopted)
       | Policy.Remap target ->
-          let stall = Migration.stall_seconds config.migration ~spec ~stages ~current ~target in
+          let stall = stall target in
           let gain = Predictor.evaluate predictor target -. Predictor.evaluate predictor current in
-          ignore (Skel_sim.remap sim (Mapping.to_array target));
-          incr adaptation_count;
           let mapping_before = Mapping.to_array current and mapping_after = Mapping.to_array target in
+          on_commit mapping_after;
+          ignore (Skel_sim.remap sim mapping_after);
+          tally.adaptations <- tally.adaptations + 1;
           (* The trace is written directly, not subscribed to the bus, so
              the per-item emits stay off when no sink listens. *)
           Trace.record_adaptation trace
@@ -255,32 +264,50 @@ let run ?(config = default_config) ?instrument ~scenario ~seed () =
           Aspipe_obs.Bus.emit bus
             (Aspipe_obs.Event.Adaptation_committed
                { mapping_before; mapping_after; predicted_gain = gain; migration_cost = stall });
-          adopted_throughput := Predictor.evaluate predictor target;
+          adopted := Predictor.evaluate predictor target;
           Log.info (fun m ->
-              m "[%s] t=%.1f remap %s -> %s (gain %.3f items/s, stall %.2f s)"
-                scenario.Scenario.name now (Mapping.to_string current)
-                (Mapping.to_string target) gain stall));
+              m "[%s] t=%.1f remap %s -> %s (gain %.3f items/s, stall %.2f s)" label now
+                (Mapping.to_string current) (Mapping.to_string target) gain stall));
       true
     end
   in
-  Engine.periodic engine ~every:config.evaluate_every evaluate;
-  Skel_sim.run_to_completion sim;
-  let final_mapping =
-    Mapping.of_array ~processors:(Topology.size topo) (Skel_sim.mapping sim)
+  Engine.periodic engine ~every:config.evaluate_every step;
+  tally
+
+let run ?(config = default_config) ?instrument ~scenario ~seed () =
+  let w = start config ?instrument ~scenario ~seed () in
+  let policy = config.policy () in
+  let initial_search = w.initial_search in
+  let initial_mapping = initial_search.Search.mapping in
+  Log.info (fun m ->
+      m "[%s] initial mapping %s (predicted %.4f items/s, %d candidates scored)"
+        scenario.Scenario.name
+        (Mapping.to_string initial_mapping)
+        initial_search.Search.score initial_search.Search.evaluated);
+  let sim =
+    Skel_sim.create ~rng:w.sim_rng ~topo:w.topo ~stages:scenario.Scenario.stages
+      ~mapping:(Mapping.to_array initial_mapping) ~input:scenario.Scenario.input ~trace:w.trace ()
   in
+  let tally =
+    epochs w policy sim ~adopted:initial_search.Search.score
+      ~live:(fun () -> not (Skel_sim.finished sim))
+      ~context:(fun ~window:_ _ -> (Skel_sim.items_total sim - Skel_sim.items_completed sim, None))
+      ~on_commit:ignore
+  in
+  Skel_sim.run_to_completion sim;
   {
     scenario_name = scenario.Scenario.name;
     policy_name = Policy.name policy;
-    trace;
-    calibration;
+    trace = w.trace;
+    calibration = w.calibration;
     initial_mapping;
-    final_mapping;
-    makespan = Trace.makespan trace;
-    throughput = Trace.throughput trace;
-    adaptation_count = !adaptation_count;
-    policy_evaluations = !evaluations;
-    monitor_samples = Monitor.samples_taken monitor;
-    failover_count = !failover_count;
+    final_mapping = Mapping.of_array ~processors:(Topology.size w.topo) (Skel_sim.mapping sim);
+    makespan = Trace.makespan w.trace;
+    throughput = Trace.throughput w.trace;
+    adaptation_count = tally.adaptations;
+    policy_evaluations = tally.evaluations;
+    monitor_samples = Monitor.samples_taken w.monitor;
+    failover_count = tally.failovers;
     items_lost = Skel_sim.items_lost_total sim;
     items_redispatched = Skel_sim.items_redispatched_total sim;
   }

@@ -149,13 +149,3 @@ let latency_gradient ?(margin = 0.8) ?(relax = 0.4) ?(headroom = 1.2) ?(min_gain
         end
   in
   { name = "latency_gradient"; decide }
-
-type failover = {
-  enabled : bool;
-  suspect_after : int;
-  backoff : float;
-  max_failovers : int;
-}
-
-let default_failover = { enabled = true; suspect_after = 2; backoff = 10.0; max_failovers = 16 }
-let no_failover = { default_failover with enabled = false }

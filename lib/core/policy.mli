@@ -109,28 +109,3 @@ val latency_gradient :
     its slope projects it past the threshold within one cooldown; scale
     down to the cheapest adequate mapping when p99 sits below
     [relax × slo_threshold] (default 0.4) and is not rising. *)
-
-(** {2 Failover}
-
-    Unlike performance adaptation, failover is not a matter of taste: a
-    stage held by a dead node finishes never. These knobs govern the
-    adaptive engine's failure response, orthogonally to the mapping
-    policy above. *)
-
-type failover = {
-  enabled : bool;  (** react to failure suspicion at all *)
-  suspect_after : int;
-      (** consecutive missed heartbeats before a node is suspected (the
-          monitor's detection latency knob) *)
-  backoff : float;
-      (** seconds to wait after a committed failover before another may
-          trigger — guards against remap storms while suspicion settles *)
-  max_failovers : int;  (** hard cap per run; a retry budget *)
-}
-
-val default_failover : failover
-(** enabled, suspect after 2 misses, 10 s backoff, at most 16 failovers. *)
-
-val no_failover : failover
-(** [default_failover] with [enabled = false]: suspicion is still
-    published by the monitor but never acted on. *)

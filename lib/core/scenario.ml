@@ -20,7 +20,8 @@ type t = {
 let make ~name ~make_topo ?(loads = []) ?(net_loads = []) ?(faults = []) ?(net_faults = [])
     ~stages ~input ?(horizon = 1e6) () =
   if Array.length stages = 0 then invalid_arg "Scenario.make: empty pipeline";
-  if horizon <= 0.0 then invalid_arg "Scenario.make: horizon must be positive";
+  if not (horizon > 0.0) then
+    invalid_arg (Printf.sprintf "Scenario.make: horizon must be positive (got %g)" horizon);
   List.iter (fun (_, profile) -> Fault.check_horizon ~horizon profile) faults;
   List.iter (fun (_, profile) -> Fault.check_horizon ~horizon profile) net_faults;
   { name; make_topo; loads; net_loads; faults; net_faults; stages; input; horizon }

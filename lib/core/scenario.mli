@@ -35,7 +35,7 @@ val make :
   unit ->
   t
 (** Defaults: no loads, net loads or faults, horizon 1e6 s. Raises
-    [Invalid_argument] on an empty pipeline, a non-positive horizon, or a
+    [Invalid_argument] on an empty pipeline, a non-positive or NaN horizon, or a
     fault profile that {!Aspipe_fault.Fault.check_horizon} refuses under
     this horizon. *)
 

@@ -164,9 +164,7 @@ let e19_rows ~quick =
         Baselines.static_faulty ~label:"static" ~mapping:(Mapping.to_array nominal.Baselines.mapping)
           ~scenario ~seed ()
       in
-      let config =
-        { Adaptive.default_config with failover = { Policy.default_failover with max_failovers = 64 } }
-      in
+      let config = { Adaptive.default_config with max_failovers = 64 } in
       let adaptive = Adaptive.run ~config ~scenario ~seed () in
       {
         mtbf;

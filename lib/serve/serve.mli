@@ -16,29 +16,14 @@
     - provisioned cost is accounted as node-seconds: the time integral of
       the adopted mapping's distinct-node footprint.
 
-    Calibration, monitoring, belief formation and failover are shared with
-    the closed-stream engine, so serving runs and batch runs are honestly
-    comparable. *)
-
-type config = {
-  evaluator : Aspipe_model.Predictor.kind;
-  monitor_every : float;
-  evaluate_every : float;
-  sensor : Aspipe_grid.Monitor.sensor_spec;
-  probes : int;
-  measurement_noise : float;
-  migration : Aspipe_core.Migration.t;
-  fix_first_on : int option;
-  failover : Aspipe_core.Policy.failover;
-  headroom : float;
-      (** capacity margin for provisioning and scale-down targets *)
-  amortize_horizon : float;
-      (** seconds of expected future demand a migration is amortized
-          against (open streams have no finite item remainder) *)
-  queue_capacity : int option;
-}
-
-val default_config : config
+    Start-up (calibration, monitor, initial search) and the epoch step
+    (failover, belief predictor, {!Aspipe_core.Policy.decide}, commit) are
+    {!Aspipe_core.Adaptive.start} and {!Aspipe_core.Adaptive.epochs}, the
+    same code the closed-stream engine runs under
+    {!Aspipe_core.Adaptive.default_config}. This driver adds only the open
+    stream: its provisioned mapping, its liveness test, the serving half of
+    each epoch's context, and the node-seconds clock. So serving runs and
+    batch runs are honestly comparable. *)
 
 type report = {
   scenario_name : string;
@@ -67,9 +52,7 @@ type report = {
 }
 
 val run :
-  ?config:config ->
   ?instrument:(Aspipe_obs.Bus.t -> unit) ->
-  ?max_items:int ->
   ?initial:[ `Cheapest | `Best ] ->
   autoscaler:Autoscaler.t ->
   arrival:Arrival.t ->
@@ -80,12 +63,16 @@ val run :
   unit ->
   report
 (** Serve [arrival] through [scenario]'s pipeline until the scenario
-    horizon, then let the queue drain. [provision_rate] (items/s, default
-    0) is the demand the initial mapping is provisioned for: with
-    [~initial:`Cheapest] (default) the run starts on the cheapest mapping
-    predicted to cover [provision_rate × headroom]; [`Best] starts on the
-    throughput-maximal mapping (the over-provisioned baseline).
-    [max_items] bounds total arrivals (for embedded closed streams).
-    Deterministic for fixed seed and configuration. *)
+    horizon, then let the queue drain (for at most twice the horizon
+    again). [provision_rate] (items/s, default 0) is the demand the initial
+    mapping is provisioned for: with [~initial:`Cheapest] (default) the run
+    starts on the cheapest mapping predicted to cover [provision_rate × 1.2]
+    (the headroom); [`Best] starts on the throughput-maximal mapping (the
+    over-provisioned baseline). A migration is amortized against the
+    backlog plus the demand observed over the next 60 s. Deterministic for
+    a fixed seed.
+
+    Raises [Invalid_argument] naming the value when the scenario horizon is
+    not finite or [provision_rate] is negative or not finite. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -1,10 +1,14 @@
 type spec = { target_quantile : float; threshold : float; window : float }
 
+(* Each test is written so that NaN fails it: a NaN slips past every
+   [<=] range check, and a NaN or infinite window cannot be scheduled. *)
 let spec ~target_quantile ~threshold ~window =
-  if target_quantile <= 0.0 || target_quantile >= 1.0 then
-    invalid_arg "Slo.spec: target_quantile must lie in (0, 1)";
-  if threshold <= 0.0 then invalid_arg "Slo.spec: threshold must be positive";
-  if window <= 0.0 then invalid_arg "Slo.spec: window must be positive";
+  let refuse what v = invalid_arg (Printf.sprintf "Slo.spec: %s (got %g)" what v) in
+  if not (target_quantile > 0.0 && target_quantile < 1.0) then
+    refuse "target_quantile must lie in (0, 1)" target_quantile;
+  if not (threshold > 0.0) then refuse "threshold must be positive" threshold;
+  if not (window > 0.0 && Float.is_finite window) then
+    refuse "window must be positive and finite" window;
   { target_quantile; threshold; window }
 
 type window_stats = {

@@ -10,8 +10,9 @@
 type spec = private { target_quantile : float; threshold : float; window : float }
 
 val spec : target_quantile:float -> threshold:float -> window:float -> spec
-(** Raises [Invalid_argument] unless [target_quantile ∈ (0,1)] and
-    [threshold], [window] are positive. *)
+(** Raises [Invalid_argument], naming the value, unless [target_quantile ∈
+    (0,1)], [threshold] is positive (an infinite one is never violated) and
+    [window] is positive and finite. NaN is refused in every field. *)
 
 type window_stats = {
   index : int;  (** 0-based window number *)

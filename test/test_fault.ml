@@ -352,6 +352,103 @@ let test_restart_baseline_completes_but_pays () =
         (f > nominal.Baselines.makespan));
   Alcotest.(check bool) "at least one restart happened" true (restart.Baselines.restarts >= 1)
 
+(* ------------------------------------------------------- failover guards *)
+
+let crash_recover ~at = Fault.Crash_recover { at; duration = 30.0 }
+
+(* Two mapped nodes crash a few seconds apart and each recovers 30 s
+   later. The failover back-off keeps the second failover at least 10 s
+   after the first. The initial mapping is (2,1,0) and nodes 0 and 1 crash
+   3 s apart. With 1 s epochs and 0.5 s heartbeats, the second node is
+   suspected about 1 s after its crash, so only the back-off holds its
+   failover back. [Policy.never] leaves the failover step as the only
+   response, so a performance remap cannot route around the second crash
+   in its place. *)
+let guard_scenario =
+  Scenario.make ~name:"test-guard"
+    ~make_topo:(fun engine ->
+      Topology.uniform engine ~n:4 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+    ~faults:[ (0, crash_recover ~at:20.0); (1, crash_recover ~at:23.0) ]
+    ~stages:(Aspipe_workload.Synthetic.balanced ~n:3 ())
+    ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.3) ~items:200 ())
+    ~horizon:1e5 ()
+
+let guard_config =
+  {
+    Adaptive.default_config with
+    monitor_every = 0.5;
+    evaluate_every = 1.0;
+    policy = (fun () -> Aspipe_core.Policy.never ());
+  }
+
+(* Records the virtual time of every committed failover on the run's bus. *)
+let failover_times () =
+  let times = ref [] in
+  let instrument bus =
+    ignore
+      (Bus.subscribe ~interest:Bus.Control bus (fun (e : Event.t) ->
+           match e.Event.payload with
+           | Event.Failover_committed _ -> times := e.Event.time :: !times
+           | _ -> ()))
+  in
+  (times, instrument)
+
+let check_backoff driver times =
+  match List.rev times with
+  | [ first; second ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: second failover (t=%g) at least 10 s after the first (t=%g)" driver
+           second first)
+        true
+        (second -. first >= 10.0)
+  | ts -> Alcotest.failf "%s: expected two failovers, got %d" driver (List.length ts)
+
+(* The serving driver decides every 10 s, so there the back-off and the
+   epoch clock coincide; its run still has to commit both failovers. *)
+let test_failover_backoff () =
+  let times, instrument = failover_times () in
+  let report =
+    Adaptive.run ~config:guard_config ~instrument ~scenario:guard_scenario ~seed:5 ()
+  in
+  Alcotest.(check int) "adaptive completes" 200 (Trace.items_completed report.Adaptive.trace);
+  check_backoff "adaptive" !times;
+  let module Serve = Aspipe_serve.Serve in
+  let times, instrument = failover_times () in
+  let scenario =
+    Scenario.make ~name:"test-guard-serve"
+      ~make_topo:(fun engine ->
+        Topology.uniform engine ~n:3 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+      ~faults:[ (0, crash_recover ~at:38.0); (1, crash_recover ~at:42.0) ]
+      ~stages:
+        (Array.init 3 (fun i ->
+             Stage.make ~name:(Printf.sprintf "s%d" i) ~output_bytes:1e4 ~state_bytes:1e5
+               ~work:(Variate.Constant 1.0) ()))
+      ~input:(Stream_spec.make ~item_bytes:1e4 ~items:1 ())
+      ~horizon:120.0 ()
+  in
+  let r =
+    Serve.run ~instrument ~initial:`Best ~autoscaler:(Aspipe_serve.Autoscaler.static ())
+      ~arrival:(Aspipe_serve.Arrival.poisson ~rate:1.5)
+      ~slo:(Aspipe_serve.Slo.spec ~target_quantile:0.95 ~threshold:6.0 ~window:30.0)
+      ~scenario ~seed:11 ()
+  in
+  Alcotest.(check int) "serving drains" r.Serve.arrivals r.Serve.completions;
+  check_backoff "serve" !times
+
+(* The same two crashes under a budget of one failover: the first is
+   failed over, the second is waited out until its node recovers and
+   replays the checkpoint, and the run still completes. *)
+let test_failover_cap () =
+  let times, instrument = failover_times () in
+  let report =
+    Adaptive.run ~config:{ guard_config with max_failovers = 1 } ~instrument
+      ~scenario:guard_scenario ~seed:5 ()
+  in
+  Alcotest.(check int) "exactly one failover" 1 report.Adaptive.failover_count;
+  Alcotest.(check int) "one failover event" 1 (List.length !times);
+  Alcotest.(check int) "completes after recovery" 200
+    (Trace.items_completed report.Adaptive.trace)
+
 (* ------------------------------------------------------------ determinism *)
 
 let jsonl_of_run ~scenario ~seed =
@@ -407,5 +504,7 @@ let () =
           Alcotest.test_case "restart completes but pays" `Slow
             test_restart_baseline_completes_but_pays;
           Alcotest.test_case "faulty runs are deterministic" `Slow test_faulty_run_deterministic;
+          Alcotest.test_case "failovers back off 10 s" `Quick test_failover_backoff;
+          Alcotest.test_case "max_failovers caps failovers" `Quick test_failover_cap;
         ] );
     ]
