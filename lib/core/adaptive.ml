@@ -175,7 +175,7 @@ let epochs w policy sim ~adopted ~live ~context ~on_commit =
       if target <> current then begin
         let replayed = List.length (Skel_sim.lost_items sim) in
         on_commit target;
-        Skel_sim.failover sim target;
+        ignore (Skel_sim.remap sim target);
         tally.failovers <- tally.failovers + 1;
         last_failover := Engine.now engine;
         adopted := result.Search.score;

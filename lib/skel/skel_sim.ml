@@ -380,45 +380,17 @@ let remap t new_mapping =
   Array.iter
     (fun s ->
       let dst = new_mapping.(s.index) in
+      let live = Node.up (Topology.node t.topo s.node) in
       if dst <> s.node && s.migrating_to = None then begin
-        let src = s.node in
-        let bytes =
-          s.spec.Stage.state_bytes
-          +. (Float.of_int (Ring.length s.pending) *. queued_item_bytes t s.index)
-        in
-        total := !total +. bytes;
-        s.migrating_to <- Some dst;
-        let link = Topology.link t.topo ~src ~dst in
-        Link.transfer link ~bytes (fun () ->
-            s.node <- dst;
-            s.migrating_to <- None;
-            (* Landing on a live node replays any checkpointed losses. *)
-            restore_stage t s.index;
-            try_dispatch t s.index)
-      end)
-    t.stages;
-  !total
-
-let failover t new_mapping =
-  check_mapping t.topo (Array.map (fun s -> s.spec) t.stages) new_mapping;
-  Array.iter
-    (fun s ->
-      match s.migrating_to with
-      | Some dest when new_mapping.(s.index) <> dest ->
-          invalid_arg "Skel_sim.failover: stage already migrating"
-      | Some _ | None -> ())
-    t.stages;
-  Array.iter
-    (fun s ->
-      let dst = new_mapping.(s.index) in
-      if dst <> s.node && s.migrating_to = None then begin
-        if Node.up (Topology.node t.topo s.node) then begin
-          (* Live source: an ordinary state migration. *)
+        if live then begin
+          (* Live source: state and queued payloads cross the link, then
+             the stage resumes at [dst], replaying any checkpointed losses. *)
           let src = s.node in
           let bytes =
             s.spec.Stage.state_bytes
             +. (Float.of_int (Ring.length s.pending) *. queued_item_bytes t s.index)
           in
+          total := !total +. bytes;
           s.migrating_to <- Some dst;
           let link = Topology.link t.topo ~src ~dst in
           Link.transfer link ~bytes (fun () ->
@@ -440,11 +412,12 @@ let failover t new_mapping =
           try_dispatch t s.index
         end
       end
-      else if dst = s.node && Node.up (Topology.node t.topo s.node) then begin
+      else if dst = s.node && live then begin
         restore_stage t s.index;
         try_dispatch t s.index
       end)
-    t.stages
+    t.stages;
+  !total
 
 let migrating t = Array.exists (fun s -> s.migrating_to <> None) t.stages
 

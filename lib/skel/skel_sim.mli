@@ -29,7 +29,7 @@
       lost payloads are re-fetched from upstream in one bulk transfer and
       re-enter the pending queue ahead of later arrivals, preserving the
       pipeline's FIFO order ({!Aspipe_obs.Event.Item_redispatched} each);
-    - {!failover} re-maps stages away from dead nodes without touching the
+    - {!remap} moves stages away from dead nodes without touching the
       corpse: the stage is re-instantiated at its new node and its
       checkpoint replayed there.
 
@@ -110,17 +110,12 @@ val mapping : t -> int array
 val remap : t -> int array -> float
 (** [remap t m] starts migrating every stage whose assignment changes and
     returns the total bytes in flight. Items already being serviced finish
-    where they are. Re-entrant migrations to a stage already moving are
-    rejected with [Invalid_argument]. *)
-
-val failover : t -> int array -> unit
-(** [failover t m] re-maps stages like {!remap}, but tolerates dead source
-    nodes: a stage whose node is down is re-instantiated at its new node
-    immediately (no state crosses a link out of the corpse) and its lost
-    items are re-dispatched from the per-stage checkpoint. Stages moving
-    between live nodes migrate normally; stages staying put on a live node
-    replay any checkpointed losses. Raises [Invalid_argument] like
-    {!remap} on conflicting in-flight migrations. *)
+    where they are. A stage whose node is down is re-instantiated at its
+    new node immediately (no state crosses a link out of the corpse, and
+    it adds no bytes) and its lost items are re-dispatched from the
+    per-stage checkpoint; stages staying put on a live node replay any
+    checkpointed losses. Re-entrant migrations to a stage already moving
+    are rejected with [Invalid_argument]. *)
 
 val migrating : t -> bool
 

@@ -105,7 +105,7 @@ let test_failover_redispatches_to_survivor () =
   let items = 30 in
   let engine, topo, trace, sim = make_sim ~n:3 ~items ~stage_count:2 ~mapping:[| 0; 1 |] () in
   ignore (Engine.schedule_at engine ~time:1.0 (fun () -> Node.set_up (Topology.node topo 1) false));
-  ignore (Engine.schedule_at engine ~time:2.0 (fun () -> Skel_sim.failover sim [| 0; 2 |]));
+  ignore (Engine.schedule_at engine ~time:2.0 (fun () -> ignore (Skel_sim.remap sim [| 0; 2 |])));
   (match Skel_sim.run sim with
   | `Completed -> ()
   | `Stalled d -> Alcotest.fail ("failover should complete the workload:\n" ^ d));

@@ -204,6 +204,32 @@ let test_sim_remap_same_mapping_free () =
   check_float "no bytes move" 0.0 (Skel_sim.remap sim [| 0; 1 |]);
   Alcotest.(check bool) "not migrating" false (Skel_sim.migrating sim)
 
+(* A stage on a crashed node has no state to ship: remapping it
+   re-instantiates the stage at its new node at once, moves no bytes, and
+   the run still completes every item. *)
+let test_sim_remap_off_dead_node () =
+  let engine = Engine.create () in
+  let topo = quiet_topo engine in
+  let stages = Stage.balanced ~n:2 ~work:1.0 ~state_bytes:1e6 () in
+  let input = Stream_spec.make ~items:10 ~item_bytes:10.0 () in
+  let trace = Trace.create () in
+  let sim =
+    Skel_sim.create ~rng:(Rng.create 7) ~topo ~stages ~mapping:[| 0; 1 |] ~input ~trace ()
+  in
+  let moved = ref nan in
+  ignore
+    (Engine.schedule_at engine ~time:0.35 (fun () ->
+         Node.set_up (Topology.node topo 0) false;
+         moved := Skel_sim.remap sim [| 2; 1 |];
+         Alcotest.(check (array int)) "stage 0 lives on node 2 at once" [| 2; 1 |]
+           (Skel_sim.mapping sim);
+         Alcotest.(check bool) "nothing migrating" false (Skel_sim.migrating sim)));
+  (match Skel_sim.run sim with
+  | `Completed -> ()
+  | `Stalled message -> Alcotest.fail message);
+  check_float "no bytes leave the dead node" 0.0 !moved;
+  Alcotest.(check int) "every item completes" 10 (Trace.items_completed trace)
+
 let test_sim_remap_while_migrating_rejected () =
   let engine = Engine.create () in
   (* A slow link so the migration is still in flight when we re-remap. *)
@@ -368,7 +394,7 @@ let test_sim_passed_trace_matches_subscribed =
           at 3.0 (fun () -> Node.set_up node0 true)
       | _ ->
           at 1.0 (fun () -> Node.set_up node0 false);
-          at 1.5 (fun () -> Skel_sim.failover sim (Array.map (fun _ -> 1) mapping)));
+          at 1.5 (fun () -> ignore (Skel_sim.remap sim (Array.map (fun _ -> 1) mapping))));
       (* An open stream is finished whenever nothing is in flight, so it is
          drained by running the engine dry, as the serving driver does. *)
       if kind = 1 then Engine.run engine
@@ -852,6 +878,7 @@ let () =
           Alcotest.test_case "remap no-op" `Quick test_sim_remap_same_mapping_free;
           Alcotest.test_case "remap during migration" `Quick
             test_sim_remap_while_migrating_rejected;
+          Alcotest.test_case "remap off a dead node" `Quick test_sim_remap_off_dead_node;
           Alcotest.test_case "invalid mapping" `Quick test_sim_invalid_mapping;
           Alcotest.test_case "deterministic" `Quick test_sim_deterministic;
           Alcotest.test_case "spaced arrivals" `Quick test_sim_spaced_arrivals_pace_output;
