@@ -381,7 +381,7 @@ let test_golden_jsonl () =
    events, not just the rounded tables. *)
 let golden_streams =
   [ ("serve latency_gradient", "cd922ee190d85439c5ac2020cc8f1dc0", 447906);
-    ("serve provisioned host crash", "70e270232355c9d44e97a1dd54ea2a42", 444306);
+    ("serve provisioned host crash", "3ec5a861120a884307f2a40bd740b6c6", 444432);
     ("adaptive mid-run crash", "9fb23e7944145a0579644c48075886d1", 141843) ]
 
 let serve_scenario ?faults () =
