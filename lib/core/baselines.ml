@@ -55,17 +55,6 @@ let static_blocks ~scenario ~seed =
   let m = Mapping.blocks ~stages:(Scenario.stage_count scenario) ~processors in
   run_static ~label:"static-blocks" ~mapping:(Mapping.to_array m) ~scenario ~seed
 
-let static_single_node ~scenario ~seed =
-  let processors = dims scenario ~seed in
-  let m = Mapping.all_on ~stages:(Scenario.stage_count scenario) ~processor:0 ~processors in
-  run_static ~label:"static-single-node" ~mapping:(Mapping.to_array m) ~scenario ~seed
-
-let static_random ~scenario ~seed =
-  let processors = dims scenario ~seed in
-  let rng = Rng.create (seed * 7919) in
-  let m = Mapping.random rng ~stages:(Scenario.stage_count scenario) ~processors in
-  run_static ~label:"static-random" ~mapping:(Mapping.to_array m) ~scenario ~seed
-
 let ground_truth_spec scenario topo =
   Costspec.of_topology
     ~availability:(fun i -> Node.availability (Topology.node topo i))

@@ -19,11 +19,6 @@ val run_static :
 
 val static_round_robin : scenario:Scenario.t -> seed:int -> outcome
 val static_blocks : scenario:Scenario.t -> seed:int -> outcome
-val static_single_node : scenario:Scenario.t -> seed:int -> outcome
-(** Everything on node 0. *)
-
-val static_random : scenario:Scenario.t -> seed:int -> outcome
-(** A uniformly random assignment (derived from [seed]). *)
 
 val static_model_best :
   ?kind:Aspipe_model.Predictor.kind -> scenario:Scenario.t -> seed:int -> unit -> outcome

@@ -37,10 +37,6 @@ let run ?(probes = 5) ?(measurement_noise = 0.01) ?bus ~rng stages =
   in
   { per_stage = Array.mapi probe_stage stages }
 
-let stage_estimate t i =
-  if i < 0 || i >= Array.length t.per_stage then invalid_arg "Calibration.stage_estimate";
-  t.per_stage.(i)
-
 let work_vector t = Array.map (fun e -> e.mean_work) t.per_stage
 
 let relative_error t stages =

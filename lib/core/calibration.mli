@@ -9,8 +9,6 @@
     adaptive engine downstream is tested against realistic calibration
     quality. *)
 
-type estimate = { mean_work : float; stddev : float; samples : int }
-
 type t
 
 val run :
@@ -26,7 +24,6 @@ val run :
     [Calibration_sample] event, so telemetry sinks see the inputs of the
     initial scheduling decision. *)
 
-val stage_estimate : t -> int -> estimate
 val work_vector : t -> float array
 (** Mean estimated work per stage, the vector handed to {!Aspipe_model.Costspec.with_stage_work}. *)
 

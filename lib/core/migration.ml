@@ -22,7 +22,3 @@ let stall_seconds t ~spec ~stages ~current ~target =
       let cost = Costspec.transfer_cost spec ~src ~dst ~bytes +. t.restart_penalty in
       Float.max acc cost)
     0.0 moving
-
-let bytes_moving ~stages ~current ~target =
-  let moving = stages_moving ~current ~target in
-  List.fold_left (fun acc i -> acc +. stages.(i).Stage.state_bytes) 0.0 moving

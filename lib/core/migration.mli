@@ -9,11 +9,6 @@ type t = { restart_penalty : float  (** seconds per migrating stage *) }
 val default : t
 (** 0.5 s restart penalty. *)
 
-val stages_moving :
-  current:Aspipe_model.Mapping.t -> target:Aspipe_model.Mapping.t -> int list
-(** Indices whose processor changes. Raises [Invalid_argument] on length
-    mismatch. *)
-
 val stall_seconds :
   t ->
   spec:Aspipe_model.Costspec.t ->
@@ -23,11 +18,4 @@ val stall_seconds :
   float
 (** Estimated stall: max over moving stages of
     [link_transfer(state_bytes) + restart_penalty]; 0 when the mappings are
-    equal. *)
-
-val bytes_moving :
-  stages:Aspipe_skel.Stage.t array ->
-  current:Aspipe_model.Mapping.t ->
-  target:Aspipe_model.Mapping.t ->
-  float
-(** Total state bytes that would cross the network. *)
+    equal. Raises [Invalid_argument] when their lengths differ. *)

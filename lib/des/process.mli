@@ -28,6 +28,7 @@ val await : (('a -> unit) -> unit) -> 'a
     return value. This is the bridge to any callback API:
     {[ let result = await (fun k -> Server.submit server ~work (fun () -> k ())) ]} *)
 
+(* lint: unused-export-ok public API: process-style models (examples/des_processes.ml) *)
 val wait_until : ?poll_every:float -> (unit -> bool) -> unit
 (** {e Inside a process.} Sleep in [poll_every] (default 0.1 s) increments
     until the predicate holds. *)
@@ -47,6 +48,6 @@ module Mailbox : sig
   val recv : 'a t -> 'a
   (** {e Inside a process.} Take the next message, suspending while empty. *)
 
-  val length : 'a t -> int
+  val length : 'a t -> int (* lint: unused-export-ok public API: process-style models *)
   (** Messages currently queued (not counting blocked receivers). *)
 end

@@ -18,7 +18,7 @@ type t = {
   mutable busy_since : float;
 }
 
-let name t = t.name
+let queue_length t = Queue.length t.waiting
 
 (* Fold the service progress made since [last_update] (at rate [rate]) into
    the in-flight job's remaining work. *)
@@ -113,7 +113,6 @@ let drop_all t =
   Queue.clear t.waiting;
   List.rev !dropped
 
-let queue_length t = Queue.length t.waiting
 let busy t = t.current <> None
 let completed t = t.completed
 

@@ -13,8 +13,6 @@ type t
 val create : Engine.t -> name:string -> rate:Signal.t -> t
 (** The server subscribes to [rate]; the signal may be shared. *)
 
-val name : t -> string
-
 val submit :
   t -> work:float -> ?tag:int -> ?on_start:(unit -> unit) -> (unit -> unit) -> unit
 (** [submit t ~work k] enqueues a job of [work] units; [k] runs at the
@@ -22,7 +20,7 @@ val submit :
     instant the job enters service. Raises [Invalid_argument] if
     [work < 0] or not finite. *)
 
-val queue_length : t -> int
+val queue_length : t -> int (* lint: unused-export-ok public API: server statistic *)
 (** Jobs waiting, excluding the one in service. *)
 
 val drop_all : t -> int list
@@ -31,13 +29,12 @@ val drop_all : t -> int list
     dropped jobs, in-service first then queue order. The server is left
     idle and usable (a later {!submit} starts normally). *)
 
-val busy : t -> bool
-val completed : t -> int
+val completed : t -> int (* lint: unused-export-ok public API: server statistic *)
 
-val in_service_remaining : t -> float
+val in_service_remaining : t -> float (* lint: unused-export-ok public API: server statistic *)
 (** Remaining work of the job in service as of the current instant
     (0 when idle). *)
 
-val utilization : t -> float
+val utilization : t -> float (* lint: unused-export-ok public API: server statistic *)
 (** Fraction of elapsed simulation time this server spent with a job in
     service (including stalled intervals); [0] at time 0. *)

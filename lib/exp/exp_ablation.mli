@@ -12,22 +12,4 @@
     throughput where power converges at all, but its cost explodes with
     stiffness while Gauss–Seidel stays flat — why it is the default. *)
 
-type buffer_row = {
-  capacity : int option;
-  simulated : float;
-  ctmc : float;  (** constant reference *)
-  analytic : float;  (** constant reference *)
-}
-
-val buffer_rows : quick:bool -> buffer_row list
-
-type solver_row = {
-  stiffness : float;  (** max rate / min rate in the chain *)
-  gauss_seidel_ms : float;
-  power_ms : float;  (** [nan] when power iteration failed to converge *)
-  agree : bool;  (** throughputs within 1e-6 relative (when both converged) *)
-}
-
-val solver_rows : quick:bool -> solver_row list
-
 val run_e13 : quick:bool -> unit

@@ -15,57 +15,10 @@
     E8 (figure): the migration-cost crossover — sweeping stage state size
     until moving a stage costs more than it saves. *)
 
-val load_step_scenario :
-  quick:bool -> ?state_bytes:float -> ?step_level:float -> unit -> Aspipe_core.Scenario.t
-(** The E3/E7/E8 world: 4 balanced stages, 3 nodes (node 0 slightly faster),
-    spaced arrivals, availability of node 0 drops to [step_level] (default
-    0.2) 40% into the nominal run. *)
-
-type e3_result = {
-  label : string;
-  series : (float * float) array;  (** windowed throughput timeline *)
-  makespan : float;
-  adaptations : int;
-}
-
-val e3_results : quick:bool -> e3_result list
 val run_e3 : quick:bool -> unit
 
-type e4_point = { severity : float; static_blind : float; static_informed : float;
-                  adaptive : float; clairvoyant : float }
-
-val e4_points : quick:bool -> e4_point list
 val run_e4 : quick:bool -> unit
-
-type e7_cell = {
-  monitor_every : float;
-  drop : float;
-  completion : float;
-  migrations : int;
-}
-
-val e7_cells : quick:bool -> e7_cell list
-
-type e7_sensor_cell = {
-  dropout : float;
-  noise : float;
-  completion : float;
-  migrations : int;
-}
-
-val e7_sensor_cells : quick:bool -> e7_sensor_cell list
-(** Sensor-robustness sweep on the E3 scenario: how much sample loss and
-    noise the adaptation loop tolerates before it stops catching the step. *)
 
 val run_e7 : quick:bool -> unit
 
-type e8_point = {
-  state_bytes : float;
-  stall_estimate : float;
-  adaptive_makespan : float;
-  static_makespan : float;
-  adaptations : int;
-}
-
-val e8_points : quick:bool -> e8_point list
 val run_e8 : quick:bool -> unit

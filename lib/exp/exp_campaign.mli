@@ -4,18 +4,4 @@
     non-clairvoyant baseline on dynamic scenarios and sits within a modest
     factor of the clairvoyant engine. *)
 
-type cell = {
-  workload : string;
-  strategy : string;
-  mean_makespan : float;
-  ci95 : float;
-  mean_adaptations : float;
-}
-
-val cells : quick:bool -> cell list
-
-val adaptive_vs : cells:cell list -> workload:string -> strategy:string -> float
-(** mean makespan of [strategy] ÷ mean makespan of ["adaptive"] on a
-    workload (> 1 means adaptive wins). *)
-
 val run_e11 : quick:bool -> unit

@@ -12,22 +12,4 @@
     wait on the slow member); the adaptive farm evicts the degraded worker
     and recovers; least-loaded degrades only gracefully. *)
 
-type dispatch_row = {
-  label : string;
-  workers : int list;
-  predicted : float;
-  measured : float;
-}
-
-val dispatch_rows : quick:bool -> dispatch_row list
-
-type adapt_result = {
-  label : string;
-  series : (float * float) array;
-  makespan : float;
-  reconfigurations : int;
-}
-
-val adapt_results : quick:bool -> adapt_result list
-
 val run_e12 : quick:bool -> unit

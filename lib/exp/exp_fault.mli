@@ -16,42 +16,8 @@
       inter-node routes drop to the quality floor mid-run. The adaptive
       engine's link forecasts collapse and the search colocates. *)
 
-type e18_row = {
-  label : string;
-  finish : float option;  (** [None] = did not finish *)
-  completed : int;
-  total : int;
-  items_lost : int;
-  items_redispatched : int;
-  failovers : int;
-  restarts : int;
-}
-
-val e18_rows : quick:bool -> float * int * e18_row list
-(** [(crash_time, victim_node, rows)] — static / restart / adaptive. *)
-
 val run_e18 : quick:bool -> unit
 
-type e19_row = {
-  mtbf : float option;  (** [None] = fault-free reference row *)
-  static_finish : float option;
-  adaptive_makespan : float;
-  throughput : float;
-  e19_failovers : int;
-  e19_lost : int;
-  e19_redispatched : int;
-}
-
-val e19_rows : quick:bool -> e19_row list
 val run_e19 : quick:bool -> unit
 
-type e20_row = {
-  e20_label : string;
-  e20_makespan : float;
-  e20_adaptations : int;
-  final_mapping : int array;
-  final_distinct_nodes : int;
-}
-
-val e20_rows : quick:bool -> e20_row list
 val run_e20 : quick:bool -> unit

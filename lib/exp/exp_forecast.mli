@@ -6,10 +6,9 @@
 
 type row = { signal : string; per_forecaster : (string * float) list (** MAE *) }
 
-val signal_families : quick:bool -> (string * float array) list
-(** Named synthetic availability traces. Deterministic. *)
-
+(* lint: unused-export-ok public API: E9's data; test_exp checks E9's claim on it *)
 val rows : quick:bool -> row list
+(* lint: unused-export-ok public API: E9's data; test_exp checks E9's claim on it *)
 val ensemble_regret : row -> float
 (** MAE(adaptive) − min MAE over primitives, for one signal. *)
 

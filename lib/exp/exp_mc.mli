@@ -6,14 +6,4 @@
     host — the reproduction target is the shape (monotone speedup, saturation
     at the stage/core bound). *)
 
-type point = { groups : int; seconds : float; speedup : float }
-
-val pipeline_points : quick:bool -> point list
-(** Outputs are checked against the sequential reference before timing is
-    reported; a mismatch raises [Failure]. *)
-
-type farm_point = { workers : int; seconds : float; speedup : float }
-
-val farm_points : quick:bool -> farm_point list
-
 val run_e10 : quick:bool -> unit

@@ -18,7 +18,9 @@ type e1_row = {
   simulated : float;
 }
 
+(* lint: unused-export-ok public API: E1's data; test_exp checks E1's claim on it *)
 val e1_rows : quick:bool -> e1_row list
+(* lint: unused-export-ok public API: E1's data; test_exp checks E1's claim on it *)
 val e1_rank_correlations : e1_row list -> float * float
 (** (analytic vs sim, ctmc vs sim). *)
 
@@ -33,5 +35,6 @@ type e2_row = {
   oracle_simulated : float;
 }
 
+(* lint: unused-export-ok public API: E2's data; test_exp checks E2's claim on it *)
 val e2_rows : quick:bool -> e2_row list
 val run_e2 : quick:bool -> unit

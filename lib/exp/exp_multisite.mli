@@ -6,12 +6,4 @@
     eventually jumps across the WAN — the classic grid offload crossover.
     The model picks each mapping; the simulator measures it. *)
 
-type point = {
-  remote_speed : float;
-  local_only : float;  (** simulated items/s, best local-only mapping *)
-  unconstrained : float;  (** simulated items/s, best overall mapping *)
-  uses_remote : bool;
-}
-
-val points : quick:bool -> point list
 val run_e16 : quick:bool -> unit

@@ -8,14 +8,4 @@
     static schedule keeps paying the congested links; the adaptive engine,
     fed by the monitor's link-quality forecasts, re-maps onto fewer nodes. *)
 
-type result = {
-  label : string;
-  series : (float * float) array;
-  makespan : float;
-  adaptations : int;
-  final_mapping : int array;
-  final_distinct_nodes : int;
-}
-
-val results : quick:bool -> result list
 val run_e15 : quick:bool -> unit

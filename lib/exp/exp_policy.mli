@@ -8,12 +8,4 @@
     and migration counts, so the cost of each design ingredient is visible
     in one table. *)
 
-type row = {
-  policy : string;
-  mean_makespan : float;
-  ci95 : float;
-  mean_migrations : float;
-}
-
-val rows : quick:bool -> row list
 val run_e17 : quick:bool -> unit

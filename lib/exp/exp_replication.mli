@@ -8,24 +8,4 @@
     model; the greedy {!Aspipe_model.Repl_model.best_replication} gets the
     last row for a fixed node budget. *)
 
-type row = {
-  label : string;
-  replicas : int list array;
-  predicted : float;
-  measured : float;
-}
-
-val rows : quick:bool -> row list
-
-type dynamic_result = {
-  label : string;
-  makespan : float;
-  reconfigurations : int;
-  final_replicas : int list array;
-}
-
-val dynamic_results : quick:bool -> dynamic_result list
-(** E14b: a node carrying a hot-stage replica collapses mid-run; static
-    replication bleeds, adaptive replication re-shapes the sets. *)
-
 val run_e14 : quick:bool -> unit

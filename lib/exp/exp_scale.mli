@@ -9,14 +9,6 @@
     solve cost per state-space size. The adaptation loop is only viable if
     this stays far below the monitoring interval. *)
 
-type e5_point = {
-  processors : int;
-  compute_bound : float;
-  comm_bound : float;
-  ideal : float;
-}
-
-val e5_points : quick:bool -> e5_point list
 val run_e5 : quick:bool -> unit
 
 type e6_row = {
@@ -32,5 +24,6 @@ type e6_row = {
   ctmc_solve_ms : float;
 }
 
+(* lint: unused-export-ok public API: E6's data; test_exp checks E6's claim on it *)
 val e6_rows : quick:bool -> e6_row list
 val run_e6 : quick:bool -> unit

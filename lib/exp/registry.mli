@@ -23,10 +23,6 @@ val to_json : unit -> Aspipe_obs.Json.t
 val find : string -> t option
 (** Case-insensitive lookup by id. *)
 
-val header : t -> string
-(** The ["######## E<n> (kind): title ########\n"] banner every runner
-    prints above an experiment's output. *)
-
 val job : t -> quick:bool -> unit -> string
 (** [job e ~quick] is the experiment as a pure closure: running it returns
     the experiment's complete output (banner included) as bytes instead of

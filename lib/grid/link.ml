@@ -8,7 +8,6 @@ type t = {
   bandwidth : float;
   quality : Signal.t;
   pipe : Server.t option; (* present iff contended *)
-  mutable completed : int;
 }
 
 let create engine ?(contended = false) ~latency ~bandwidth () =
@@ -25,7 +24,7 @@ let create engine ?(contended = false) ~latency ~bandwidth () =
     end
     else None
   in
-  { engine; latency; bandwidth; quality; pipe; completed = 0 }
+  { engine; latency; bandwidth; quality; pipe }
 
 let local engine = create engine ~latency:1e-4 ~bandwidth:1e10 ()
 
@@ -44,16 +43,11 @@ let transfer_time t ~bytes = effective_latency t +. (bytes /. effective_bandwidt
 
 let transfer t ~bytes k =
   if bytes < 0.0 then invalid_arg "Link.transfer: negative size";
-  let deliver () =
-    t.completed <- t.completed + 1;
-    k ()
-  in
   match t.pipe with
-  | None -> ignore (Engine.schedule t.engine ~delay:(transfer_time t ~bytes) deliver)
+  | None -> ignore (Engine.schedule t.engine ~delay:(transfer_time t ~bytes) k)
   | Some pipe ->
       (* Bandwidth queues (at the live rate); latency is then paid on the wire. *)
       Server.submit pipe ~work:bytes (fun () ->
-          ignore (Engine.schedule t.engine ~delay:(effective_latency t) deliver))
+          ignore (Engine.schedule t.engine ~delay:(effective_latency t) k))
 
-let transfers_completed t = t.completed
 let quality_history t = Signal.history t.quality

@@ -35,9 +35,10 @@ val quality : t -> float
 val set_quality : t -> float -> unit
 (** Clamped to [\[0.01, 1\]] — a grid link degrades, it does not vanish. *)
 
-val effective_latency : t -> float
-val effective_bandwidth : t -> float
+val effective_latency : t -> float (* lint: unused-export-ok public API: link cost model *)
+val effective_bandwidth : t -> float (* lint: unused-export-ok public API: link cost model *)
 
+(* lint: unused-export-ok public API: link cost model *)
 val transfer_time : t -> bytes:float -> float
 (** Uncontended cost estimate at the current quality — what the performance
     model uses. *)
@@ -46,5 +47,5 @@ val transfer : t -> bytes:float -> (unit -> unit) -> unit
 (** Simulate a transfer; the callback fires on delivery. On a contended link
     the bandwidth portion queues behind transfers already in flight. *)
 
-val transfers_completed : t -> int
+(* lint: unused-export-ok public API: link cost model *)
 val quality_history : t -> Aspipe_util.Timeseries.t

@@ -12,18 +12,6 @@ type profile =
   | Markov_on_off of { to_busy_rate : float; to_free_rate : float; busy_level : float }
   | Playback of (float * float) list
 
-let pp_profile ppf = function
-  | Dedicated -> Format.fprintf ppf "dedicated"
-  | Constant a -> Format.fprintf ppf "constant(%g)" a
-  | Step { at; level } -> Format.fprintf ppf "step(at=%g,level=%g)" at level
-  | Steps ss -> Format.fprintf ppf "steps(%d)" (List.length ss)
-  | Sine { period; base; amplitude; _ } ->
-      Format.fprintf ppf "sine(T=%g,base=%g,amp=%g)" period base amplitude
-  | Random_walk { every; sigma; _ } -> Format.fprintf ppf "walk(dt=%g,sigma=%g)" every sigma
-  | Markov_on_off { to_busy_rate; to_free_rate; busy_level } ->
-      Format.fprintf ppf "onoff(busy=%g,free=%g,level=%g)" to_busy_rate to_free_rate busy_level
-  | Playback ss -> Format.fprintf ppf "playback(%d)" (List.length ss)
-
 let require_rng = function
   | Some rng -> rng
   | None -> invalid_arg "Loadgen: this profile is stochastic and needs ~rng"
@@ -80,5 +68,3 @@ let apply_until ?rng ~horizon topo i profile =
           ignore (Engine.schedule engine ~delay:hold go_free)
       in
       go_free ()
-
-let apply ?rng topo i profile = apply_until ?rng ~horizon:infinity topo i profile

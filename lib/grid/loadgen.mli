@@ -19,14 +19,6 @@ type profile =
   | Playback of (float * float) list
       (** replay a recorded availability trace *)
 
-val pp_profile : Format.formatter -> profile -> unit
-
-val apply : ?rng:Aspipe_util.Rng.t -> Topology.t -> int -> profile -> unit
-(** [apply topo i profile] drives node [i]'s availability. Stochastic
-    profiles require [rng] (raises [Invalid_argument] otherwise).
-    Events run until the simulation stops pulling them (generators stop
-    self-rescheduling after [horizon] if provided via {!apply_until}). *)
-
 val apply_until :
   ?rng:Aspipe_util.Rng.t -> horizon:float -> Topology.t -> int -> profile -> unit
 (** Like {!apply} but self-rescheduling profiles (sine, random walk, Markov)

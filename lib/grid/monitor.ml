@@ -10,11 +10,9 @@ let perfect_sensor = { noise = 0.0; dropout = 0.0 }
 
 type t = {
   topo : Topology.t;
-  every : float;
   forecasters : Forecast.t array;
   link_forecasters : Forecast.t array array;  (* [src].[dst], diagonal unused *)
   user_link_forecasters : Forecast.t array;
-  last : float option array;
   missed : int array;  (* consecutive unanswered heartbeats per node *)
   suspect_after : int;
   mutable samples : int;
@@ -31,11 +29,9 @@ let create ?(sensor = default_sensor) ?(suspect_after = 2) ?forecaster ~rng ~eve
   let t =
     {
       topo;
-      every;
       forecasters = Array.init n (fun _ -> make_forecaster ());
       link_forecasters = Array.init n (fun _ -> Array.init n (fun _ -> make_forecaster ()));
       user_link_forecasters = Array.init n (fun _ -> make_forecaster ());
-      last = Array.make n None;
       missed = Array.make n 0;
       suspect_after;
       samples = 0;
@@ -76,7 +72,6 @@ let create ?(sensor = default_sensor) ?(suspect_after = 2) ?forecaster ~rng ~eve
                       })
                end;
                Forecast.observe t.forecasters.(i) observed;
-               t.last.(i) <- Some observed;
                t.samples <- t.samples + 1
            | None -> ()
          end);
@@ -104,8 +99,6 @@ let create ?(sensor = default_sensor) ?(suspect_after = 2) ?forecaster ~rng ~eve
       Engine.now engine < horizon);
   t
 
-let every t = t.every
-
 let node_forecast t i =
   let f = Forecast.predict t.forecasters.(i) in
   Float.min 1.0 (Float.max 0.0 f)
@@ -117,7 +110,6 @@ let link_forecast t ~src ~dst =
 
 let user_link_forecast t i = clamp01 (Forecast.predict t.user_link_forecasters.(i))
 
-let last_observation t i = t.last.(i)
 let samples_taken t = t.samples
 let suspected t i = t.missed.(i) >= t.suspect_after
 

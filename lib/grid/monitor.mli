@@ -37,8 +37,6 @@ val create :
     monitor's failure-detection verdict, which stays advisory (the monitor
     never acts on it itself). *)
 
-val every : t -> float
-
 val node_forecast : t -> int -> float
 (** Forecast availability of node [i], clamped to [\[0, 1\]]; 1.0 before any
     sample arrived. *)
@@ -50,17 +48,14 @@ val link_forecast : t -> src:int -> dst:int -> float
 val user_link_forecast : t -> int -> float
 (** Forecast quality of the user ↔ node [i] connection. *)
 
-val last_observation : t -> int -> float option
-(** Most recent raw (noisy) sample, if any. *)
-
 val samples_taken : t -> int
 
 val suspected : t -> int -> bool
 (** Whether node [i] has missed [suspect_after] or more consecutive
     heartbeats. Cleared as soon as the node answers again. *)
 
-val suspects : t -> int list
+val suspects : t -> int list (* lint: unused-export-ok public API: monitor reading *)
 (** All currently suspected nodes, ascending. *)
 
-val forecast_error : t -> int -> float
+val forecast_error : t -> int -> float (* lint: unused-export-ok public API: monitor reading *)
 (** Running MAE of the node's forecaster ([nan] with < 2 samples). *)

@@ -2,7 +2,8 @@ module Engine = Aspipe_des.Engine
 module Rng = Aspipe_util.Rng
 module Variate = Aspipe_util.Variate
 
-let require_rng = function
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] require_rng = function
   | Some rng -> rng
   | None -> invalid_arg "Netgen: this profile is stochastic and needs ~rng"
 
@@ -56,10 +57,6 @@ let drive ?rng ~horizon engine set profile =
           ignore (Engine.schedule engine ~delay:hold go_free)
       in
       go_free ()
-
-let apply_until ?rng ~horizon topo ~src ~dst profile =
-  let link = Topology.link topo ~src ~dst in
-  drive ?rng ~horizon (Topology.engine topo) (Link.set_quality link) profile
 
 let apply_pair ?rng ~horizon topo a b profile =
   let forward = Topology.link topo ~src:a ~dst:b in

@@ -5,17 +5,6 @@
     {!apply_pair}, both directions of a node pair — the common case for a
     congested route. *)
 
-val apply_until :
-  ?rng:Aspipe_util.Rng.t ->
-  horizon:float ->
-  Topology.t ->
-  src:int ->
-  dst:int ->
-  Loadgen.profile ->
-  unit
-(** Drive the quality of the directed link [src → dst]. Stochastic profiles
-    need [rng]. *)
-
 val apply_pair :
   ?rng:Aspipe_util.Rng.t ->
   horizon:float ->
@@ -27,6 +16,7 @@ val apply_pair :
 (** Drive both directions between two nodes with the same profile (the two
     directions share every event, as one congested route would). *)
 
+(* lint: unused-export-ok public API: the user-link generator beside apply_pair *)
 val degrade_user_link :
   ?rng:Aspipe_util.Rng.t -> horizon:float -> Topology.t -> int -> Loadgen.profile -> unit
 (** Drive the user ↔ node [i] connection. *)

@@ -30,8 +30,6 @@ let create engine ~id ?name ~speed () =
   let server = Server.create engine ~name ~rate in
   { id; name; engine; base_speed = speed; availability; up_signal; rate; server }
 
-let id t = t.id
-let name t = t.name
 let base_speed t = t.base_speed
 let availability t = Signal.get t.availability
 
@@ -50,10 +48,6 @@ let set_up t v =
     else Aspipe_obs.Bus.emit bus (Aspipe_obs.Event.Node_crashed { node = t.id })
   end
 
-let subscribe_up t f =
-  Signal.subscribe t.up_signal (fun ~old_value:_ ~new_value -> f ~up:(new_value > 0.5))
-
 let effective_rate t = Signal.get t.rate
 let server t = t.server
 let availability_history t = Signal.history t.availability
-let up_history t = Signal.history t.up_signal

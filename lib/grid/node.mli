@@ -20,8 +20,6 @@ val create :
   Aspipe_des.Engine.t -> id:int -> ?name:string -> speed:float -> unit -> t
 (** [speed] is in abstract work units per second; must be positive. *)
 
-val id : t -> int
-val name : t -> string
 val base_speed : t -> float
 
 val availability : t -> float
@@ -37,15 +35,9 @@ val set_up : t -> bool -> unit
     transition the derived server rate is re-driven (down forces rate 0)
     and the matching fault event is emitted on the engine bus. *)
 
-val subscribe_up : t -> (up:bool -> unit) -> unit
-(** Called on every liveness transition, after the rate has been
-    re-derived. *)
-
-val effective_rate : t -> float
+val effective_rate : t -> float (* lint: unused-export-ok public API: node state reading *)
 (** [base_speed × availability × up], in work units per second. *)
 
 val server : t -> Aspipe_des.Server.t
+(* lint: unused-export-ok public API: node state reading *)
 val availability_history : t -> Aspipe_util.Timeseries.t
-
-val up_history : t -> Aspipe_util.Timeseries.t
-(** The liveness signal's recorded history (1 = up, 0 = down). *)

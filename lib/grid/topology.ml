@@ -5,7 +5,6 @@ type t = {
   nodes : Node.t array;
   links : Link.t array array;
   user_links : Link.t array;
-  sites : int array;
 }
 
 let engine t = t.engine
@@ -26,28 +25,21 @@ let user_link t i =
   if i < 0 || i >= size t then invalid_arg "Topology.user_link: index out of range";
   t.user_links.(i)
 
-let site_of t i =
-  if i < 0 || i >= size t then invalid_arg "Topology.site_of: index out of range";
-  t.sites.(i)
-
-let build engine ~nodes ~links ~user_links ~sites =
+let custom engine ~nodes ~links ~user_links =
   let n = Array.length nodes in
   let link_matrix =
     Array.init n (fun src ->
         Array.init n (fun dst ->
             if src = dst then Link.local engine else links ~src ~dst))
   in
-  { engine; nodes; links = link_matrix; user_links = Array.init n user_links; sites }
-
-let custom engine ~nodes ~links ~user_links =
-  build engine ~nodes ~links ~user_links ~sites:(Array.make (Array.length nodes) 0)
+  { engine; nodes; links = link_matrix; user_links = Array.init n user_links }
 
 let heterogeneous engine ~speeds ~latency ~bandwidth () =
   if Array.length speeds = 0 then invalid_arg "Topology.heterogeneous: no nodes";
   let nodes = Array.mapi (fun id speed -> Node.create engine ~id ~speed ()) speeds in
   let links ~src:_ ~dst:_ = Link.create engine ~latency ~bandwidth () in
   let user_links _ = Link.create engine ~latency ~bandwidth () in
-  build engine ~nodes ~links ~user_links ~sites:(Array.make (Array.length speeds) 0)
+  custom engine ~nodes ~links ~user_links
 
 let uniform engine ~n ~speed ~latency ~bandwidth () =
   if n <= 0 then invalid_arg "Topology.uniform: n must be positive";
@@ -70,4 +62,4 @@ let two_site engine ~site_a ~site_b ~intra_latency ~intra_bandwidth ~inter_laten
     if sites.(i) = 0 then Link.create engine ~latency:intra_latency ~bandwidth:intra_bandwidth ()
     else Link.create engine ~latency:inter_latency ~bandwidth:inter_bandwidth ()
   in
-  build engine ~nodes ~links ~user_links ~sites
+  custom engine ~nodes ~links ~user_links

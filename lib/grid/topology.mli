@@ -7,7 +7,7 @@ type t
 val engine : t -> Aspipe_des.Engine.t
 val size : t -> int
 val node : t -> int -> Node.t
-val nodes : t -> Node.t array
+val nodes : t -> Node.t array (* lint: unused-export-ok public API: topology query *)
 
 val link : t -> src:int -> dst:int -> Link.t
 (** [link t ~src ~dst]; [src = dst] is the local link. *)
@@ -57,6 +57,3 @@ val custom :
   user_links:(int -> Link.t) ->
   t
 (** Full control; the functions are evaluated once per pair at build time. *)
-
-val site_of : t -> int -> int
-(** Site index of a node (0 for single-site topologies). *)

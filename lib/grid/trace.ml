@@ -139,7 +139,8 @@ let read column item = if item >= 0 && item < Array.length column then column.(i
 (* An item's sojourn starts at its open-arrival stamp when one was recorded
    (Sojourn events carry it) and otherwise at its first service start — the
    only entry instant a closed-stream trace knows. NaN when neither is. *)
-let entered t item =
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] entered t item =
   let arrival = read t.arrivals item in
   if Float.is_nan arrival then read t.first_start item else arrival
 

@@ -34,6 +34,7 @@ val record_service : t -> service -> unit
 (** Also records the service's start as the item's entry instant (see
     {!record_entry}). *)
 
+(* lint: unused-export-ok public API: trace recording, as record_service *)
 val record_transfer : t -> transfer -> unit
 val record_completion : t -> item:int -> time:float -> unit
 val record_adaptation : t -> adaptation -> unit
@@ -83,7 +84,7 @@ val services : t -> service list
 val service_times : t -> stage:int -> float array
 (** Durations of every service of [stage]. *)
 
-val services_on_node : t -> node:int -> int
+val services_on_node : t -> node:int -> int (* lint: unused-export-ok public API: trace query *)
 val transfers : t -> transfer list
 val adaptations : t -> adaptation list
 (** In time order. *)

@@ -35,12 +35,6 @@ let node_busy_time trace ~node =
       if s.Trace.node = node then acc +. (s.Trace.finish -. s.Trace.start) else acc)
     0.0 (Trace.services trace)
 
-let node_busy_fraction trace ~node =
-  let span = Trace.makespan trace in
-  if span <= 0.0 then 0.0 else node_busy_time trace ~node /. span
-
-let transfer_volume trace = List.length (Trace.transfers trace)
-
 let gantt_rows trace =
   let header = [ "kind"; "item"; "stage"; "nodes"; "start"; "finish" ] in
   let service_rows =

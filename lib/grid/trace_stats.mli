@@ -11,16 +11,12 @@ type stage_summary = {
   nodes_used : int list;  (** ascending *)
 }
 
+(* lint: unused-export-ok public API: trace statistic *)
 val per_stage : Trace.t -> stages:int -> stage_summary list
 
+(* lint: unused-export-ok public API: trace statistic *)
 val node_busy_time : Trace.t -> node:int -> float
 (** Total service time the trace records on a node. *)
-
-val node_busy_fraction : Trace.t -> node:int -> float
-(** [node_busy_time / makespan] (0 when the trace is empty). *)
-
-val transfer_volume : Trace.t -> int
-(** Number of inter-stage transfers recorded. *)
 
 val gantt_rows : Trace.t -> string list list
 (** Header plus one row per service and per transfer:

@@ -300,30 +300,4 @@ module Incr = struct
 
   let assignment t i = t.assign.(i)
   let mapping t = Mapping.of_array ~processors:t.np t.assign
-  let stages t = t.ns
-  let processors t = t.np
 end
-
-let fill_latency spec m =
-  let ns = Costspec.stages spec in
-  let services =
-    List.fold_left
-      (fun acc i ->
-        let rate = Costspec.service_rate spec m i in
-        acc +. (if rate = infinity then 0.0 else 1.0 /. rate))
-      0.0 (List.init ns Fun.id)
-  in
-  let moves =
-    List.fold_left
-      (fun acc i ->
-        let rate = Costspec.move_rate spec m i in
-        acc +. (if rate = infinity then 0.0 else 1.0 /. rate))
-      0.0
-      (List.init (ns + 1) Fun.id)
-  in
-  services +. moves
-
-let completion_time spec m ~items =
-  if items <= 0 then invalid_arg "Analytic.completion_time: items must be positive";
-  let x = throughput spec m in
-  fill_latency spec m +. (Float.of_int (items - 1) /. x)

@@ -45,17 +45,6 @@ val upper_bound : Costspec.t -> float
     bound is [infinity] when a work is not finite or a rate or move is
     NaN. *)
 
-val stage_cycle_time : Costspec.t -> Mapping.t -> int -> float
-(** Shared service time plus output-move time of stage [i]. *)
-
-val fill_latency : Costspec.t -> Mapping.t -> float
-(** Time for the first item to traverse an empty pipeline (one service and
-    one move per stage, plus the input move, uncontended). *)
-
-val completion_time : Costspec.t -> Mapping.t -> items:int -> float
-(** Estimated makespan for a finite input set: fill latency plus
-    [(items − 1)] bottleneck periods. *)
-
 val pp_bottleneck : Format.formatter -> bottleneck -> unit
 
 (** Incremental re-scoring for mapping search.
@@ -100,6 +89,4 @@ module Incr : sig
   val mapping : t -> Mapping.t
   (** Snapshot of the current assignment. *)
 
-  val stages : t -> int
-  val processors : t -> int
 end

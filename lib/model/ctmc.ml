@@ -19,7 +19,8 @@ let pow3 n =
 
 let digit state i = state / pow3 i mod 3
 
-let with_digit state i d =
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] with_digit state i d =
   let p = pow3 i in
   state + ((d - (state / p mod 3)) * p)
 
@@ -88,7 +89,8 @@ type solver = Gauss_seidel | Power
    vectors. Every sum runs in a fixed order (a state's transitions newest
    added first), and the differential tests pin the results bit for bit. *)
 
-let sum a =
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] sum a =
   let acc = ref 0.0 in
   for i = 0 to Array.length a - 1 do
     acc := !acc +. a.(i)

@@ -16,15 +16,9 @@ let equal (a : t) (b : t) = a = b
 let to_string t =
   "(" ^ String.concat "," (List.map string_of_int (Array.to_list t)) ^ ")"
 
-let pp ppf t = Format.pp_print_string ppf (to_string t)
-
 let round_robin ~stages ~processors =
   if stages <= 0 || processors <= 0 then invalid_arg "Mapping.round_robin";
   Array.init stages (fun i -> i mod processors)
-
-let all_on ~stages ~processor ~processors =
-  if processor < 0 || processor >= processors then invalid_arg "Mapping.all_on";
-  Array.make stages processor
 
 let random rng ~stages ~processors =
   if stages <= 0 || processors <= 0 then invalid_arg "Mapping.random";

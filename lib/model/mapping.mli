@@ -16,13 +16,11 @@ val stages : t -> int
 val processor_of : t -> int -> int
 val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val round_robin : stages:int -> processors:int -> t
 (** Stage [i] on processor [i mod processors]. *)
 
-val all_on : stages:int -> processor:int -> processors:int -> t
-
+(* lint: unused-export-ok public API: mapping constructor *)
 val random : Aspipe_util.Rng.t -> stages:int -> processors:int -> t
 
 val blocks : stages:int -> processors:int -> t
@@ -80,6 +78,7 @@ val iter_gray :
     digit) and reports the changed [stage] plus the current enumeration
     [code]. Scratch-reuse caveats as {!iter_enumerate}. *)
 
+(* lint: unused-export-ok differential reference: test_model checks iter_neighbours against it *)
 val neighbours : t -> processors:int -> t list
 (** All mappings differing in exactly one stage's processor. *)
 
@@ -90,6 +89,7 @@ val iter_neighbours :
     in-place scratch array, restored between stages. Scratch-reuse caveats as
     {!iter_enumerate}. *)
 
+(* lint: unused-export-ok public API: per-processor stage counts *)
 val colocation : t -> processors:int -> int array
 (** [colocation m ~processors] gives, per processor, the number of stages it
     hosts. *)

@@ -6,9 +6,6 @@ let make ?(kind = Analytic) spec =
   Costspec.validate spec;
   { kind; spec }
 
-let kind t = t.kind
-let spec t = t.spec
-
 let evaluate t m =
   match t.kind with
   | Analytic -> Analytic.throughput t.spec m
@@ -27,15 +24,6 @@ let choose ?fix_first_on ?exhaustive_limit ?incumbent t =
   | Ctmc, Some p ->
       (* Pinning the first stage shrinks the space; exhaustive it if feasible. *)
       Search.exhaustive ~fix_first_on:p ~stages ~processors (evaluate t)
-
-let rank t candidates =
-  let scored = List.map (fun m -> (m, evaluate t m)) candidates in
-  List.stable_sort (fun (_, a) (_, b) -> Float.compare b a) scored
-
-let predicted_completion t m ~items =
-  let x = evaluate t m in
-  if x <= 0.0 then infinity
-  else Analytic.fill_latency t.spec m +. (Float.of_int (items - 1) /. x)
 
 (* Distinct processors of [m]. [seen.(p) = round] marks [p] as counted, so
    a fresh [round] per call needs no clearing. *)

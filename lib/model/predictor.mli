@@ -12,9 +12,6 @@ type t
 val make : ?kind:kind -> Costspec.t -> t
 (** Default [Analytic]. *)
 
-val kind : t -> kind
-val spec : t -> Costspec.t
-
 val evaluate : t -> Mapping.t -> float
 (** Predicted steady-state throughput (items/s). *)
 
@@ -55,10 +52,3 @@ val cheapest : ?fix_first_on:int -> required:float -> t -> Mapping.t option
     than the best so far is not scored. Apart from that walk's fixed
     setup, the [Analytic] kind allocates at most a boxed score per
     candidate. *)
-
-val rank : t -> Mapping.t list -> (Mapping.t * float) list
-(** Candidates with scores, best first; deterministic for equal scores. *)
-
-val predicted_completion : t -> Mapping.t -> items:int -> float
-(** Makespan estimate ({!Analytic.completion_time}, regardless of [kind],
-    with the CTMC throughput substituted when [kind = Ctmc]). *)

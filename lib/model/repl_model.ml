@@ -65,20 +65,6 @@ let best_round_robin spec =
   in
   (List.sort compare best_set, best_score)
 
-let completion_time spec ~replicas ~items =
-  if items <= 0 then invalid_arg "Repl_model.completion_time: items must be positive";
-  let x = throughput spec ~replicas in
-  let ns = Costspec.stages spec in
-  (* One traversal: each stage at its fastest replica's share. *)
-  let fill =
-    List.fold_left
-      (fun acc i ->
-        let capacity = stage_capacity spec ~replicas i in
-        acc +. (if capacity = infinity then 0.0 else 1.0 /. capacity))
-      0.0 (List.init ns Fun.id)
-  in
-  fill +. (Float.of_int (items - 1) /. x)
-
 let best_replication spec ~budget ~processors =
   let ns = Costspec.stages spec in
   if processors < ns then invalid_arg "Repl_model.best_replication: need at least one node per stage";

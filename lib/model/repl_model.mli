@@ -8,10 +8,11 @@
     asynchronous sends, steady throughput is the minimum stage capacity.
     On a one-stage spec this is the task-farm model. *)
 
+(* lint: unused-export-ok public API: replication model term *)
 val node_share : replicas:int list array -> processors:int -> int array
 (** How many (stage, replica) assignments each node carries. *)
 
-val stage_capacity :
+val stage_capacity : (* lint: unused-export-ok public API: replication model term *)
   ?dispatch:Aspipe_skel.Repl_sim.dispatch -> Costspec.t -> replicas:int list array -> int -> float
 (** Items/s stage [i] can sustain given everyone's replica sets: the sum of
     its replicas' share rates under [Least_loaded] (the default),
@@ -29,10 +30,6 @@ val best_round_robin : Costspec.t -> int list * float
     (ties by node id) and take the prefix whose [k × rate_k] is maximal,
     the first maximum on ties. Returns the set ascending and its predicted
     throughput. Raises [Invalid_argument] on a multi-stage spec. *)
-
-val completion_time : Costspec.t -> replicas:int list array -> items:int -> float
-(** Rough makespan: one traversal of the empty pipeline plus
-    [(items − 1)] bottleneck periods. *)
 
 val best_replication :
   Costspec.t -> budget:int -> processors:int -> int list array * float

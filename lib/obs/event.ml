@@ -70,56 +70,3 @@ let kind = function
   | Item_lost _ -> "item_lost"
   | Item_redispatched _ -> "item_redispatched"
   | Failover_committed _ -> "failover_committed"
-
-let pp_subject ppf = function
-  | Node i -> Format.fprintf ppf "node %d" i
-  | Link { src; dst } -> Format.fprintf ppf "link %d->%d" src dst
-  | User_link i -> Format.fprintf ppf "user-link %d" i
-
-let pp_mapping ppf m =
-  Format.pp_print_char ppf '[';
-  Array.iteri (fun i p -> Format.fprintf ppf "%s%d" (if i = 0 then "" else " ") p) m;
-  Format.pp_print_char ppf ']'
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>%.6f #%d %s" t.time t.seq (kind t.payload);
-  (match t.payload with
-  | Service_start { item; stage; node } ->
-      Format.fprintf ppf " item %d stage %d node %d" item stage node
-  | Service_finish { item; stage; node; start } ->
-      Format.fprintf ppf " item %d stage %d node %d start %.6f" item stage node start
-  | Transfer { item; from_stage; src; dst; start; bytes } ->
-      Format.fprintf ppf " item %d stage %d %d->%d start %.6f bytes %g" item from_stage src dst
-        start bytes
-  | Completion { item } -> Format.fprintf ppf " item %d" item
-  | Sojourn { item; arrival } -> Format.fprintf ppf " item %d arrival %.6f" item arrival
-  | Slo_window { window; until; completions; violations; attained } ->
-      Format.fprintf ppf " window %d until %.6f completions %d violations %d %s" window until
-        completions violations
-        (if attained then "attained" else "violated")
-  | Queue_sample { stage; depth } -> Format.fprintf ppf " stage %d depth %d" stage depth
-  | Calibration_sample { stage; probe; measured } ->
-      Format.fprintf ppf " stage %d probe %d measured %.6g" stage probe measured
-  | Monitor_sample { subject; observed } ->
-      Format.fprintf ppf " %a observed %.4f" pp_subject subject observed
-  | Forecast_update { subject; predicted; observed } ->
-      Format.fprintf ppf " %a predicted %.4f observed %.4f" pp_subject subject predicted
-        observed
-  | Adaptation_considered { mapping; observed_throughput; adopted_throughput } ->
-      Format.fprintf ppf " mapping %a observed %.4f adopted %.4f" pp_mapping mapping
-        observed_throughput adopted_throughput
-  | Adaptation_committed { mapping_before; mapping_after; predicted_gain; migration_cost } ->
-      Format.fprintf ppf " %a -> %a gain %.4f cost %.4f" pp_mapping mapping_before pp_mapping
-        mapping_after predicted_gain migration_cost
-  | Adaptation_rejected { mapping; observed_throughput } ->
-      Format.fprintf ppf " mapping %a observed %.4f" pp_mapping mapping observed_throughput
-  | Node_crashed { node } -> Format.fprintf ppf " node %d" node
-  | Node_recovered { node } -> Format.fprintf ppf " node %d" node
-  | Item_lost { item; stage; node } ->
-      Format.fprintf ppf " item %d stage %d node %d" item stage node
-  | Item_redispatched { item; stage; node } ->
-      Format.fprintf ppf " item %d stage %d node %d" item stage node
-  | Failover_committed { mapping_before; mapping_after; items_redispatched } ->
-      Format.fprintf ppf " %a -> %a redispatched %d" pp_mapping mapping_before pp_mapping
-        mapping_after items_redispatched);
-  Format.fprintf ppf "@]"

@@ -85,5 +85,3 @@ val kind : payload -> string
 (** Stable snake-case tag of the constructor ([service_finish], ...); this
     is the [type] field of the JSONL encoding, so it is part of the
     on-disk format. *)
-
-val pp : Format.formatter -> t -> unit

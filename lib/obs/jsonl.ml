@@ -84,12 +84,6 @@ let json_of_event (event : Event.t) =
     :: ("type", Json.String (Event.kind event.payload))
     :: payload_fields event.payload)
 
-let line event = Json.to_string (json_of_event event)
-
 let sink_to_buffer buffer event =
   Json.to_buffer buffer (json_of_event event);
   Buffer.add_char buffer '\n'
-
-let sink_to_channel oc event =
-  output_string oc (line event);
-  output_char oc '\n'

@@ -3,14 +3,5 @@
     diffing and replay. Runs with the same seed produce byte-identical
     logs (virtual time, no wall-clock anywhere). *)
 
-val json_of_event : Event.t -> Json.t
-(** Fields: [ts] (virtual seconds), [seq], [type] ({!Event.kind}), then
-    the payload's fields flattened. *)
-
-val line : Event.t -> string
-(** [to_string (json_of_event e)] — no trailing newline. *)
-
 val sink_to_buffer : Buffer.t -> Bus.sink
 (** A sink appending one line (with newline) per event. *)
-
-val sink_to_channel : out_channel -> Bus.sink

@@ -69,8 +69,6 @@ let attach ?registry bus =
   ignore (Bus.subscribe bus (on_event t));
   t
 
-let registry t = t.reg
-
 let snapshot t =
   let now = Bus.now t.bus in
   if now > 0.0 then begin

@@ -19,8 +19,6 @@ val attach : ?registry:Metrics.t -> Bus.t -> t
 (** Subscribe a meter to [bus], recording into [registry] (fresh by
     default). *)
 
-val registry : t -> Metrics.t
-
 val snapshot : t -> Metrics.snapshot
 (** Refresh the derived gauges (per-node utilization against the bus
     clock), then snapshot the registry. *)

@@ -17,7 +17,7 @@ module Counter : sig
   val get : t -> string -> cell
   val incr : cell -> unit
   val add : cell -> int -> unit
-  val value : cell -> int
+  val value : cell -> int (* lint: unused-export-ok public API: metric reader *)
 end
 
 module Gauge : sig
@@ -26,7 +26,7 @@ module Gauge : sig
   val get : t -> string -> cell
   val set : cell -> float -> unit
   val add : cell -> float -> unit
-  val value : cell -> float
+  val value : cell -> float (* lint: unused-export-ok public API: metric reader *)
 end
 
 module Histogram : sig
@@ -41,14 +41,15 @@ module Histogram : sig
 
   val get : t -> string -> cell
   val observe : cell -> float -> unit
-  val count : cell -> int
-  val sum : cell -> float
-  val mean : cell -> float
+  val count : cell -> int (* lint: unused-export-ok public API: metric reader *)
+  val sum : cell -> float (* lint: unused-export-ok public API: metric reader *)
+  val mean : cell -> float (* lint: unused-export-ok public API: metric reader *)
   (** [nan] when empty. *)
 
-  val quantile : cell -> float -> float
+  val quantile : cell -> float -> float (* lint: unused-export-ok public API: metric reader *)
   (** [quantile cell q] with [q] in [\[0, 1\]]; [nan] when empty. *)
 
+  (* lint: unused-export-ok public API: metric reader *)
   val buckets : cell -> (float * float * int) list
   (** Non-empty buckets as [(lo, hi, count)], ascending; the underflow
       bucket reports as [(0., 0., count)]. *)

@@ -11,7 +11,7 @@ let events_collected t = List.length t.events
 let grid_pid = 1
 let network_pid = 2
 
-(* Virtual seconds -> trace microseconds. *)
+(* Seconds -> trace microseconds. *)
 let us s = Json.Float (s *. 1e6)
 
 let base ~name ~cat ~ph ~ts ~pid ~tid rest =
@@ -24,13 +24,25 @@ let base ~name ~cat ~ph ~ts ~pid ~tid rest =
     :: ("tid", Json.Int tid)
     :: rest)
 
-let metadata ~name ~pid ?tid arg =
+let metadata ~name ~pid ?tid ?(key = "name") arg =
   Json.Obj
     (("name", Json.String name)
     :: ("ph", Json.String "M")
     :: ("pid", Json.Int pid)
     :: (match tid with Some tid -> [ ("tid", Json.Int tid) ] | None -> [])
-    @ [ ("args", Json.Obj [ ("name", Json.String arg) ]) ])
+    @ [ ("args", Json.Obj [ (key, arg) ]) ])
+
+let document ~other events =
+  Json.Obj
+    [
+      ("traceEvents", Json.List events);
+      ("displayTimeUnit", Json.String "ms");
+      ("otherData", Json.Obj other);
+    ]
+
+let save ~path text =
+  let oc = open_out path in
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc text)
 
 let mapping_json m = Json.List (Array.to_list (Array.map (fun p -> Json.Int p) m))
 
@@ -183,30 +195,19 @@ let to_json t =
   in
   let node_ids = List.sort compare (Hashtbl.fold (fun i () acc -> i :: acc) nodes []) in
   let meta =
-    metadata ~name:"process_name" ~pid:grid_pid "grid"
-    :: metadata ~name:"process_name" ~pid:network_pid "network"
+    metadata ~name:"process_name" ~pid:grid_pid (Json.String "grid")
+    :: metadata ~name:"process_name" ~pid:network_pid (Json.String "network")
     :: List.concat_map
          (fun i ->
            [
-             metadata ~name:"thread_name" ~pid:grid_pid ~tid:i (Printf.sprintf "node %d" i);
+             metadata ~name:"thread_name" ~pid:grid_pid ~tid:i
+               (Json.String (Printf.sprintf "node %d" i));
              metadata ~name:"thread_name" ~pid:network_pid ~tid:i
-               (Printf.sprintf "from node %d" i);
+               (Json.String (Printf.sprintf "from node %d" i));
            ])
          node_ids
   in
-  Json.Obj
-    [
-      ("traceEvents", Json.List (meta @ main @ flows));
-      ("displayTimeUnit", Json.String "ms");
-      ("otherData", Json.Obj [ ("generator", Json.String "aspipe") ]);
-    ]
+  document ~other:[ ("generator", Json.String "aspipe") ] (meta @ main @ flows)
 
 let to_string t = Json.to_string (to_json t)
-
-let write t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string t);
-      output_char oc '\n')
+let write t ~path = save ~path (to_string t ^ "\n")

@@ -20,17 +20,37 @@ type t
 
 val create : unit -> t
 
-val sink : t -> Bus.sink
-(** The collecting sink (subscribe it to a bus, or feed events directly). *)
-
 val attach : t -> Bus.t -> unit
-(** [subscribe bus (sink t)], discarding the subscription. *)
+(** Subscribe the collecting sink to the bus, discarding the subscription. *)
 
 val events_collected : t -> int
 
-val to_json : t -> Json.t
+val to_string : t -> string
 (** The [{"traceEvents": [...], ...}] document. *)
 
-val to_string : t -> string
-
 val write : t -> path:string -> unit
+(** {!to_string} and a newline. *)
+
+(** {2 Encoder}
+
+    The pieces every trace-event document here is built from, shared with
+    the runner profile's exporter ([Aspipe_prof.Export], process 3). *)
+
+val us : float -> Json.t
+(** Seconds as trace microseconds. *)
+
+val base :
+  name:string -> cat:string -> ph:string -> ts:float -> pid:int -> tid:int ->
+  (string * Json.t) list -> Json.t
+(** One event: [name], [cat], [ph], [ts] (seconds), [pid], [tid], then the
+    given fields. *)
+
+val metadata : name:string -> pid:int -> ?tid:int -> ?key:string -> Json.t -> Json.t
+(** A ["M"] metadata event whose [args] is [{key: value}] ([key] defaults
+    to ["name"]). *)
+
+val document : other:(string * Json.t) list -> Json.t list -> Json.t
+(** [{"traceEvents": events, "displayTimeUnit": "ms", "otherData": other}]. *)
+
+val save : path:string -> string -> unit
+(** Write the text to [path], exactly. *)

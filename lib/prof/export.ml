@@ -1,38 +1,17 @@
-(* Profile -> Chrome trace-event JSON.
-
-   Same document shape as Aspipe_obs.Trace_event, under a third process so
-   a runner profile and a virtual-time trace can be concatenated for
-   side-by-side viewing: one thread per domain timeline, "X" slices for
-   duration spans, "i" instants for steals, "C" counter tracks (name-keyed
-   per domain) for GC and queue-depth samples. Seconds scale to trace
-   microseconds. *)
+(* Profile -> Chrome trace-event JSON, built with Aspipe_obs.Trace_event's
+   encoder under a third process so a runner profile and a virtual-time
+   trace can be concatenated for side-by-side viewing: one thread per
+   domain timeline, "X" slices for duration spans, "i" instants for steals,
+   "C" counter tracks (name-keyed per domain) for GC and queue-depth
+   samples. *)
 
 module Json = Aspipe_obs.Json
+module Trace_event = Aspipe_obs.Trace_event
 
 let runner_pid = 3
-let us s = Json.Float (s *. 1e6)
-
-let base ~name ~cat ~ph ~ts ~tid rest =
-  Json.Obj
-    ([
-       ("name", Json.String name);
-       ("cat", Json.String cat);
-       ("ph", Json.String ph);
-       ("ts", us ts);
-       ("pid", Json.Int runner_pid);
-       ("tid", Json.Int tid);
-     ]
-    @ rest)
-
-let metadata ~name ~tid ~key arg =
-  Json.Obj
-    [
-      ("name", Json.String name);
-      ("ph", Json.String "M");
-      ("pid", Json.Int runner_pid);
-      ("tid", Json.Int tid);
-      ("args", Json.Obj [ (key, arg) ]);
-    ]
+let us = Trace_event.us
+let base = Trace_event.base ~pid:runner_pid
+let metadata ~name ~tid ~key arg = Trace_event.metadata ~name ~pid:runner_pid ~tid ~key arg
 
 let slice_cat (k : Prof.kind) =
   match k with
@@ -117,21 +96,15 @@ let to_json (p : Prof.profile) =
   let spans =
     List.fold_left (fun acc tl -> acc + List.length tl.Prof.spans) 0 p.Prof.timelines
   in
-  Json.Obj
-    [
-      ("traceEvents", Json.List (process @ threads @ events));
-      ("displayTimeUnit", Json.String "ms");
-      ( "otherData",
-        Json.Obj
-          [
-            ("source", Json.String "aspipe campaign --profile");
-            ("spans", Json.Int spans);
-            ("origin_seconds", Json.Float p.Prof.origin);
-          ] );
-    ]
+  Trace_event.document
+    ~other:
+      [
+        ("source", Json.String "aspipe campaign --profile");
+        ("spans", Json.Int spans);
+        ("origin_seconds", Json.Float p.Prof.origin);
+      ]
+    (process @ threads @ events)
 
 let to_string p = Json.to_string (to_json p)
-
-let write p ~path =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string p))
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] write p ~path = Trace_event.save ~path (to_string p)

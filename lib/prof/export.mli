@@ -6,12 +6,10 @@
     render as complete ("X") slices, steals as instants, GC and queue
     samples as counter tracks. *)
 
-val runner_pid : int
+val runner_pid : int (* lint: unused-export-ok public API: the runner's pid in a merged trace *)
 (** 3 — next to Trace_event's grid (1) and network (2) processes. *)
 
-val to_json : Prof.profile -> Aspipe_obs.Json.t
-(** The [{"traceEvents": [...], ...}] document. *)
-
+(* lint: unused-export-ok public API: the document write saves; test_prof checks its shape *)
 val to_string : Prof.profile -> string
 
 val write : Prof.profile -> path:string -> unit

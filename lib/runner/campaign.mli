@@ -54,8 +54,4 @@ val run :
 val print_outputs : report -> unit
 (** Emit every experiment's output, in registry order. *)
 
-val summary : report -> string
-(** The runner's observability block: jobs, wall/serial seconds, speedup,
-    per-domain utilisation and the metrics-registry rendering. *)
-
 val print_summary : report -> unit

@@ -8,7 +8,7 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool
+val is_empty : 'a t -> bool (* lint: unused-export-ok public API: deque query *)
 
 val push : 'a t -> 'a -> unit
 (** Owner end: enqueue at the bottom. *)

@@ -9,9 +9,6 @@
 
 type t
 
-val default_minor_heap_words : int
-(** 2{^20} words (8 MB) per worker — see {!create}. *)
-
 val create : ?minor_heap_words:int -> workers:int -> unit -> t
 (** Spawn [workers] domains. Raises [Invalid_argument] if [workers < 1].
 
@@ -21,7 +18,7 @@ val create : ?minor_heap_words:int -> workers:int -> unit -> t
     domains, so a larger per-worker arena stretches the interval between
     global barriers. Pass [0] to keep the runtime default. *)
 
-val size : t -> int
+val size : t -> int (* lint: unused-export-ok public API: pool width *)
 
 val map : ?name:(int -> string) -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Fan the batch out over the pool and wait for all of it. The first

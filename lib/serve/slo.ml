@@ -25,7 +25,6 @@ type t = {
   mutable window_violations : int;
   mutable windows : window_stats list;  (* newest first *)
   mutable next_index : int;
-  mutable total_completions : int;
   mutable total_violations : int;
 }
 
@@ -36,15 +35,11 @@ let create spec =
     window_violations = 0;
     windows = [];
     next_index = 0;
-    total_completions = 0;
     total_violations = 0;
   }
 
-let get_spec t = t.spec
-
 let observe t ~sojourn =
   t.window_completions <- t.window_completions + 1;
-  t.total_completions <- t.total_completions + 1;
   if sojourn > t.spec.threshold then begin
     t.window_violations <- t.window_violations + 1;
     t.total_violations <- t.total_violations + 1
@@ -80,7 +75,6 @@ let attainment t =
       let attained = List.length (List.filter (fun w -> w.attained) ws) in
       Float.of_int attained /. Float.of_int (List.length ws)
 
-let completions_total t = t.total_completions
 let violations_total t = t.total_violations
 
 let pp_spec ppf s =

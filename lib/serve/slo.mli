@@ -27,7 +27,6 @@ type window_stats = {
 type t
 
 val create : spec -> t
-val get_spec : t -> spec
 
 val observe : t -> sojourn:float -> unit
 (** Account one departure into the current window. *)
@@ -42,7 +41,6 @@ val windows : t -> window_stats list
 val attainment : t -> float
 (** Fraction of sealed windows attained; [nan] before any window closed. *)
 
-val completions_total : t -> int
 val violations_total : t -> int
 
 val pp_spec : Format.formatter -> spec -> unit

@@ -7,5 +7,3 @@ val map : workers:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~workers f xs] applies [f] to every element using [workers] domains
     (1 means: compute in the calling domain). Exceptions raised by [f] are
     re-raised in the caller after all workers stop. *)
-
-val map_array : workers:int -> ('a -> 'b) -> 'a array -> 'b array

@@ -14,33 +14,13 @@ let length p =
 let rec apply : type a b. (a, b) t -> a -> b =
  fun p x -> match p with Last f -> f x | Stage (f, rest) -> apply rest (f x)
 
-let apply_observed ~bus ~item p x =
-  let module Bus = Aspipe_obs.Bus in
-  let module Event = Aspipe_obs.Event in
-  let timed : type a b. int -> (a -> b) -> a -> b =
-   fun stage f x ->
-    let start = Bus.now bus in
-    if Bus.active bus then Bus.emit bus (Event.Service_start { item; stage; node = 0 });
-    let y = f x in
-    if Bus.active bus then Bus.emit bus (Event.Service_finish { item; stage; node = 0; start });
-    y
-  in
-  let rec go : type a b. int -> (a, b) t -> a -> b =
-   fun stage p x ->
-    match p with
-    | Last f ->
-        let y = timed stage f x in
-        if Bus.active bus then Bus.emit bus (Event.Completion { item });
-        y
-    | Stage (f, rest) -> go (stage + 1) rest (timed stage f x)
-  in
-  go 0 p x
-
-let check_groups groups n =
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] check_groups groups n =
   if Array.length groups <> n then invalid_arg "Pipe.fuse_groups: wrong group count";
-  Array.iteri
-    (fun i g -> if i > 0 && g < groups.(i - 1) then invalid_arg "Pipe.fuse_groups: groups must be non-decreasing")
-    groups
+  for i = 1 to n - 1 do
+    if groups.(i) < groups.(i - 1) then
+      invalid_arg "Pipe.fuse_groups: groups must be non-decreasing"
+  done
 
 let fuse_groups groups p =
   check_groups groups (length p);

@@ -12,20 +12,12 @@ val last : ('a -> 'b) -> ('a, 'b) t
 val ( @> ) : ('a -> 'c) -> ('c, 'b) t -> ('a, 'b) t
 (** [f @> rest] prepends a stage: [f @> g @> last h]. *)
 
-val length : ('a, 'b) t -> int
+val length : ('a, 'b) t -> int (* lint: unused-export-ok public API: stage count of a composition *)
 (** Number of stages. *)
 
 val apply : ('a, 'b) t -> 'a -> 'b
 (** Run one item through sequentially — the reference semantics every
     parallel backend must agree with. *)
-
-val apply_observed : bus:Aspipe_obs.Bus.t -> item:int -> ('a, 'b) t -> 'a -> 'b
-(** Like {!apply}, but emits [Service_start]/[Service_finish] per stage and
-    a final [Completion] on [bus], stamped with the bus clock — wire a
-    wall-clock bus (e.g. [Bus.create ~clock:Unix.gettimeofday ()]) to
-    profile direct shared-memory execution with the same sinks the
-    simulators use. Direct execution has no placement, so events carry
-    [node = 0]. *)
 
 val fuse_groups : int array -> ('a, 'b) t -> ('a, 'b) t
 (** [fuse_groups groups p] composes adjacent stages assigned to the same

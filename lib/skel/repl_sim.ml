@@ -36,7 +36,7 @@ type t = {
   mutable completed : int;
 }
 
-let validate topo stages replicas =
+let[@inline never] validate topo stages replicas =
   if Array.length stages = 0 then invalid_arg "Repl_sim: empty pipeline";
   if Array.length replicas <> Array.length stages then
     invalid_arg "Repl_sim: one replica set per stage required";
@@ -50,7 +50,8 @@ let validate topo stages replicas =
       List.sort_uniq compare nodes)
     replicas
 
-let transfer_from t ~src ~dst ~bytes k =
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] transfer_from t ~src ~dst ~bytes k =
   if src = user_site then Link.transfer (Topology.user_link t.topo dst) ~bytes k
   else Link.transfer (Topology.link t.topo ~src ~dst) ~bytes k
 
@@ -68,7 +69,7 @@ let rec sink_emit t =
 (* Round-robin deals eagerly (equal shares, the classic farm deal);
    least-loaded is demand-driven: an item is only dealt while some replica
    has fewer than [window] items outstanding, so shares follow speed. *)
-let pick t s =
+let[@inline never] pick t s =
   match t.dispatch with
   | Round_robin ->
       let r = List.nth s.replica_set (s.rr_cursor mod List.length s.replica_set) in
@@ -179,7 +180,7 @@ let create ?(window = 2) ?(dispatch = Least_loaded) ~rng ~topo ~stages ~replicas
     arrivals;
   t
 
-let replicas t = Array.map (fun s -> s.replica_set) t.stages
+let[@inline never] replicas t = Array.map (fun s -> s.replica_set) t.stages
 
 let outstanding t ~stage node =
   if stage < 0 || stage >= Array.length t.stages || node < 0 || node >= Topology.size t.topo
@@ -193,7 +194,6 @@ let set_replicas t new_replicas =
   Array.iteri (fun i _ -> pump t i) t.stages
 
 let items_total t = t.input.Stream_spec.items
-let items_completed t = t.completed
 let finished t = t.completed = items_total t
 
 let run_to_completion ?(max_time = 1e7) t =

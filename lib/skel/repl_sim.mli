@@ -57,12 +57,11 @@ val set_replicas : t -> int list array -> unit
     already dealt to a removed replica finish there). Raises
     [Invalid_argument] on bad sets. *)
 
+(* lint: unused-export-ok public API: in-flight items per replica *)
 val outstanding : t -> stage:int -> int -> int
 (** [outstanding t ~stage node]: items dealt to [node] for [stage] whose
     service has not ended. Raises [Invalid_argument] out of range. *)
 
-val items_total : t -> int
-val items_completed : t -> int
 val finished : t -> bool
 
 val run_to_completion : ?max_time:float -> t -> unit

@@ -7,9 +7,11 @@
     stage ({!run}), or with stages fused into processor groups
     ({!run_grouped}) — the shared-memory analogue of the grid mapping. *)
 
+(* lint: unused-export-ok differential reference: test_diff and test_mc compare every backend with it *)
 val run_seq : ('a, 'b) Pipe.t -> 'a list -> 'b list
 (** Reference semantics, zero parallelism. *)
 
+(* lint: unused-export-ok public API: one domain per stage; test_diff compares it with Skel_sim *)
 val run : ?capacity:int -> ?batch:int -> ('a, 'b) Pipe.t -> 'a list -> 'b list
 (** One domain per stage, plus a feeder. Output order equals input order.
     [capacity] bounds each inter-stage ring (default 8, rounded up to a
@@ -40,16 +42,13 @@ val run_fold :
     or [f] is re-raised here after every domain of the run has been
     joined. *)
 
+(* lint: unused-export-ok public API: one ring-to-ring stage loop *)
 val pump : batch:int -> ('a -> 'b) -> 'a Aspipe_util.Spsc.t -> 'b Aspipe_util.Spsc.t -> unit
 (** The per-stage loop: chunked pop → apply → chunked push, with the
     close/failure relay protocol. The first item is taken with
     {!Aspipe_util.Spsc.pop} and sizes the two plain chunk buffers, so a
     chunk allocates nothing beyond what [f] does. Exposed for the relay
     and allocation tests; not intended for direct use. *)
-
-val now_seconds : unit -> float
-(** Monotonic clock (bechamel's [Monotonic_clock]), seconds since an
-    arbitrary epoch — for durations only. *)
 
 val run_timed : ?capacity:int -> ?batch:int -> ('a, 'b) Pipe.t -> 'a list -> 'b list * float
 (** {!run} plus elapsed seconds (monotonic clock). *)

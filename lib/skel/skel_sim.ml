@@ -422,15 +422,11 @@ let remap t new_mapping =
 let migrating t = Array.exists (fun s -> s.migrating_to <> None) t.stages
 
 let items_total t = if t.open_stream then t.injected else t.input.Stream_spec.items
-let items_injected t = t.injected
 let items_completed t = t.completed
 let finished t = t.completed = items_total t
 
 let lost_items t =
   List.sort compare (Array.fold_left (fun acc s -> s.lost @ acc) [] t.stages)
-
-let items_lost_total t = t.lost_total
-let items_redispatched_total t = t.redispatched_total
 
 (* The stall watchdog's report: which stage holds what, where, and whether a
    dead node explains the stall — so a fault-induced DNF reads differently
@@ -486,3 +482,7 @@ let execute ?(rng = Rng.create 42) ?queue_capacity ~topo ~stages ~mapping ~input
   let t = create ?queue_capacity ~trace ~rng ~topo ~stages ~mapping ~input () in
   run_to_completion t;
   trace
+
+let items_injected t = t.injected
+let items_lost_total t = t.lost_total
+let items_redispatched_total t = t.redispatched_total

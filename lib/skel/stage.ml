@@ -55,7 +55,3 @@ let imbalanced ?output_bytes ?state_bytes ~n ~work ~hot_stage ~factor () =
       ~work:(Variate.Constant (work *. factor))
       ();
   stages
-
-let pp ppf t =
-  Format.fprintf ppf "%s{work=%a, out=%gB, state=%gB}" t.name Variate.pp_spec t.work
-    t.output_bytes t.state_bytes

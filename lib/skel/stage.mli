@@ -46,5 +46,3 @@ val imbalanced :
   unit ->
   t array
 (** Like {!balanced} but stage [hot_stage] costs [factor × work]. *)
-
-val pp : Format.formatter -> t -> unit

@@ -3,17 +3,16 @@ module Variate = Aspipe_util.Variate
 
 type arrival = Immediate | Spaced of float | Poisson of float
 
-type t = { items : int; arrival : arrival; item_bytes : float; batch : int }
+type t = { items : int; arrival : arrival; item_bytes : float }
 
-let make ?(arrival = Immediate) ?(item_bytes = 1e5) ?(batch = 1) ~items () =
+let make ?(arrival = Immediate) ?(item_bytes = 1e5) ~items () =
   if items <= 0 then invalid_arg "Stream_spec.make: items must be positive";
   if item_bytes < 0.0 then invalid_arg "Stream_spec.make: negative item size";
-  if batch <= 0 then invalid_arg "Stream_spec.make: batch must be positive";
   (match arrival with
   | Spaced dt when dt < 0.0 -> invalid_arg "Stream_spec.make: negative spacing"
   | Poisson rate when rate <= 0.0 -> invalid_arg "Stream_spec.make: Poisson rate must be positive"
   | Immediate | Spaced _ | Poisson _ -> ());
-  { items; arrival; item_bytes; batch }
+  { items; arrival; item_bytes }
 
 let arrival_times t rng =
   match t.arrival with
@@ -24,13 +23,3 @@ let arrival_times t rng =
       Array.init t.items (fun _ ->
           clock := !clock +. Variate.exponential rng ~rate;
           !clock)
-
-let pp ppf t =
-  let arrival =
-    match t.arrival with
-    | Immediate -> "immediate"
-    | Spaced dt -> Printf.sprintf "spaced(%g)" dt
-    | Poisson rate -> Printf.sprintf "poisson(%g)" rate
-  in
-  Format.fprintf ppf "%d items, %s, %gB each" t.items arrival t.item_bytes;
-  if t.batch > 1 then Format.fprintf ppf ", batch %d" t.batch

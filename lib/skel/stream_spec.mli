@@ -17,15 +17,10 @@ type arrival =
           work should prefer [Aspipe_serve.Arrival] — [Poisson] here is the
           bounded, pre-materialized form of [Arrival.poisson]. *)
 
-type t = { items : int; arrival : arrival; item_bytes : float; batch : int }
+type t = { items : int; arrival : arrival; item_bytes : float }
 
-val make : ?arrival:arrival -> ?item_bytes:float -> ?batch:int -> items:int -> unit -> t
-(** Defaults: [Immediate] arrivals, [1e5] bytes per item, [batch] 1.
-    [batch] is the per-stage transfer chunk size when this stream drives
-    the shared-memory backend ({!Skel_mc.run}'s [?batch]); the virtual-time
-    engines hand items over singly regardless. *)
+val make : ?arrival:arrival -> ?item_bytes:float -> items:int -> unit -> t
+(** Defaults: [Immediate] arrivals, [1e5] bytes per item. *)
 
 val arrival_times : t -> Aspipe_util.Rng.t -> float array
 (** Materialize the arrival instants, length [items], non-decreasing. *)
-
-val pp : Format.formatter -> t -> unit

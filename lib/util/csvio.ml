@@ -49,9 +49,3 @@ let save_table ~dir ~basename table =
   let path = Filename.concat dir (basename ^ ".csv") in
   write_rows ~path (table_rows table);
   path
-
-let save_series ~dir ~basename series =
-  ensure_dir dir;
-  let path = Filename.concat dir (basename ^ ".csv") in
-  write_rows ~path (series_rows series);
-  path

@@ -2,21 +2,21 @@
     into external plotting tools. RFC-4180-style quoting (fields containing
     commas, quotes or newlines are quoted; quotes doubled). *)
 
-val escape_field : string -> string
+val escape_field : string -> string (* lint: unused-export-ok public API: CSV encoding *)
 
-val encode_rows : string list list -> string
+val encode_rows : string list list -> string (* lint: unused-export-ok public API: CSV encoding *)
 (** Rows joined with ["\n"], trailing newline included. *)
 
 val write_rows : path:string -> string list list -> unit
 (** Create/truncate [path] and write the encoded rows. *)
 
+(* lint: unused-export-ok public API: CSV encoding *)
 val table_rows : Render.Table.t -> string list list
 (** Header row followed by the data rows. *)
 
+(* lint: unused-export-ok public API: CSV encoding *)
 val series_rows : Render.Series.t list -> string list list
 (** Long format: [series,x,y] per point, with a header. *)
 
 val save_table : dir:string -> basename:string -> Render.Table.t -> string
 (** Write [dir/basename.csv] (creating [dir] if needed); returns the path. *)
-
-val save_series : dir:string -> basename:string -> Render.Series.t list -> string

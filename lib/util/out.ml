@@ -18,11 +18,6 @@ let print_string s =
   | Some buffer -> Buffer.add_string buffer s
   | None -> Stdlib.print_string s
 
-let print_char c =
-  match !(target ()) with
-  | Some buffer -> Buffer.add_char buffer c
-  | None -> Stdlib.print_char c
-
 let newline () = print_string "\n"
 
 let printf fmt = Printf.ksprintf print_string fmt
@@ -50,5 +45,3 @@ let capture f =
   let buffer = Buffer.create 1024 in
   with_buffer buffer f;
   Buffer.contents buffer
-
-let capturing () = !(target ()) <> None

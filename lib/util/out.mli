@@ -12,8 +12,6 @@
 val print_string : string -> unit
 (** To the current domain's capture buffer, or stdout if none. *)
 
-val print_char : char -> unit
-
 val newline : unit -> unit
 (** [print_string "\n"]. *)
 
@@ -27,9 +25,6 @@ val with_buffer : Buffer.t -> (unit -> 'a) -> 'a
 
 val capture : (unit -> unit) -> string
 (** [capture f] runs [f] under a fresh buffer and returns its output. *)
-
-val capturing : unit -> bool
-(** Whether this domain currently redirects into a buffer. *)
 
 val set_capture_probe : (int -> unit) option -> unit
 (** Install (or clear) an observer called as each {!with_buffer} scope

@@ -14,7 +14,6 @@ module Table = struct
     in
     add_row t (label :: List.map cell values)
 
-  let title t = t.title
   let columns t = t.columns
   let rows t = List.rev t.rows
 

@@ -13,7 +13,6 @@ module Table : sig
   (** [add_float_row t (label, values)] — convenience for numeric rows.
       NaN renders as ["-"]: an absent measurement, not a number. *)
 
-  val title : t -> string
   val columns : t -> string list
   val rows : t -> string list list
   (** Rows in insertion order. *)
@@ -33,5 +32,6 @@ val print_figure :
 (** Prints each series as aligned [(x, y)] columns followed by a compact
     ASCII plot (all series overlaid, one glyph per series). *)
 
+(* lint: unused-export-ok public API: ASCII plot *)
 val plot : ?width:int -> ?height:int -> Series.t list -> string
 (** The ASCII plot alone. *)

@@ -49,22 +49,23 @@ val create : capacity:int -> 'a t
     allocated by the first push. Raises [Invalid_argument] if
     [capacity <= 0]. *)
 
-val capacity : 'a t -> int
+val capacity : 'a t -> int (* lint: unused-export-ok public API: single-item ring operation *)
 (** The actual (power-of-two) slot count. *)
 
-val length : 'a t -> int
+val length : 'a t -> int (* lint: unused-export-ok public API: single-item ring operation *)
 (** Item count snapshot; exact only when both sides are quiescent. *)
 
 val close : 'a t -> unit
 (** Idempotent; callable from any domain. Wakes all parked parties. *)
 
-val is_closed : 'a t -> bool
+val is_closed : 'a t -> bool (* lint: unused-export-ok public API: single-item ring operation *)
 
 (** {1 Producer side} — one domain only. *)
 
-val push : 'a t -> 'a -> unit
+val push : 'a t -> 'a -> unit (* lint: unused-export-ok public API: single-item ring operation *)
 (** Blocks while full. Raises {!Closed} if the ring is closed. *)
 
+(* lint: unused-export-ok public API: single-item ring operation *)
 val try_push : 'a t -> 'a -> bool
 (** [false] when currently full. Raises {!Closed} if closed. *)
 
@@ -80,7 +81,7 @@ val push_chunk : 'a t -> 'a array -> pos:int -> len:int -> unit
 val pop : 'a t -> 'a option
 (** Blocks while empty and open; [None] once closed and drained. *)
 
-val try_pop : 'a t -> 'a option
+val try_pop : 'a t -> 'a option (* lint: unused-export-ok public API: single-item ring operation *)
 (** Non-blocking; [None] when currently empty (even if open). *)
 
 val pop_chunk : 'a t -> 'a array -> pos:int -> len:int -> int

@@ -52,7 +52,8 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let quantile xs q =
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] quantile xs q =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Stats.quantile: empty array";
   if q < 0.0 || q > 1.0 then invalid_arg "Stats.quantile: q outside [0,1]";
@@ -75,7 +76,8 @@ let confidence95 xs =
   if n < 2 then (m, 0.0)
   else (m, 1.96 *. stddev xs /. sqrt (Float.of_int n))
 
-let check_same_length name a b =
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] check_same_length name a b =
   if Array.length a <> Array.length b then invalid_arg (name ^ ": length mismatch");
   if Array.length a = 0 then invalid_arg (name ^ ": empty arrays")
 
@@ -117,12 +119,4 @@ module Histogram = struct
     let bins = Array.length t.counts in
     let width = (t.hi -. t.lo) /. Float.of_int bins in
     t.lo +. (width *. (Float.of_int i +. 0.5))
-
-  let pp ppf t =
-    let peak = Array.fold_left Stdlib.max 1 t.counts in
-    Array.iteri
-      (fun i c ->
-        let bar_len = c * 40 / peak in
-        Format.fprintf ppf "%10.4g | %s %d@." (bin_mid t i) (String.make bar_len '#') c)
-      t.counts
 end

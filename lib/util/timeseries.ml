@@ -74,10 +74,6 @@ let integrate t ~lo ~hi =
     !acc +. (!value *. (hi -. !cursor))
   end
 
-let mean_over t ~lo ~hi =
-  if hi <= lo then invalid_arg "Timeseries.mean_over: window must be positive";
-  integrate t ~lo ~hi /. (hi -. lo)
-
 let sample t ~lo ~hi ~step =
   if step <= 0.0 then invalid_arg "Timeseries.sample: step must be positive";
   let n = int_of_float (Float.floor ((hi -. lo) /. step)) + 1 in

@@ -133,13 +133,3 @@ let mean_of_spec = function
   | Gamma { shape; scale } -> shape *. scale
   | Pareto { shape; scale } -> if shape <= 1.0 then infinity else shape *. scale /. (shape -. 1.0)
   | Weibull { shape; scale } -> scale *. exp (log_gamma_fn (1.0 +. (1.0 /. shape)))
-
-let pp_spec ppf = function
-  | Constant c -> Format.fprintf ppf "const(%g)" c
-  | Uniform { lo; hi } -> Format.fprintf ppf "uniform(%g,%g)" lo hi
-  | Exponential { rate } -> Format.fprintf ppf "exp(rate=%g)" rate
-  | Normal { mean; stddev } -> Format.fprintf ppf "normal(%g,%g)" mean stddev
-  | Lognormal { mu; sigma } -> Format.fprintf ppf "lognormal(%g,%g)" mu sigma
-  | Gamma { shape; scale } -> Format.fprintf ppf "gamma(%g,%g)" shape scale
-  | Pareto { shape; scale } -> Format.fprintf ppf "pareto(%g,%g)" shape scale
-  | Weibull { shape; scale } -> Format.fprintf ppf "weibull(%g,%g)" shape scale

@@ -7,12 +7,16 @@
 type t = { width : int; height : int; pixels : float array }
 (** Row-major grayscale, values in [\[0, 1\]]. *)
 
+(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
 val create : width:int -> height:int -> f:(x:int -> y:int -> float) -> t
+(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
 val constant : width:int -> height:int -> float -> t
 val random : Aspipe_util.Rng.t -> width:int -> height:int -> t
+(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
 val get : t -> x:int -> y:int -> float
 (** Coordinates are clamped to the border (replicate padding). *)
 
+(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
 val dimensions_equal : t -> t -> bool
 
 val gaussian_blur : radius:int -> t -> t
@@ -25,10 +29,12 @@ val sharpen : t -> t
 (** 3×3 unsharp kernel. *)
 
 val threshold : level:float -> t -> t
+(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
 val invert : t -> t
 val normalize : t -> t
 (** Linear stretch to full range (identity on flat images). *)
 
+(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
 val mean : t -> float
 val checksum : t -> float
 (** Order-stable digest used by tests to compare backend outputs. *)

@@ -51,7 +51,7 @@ let run_sim shape =
   in
   let stages = Stage.balanced ~n:shape.stages ~work:0.1 () in
   let mapping = Array.init shape.stages (fun i -> i mod shape.nodes) in
-  let input = Stream_spec.make ~items:shape.items ~item_bytes:10.0 ~batch:shape.batch () in
+  let input = Stream_spec.make ~items:shape.items ~item_bytes:10.0 () in
   (* Subscribed, not passed to the simulator: the visit counts read every
      service record, which only the full stream carries. *)
   let trace = Trace.create () in

@@ -53,8 +53,7 @@ let test_link_delivery () =
   let delivered = ref nan in
   Link.transfer link ~bytes:50.0 (fun () -> delivered := Engine.now engine);
   Engine.run engine;
-  check_float "delivered at transfer_time" 0.6 !delivered;
-  Alcotest.(check int) "transfer counted" 1 (Link.transfers_completed link)
+  check_float "delivered at transfer_time" 0.6 !delivered
 
 let test_link_uncontended_overlap () =
   let engine = Engine.create () in
@@ -96,8 +95,7 @@ let test_topology_uniform () =
   check_float "node speed" 10.0 (Node.base_speed (Topology.node topo 2));
   check_float "remote latency" 0.01 (Link.latency (Topology.link topo ~src:0 ~dst:1));
   Alcotest.(check bool) "local link is fast" true
-    (Link.latency (Topology.link topo ~src:2 ~dst:2) < 0.001);
-  Alcotest.(check int) "single site" 0 (Topology.site_of topo 3)
+    (Link.latency (Topology.link topo ~src:2 ~dst:2) < 0.001)
 
 let test_topology_heterogeneous () =
   let engine = Engine.create () in
@@ -112,8 +110,6 @@ let test_topology_two_site () =
       ~intra_bandwidth:1e8 ~inter_latency:0.2 ~inter_bandwidth:1e6 ()
   in
   Alcotest.(check int) "three nodes" 3 (Topology.size topo);
-  Alcotest.(check int) "site of local node" 0 (Topology.site_of topo 0);
-  Alcotest.(check int) "site of remote node" 1 (Topology.site_of topo 2);
   check_float "intra latency" 0.001 (Link.latency (Topology.link topo ~src:0 ~dst:1));
   check_float "inter latency" 0.2 (Link.latency (Topology.link topo ~src:0 ~dst:2));
   check_float "user link to remote site is wide-area" 0.2 (Link.latency (Topology.user_link topo 2));
@@ -143,7 +139,7 @@ let test_loadgen_constant () =
 let test_loadgen_step () =
   let engine = Engine.create () in
   let topo = Topology.uniform engine ~n:1 ~speed:10.0 ~latency:0.01 ~bandwidth:1e6 () in
-  Loadgen.apply topo 0 (Loadgen.Step { at = 5.0; level = 0.2 });
+  Loadgen.apply_until ~horizon:infinity topo 0 (Loadgen.Step { at = 5.0; level = 0.2 });
   Engine.run ~until:4.0 engine;
   check_float "before the step" 1.0 (Node.availability (Topology.node topo 0));
   Engine.run ~until:6.0 engine;
@@ -152,7 +148,7 @@ let test_loadgen_step () =
 let test_loadgen_steps_schedule () =
   let engine = Engine.create () in
   let topo = Topology.uniform engine ~n:1 ~speed:10.0 ~latency:0.01 ~bandwidth:1e6 () in
-  Loadgen.apply topo 0 (Loadgen.Steps [ (1.0, 0.5); (2.0, 0.9) ]);
+  Loadgen.apply_until ~horizon:infinity topo 0 (Loadgen.Steps [ (1.0, 0.5); (2.0, 0.9) ]);
   Engine.run ~until:1.5 engine;
   check_float "first step" 0.5 (Node.availability (Topology.node topo 0));
   Engine.run ~until:3.0 engine;
@@ -203,12 +199,13 @@ let test_loadgen_needs_rng () =
   let topo = Topology.uniform engine ~n:1 ~speed:10.0 ~latency:0.01 ~bandwidth:1e6 () in
   Alcotest.check_raises "stochastic profile without rng"
     (Invalid_argument "Loadgen: this profile is stochastic and needs ~rng") (fun () ->
-      Loadgen.apply topo 0 (Loadgen.Random_walk { every = 1.0; sigma = 0.1; lo = 0.0; hi = 1.0 }))
+      Loadgen.apply_until ~horizon:infinity topo 0
+        (Loadgen.Random_walk { every = 1.0; sigma = 0.1; lo = 0.0; hi = 1.0 }))
 
 let test_loadgen_playback () =
   let engine = Engine.create () in
   let topo = Topology.uniform engine ~n:1 ~speed:10.0 ~latency:0.01 ~bandwidth:1e6 () in
-  Loadgen.apply topo 0 (Loadgen.Playback [ (0.0, 0.8); (10.0, 0.6) ]);
+  Loadgen.apply_until ~horizon:infinity topo 0 (Loadgen.Playback [ (0.0, 0.8); (10.0, 0.6) ]);
   Engine.run ~until:11.0 engine;
   check_float "trace replayed" 0.6 (Node.availability (Topology.node topo 0))
 
@@ -315,8 +312,7 @@ let test_monitor_before_samples () =
   let monitor =
     Monitor.create ~rng:(Rng.create 1) ~every:1.0 ~horizon:10.0 topo
   in
-  check_float "optimistic before any sample" 1.0 (Monitor.node_forecast monitor 0);
-  Alcotest.(check bool) "no observation yet" true (Monitor.last_observation monitor 0 = None)
+  check_float "optimistic before any sample" 1.0 (Monitor.node_forecast monitor 0)
 
 let test_monitor_noisy_bounded () =
   let engine, topo = monitored_topology () in
@@ -505,8 +501,6 @@ let test_trace_stats_per_stage () =
 let test_trace_stats_node_busy () =
   let t = sample_trace () in
   check_close ~eps:1e-9 "node 1 busy time" 2.5 (Trace_stats.node_busy_time t ~node:1);
-  check_close ~eps:1e-9 "node 1 fraction of makespan" (2.5 /. 4.0)
-    (Trace_stats.node_busy_fraction t ~node:1);
   check_float "unused node" 0.0 (Trace_stats.node_busy_time t ~node:7)
 
 let test_trace_stats_gantt () =
@@ -514,8 +508,7 @@ let test_trace_stats_gantt () =
   let rows = Trace_stats.gantt_rows t in
   Alcotest.(check int) "header + 3 services + 1 transfer" 5 (List.length rows);
   Alcotest.(check (list string)) "header" [ "kind"; "item"; "stage"; "nodes"; "start"; "finish" ]
-    (List.hd rows);
-  Alcotest.(check int) "transfers counted" 1 (Trace_stats.transfer_volume t)
+    (List.hd rows)
 
 let test_trace_stats_table_renders () =
   let t = sample_trace () in

@@ -1,7 +1,7 @@
 (* Tests for aspipe-lint: one positive / negative / waiver triple per rule
    (syntactic fixtures are inline snippets that need to parse, not
    typecheck; typed fixtures are typechecked in-process against the
-   stdlib), severity plumbing, exit codes, SARIF, W1, and self-checks
+   stdlib), severity plumbing, exit codes, SARIF, W1, W2, and self-checks
    that the shipped tree is clean under both passes. *)
 
 module Checker = Aspipe_lint.Checker
@@ -499,15 +499,14 @@ let test_severity_overrides () =
   rule_list "rule selection drops others" [] (rules_of only_r1)
 
 let test_rule_catalogue_consistent () =
-  Alcotest.(check (list string)) "ids are R1..R10 + W1"
-    [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10"; "W1" ]
+  Alcotest.(check (list string)) "ids are R1..R10 + W1, W2"
+    [ "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9"; "R10"; "W1"; "W2" ]
     Rules.ids;
   let slugs = List.map (fun r -> r.Rules.slug) Rules.all in
   Alcotest.(check (list string)) "slugs are distinct" (List.sort_uniq compare slugs)
     (List.sort compare slugs);
-  Alcotest.(check int) "catalogue version bumped for the typed rules" 2
-    Rules.catalogue_version;
-  Alcotest.(check (list string)) "typed ids" [ "R8"; "R9"; "R10" ] Rules.typed_ids
+  Alcotest.(check int) "catalogue version bumped for W2" 3 Rules.catalogue_version;
+  Alcotest.(check (list string)) "typed ids" [ "R8"; "R9"; "R10"; "W2" ] Rules.typed_ids
 
 (* ------------------------------------------------- W1, exit codes, JSON *)
 
@@ -578,6 +577,97 @@ let test_w1_unused_waiver () =
     (fun root ->
       let report = Driver.scan (scratch_opts root) in
       rule_list "a firing waiver is not unused" [] (rules_of report.Driver.findings))
+
+(* ------------------------------------------------------ W2 unused-export *)
+
+(* W2 fixtures: lib/demo/a.mli exports [used] and [unused]; every other
+   unit names them through a local [module A = struct ... end], which
+   stands in for the real unit because W2 keys mentions on path suffixes. *)
+let a_mli ?(waiver = "") () =
+  Printf.sprintf "val used : int -> int\nval unused : int -> int%s\n" waiver
+
+let a_ml = "let used x = x + 1\nlet unused x = used x\n"
+let a_stub = "module A = struct let used x = x let unused x = x end\n"
+
+let interface_of ?(path = "lib/demo/a.mli") source =
+  match Typed_load.interface_fixture ~path source with
+  | Error msg -> Alcotest.failf "interface fixture does not typecheck:\n%s" msg
+  | Ok i -> i
+
+let unit_of path source =
+  match Typed_load.fixture ~path source with
+  | Error msg -> Alcotest.failf "fixture does not typecheck:\n%s" msg
+  | Ok u -> u
+
+let w2_lines ?waiver units =
+  let source = a_mli ?waiver () in
+  let intf = interface_of source in
+  Typed_check.unused_exports [ (intf, Waivers.scan source) ]
+    (unit_of "lib/demo/a.ml" a_ml :: List.map (fun (path, src) -> unit_of path src) units)
+  |> List.map (fun f -> (f.Finding.rule, f.Finding.line))
+
+let test_w2_unused_export () =
+  let lines = Alcotest.(check (list (pair string int))) in
+  let uses_used = ("lib/demo/b.ml", a_stub ^ "let f = A.used 1\n") in
+  lines "named only inside its own module" [ ("W2", 1); ("W2", 2) ] (w2_lines []);
+  lines "one export used from lib/" [ ("W2", 2) ] (w2_lines [ uses_used ]);
+  List.iter
+    (fun dir ->
+      lines (dir ^ " counts as a user") []
+        (w2_lines [ uses_used; (dir ^ "/main.ml", a_stub ^ "let g = A.unused 2\n") ]))
+    [ "bin"; "bench/layers"; "examples" ];
+  lines "test/ does not count" [ ("W2", 2) ]
+    (w2_lines [ uses_used; ("test/test_a.ml", a_stub ^ "let g = A.unused 2\n") ]);
+  lines "a module alias resolves" [ ("W2", 1) ]
+    (w2_lines [ ("lib/demo/c.ml", a_stub ^ "module X = A\nlet g = X.unused 2\n") ]);
+  lines "a reasoned waiver suppresses" [ ("W2", 1) ]
+    (w2_lines ~waiver:" (* lint: unused-export-ok public API of the demo *)" []);
+  lines "a bare waiver does not" [ ("W2", 1); ("W2", 2) ]
+    (w2_lines ~waiver:" (* lint: unused-export-ok *)" [])
+
+(* The driver runs W2 only on a whole-tree typed scan, and W1 judges
+   [unused-export-ok] waivers only when W2 ran. The typed units come from
+   fixtures through [Driver.scan_with]; the sources sit in a scratch tree
+   for the syntactic pass. *)
+let test_w2_in_the_driver () =
+  let mli = a_mli () in
+  let waived_used =
+    "val used : int -> int (* lint: unused-export-ok public API of the demo *)\n\
+     val unused : int -> int\n"
+  in
+  let bin_src = a_stub ^ "let g = A.used 1\n" and bench_src = "let b = 0\n" in
+  let files mli =
+    [ ("lib/demo/a.mli", mli); ("lib/demo/a.ml", a_ml); ("bin/main.ml", bin_src);
+      ("bench/b.ml", bench_src) ]
+  in
+  let load mli ~with_bin _roots =
+    Ok
+      {
+        Typed_load.units =
+          [ unit_of "lib/demo/a.ml" a_ml; unit_of "bench/b.ml" bench_src ]
+          @ (if with_bin then [ unit_of "bin/main.ml" bin_src ] else []);
+        interfaces = [ interface_of mli ];
+        errors = [];
+      }
+  in
+  let scan ?(roots = Aspipe_lint.Config.scan_roots) ?(with_bin = true) mli root =
+    let opts = { Driver.default with root; roots; typed = true } in
+    List.map
+      (fun f -> (f.Finding.rule, f.Finding.file, f.Finding.line))
+      (Driver.scan_with ~load:(load mli ~with_bin) opts).Driver.findings
+  in
+  let found = Alcotest.(check (list (triple string string int))) in
+  with_scratch_tree (files mli) (fun root ->
+      found "whole tree: the unused export" [ ("W2", "lib/demo/a.mli", 2) ] (scan mli root);
+      found "subset roots: W2 stays silent" [] (scan ~roots:[ "lib" ] mli root);
+      match scan ~with_bin:false mli root with
+      | [ ("internal", _, _) ] -> ()
+      | other -> Alcotest.failf "a missing user cmt must stop W2, got %d findings" (List.length other));
+  with_scratch_tree (files waived_used) (fun root ->
+      found "W1 flags a waiver on a used export"
+        [ ("W1", "lib/demo/a.mli", 1); ("W2", "lib/demo/a.mli", 2) ]
+        (scan waived_used root);
+      found "no W1 when W2 did not run" [] (scan ~roots:[ "lib" ] waived_used root))
 
 let mk_report findings =
   { Driver.files_scanned = 1; typed_ran = false; typed_units = 0; findings }
@@ -757,6 +847,7 @@ let () =
           Alcotest.test_case "R8 local capture" `Quick test_r8_local_capture;
           Alcotest.test_case "R9 SPSC discipline" `Quick test_r9_spsc_discipline;
           Alcotest.test_case "R10 job purity" `Quick test_r10_job_purity;
+          Alcotest.test_case "W2 unused export" `Quick test_w2_unused_export;
         ] );
       ( "driver",
         [
@@ -765,6 +856,7 @@ let () =
           Alcotest.test_case "severity overrides" `Quick test_severity_overrides;
           Alcotest.test_case "catalogue consistent" `Quick test_rule_catalogue_consistent;
           Alcotest.test_case "W1 unused waivers" `Quick test_w1_unused_waiver;
+          Alcotest.test_case "W2 in the driver" `Quick test_w2_in_the_driver;
           Alcotest.test_case "exit codes" `Quick test_exit_codes;
           Alcotest.test_case "JSON report shape" `Quick test_json_report_shape;
         ] );

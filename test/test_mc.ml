@@ -164,10 +164,6 @@ let test_farm_more_workers_than_items () =
   Alcotest.(check (list int)) "workers > items" [ 1; 4; 9 ]
     (Farm_mc.map ~workers:16 (fun x -> x * x) [ 1; 2; 3 ])
 
-let test_farm_array () =
-  Alcotest.(check (array int)) "array variant" [| 2; 4; 6 |]
-    (Farm_mc.map_array ~workers:3 (fun x -> 2 * x) [| 1; 2; 3 |])
-
 let test_farm_exception_propagates () =
   let boom = Failure "boom" in
   Alcotest.check_raises "worker exception re-raised" boom (fun () ->
@@ -364,7 +360,6 @@ let () =
           test_farm_matches_map;
           Alcotest.test_case "empty & single" `Quick test_farm_empty_and_single;
           Alcotest.test_case "more workers than items" `Quick test_farm_more_workers_than_items;
-          Alcotest.test_case "array variant" `Quick test_farm_array;
           Alcotest.test_case "exception propagates" `Quick test_farm_exception_propagates;
           Alcotest.test_case "invalid workers" `Quick test_farm_invalid_workers;
         ] );

@@ -208,19 +208,6 @@ let test_analytic_colocation_halves () =
   let ratio = Analytic.throughput spec spread /. Analytic.throughput spec packed in
   check_close ~eps:0.01 "spread is twice as fast" 2.0 ratio
 
-let test_analytic_fill_and_completion () =
-  let spec = synthetic_spec ~stage_work:[| 1.0; 1.0 |] ~node_rates:[| 10.0; 10.0 |] () in
-  let m = Mapping.of_array ~processors:2 [| 0; 1 |] in
-  let fill = Analytic.fill_latency spec m in
-  Alcotest.(check bool) "fill covers both services" true (fill >= 0.2);
-  let completion = Analytic.completion_time spec m ~items:100 in
-  Alcotest.(check bool) "completion beyond fill" true (completion > fill);
-  check_close ~eps:0.1 "completion ~ fill + (n-1)/X" (fill +. (99.0 /. Analytic.throughput spec m))
-    completion;
-  Alcotest.check_raises "items 0"
-    (Invalid_argument "Analytic.completion_time: items must be positive") (fun () ->
-      ignore (Analytic.completion_time spec m ~items:0))
-
 let test_analytic_monotone_in_speed =
   qtest ~count:50 "throughput never decreases when a node speeds up"
     QCheck2.Gen.(triple (int_range 0 2) (float_range 1.0 20.0) (int_range 0 999))
@@ -623,23 +610,13 @@ let test_predictor_kinds_agree_on_ranking () =
   Alcotest.(check bool) "ctmc prefers the fast node" true
     (Predictor.evaluate ctmc good > Predictor.evaluate ctmc bad)
 
-let test_predictor_rank_sorted () =
-  let spec = synthetic_spec ~stage_work:[| 1.0; 1.0 |] ~node_rates:[| 10.0; 2.0 |] () in
-  let predictor = Predictor.make spec in
-  let ranked = Predictor.rank predictor (Mapping.enumerate ~stages:2 ~processors:2 ()) in
-  let scores = List.map snd ranked in
-  Alcotest.(check (list (float 1e-9))) "descending" (List.sort (fun a b -> compare b a) scores)
-    scores
-
 let test_predictor_choose_and_completion () =
   let spec = synthetic_spec ~stage_work:[| 1.0; 1.0; 1.0 |] ~node_rates:[| 10.0; 10.0; 10.0 |] () in
   let predictor = Predictor.make spec in
   let result = Predictor.choose predictor in
   Alcotest.(check int) "one stage per processor is optimal" 3
     (List.length
-       (List.sort_uniq compare (Array.to_list (Mapping.to_array result.Search.mapping))));
-  let completion = Predictor.predicted_completion predictor result.Search.mapping ~items:50 in
-  Alcotest.(check bool) "finite completion" true (Float.is_finite completion)
+       (List.sort_uniq compare (Array.to_list (Mapping.to_array result.Search.mapping))))
 
 (* --------------------------------------- Mapping iterators & space sizing *)
 
@@ -1041,8 +1018,7 @@ let test_default_exhaustive_limit_raised () =
    replaced: materialize every mapping in code order, keep the fewest
    distinct nodes covering [required], then the higher rate; an equal rate
    keeps the earlier mapping. *)
-let cheapest_ref ?fix_first_on ~required predictor =
-  let spec = Predictor.spec predictor in
+let cheapest_ref ?fix_first_on ~required ~spec predictor =
   let stages = Costspec.stages spec and processors = Costspec.processors spec in
   let distinct_nodes m = List.length (List.sort_uniq Int.compare (Array.to_list m)) in
   match Mapping.enumerate ?fix_first_on ~stages ~processors () with
@@ -1085,7 +1061,7 @@ let cheapest_agrees ~kind (spec, pick, pin, k) =
   in
   let show = Option.map Mapping.to_array in
   show (Predictor.cheapest ?fix_first_on ~required predictor)
-  = show (cheapest_ref ?fix_first_on ~required predictor)
+  = show (cheapest_ref ?fix_first_on ~required ~spec predictor)
 
 let test_cheapest_matches_fold =
   qtest ~count:300 "cheapest walk = enumerate-and-fold (analytic)"
@@ -1179,7 +1155,6 @@ let () =
           Alcotest.test_case "processor bottleneck" `Quick test_analytic_processor_bottleneck;
           Alcotest.test_case "cycle bottleneck" `Quick test_analytic_cycle_bottleneck;
           Alcotest.test_case "colocation halves" `Quick test_analytic_colocation_halves;
-          Alcotest.test_case "fill and completion" `Quick test_analytic_fill_and_completion;
           test_analytic_monotone_in_speed;
           test_upper_bound_admissible;
         ] );
@@ -1263,7 +1238,6 @@ let () =
       ( "predictor",
         [
           Alcotest.test_case "kinds agree" `Quick test_predictor_kinds_agree_on_ranking;
-          Alcotest.test_case "rank sorted" `Quick test_predictor_rank_sorted;
           Alcotest.test_case "choose & completion" `Quick test_predictor_choose_and_completion;
           test_cheapest_matches_fold;
           test_cheapest_matches_fold_ctmc;

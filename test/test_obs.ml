@@ -188,7 +188,9 @@ let test_jsonl_event_fields () =
   let event =
     { Event.time = 1.5; seq = 7; payload = Event.Service_finish { item = 3; stage = 1; node = 2; start = 1.0 } }
   in
-  match Json.of_string (Jsonl.line event) with
+  let buffer = Buffer.create 64 in
+  Jsonl.sink_to_buffer buffer event;
+  match Json.of_string (String.trim (Buffer.contents buffer)) with
   | Error e -> Alcotest.fail ("jsonl line must be valid JSON: " ^ e)
   | Ok json ->
       Alcotest.(check (option string)) "type tag" (Some "service_finish")

@@ -215,7 +215,7 @@ let test_variate_spec_means () =
       let measured = sample_mean 60_000 (fun () -> Variate.sample rng spec) in
       check_close
         ~eps:(0.05 *. Float.max 1.0 expected)
-        (Format.asprintf "sampled mean of %a" Variate.pp_spec spec)
+        (Printf.sprintf "sampled mean %g" expected)
         expected measured)
     specs
 
@@ -307,9 +307,7 @@ let test_histogram () =
   Alcotest.(check int) "bin 0 (incl. saturated low)" 2 counts.(0);
   Alcotest.(check int) "bin 1" 2 counts.(1);
   Alcotest.(check int) "bin 9 (incl. saturated high)" 2 counts.(9);
-  check_float "bin midpoint" 0.5 (Stats.Histogram.bin_mid h 0);
-  Alcotest.(check bool) "pp renders" true
-    (String.length (Format.asprintf "%a" Stats.Histogram.pp h) > 0)
+  check_float "bin midpoint" 0.5 (Stats.Histogram.bin_mid h 0)
 
 let test_histogram_invalid () =
   Alcotest.check_raises "bins 0" (Invalid_argument "Histogram.create: bins must be positive")
@@ -480,8 +478,7 @@ let test_timeseries_integrate () =
   let ts = Timeseries.of_points ~initial:0.0 [ (0.0, 2.0); (10.0, 4.0) ] in
   check_float "integral over constant piece" 20.0 (Timeseries.integrate ts ~lo:0.0 ~hi:10.0);
   check_float "integral across a breakpoint" 18.0 (Timeseries.integrate ts ~lo:5.0 ~hi:12.0);
-  check_float "empty window" 0.0 (Timeseries.integrate ts ~lo:3.0 ~hi:3.0);
-  check_float "mean over window" 2.0 (Timeseries.mean_over ts ~lo:0.0 ~hi:10.0)
+  check_float "empty window" 0.0 (Timeseries.integrate ts ~lo:3.0 ~hi:3.0)
 
 let test_timeseries_integrate_matches_samples =
   qtest ~count:100 "integrate agrees with fine Riemann sampling"

@@ -1,6 +1,6 @@
 (* aspipe-lint: static analysis enforcing the repo's determinism,
    domain-safety and observability invariants (syntactic rules R1..R7,
-   typed rules R8..R10; see DESIGN.md "Static analysis" / "Typed
+   typed rules R8..R10 and W2; see DESIGN.md "Static analysis" / "Typed
    analysis" and `--list-rules`).
 
    Usage: dune build @lint                       (syntactic pass)
@@ -63,7 +63,7 @@ let () =
       ("--json", Arg.Set json, " render the report as JSON instead of text");
       ( "--typed",
         Arg.Set typed,
-        " also run the Typedtree pass (R8..R10) over .cmt files" );
+        " also run the Typedtree pass (R8..R10, W2) over .cmt files" );
       ( "--cmt-root",
         Arg.String (fun d -> cmt_root := Some d),
         "DIR directory holding the .cmt files (default: <root>/_build/default)" );

@@ -5,8 +5,15 @@
 
 let scan_roots = [ "lib"; "bin"; "bench" ]
 
+(* W2: the units whose mentions make a lib/ export used. The examples are
+   programs users write against the library; test/ is not a user. *)
+let export_user_roots = [ "lib"; "bin"; "bench"; "examples" ]
+
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+
+let export_user path =
+  List.exists (fun r -> starts_with ~prefix:(r ^ "/") path) export_user_roots
 
 (* ---------------------------------------------------- R1 no-wall-clock *)
 

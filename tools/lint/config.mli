@@ -3,6 +3,12 @@
 val scan_roots : string list
 (** Directories linted by default: [lib], [bin], [bench]. *)
 
+val export_user_roots : string list
+(** W2's users: [lib], [bin], [bench] and [examples]; not [test]. *)
+
+val export_user : string -> bool
+(** Is the unit at this path under {!export_user_roots}? *)
+
 val wall_clock_idents : string list
 val wall_clock_allowed : string -> bool
 

@@ -1,7 +1,8 @@
 (* Tree scan + reporting: walk the scan roots, run the syntactic pass on
    every .ml/.mli, optionally run the typed (cmt-based) pass over the same
-   tree, apply severity overrides, flag unused waivers (W1), and render
-   the result as text, JSON or SARIF. *)
+   tree (with W2 when the scan covers the whole tree), apply severity
+   overrides, flag unused waivers (W1), and render the result as text,
+   JSON or SARIF. *)
 
 type options = {
   root : string;  (* repository root *)
@@ -9,7 +10,7 @@ type options = {
   rules : string list option;  (* only these rule ids (syntax always on) *)
   severities : (string * Finding.severity option) list;
       (* per-rule overrides; [None] switches the rule off *)
-  typed : bool;  (* also run the Typedtree pass (R8..R10) *)
+  typed : bool;  (* also run the Typedtree pass (R8..R10, W2) *)
   cmt_root : string option;  (* where to look for .cmt files; default
                                 <root>/_build/default *)
 }
@@ -79,60 +80,103 @@ let rec collect ~dir ~rel acc =
 let internal_finding message =
   { Finding.rule = "internal"; severity = Finding.Error; file = "."; line = 0; col = 0; message }
 
-(* The typed pass: locate cmts, pair each unit with the waiver table its
-   source's syntactic scan already built (so waiver usage accumulates
-   across both passes), and run the whole-tree analyses. *)
-let run_typed opts tables =
+(* The cmts under [cmt_root] for the units below [roots]. *)
+let load_cmts opts roots =
   let cmt_root =
     match opts.cmt_root with
     | Some dir -> dir
     | None -> Filename.concat opts.root (Filename.concat "_build" "default")
   in
   if not (Sys.file_exists cmt_root && Sys.is_directory cmt_root) then
-    ( [
-        internal_finding
-          (Printf.sprintf
-             "typed pass: cmt directory %S not found; run `dune build @lint-typed` \
-              (or any full build) first, or pass --cmt-root"
-             cmt_root);
-      ],
-      0 )
+    Error
+      (Printf.sprintf
+         "typed pass: cmt directory %S not found; run `dune build @lint-typed` \
+          (or any full build) first, or pass --cmt-root"
+         cmt_root)
+  else Ok (Typed_load.load_tree ~root:opts.root ~cmt_root ~roots)
+
+(* W2 reads a missing cmt as a missing user, so it runs only when every
+   source under its user roots was loaded. *)
+let unused_exports opts tables (lr : Typed_load.load_result) =
+  let loaded = Hashtbl.create 256 in
+  List.iter (fun (u : Typed_load.unit_input) -> Hashtbl.replace loaded u.path ()) lr.units;
+  List.iter (fun (i : Typed_load.interface) -> Hashtbl.replace loaded i.ipath ()) lr.interfaces;
+  let missing =
+    List.concat_map
+      (fun r ->
+        let dir = Filename.concat opts.root r in
+        if Sys.file_exists dir then collect ~dir ~rel:r [] else [])
+      Config.export_user_roots
+    |> List.filter_map (fun (_, rel) ->
+           let wanted =
+             Filename.check_suffix rel ".ml" || String.starts_with ~prefix:"lib/" rel
+           in
+           if wanted && not (Hashtbl.mem loaded rel) then Some rel else None)
+  in
+  if missing <> [] then
+    [
+      internal_finding
+        (Printf.sprintf
+           "W2: no .cmt/.cmti for %s; build the whole tree (`dune build @check`) \
+            first"
+           (String.concat ", " (List.sort compare missing)));
+    ]
   else
-    let lr = Typed_load.load_tree ~root:opts.root ~cmt_root ~roots:opts.roots in
-    let load_findings = List.map internal_finding lr.errors in
-    if lr.units = [] then
-      ( internal_finding
-          (Printf.sprintf
-             "typed pass: no .cmt files for the scan roots under %S; run `dune \
-              build @lint-typed` first"
-             cmt_root)
-        :: load_findings,
-        0 )
-    else
-      let inputs =
-        List.filter_map
-          (fun (u : Typed_load.unit_input) ->
-            match Hashtbl.find_opt tables u.path with
-            | Some waivers -> Some { Typed_check.unit_ = u; waivers }
-            | None -> None)
-          lr.units
-      in
-      (load_findings @ Typed_check.run inputs, List.length inputs)
+    Typed_check.unused_exports
+      (List.filter_map
+         (fun (i : Typed_load.interface) ->
+           if String.starts_with ~prefix:"lib/" i.ipath then
+             Option.map (fun w -> (i, w)) (Hashtbl.find_opt tables i.ipath)
+           else None)
+         lr.interfaces)
+      lr.units
+
+(* The typed pass: load the units (on a whole-tree scan also the
+   examples, W2's extra users), pair each scanned unit with the waiver
+   table its source's syntactic scan already built (so waiver usage
+   accumulates across both passes), and run the whole-tree analyses.
+   Returns the findings, the units analysed and whether W2 ran. *)
+let run_typed opts tables load =
+  let whole_tree = List.sort compare opts.roots = List.sort compare Config.scan_roots in
+  match load (if whole_tree then Config.export_user_roots else opts.roots) with
+  | Error msg -> ([ internal_finding msg ], 0, false)
+  | Ok (lr : Typed_load.load_result) ->
+      let load_findings = List.map internal_finding lr.errors in
+      if lr.units = [] then
+        ( internal_finding
+            "typed pass: no .cmt files for the scan roots; run `dune build \
+             @lint-typed` first"
+          :: load_findings,
+          0,
+          false )
+      else
+        let inputs =
+          List.filter_map
+            (fun (u : Typed_load.unit_input) ->
+              match Hashtbl.find_opt tables u.path with
+              | Some waivers -> Some { Typed_check.unit_ = u; waivers }
+              | None -> None)
+            lr.units
+        in
+        let w2 = if whole_tree then unused_exports opts tables lr else [] in
+        (load_findings @ Typed_check.run inputs @ w2, List.length inputs, whole_tree)
 
 (* W1: any waiver entry still unused after every pass that could have fired
    it. Unknown slugs are always reported; known slugs only when their rule
    was actually part of this scan (enabled, and — for R8..R10 — the typed
-   pass ran), so a typed-rule waiver survives a syntactic-only scan. *)
-let unused_waivers opts ~typed_ran tables =
+   pass ran; for W2, a whole-tree typed pass), so a typed-rule waiver
+   survives a syntactic-only scan. *)
+let unused_waivers opts ~typed_ran ~w2_ran tables =
   let rule_enabled id =
     (match opts.rules with None -> true | Some ids -> List.mem id ids)
     && (match List.assoc_opt id opts.severities with Some None -> false | _ -> true)
   in
+  let ran id =
+    if id = "W2" then w2_ran else (not (List.mem id Rules.typed_ids)) || typed_ran
+  in
   let active_slug slug =
     List.exists
-      (fun (r : Rules.t) ->
-        r.slug = slug && r.id <> "W1" && rule_enabled r.id
-        && ((not (List.mem r.id Rules.typed_ids)) || typed_ran))
+      (fun (r : Rules.t) -> r.slug = slug && r.id <> "W1" && rule_enabled r.id && ran r.id)
       Rules.all
   in
   let findings = ref [] in
@@ -168,7 +212,7 @@ let unused_waivers opts ~typed_ran tables =
     tables;
   !findings
 
-let scan opts =
+let scan_with ~load opts =
   let files =
     List.concat_map
       (fun r ->
@@ -191,13 +235,13 @@ let scan opts =
         Checker.check ~waivers ~path:rel source)
       files
   in
-  let typed_findings, typed_units =
-    if opts.typed then run_typed opts tables else ([], 0)
+  let typed_findings, typed_units, w2_ran =
+    if opts.typed then run_typed opts tables load else ([], 0, false)
   in
   (* The typed rules only "ran" for W1 purposes when units were analysed;
      a failed cmt lookup already yields an internal finding. *)
   let typed_ran = opts.typed && typed_units > 0 in
-  let w1 = unused_waivers opts ~typed_ran tables in
+  let w1 = unused_waivers opts ~typed_ran ~w2_ran:(typed_ran && w2_ran) tables in
   let findings =
     List.filter_map (resolve opts) (syntactic @ typed_findings @ w1)
   in
@@ -207,6 +251,8 @@ let scan opts =
     typed_units;
     findings = List.sort Finding.compare findings;
   }
+
+let scan opts = scan_with ~load:(load_cmts opts) opts
 
 let summary_line r =
   Printf.sprintf "aspipe-lint: %d files scanned%s, %d errors, %d warnings"

@@ -6,7 +6,7 @@ type options = {
   rules : string list option;  (** run only these rule ids; ["syntax"] is always on *)
   severities : (string * Finding.severity option) list;
       (** per-rule severity overrides; [None] switches the rule off *)
-  typed : bool;  (** also run the Typedtree pass (R8..R10) over .cmt files *)
+  typed : bool;  (** also run the Typedtree pass (R8..R10, W2) over .cmt files *)
   cmt_root : string option;
       (** where to look for .cmt files; default [<root>/_build/default] *)
 }
@@ -29,7 +29,14 @@ type report = {
 val scan : options -> report
 (** Walk the scan roots (deterministic order), lint every .ml/.mli, run
     the typed pass when [typed] is set, and append W1 unused-waiver
-    findings. @raise Failure when a scan root is missing. *)
+    findings. The typed pass runs W2 only when the roots are the whole
+    tree ({!Config.scan_roots}); it then also loads the examples' units as
+    users. @raise Failure when a scan root is missing. *)
+
+val scan_with :
+  load:(string list -> (Typed_load.load_result, string) result) -> options -> report
+(** {!scan} with the typed pass fed by [load roots] instead of the cmts
+    under [cmt_root]; [Error] becomes an internal finding. For tests. *)
 
 val errors : report -> int
 val warnings : report -> int

@@ -123,12 +123,24 @@ let all =
          slugs of rules that actually ran in the pass are considered, so a \
          typed-rule waiver survives a syntactic-only scan)";
     };
+    {
+      id = "W2";
+      name = "unused-export";
+      slug = "unused-export-ok";
+      summary =
+        "[typed, whole tree] a `val` of a lib/ interface that no unit outside \
+         its own module names (lib/, bin/, bench/ and examples/ count; test/ \
+         does not) is dead public surface: delete it, or drop it from the \
+         .mli when only its own module uses it; the waiver must state a \
+         reason (deliberate public API, or a differential reference a test \
+         compares against)";
+    };
   ]
 
 (* Bumped whenever a rule is added, removed or renamed; reported in the
-   JSON and SARIF outputs so archived reports are comparable. v1 = R1..R7
-   (PR 5/6), v2 adds the typed rules R8..R10 and W1. *)
-let catalogue_version = 2
+   JSON and SARIF outputs so archived reports are comparable. v1 = R1..R7,
+   v2 adds the typed rules R8..R10 and W1, v3 adds W2. *)
+let catalogue_version = 3
 
 let find id = List.find_opt (fun r -> r.id = id) all
 
@@ -141,6 +153,6 @@ let ids = List.map (fun r -> r.id) all
 
 (* The rules whose findings only the cmt-based pass can produce: their
    waiver slugs are exempt from W1 when the typed pass did not run. *)
-let typed_ids = [ "R8"; "R9"; "R10" ]
+let typed_ids = [ "R8"; "R9"; "R10"; "W2" ]
 let slugs = List.map (fun r -> r.slug) all
 let slug_of_rule id = (get id).slug

@@ -1,7 +1,7 @@
 (** The rule catalogue: stable ids, waiver slugs, one-line summaries. *)
 
 type t = {
-  id : string;  (** "R1".."R10", "W1" *)
+  id : string;  (** "R1".."R10", "W1", "W2" *)
   name : string;  (** short kebab-case name, e.g. "no-wall-clock" *)
   slug : string;  (** waiver token accepted in [(* lint: <slug> ... *)] *)
   summary : string;
@@ -19,8 +19,9 @@ val catalogue_version : int
     SARIF reports. *)
 
 val typed_ids : string list
-(** Rules only the cmt-based typed pass can fire (R8..R10); their slugs
-    are exempt from W1 when the typed pass did not run. *)
+(** Rules only the cmt-based typed pass can fire (R8..R10, W2); their
+    slugs are exempt from W1 when the typed pass did not run (W2's also
+    when the scan did not cover the whole tree). *)
 
 val slugs : string list
 val slug_of_rule : string -> string

@@ -1,5 +1,5 @@
 (* The typed (Typedtree) pass: interprocedural analyses R8..R10 over a
-   whole-library call graph.
+   whole-library call graph, and W2 over the interfaces.
 
    The pass works on *mentions*: each top-level value's body contributes
    an edge to every other top-level value it names, keyed by
@@ -26,7 +26,11 @@
    R10 job-purity: registry job closures and closure arguments at stage
        call heads must not write ambient mutable locations — neither
        module-level ones (transitively, through the mention graph) nor
-       locals captured from the enclosing function. *)
+       locals captured from the enclosing function.
+
+   W2  unused-export: a [val] of a lib/ interface that no unit outside
+       its own module names. Users are lib/, bin/, bench/ and examples/;
+       test/ is not, so a value only tests call is flagged too. *)
 
 module SS = Set.Make (String)
 
@@ -924,6 +928,128 @@ let check_r10 acc (a : danal) resolve kind_of loc_def edges writes_of =
             | _ -> ())
         a.lwrites)
     a.roots
+
+(* -------------------------------------------------------------------- W2 *)
+
+(* Every value path a unit names, as mangling-stripped components, with
+   its module aliases ([module X = Aspipe_y.Z], also under [let module])
+   expanded to the aliased path. *)
+let unit_mentions (u : Typed_load.unit_input) =
+  let aliases = Hashtbl.create 8 in
+  let rec modules (p : Path.t) =
+    match p with
+    | Path.Pident id -> (
+        match Hashtbl.find_opt aliases (Tast_util.ident_key id) with
+        | Some target -> target
+        | None -> [ Tast_util.short_module_name (Ident.name id) ])
+    | Path.Pdot (p, s) -> modules p @ [ Tast_util.short_module_name s ]
+    | Path.Papply (p, _) | Path.Pextra_ty (p, _) -> modules p
+  in
+  let rec alias_target (me : Typedtree.module_expr) =
+    match me.mod_desc with
+    | Typedtree.Tmod_ident (p, _) -> Some (modules p)
+    | Typedtree.Tmod_constraint (inner, _, _, _) -> alias_target inner
+    | _ -> None
+  in
+  let add_alias id me =
+    match (id, alias_target me) with
+    | Some id, Some target -> Hashtbl.replace aliases (Tast_util.ident_key id) target
+    | _ -> ()
+  in
+  let mentions = ref [] in
+  let module_binding self (mb : Typedtree.module_binding) =
+    add_alias mb.mb_id mb.mb_expr;
+    Tast_iterator.default_iterator.module_binding self mb
+  in
+  let expr self (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_ident (Path.Pdot (m, v), _, _) -> mentions := (modules m @ [ v ]) :: !mentions
+    | Typedtree.Texp_letmodule (id, _, _, me, _) -> add_alias id me
+    | _ -> ());
+    Tast_iterator.default_iterator.expr self e
+  in
+  let it = { Tast_iterator.default_iterator with module_binding; expr } in
+  it.structure it u.structure;
+  !mentions
+
+(* The [val]s of an interface, nested signatures included, keyed by their
+   dotted path from the unit ("Analytic.Incr.make"). *)
+let exports (intf : Typed_load.interface) =
+  let rec items prefix acc (sg : Typedtree.signature) =
+    List.fold_left
+      (fun acc (si : Typedtree.signature_item) ->
+        match si.sig_desc with
+        | Typedtree.Tsig_value vd -> (prefix ^ "." ^ vd.val_name.txt, vd.val_loc) :: acc
+        | Typedtree.Tsig_module
+            {
+              md_name = { txt = Some name; _ };
+              md_type = { mty_desc = Typedtree.Tmty_signature sg; _ };
+              _;
+            } ->
+            items (prefix ^ "." ^ name) acc sg
+        | _ -> acc)
+      acc sg.sig_items
+  in
+  List.rev (items intf.imodname [] intf.signature)
+
+let unused_exports (interfaces : (Typed_load.interface * Waivers.t) list)
+    (units : Typed_load.unit_input list) =
+  let exported = Hashtbl.create 512 in
+  List.iter
+    (fun (i, _) -> List.iter (fun (k, _) -> Hashtbl.replace exported k ()) (exports i))
+    interfaces;
+  (* export key -> the units naming it; a mention [A.B.c] may name the
+     export "A.B.c" or, when A is a library wrapper, "B.c" *)
+  let users = Hashtbl.create 512 in
+  List.iter
+    (fun (u : Typed_load.unit_input) ->
+      if Config.export_user u.path then
+        List.iter
+          (fun parts ->
+            let rec suffixes = function
+              | [] | [ _ ] -> ()
+              | _ :: rest as parts ->
+                  let k = String.concat "." parts in
+                  if Hashtbl.mem exported k then
+                    Hashtbl.replace users k
+                      (SS.add u.path
+                         (Option.value ~default:SS.empty (Hashtbl.find_opt users k)));
+                  suffixes rest
+            in
+            suffixes parts)
+          (let m = unit_mentions u in
+           if Sys.getenv_opt "W2DEBUG" = Some u.path then
+             List.iter (fun p -> prerr_endline (String.concat "." p)) m;
+           m))
+    units;
+  List.concat_map
+    (fun ((i : Typed_load.interface), waivers) ->
+      let own = Filename.remove_extension i.ipath ^ ".ml" in
+      List.filter_map
+        (fun (k, loc) ->
+          let line, col = line_col loc in
+          let outside =
+            SS.remove own (Option.value ~default:SS.empty (Hashtbl.find_opt users k))
+          in
+          if
+            SS.is_empty outside
+            && not (Waivers.allows_reasoned waivers ~line ~slug:"unused-export-ok")
+          then
+            Some
+              {
+                Finding.rule = "W2"; severity = Finding.Error; file = i.ipath; line; col;
+                message =
+                  Printf.sprintf
+                    "`%s` is exported but no unit outside %s names it (lib/, bin/, \
+                     bench/ and examples/ count, test/ does not); delete it, drop it \
+                     from the interface, or waive with `(* lint: unused-export-ok \
+                     <reason> *)` naming the public API or differential test it serves"
+                    k own;
+              }
+          else None)
+        (exports i))
+    interfaces
+  |> List.sort Finding.compare
 
 (* -------------------------------------------------------------------- run *)
 

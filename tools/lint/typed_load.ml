@@ -1,12 +1,12 @@
-(* Loading Typedtrees for the typed pass (R8..R10).
+(* Loading Typedtrees for the typed pass (R8..R10, W2).
 
    Two sources:
 
    - [load_tree] walks a dune build directory (normally `_build/default`)
-     for `.cmt` files, keeping implementations whose recorded source file
-     sits under one of the scan roots. Dune writes cmts by default
-     (`-bin-annot` is on), so `dune build @check` — or any full build — is
-     enough to feed the pass.
+     for `.cmt` and `.cmti` files, keeping implementations and interfaces
+     whose recorded source file sits under one of the scan roots. Dune
+     writes both by default (`-bin-annot` is on), so `dune build @check`
+     — or any full build — is enough to feed the pass.
 
    - [fixture] typechecks a source snippet in-process against the
      compiler's initial environment, so unit tests can exercise the typed
@@ -20,6 +20,8 @@ type unit_input = {
   modname : string;  (* short module name, mangling stripped *)
   structure : Typedtree.structure;
 }
+
+type interface = { ipath : string; imodname : string; signature : Typedtree.signature }
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
@@ -41,17 +43,35 @@ let rec walk_cmts dir acc =
         (fun acc name ->
           let abs = Filename.concat dir name in
           if Sys.is_directory abs then walk_cmts abs acc
-          else if Filename.check_suffix name ".cmt" then abs :: acc
+          else if Filename.check_suffix name ".cmt" || Filename.check_suffix name ".cmti"
+          then abs :: acc
           else acc)
         acc entries
   | exception Sys_error _ -> acc
 
-type load_result = { units : unit_input list; errors : string list }
+type load_result = {
+  units : unit_input list;
+  interfaces : interface list;
+  errors : string list;
+}
 
 let load_tree ~root ~cmt_root ~roots =
   let cmts = List.sort compare (walk_cmts cmt_root []) in
   let seen = Hashtbl.create 64 in
-  let units = ref [] and errors = ref [] in
+  let units = ref [] and interfaces = ref [] and errors = ref [] in
+  (* Keep only real sources under the scan roots; generated files
+     (`.ml-gen` alias modules, ppx output) have no counterpart on disk and
+     are skipped. *)
+  let fresh path suffix =
+    let keep =
+      under_roots roots path
+      && Filename.check_suffix path suffix
+      && Sys.file_exists (Filename.concat root path)
+      && not (Hashtbl.mem seen path)
+    in
+    if keep then Hashtbl.add seen path ();
+    keep
+  in
   List.iter
     (fun cmt ->
       match Cmt_format.read_cmt cmt with
@@ -59,26 +79,20 @@ let load_tree ~root ~cmt_root ~roots =
           errors :=
             Printf.sprintf "%s: unreadable cmt (%s)" cmt (Printexc.to_string exn) :: !errors
       | info -> (
+          let modname = Tast_util.short_module_name info.Cmt_format.cmt_modname in
           match (info.Cmt_format.cmt_sourcefile, info.Cmt_format.cmt_annots) with
           | Some src, Cmt_format.Implementation structure ->
               let path = normalize src in
-              (* Keep only real sources under the scan roots; generated
-                 files (`.ml-gen` alias modules, ppx output) have no
-                 counterpart on disk and are skipped. *)
-              if
-                under_roots roots path
-                && Filename.check_suffix path ".ml"
-                && Sys.file_exists (Filename.concat root path)
-                && not (Hashtbl.mem seen path)
-              then begin
-                Hashtbl.add seen path ();
-                let modname = Tast_util.short_module_name info.Cmt_format.cmt_modname in
-                units := { path; modname; structure } :: !units
-              end
+              if fresh path ".ml" then units := { path; modname; structure } :: !units
+          | Some src, Cmt_format.Interface signature ->
+              let ipath = normalize src in
+              if fresh ipath ".mli" then
+                interfaces := { ipath; imodname = modname; signature } :: !interfaces
           | _ -> ()))
     cmts;
   {
     units = List.sort (fun a b -> compare a.path b.path) !units;
+    interfaces = List.sort (fun a b -> compare a.ipath b.ipath) !interfaces;
     errors = List.rev !errors;
   }
 
@@ -89,18 +103,15 @@ let initial_env = lazy (
   Compmisc.init_path ();
   Compmisc.initial_env ())
 
-let fixture ~path source =
+let typecheck ~path source check =
   let env = Lazy.force initial_env in
   let modname =
     String.capitalize_ascii Filename.(remove_extension (basename path))
   in
   let lexbuf = Lexing.from_string source in
   Location.init lexbuf path;
-  match
-    let past = Parse.implementation lexbuf in
-    Typemod.type_structure env past
-  with
-  | structure, _, _, _, _ -> Ok { path; modname; structure }
+  match check env lexbuf with
+  | tree -> Ok (modname, tree)
   | exception exn ->
       let msg =
         match Location.error_of_exn exn with
@@ -109,3 +120,14 @@ let fixture ~path source =
         | _ -> Printexc.to_string exn
       in
       Error msg
+
+let fixture ~path source =
+  typecheck ~path source (fun env lexbuf ->
+      let structure, _, _, _, _ = Typemod.type_structure env (Parse.implementation lexbuf) in
+      structure)
+  |> Result.map (fun (modname, structure) -> { path; modname; structure })
+
+let interface_fixture ~path source =
+  typecheck ~path source (fun env lexbuf ->
+      Typemod.transl_signature env (Parse.interface lexbuf))
+  |> Result.map (fun (imodname, signature) -> { ipath = path; imodname; signature })

@@ -1,5 +1,6 @@
-(** Loading Typedtrees for the typed pass (R8..R10): cmt files from a dune
-    build directory, or in-process typechecking for test fixtures. *)
+(** Loading Typedtrees for the typed pass (R8..R10, W2): cmt and cmti
+    files from a dune build directory, or in-process typechecking for test
+    fixtures. *)
 
 type unit_input = {
   path : string;  (** root-relative source path, '/'-separated *)
@@ -7,15 +8,28 @@ type unit_input = {
   structure : Typedtree.structure;
 }
 
-type load_result = { units : unit_input list; errors : string list }
+type interface = {
+  ipath : string;  (** root-relative [.mli] path *)
+  imodname : string;  (** short module name *)
+  signature : Typedtree.signature;
+}
+
+type load_result = {
+  units : unit_input list;
+  interfaces : interface list;
+  errors : string list;
+}
 
 val load_tree : root:string -> cmt_root:string -> roots:string list -> load_result
 (** Walk [cmt_root] (normally [<root>/_build/default]) for [.cmt]
-    implementations whose recorded source file sits under one of [roots]
-    and still exists under [root]. Deterministic (sorted); duplicate
-    source files keep the first cmt. Unreadable cmts are reported in
-    [errors], not raised. *)
+    implementations and [.cmti] interfaces whose recorded source file sits
+    under one of [roots] and still exists under [root]. Deterministic
+    (sorted); duplicate source files keep the first cmt. Unreadable cmts
+    are reported in [errors], not raised. *)
 
 val fixture : path:string -> string -> (unit_input, string) result
 (** Typecheck [source] in-process against the compiler's initial
     environment (stdlib only). For unit tests. *)
+
+val interface_fixture : path:string -> string -> (interface, string) result
+(** Like {!fixture}, for an interface ([.mli]) source. *)

@@ -16,7 +16,13 @@
    (restricted to slugs whose rules actually ran — a typed-rule waiver is
    not "unused" just because only the syntactic pass ran). *)
 
-type entry = { line : int; slug : string; mutable used : bool }
+type entry = {
+  line : int;
+  slug : string;
+  reasoned : bool;
+  standalone : bool;  (* the comment is alone on its line *)
+  mutable used : bool;
+}
 type t = entry list
 
 let marker = "(* lint:"
@@ -24,7 +30,8 @@ let marker = "(* lint:"
 let is_slug_char c = (c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c = '-'
 
 (* All slugs on one line: every occurrence of the marker, first
-   whitespace-separated token after it. *)
+   whitespace-separated token after it, and whether any justification
+   text follows the slug before the line or the comment ends. *)
 let slugs_of_line line =
   let n = String.length line in
   let rec find_from i acc =
@@ -39,8 +46,13 @@ let slugs_of_line line =
             while !k < n && line.[!k] = ' ' do incr k done;
             let start = !k in
             while !k < n && is_slug_char line.[!k] do incr k done;
-            let acc = if !k > start then String.sub line start (!k - start) :: acc else acc in
-            find_from !k acc
+            let stop = !k in
+            while !k < n && line.[!k] = ' ' do incr k done;
+            let reasoned = !k < n && not (!k + 1 < n && line.[!k] = '*' && line.[!k + 1] = ')') in
+            let acc =
+              if stop > start then (String.sub line start (stop - start), reasoned) :: acc else acc
+            in
+            find_from stop acc
           end
           else find_from (j + 1) acc
   in
@@ -50,20 +62,29 @@ let scan source : t =
   let lines = String.split_on_char '\n' source in
   List.concat
     (List.mapi
-       (fun i line -> List.map (fun s -> { line = i + 1; slug = s; used = false }) (slugs_of_line line))
+       (fun i line ->
+         let standalone = String.starts_with ~prefix:marker (String.trim line) in
+         List.map
+           (fun (slug, reasoned) -> { line = i + 1; slug; reasoned; standalone; used = false })
+           (slugs_of_line line))
        lines)
 
-(* Marks the matching entry used: suppression is what a waiver is for, so
-   an [allows] hit is the liveness witness W1 keys on. *)
-let allows t ~line ~slug =
+(* A trailing waiver covers its own line, a waiver alone on its line the
+   line below. Marks the matching entry used: suppression is what a waiver
+   is for, so an [allows] hit is the liveness witness W1 keys on. *)
+let allows_if ok t ~line ~slug =
   let hit = ref false in
   List.iter
     (fun e ->
-      if e.slug = slug && (e.line = line || e.line = line - 1) then begin
+      if e.slug = slug && (e.line = line || (e.line = line - 1 && e.standalone)) && ok e
+      then begin
         e.used <- true;
         hit := true
       end)
     t;
   !hit
+
+let allows = allows_if (fun _ -> true)
+let allows_reasoned = allows_if (fun e -> e.reasoned)
 
 let entries t = List.map (fun e -> (e.line, e.slug, e.used)) t
