@@ -1017,10 +1017,7 @@ let unused_exports (interfaces : (Typed_load.interface * Waivers.t) list)
                   suffixes rest
             in
             suffixes parts)
-          (let m = unit_mentions u in
-           if Sys.getenv_opt "W2DEBUG" = Some u.path then
-             List.iter (fun p -> prerr_endline (String.concat "." p)) m;
-           m))
+          (unit_mentions u))
     units;
   List.concat_map
     (fun ((i : Typed_load.interface), waivers) ->
