@@ -41,7 +41,15 @@ let test_calibration_converges_with_probes () =
   let stages = [| Stage.make ~work:(Variate.Gamma { shape = 4.0; scale = 0.5 }) () |] in
   let c = Calibration.run ~probes:400 ~measurement_noise:0.01 ~rng:(Rng.create 2) stages in
   check_close ~eps:0.15 "many probes approach the true mean 2.0" 2.0
-    (Calibration.work_vector c).(0)
+    (Calibration.work_vector c).(0);
+  (* The sample count and the spread show in the printed estimate:
+     "stage 0: work ≈ <mean> ± <stddev> (<probes> probes)". *)
+  let spread, samples =
+    Scanf.sscanf (Format.asprintf "%a" Calibration.pp c) "stage 0: work ≈ %_f ± %f (%d probes)"
+      (fun spread samples -> (spread, samples))
+  in
+  Alcotest.(check int) "sample count recorded" 400 samples;
+  Alcotest.(check bool) "spread recorded" true (spread > 0.0)
 
 let test_calibration_noise_bounded () =
   let stages = Stage.balanced ~n:2 ~work:1.0 () in
