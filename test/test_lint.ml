@@ -667,7 +667,12 @@ let test_w2_in_the_driver () =
       found "W1 flags a waiver on a used export"
         [ ("W1", "lib/demo/a.mli", 1); ("W2", "lib/demo/a.mli", 2) ]
         (scan waived_used root);
-      found "no W1 when W2 did not run" [] (scan ~roots:[ "lib" ] waived_used root))
+      found "no W1 when W2 did not run" [] (scan ~roots:[ "lib" ] waived_used root);
+      match scan ~with_bin:false waived_used root with
+      | [ ("internal", _, _) ] -> ()
+      | other ->
+          Alcotest.failf "a W2 stopped by a missing cmt judges no waiver, got %s"
+            (String.concat ", " (List.map (fun (rule, _, _) -> rule) other)))
 
 let mk_report findings =
   { Driver.files_scanned = 1; typed_ran = false; typed_units = 0; findings }

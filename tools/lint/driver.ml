@@ -96,7 +96,8 @@ let load_cmts opts roots =
   else Ok (Typed_load.load_tree ~root:opts.root ~cmt_root ~roots)
 
 (* W2 reads a missing cmt as a missing user, so it runs only when every
-   source under its user roots was loaded. *)
+   source under its user roots was loaded. Returns the findings and
+   whether W2 ran. *)
 let unused_exports opts tables (lr : Typed_load.load_result) =
   let loaded = Hashtbl.create 256 in
   List.iter (fun (u : Typed_load.unit_input) -> Hashtbl.replace loaded u.path ()) lr.units;
@@ -114,22 +115,24 @@ let unused_exports opts tables (lr : Typed_load.load_result) =
            if wanted && not (Hashtbl.mem loaded rel) then Some rel else None)
   in
   if missing <> [] then
-    [
-      internal_finding
-        (Printf.sprintf
-           "W2: no .cmt/.cmti for %s; build the whole tree (`dune build @check`) \
-            first"
-           (String.concat ", " (List.sort compare missing)));
-    ]
+    ( [
+        internal_finding
+          (Printf.sprintf
+             "W2: no .cmt/.cmti for %s; build the whole tree (`dune build @check`) \
+              first"
+             (String.concat ", " (List.sort compare missing)));
+      ],
+      false )
   else
-    Typed_check.unused_exports
-      (List.filter_map
-         (fun (i : Typed_load.interface) ->
-           if String.starts_with ~prefix:"lib/" i.ipath then
-             Option.map (fun w -> (i, w)) (Hashtbl.find_opt tables i.ipath)
-           else None)
-         lr.interfaces)
-      lr.units
+    ( Typed_check.unused_exports
+        (List.filter_map
+           (fun (i : Typed_load.interface) ->
+             if String.starts_with ~prefix:"lib/" i.ipath then
+               Option.map (fun w -> (i, w)) (Hashtbl.find_opt tables i.ipath)
+             else None)
+           lr.interfaces)
+        lr.units,
+      true )
 
 (* The typed pass: load the units (on a whole-tree scan also the
    examples, W2's extra users), pair each scanned unit with the waiver
@@ -158,8 +161,8 @@ let run_typed opts tables load =
               | None -> None)
             lr.units
         in
-        let w2 = if whole_tree then unused_exports opts tables lr else [] in
-        (load_findings @ Typed_check.run inputs @ w2, List.length inputs, whole_tree)
+        let w2, w2_ran = if whole_tree then unused_exports opts tables lr else ([], false) in
+        (load_findings @ Typed_check.run inputs @ w2, List.length inputs, w2_ran)
 
 (* W1: any waiver entry still unused after every pass that could have fired
    it. Unknown slugs are always reported; known slugs only when their rule
