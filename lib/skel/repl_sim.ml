@@ -36,7 +36,7 @@ type t = {
   mutable completed : int;
 }
 
-let[@inline never] validate topo stages replicas =
+let validate topo stages replicas =
   if Array.length stages = 0 then invalid_arg "Repl_sim: empty pipeline";
   if Array.length replicas <> Array.length stages then
     invalid_arg "Repl_sim: one replica set per stage required";
@@ -69,7 +69,7 @@ let rec sink_emit t =
 (* Round-robin deals eagerly (equal shares, the classic farm deal);
    least-loaded is demand-driven: an item is only dealt while some replica
    has fewer than [window] items outstanding, so shares follow speed. *)
-let[@inline never] pick t s =
+let pick t s =
   match t.dispatch with
   | Round_robin ->
       let r = List.nth s.replica_set (s.rr_cursor mod List.length s.replica_set) in
@@ -180,7 +180,7 @@ let create ?(window = 2) ?(dispatch = Least_loaded) ~rng ~topo ~stages ~replicas
     arrivals;
   t
 
-let[@inline never] replicas t = Array.map (fun s -> s.replica_set) t.stages
+let replicas t = Array.map (fun s -> s.replica_set) t.stages
 
 let outstanding t ~stage node =
   if stage < 0 || stage >= Array.length t.stages || node < 0 || node >= Topology.size t.topo
