@@ -39,8 +39,9 @@ val run : ?until:float -> t -> unit
 (** [run t] drains the event queue. With [~until], stops once the next event
     is strictly later than [until] and advances the clock to [until]. *)
 
-val events_fired : t -> int (* lint: unused-export-ok public API: engine counter *)
-val pending : t -> int (* lint: unused-export-ok public API: engine counter *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val events_fired : t -> int
+val pending : t -> int (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 
 val periodic : t -> ?start:float -> every:float -> (unit -> bool) -> unit
 (** [periodic t ~every f] fires [f] at [start] (default [now + every]) and

@@ -22,13 +22,14 @@ val insert : 'a t -> float -> 'a -> handle
 val cancel : handle -> unit
 (** [cancel h] removes the entry lazily; idempotent. *)
 
-val cancelled : handle -> bool (* lint: unused-export-ok public API: priority-queue operation *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val cancelled : handle -> bool
 
-(* lint: unused-export-ok public API: priority-queue operation *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val pop : 'a t -> (float * 'a) option
 (** [pop q] removes and returns the minimum live entry, or [None] if empty. *)
 
-(* lint: unused-export-ok public API: priority-queue operation *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val pop_if : 'a t -> horizon:float -> (float * 'a) option
 (** [pop_if q ~horizon] removes and returns the minimum live entry iff its
     key is [<= horizon] — the fused form of [peek_key] + [pop], one heap
@@ -50,11 +51,12 @@ val popped_value : 'a t -> 'a
 (** Value of the entry removed by the last successful {!pop_min}; same
     validity window as {!popped_key}. *)
 
-(* lint: unused-export-ok public API: priority-queue operation *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val peek_key : 'a t -> float option
 (** Key of the next live entry without removing it. *)
 
 val size : 'a t -> int
 (** Number of live (non-cancelled) entries. *)
 
-val is_empty : 'a t -> bool (* lint: unused-export-ok public API: priority-queue operation *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val is_empty : 'a t -> bool

@@ -28,7 +28,7 @@ val await : (('a -> unit) -> unit) -> 'a
     return value. This is the bridge to any callback API:
     {[ let result = await (fun k -> Server.submit server ~work (fun () -> k ())) ]} *)
 
-(* lint: unused-export-ok public API: process-style models (examples/des_processes.ml) *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val wait_until : ?poll_every:float -> (unit -> bool) -> unit
 (** {e Inside a process.} Sleep in [poll_every] (default 0.1 s) increments
     until the predicate holds. *)
@@ -48,6 +48,7 @@ module Mailbox : sig
   val recv : 'a t -> 'a
   (** {e Inside a process.} Take the next message, suspending while empty. *)
 
-  val length : 'a t -> int (* lint: unused-export-ok public API: process-style models *)
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  val length : 'a t -> int
   (** Messages currently queued (not counting blocked receivers). *)
 end

@@ -20,7 +20,8 @@ val submit :
     instant the job enters service. Raises [Invalid_argument] if
     [work < 0] or not finite. *)
 
-val queue_length : t -> int (* lint: unused-export-ok public API: server statistic *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val queue_length : t -> int
 (** Jobs waiting, excluding the one in service. *)
 
 val drop_all : t -> int list
@@ -29,12 +30,15 @@ val drop_all : t -> int list
     dropped jobs, in-service first then queue order. The server is left
     idle and usable (a later {!submit} starts normally). *)
 
-val completed : t -> int (* lint: unused-export-ok public API: server statistic *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val completed : t -> int
 
-val in_service_remaining : t -> float (* lint: unused-export-ok public API: server statistic *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val in_service_remaining : t -> float
 (** Remaining work of the job in service as of the current instant
     (0 when idle). *)
 
-val utilization : t -> float (* lint: unused-export-ok public API: server statistic *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val utilization : t -> float
 (** Fraction of elapsed simulation time this server spent with a job in
     service (including stalled intervals); [0] at time 0. *)

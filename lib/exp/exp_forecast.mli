@@ -6,9 +6,9 @@
 
 type row = { signal : string; per_forecaster : (string * float) list (** MAE *) }
 
-(* lint: unused-export-ok public API: E9's data; test_exp checks E9's claim on it *)
+(* lint: unused-export-ok used by E9's table; test_exp checks E9's claim on it *)
 val rows : quick:bool -> row list
-(* lint: unused-export-ok public API: E9's data; test_exp checks E9's claim on it *)
+(* lint: unused-export-ok used by E9's table; test_exp checks E9's claim on it *)
 val ensemble_regret : row -> float
 (** MAE(adaptive) − min MAE over primitives, for one signal. *)
 

@@ -18,9 +18,9 @@ type e1_row = {
   simulated : float;
 }
 
-(* lint: unused-export-ok public API: E1's data; test_exp checks E1's claim on it *)
+(* lint: unused-export-ok used by E1's table; test_exp checks E1's claim on it *)
 val e1_rows : quick:bool -> e1_row list
-(* lint: unused-export-ok public API: E1's data; test_exp checks E1's claim on it *)
+(* lint: unused-export-ok used by E1's table; test_exp checks E1's claim on it *)
 val e1_rank_correlations : e1_row list -> float * float
 (** (analytic vs sim, ctmc vs sim). *)
 
@@ -35,6 +35,6 @@ type e2_row = {
   oracle_simulated : float;
 }
 
-(* lint: unused-export-ok public API: E2's data; test_exp checks E2's claim on it *)
+(* lint: unused-export-ok used by E2's table; test_exp checks E2's claim on it *)
 val e2_rows : quick:bool -> e2_row list
 val run_e2 : quick:bool -> unit

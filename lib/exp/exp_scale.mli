@@ -24,6 +24,6 @@ type e6_row = {
   ctmc_solve_ms : float;
 }
 
-(* lint: unused-export-ok public API: E6's data; test_exp checks E6's claim on it *)
+(* lint: unused-export-ok used by E6's table; test_exp checks E6's claim on it *)
 val e6_rows : quick:bool -> e6_row list
 val run_e6 : quick:bool -> unit

@@ -35,10 +35,12 @@ val quality : t -> float
 val set_quality : t -> float -> unit
 (** Clamped to [\[0.01, 1\]] — a grid link degrades, it does not vanish. *)
 
-val effective_latency : t -> float (* lint: unused-export-ok public API: link cost model *)
-val effective_bandwidth : t -> float (* lint: unused-export-ok public API: link cost model *)
+(* lint: unused-export-ok used by transfer; test_grid checks it directly *)
+val effective_latency : t -> float
+(* lint: unused-export-ok used by transfer_time; test_grid checks it directly *)
+val effective_bandwidth : t -> float
 
-(* lint: unused-export-ok public API: link cost model *)
+(* lint: unused-export-ok used by transfer; test_grid checks it directly *)
 val transfer_time : t -> bytes:float -> float
 (** Uncontended cost estimate at the current quality — what the performance
     model uses. *)
@@ -47,5 +49,5 @@ val transfer : t -> bytes:float -> (unit -> unit) -> unit
 (** Simulate a transfer; the callback fires on delivery. On a contended link
     the bandwidth portion queues behind transfers already in flight. *)
 
-(* lint: unused-export-ok public API: link cost model *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val quality_history : t -> Aspipe_util.Timeseries.t

@@ -54,8 +54,10 @@ val suspected : t -> int -> bool
 (** Whether node [i] has missed [suspect_after] or more consecutive
     heartbeats. Cleared as soon as the node answers again. *)
 
-val suspects : t -> int list (* lint: unused-export-ok public API: monitor reading *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val suspects : t -> int list
 (** All currently suspected nodes, ascending. *)
 
-val forecast_error : t -> int -> float (* lint: unused-export-ok public API: monitor reading *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val forecast_error : t -> int -> float
 (** Running MAE of the node's forecaster ([nan] with < 2 samples). *)

@@ -16,7 +16,7 @@ val apply_pair :
 (** Drive both directions between two nodes with the same profile (the two
     directions share every event, as one congested route would). *)
 
-(* lint: unused-export-ok public API: the user-link generator beside apply_pair *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val degrade_user_link :
   ?rng:Aspipe_util.Rng.t -> horizon:float -> Topology.t -> int -> Loadgen.profile -> unit
 (** Drive the user ↔ node [i] connection. *)

@@ -35,9 +35,10 @@ val set_up : t -> bool -> unit
     transition the derived server rate is re-driven (down forces rate 0)
     and the matching fault event is emitted on the engine bus. *)
 
-val effective_rate : t -> float (* lint: unused-export-ok public API: node state reading *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val effective_rate : t -> float
 (** [base_speed × availability × up], in work units per second. *)
 
 val server : t -> Aspipe_des.Server.t
-(* lint: unused-export-ok public API: node state reading *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val availability_history : t -> Aspipe_util.Timeseries.t

@@ -7,7 +7,8 @@ type t
 val engine : t -> Aspipe_des.Engine.t
 val size : t -> int
 val node : t -> int -> Node.t
-val nodes : t -> Node.t array (* lint: unused-export-ok public API: topology query *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val nodes : t -> Node.t array
 
 val link : t -> src:int -> dst:int -> Link.t
 (** [link t ~src ~dst]; [src = dst] is the local link. *)

@@ -34,7 +34,7 @@ val record_service : t -> service -> unit
 (** Also records the service's start as the item's entry instant (see
     {!record_entry}). *)
 
-(* lint: unused-export-ok public API: trace recording, as record_service *)
+(* lint: unused-export-ok used by subscribe; test_grid checks it directly *)
 val record_transfer : t -> transfer -> unit
 val record_completion : t -> item:int -> time:float -> unit
 val record_adaptation : t -> adaptation -> unit
@@ -84,7 +84,8 @@ val services : t -> service list
 val service_times : t -> stage:int -> float array
 (** Durations of every service of [stage]. *)
 
-val services_on_node : t -> node:int -> int (* lint: unused-export-ok public API: trace query *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val services_on_node : t -> node:int -> int
 val transfers : t -> transfer list
 val adaptations : t -> adaptation list
 (** In time order. *)

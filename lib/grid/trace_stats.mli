@@ -11,10 +11,10 @@ type stage_summary = {
   nodes_used : int list;  (** ascending *)
 }
 
-(* lint: unused-export-ok public API: trace statistic *)
+(* lint: unused-export-ok used by table; test_grid checks it directly *)
 val per_stage : Trace.t -> stages:int -> stage_summary list
 
-(* lint: unused-export-ok public API: trace statistic *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val node_busy_time : Trace.t -> node:int -> float
 (** Total service time the trace records on a node. *)
 

@@ -24,8 +24,10 @@ val build : service_rates:float array -> move_rates:float array -> t
 
 val of_costspec : Costspec.t -> Mapping.t -> t
 
-val state_count : t -> int (* lint: unused-export-ok public API: chain size *)
-val transition_count : t -> int (* lint: unused-export-ok public API: chain size *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val state_count : t -> int
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val transition_count : t -> int
 
 type solver =
   | Gauss_seidel
@@ -35,7 +37,7 @@ type solver =
       (** uniformized power iteration; kept for the solver ablation — its
           convergence degrades as max-rate/min-rate grows *)
 
-(* lint: unused-export-ok public API: the CTMC solver, checked against test/ctmc_ref.ml *)
+(* lint: unused-export-ok used by throughput; test_model checks it against test/ctmc_ref.ml *)
 val steady_state : ?solver:solver -> ?tol:float -> ?max_iter:int -> t -> float array
 (** The stationary distribution π. Raises [Failure] if the iteration does
     not reach [tol] (default 1e-12 on the L1 step difference) within
@@ -44,6 +46,6 @@ val steady_state : ?solver:solver -> ?tol:float -> ?max_iter:int -> t -> float a
 val throughput : ?solver:solver -> ?tol:float -> ?max_iter:int -> t -> float
 (** Items per second through the pipeline. *)
 
-(* lint: unused-export-ok public API: solver residual, checked against test/ctmc_ref.ml *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val residual : t -> float array -> float
 (** ‖πQ‖₁ — a correctness check on a proposed stationary vector. *)

@@ -20,7 +20,7 @@ val to_string : t -> string
 val round_robin : stages:int -> processors:int -> t
 (** Stage [i] on processor [i mod processors]. *)
 
-(* lint: unused-export-ok public API: mapping constructor *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val random : Aspipe_util.Rng.t -> stages:int -> processors:int -> t
 
 val blocks : stages:int -> processors:int -> t
@@ -89,7 +89,7 @@ val iter_neighbours :
     in-place scratch array, restored between stages. Scratch-reuse caveats as
     {!iter_enumerate}. *)
 
-(* lint: unused-export-ok public API: per-processor stage counts *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val colocation : t -> processors:int -> int array
 (** [colocation m ~processors] gives, per processor, the number of stages it
     hosts. *)

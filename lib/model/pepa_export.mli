@@ -14,7 +14,7 @@ val pipeline : Costspec.t -> Mapping.t -> string
     system equation and a throughput measure on [process1].
     Activities are 1-indexed, matching the published notation. *)
 
-(* lint: unused-export-ok public API: the rates written to the PEPA model *)
+(* lint: unused-export-ok used by pipeline; test_model checks it directly *)
 val rate_table : Costspec.t -> Mapping.t -> (string * float) list
 (** The [(name, value)] rate bindings the model references, in definition
     order: [mu1 … muNs] then [lambda1 … lambdaNs+1]. *)

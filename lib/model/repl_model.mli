@@ -8,11 +8,12 @@
     asynchronous sends, steady throughput is the minimum stage capacity.
     On a one-stage spec this is the task-farm model. *)
 
-(* lint: unused-export-ok public API: replication model term *)
+(* lint: unused-export-ok used by stage_capacity; test_model checks it directly *)
 val node_share : replicas:int list array -> processors:int -> int array
 (** How many (stage, replica) assignments each node carries. *)
 
-val stage_capacity : (* lint: unused-export-ok public API: replication model term *)
+(* lint: unused-export-ok used by throughput and best_replication; test_model checks it directly *)
+val stage_capacity :
   ?dispatch:Aspipe_skel.Repl_sim.dispatch -> Costspec.t -> replicas:int list array -> int -> float
 (** Items/s stage [i] can sustain given everyone's replica sets: the sum of
     its replicas' share rates under [Least_loaded] (the default),

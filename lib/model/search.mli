@@ -20,7 +20,7 @@ type evaluator = Mapping.t -> float
 
 type result = { mapping : Mapping.t; score : float; evaluated : int }
 
-(* lint: unused-export-ok public API: the default exhaustive cap *)
+(* lint: unused-export-ok used by auto and auto_spec; test_model checks it directly *)
 val default_exhaustive_limit : int
 (** Largest candidate space {!auto} / {!auto_spec} searches exhaustively
     before falling back to greedy + hill-climb: [262144] (2¹⁸), raised 13×
@@ -71,7 +71,7 @@ val exhaustive_spec :
     [evaluated] equals the space size. The returned mapping and score are
     identical to {!exhaustive} on [Analytic.throughput spec]. *)
 
-(* lint: unused-export-ok public API: generic greedy search *)
+(* lint: unused-export-ok used by auto; test_model checks it directly *)
 val greedy : ?fix_first_on:int -> stages:int -> processors:int -> evaluator -> result
 (** Builds the mapping stage by stage, placing each stage on the processor
     that maximizes the evaluator applied to the partial pipeline (remaining
@@ -87,7 +87,7 @@ val hill_climb :
     Probes neighbours through {!Mapping.iter_neighbours}'s scratch array —
     a candidate is copied only when it improves on the step's incumbent. *)
 
-(* lint: unused-export-ok public API: the spec-level local search auto_spec uses *)
+(* lint: unused-export-ok used by auto_spec; test_model checks it directly *)
 val hill_climb_spec :
   ?max_steps:int -> ?fix_first_on:int -> start:Mapping.t -> Costspec.t -> result
 (** {!hill_climb} on {!Analytic.Incr}: neighbours are probed as move/undo

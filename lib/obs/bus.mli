@@ -41,7 +41,7 @@ val subscribe : ?interest:interest -> t -> sink -> subscription
 (** Attach a sink ([interest] defaults to [All]); it sees every event
     emitted after this call. Amortised O(1). *)
 
-(* lint: unused-export-ok public API: the inverse of subscribe *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val unsubscribe : t -> subscription -> unit
 (** Detach; idempotent. Subscription order of the remaining sinks is
     preserved. *)

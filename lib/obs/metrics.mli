@@ -17,7 +17,8 @@ module Counter : sig
   val get : t -> string -> cell
   val incr : cell -> unit
   val add : cell -> int -> unit
-  val value : cell -> int (* lint: unused-export-ok public API: metric reader *)
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  val value : cell -> int
 end
 
 module Gauge : sig
@@ -26,7 +27,8 @@ module Gauge : sig
   val get : t -> string -> cell
   val set : cell -> float -> unit
   val add : cell -> float -> unit
-  val value : cell -> float (* lint: unused-export-ok public API: metric reader *)
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  val value : cell -> float
 end
 
 module Histogram : sig
@@ -41,15 +43,19 @@ module Histogram : sig
 
   val get : t -> string -> cell
   val observe : cell -> float -> unit
-  val count : cell -> int (* lint: unused-export-ok public API: metric reader *)
-  val sum : cell -> float (* lint: unused-export-ok public API: metric reader *)
-  val mean : cell -> float (* lint: unused-export-ok public API: metric reader *)
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  val count : cell -> int
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  val sum : cell -> float
+  (* lint: unused-export-ok used by snapshot; test_obs checks it directly *)
+  val mean : cell -> float
   (** [nan] when empty. *)
 
-  val quantile : cell -> float -> float (* lint: unused-export-ok public API: metric reader *)
+  (* lint: unused-export-ok used by snapshot; test_obs checks it directly *)
+  val quantile : cell -> float -> float
   (** [quantile cell q] with [q] in [\[0, 1\]]; [nan] when empty. *)
 
-  (* lint: unused-export-ok public API: metric reader *)
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
   val buckets : cell -> (float * float * int) list
   (** Non-empty buckets as [(lo, hi, count)], ascending; the underflow
       bucket reports as [(0., 0., count)]. *)

@@ -6,10 +6,11 @@
     render as complete ("X") slices, steals as instants, GC and queue
     samples as counter tracks. *)
 
-val runner_pid : int (* lint: unused-export-ok public API: the runner's pid in a merged trace *)
+(* lint: unused-export-ok used by the runner's trace events; test_prof checks it directly *)
+val runner_pid : int
 (** 3 — next to Trace_event's grid (1) and network (2) processes. *)
 
-(* lint: unused-export-ok public API: the document write saves; test_prof checks its shape *)
+(* lint: unused-export-ok used by write; test_prof compares it byte for byte *)
 val to_string : Prof.profile -> string
 
 val write : Prof.profile -> path:string -> unit

@@ -77,7 +77,7 @@ val collect : unit -> profile
     0. Call only once recording has quiesced (workers joined); buffers are
     single-writer and collection does not synchronise with live appends. *)
 
-(* lint: unused-export-ok public API: probe buffer count, the off-state cost witness *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val buffers_allocated : unit -> int
 (** Cumulative count of per-domain buffers ever created — the witness that
     profiler-off runs allocate none (the count stays flat). *)

@@ -8,7 +8,8 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-val is_empty : 'a t -> bool (* lint: unused-export-ok public API: deque query *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 (** Owner end: enqueue at the bottom. *)

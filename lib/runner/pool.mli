@@ -18,7 +18,7 @@ val create : ?minor_heap_words:int -> workers:int -> unit -> t
     domains, so a larger per-worker arena stretches the interval between
     global barriers. Pass [0] to keep the runtime default. *)
 
-val size : t -> int (* lint: unused-export-ok public API: pool width *)
+val size : t -> int (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 
 val map : ?name:(int -> string) -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Fan the batch out over the pool and wait for all of it. The first

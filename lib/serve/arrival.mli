@@ -13,7 +13,7 @@ type t
 val poisson : rate:float -> t
 (** Homogeneous Poisson process: exponential inter-arrivals at [rate]. *)
 
-(* lint: unused-export-ok public API: the NHPP the arrival specs build on *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val nhpp : rate:(float -> float) -> rate_max:float -> t
 (** Non-homogeneous Poisson with intensity [rate t], generated by
     Lewis–Shedler thinning against the envelope [rate_max]. [rate] must

@@ -12,7 +12,8 @@ val last : ('a -> 'b) -> ('a, 'b) t
 val ( @> ) : ('a -> 'c) -> ('c, 'b) t -> ('a, 'b) t
 (** [f @> rest] prepends a stage: [f @> g @> last h]. *)
 
-val length : ('a, 'b) t -> int (* lint: unused-export-ok public API: stage count of a composition *)
+(* lint: unused-export-ok used by fuse_groups; test_workload checks it directly *)
+val length : ('a, 'b) t -> int
 (** Number of stages. *)
 
 val apply : ('a, 'b) t -> 'a -> 'b

@@ -57,7 +57,7 @@ val set_replicas : t -> int list array -> unit
     already dealt to a removed replica finish there). Raises
     [Invalid_argument] on bad sets. *)
 
-(* lint: unused-export-ok public API: in-flight items per replica *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val outstanding : t -> stage:int -> int -> int
 (** [outstanding t ~stage node]: items dealt to [node] for [stage] whose
     service has not ended. Raises [Invalid_argument] out of range. *)

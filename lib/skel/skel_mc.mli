@@ -11,7 +11,7 @@
 val run_seq : ('a, 'b) Pipe.t -> 'a list -> 'b list
 (** Reference semantics, zero parallelism. *)
 
-(* lint: unused-export-ok public API: one domain per stage; test_diff compares it with Skel_sim *)
+(* lint: unused-export-ok differential reference: test_diff compares Skel_sim with it; run_timed builds on it *)
 val run : ?capacity:int -> ?batch:int -> ('a, 'b) Pipe.t -> 'a list -> 'b list
 (** One domain per stage, plus a feeder. Output order equals input order.
     [capacity] bounds each inter-stage ring (default 8, rounded up to a
@@ -42,7 +42,7 @@ val run_fold :
     or [f] is re-raised here after every domain of the run has been
     joined. *)
 
-(* lint: unused-export-ok public API: one ring-to-ring stage loop *)
+(* lint: unused-export-ok used by run_core; test_mc and test_perf check it directly *)
 val pump : batch:int -> ('a -> 'b) -> 'a Aspipe_util.Spsc.t -> 'b Aspipe_util.Spsc.t -> unit
 (** The per-stage loop: chunked pop → apply → chunked push, with the
     close/failure relay protocol. The first item is taken with

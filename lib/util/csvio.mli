@@ -2,19 +2,21 @@
     into external plotting tools. RFC-4180-style quoting (fields containing
     commas, quotes or newlines are quoted; quotes doubled). *)
 
-val escape_field : string -> string (* lint: unused-export-ok public API: CSV encoding *)
+(* lint: unused-export-ok used by encode_rows; test_util checks it directly *)
+val escape_field : string -> string
 
-val encode_rows : string list list -> string (* lint: unused-export-ok public API: CSV encoding *)
+(* lint: unused-export-ok used by write_rows; test_util checks it directly *)
+val encode_rows : string list list -> string
 (** Rows joined with ["\n"], trailing newline included. *)
 
 val write_rows : path:string -> string list list -> unit
 (** Create/truncate [path] and write the encoded rows. *)
 
-(* lint: unused-export-ok public API: CSV encoding *)
+(* lint: unused-export-ok used by save_table; test_util checks it directly *)
 val table_rows : Render.Table.t -> string list list
 (** Header row followed by the data rows. *)
 
-(* lint: unused-export-ok public API: CSV encoding *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val series_rows : Render.Series.t list -> string list list
 (** Long format: [series,x,y] per point, with a header. *)
 

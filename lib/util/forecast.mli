@@ -33,7 +33,8 @@ val observe : t -> float -> unit
 val predict : t -> float
 (** [predict t] is the forecast of the next measurement. *)
 
-val mse : t -> float (* lint: unused-export-ok public API: forecaster error *)
+(* lint: unused-export-ok used by members; test_util checks it directly *)
+val mse : t -> float
 (** [mse t] is the running mean squared one-step-ahead error of this
     forecaster over all observations so far ([nan] before the second). *)
 
@@ -57,13 +58,13 @@ val ewma : ?fallback:float -> gain:float -> unit -> t
 (** Exponentially weighted moving average with smoothing [gain] in (0,1];
     prediction p ← gain·x + (1−gain)·p. *)
 
-(* lint: unused-export-ok public API: forecaster, checked against test/forecast_ref.ml *)
+(* lint: unused-export-ok used by adaptive's bank; test_util checks it against test/forecast_ref.ml *)
 val trend : ?fallback:float -> gain:float -> unit -> t
 (** Holt's double exponential smoothing: tracks a level and a slope, so
     steadily draining (or recovering) resources are extrapolated instead of
     lagged. Trend gain is [gain/2]. *)
 
-(* lint: unused-export-ok public API: forecaster, checked against test/forecast_ref.ml *)
+(* lint: unused-export-ok used by adaptive's bank; test_util checks it against test/forecast_ref.ml *)
 val ar1 : ?fallback:float -> unit -> t
 (** Online first-order autoregression: fits x_t ≈ a·x_{t−1} + c by running
     least squares and predicts from the last observation. Falls back to the

@@ -32,6 +32,6 @@ val print_figure :
 (** Prints each series as aligned [(x, y)] columns followed by a compact
     ASCII plot (all series overlaid, one glyph per series). *)
 
-(* lint: unused-export-ok public API: ASCII plot *)
+(* lint: unused-export-ok used by print_figure; test_util checks it directly *)
 val plot : ?width:int -> ?height:int -> Series.t list -> string
 (** The ASCII plot alone. *)

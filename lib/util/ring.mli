@@ -25,7 +25,7 @@ val pop : 'a t -> 'a
 (** Remove and return the front element; raises [Invalid_argument] when
     empty. *)
 
-val peek : 'a t -> 'a (* lint: unused-export-ok public API: ring query *)
+val peek : 'a t -> 'a (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 (** Front element without removing it; raises [Invalid_argument] when
     empty. *)
 

@@ -19,7 +19,7 @@ val create : int -> t
 (** [create seed] builds a generator from an integer seed. Equal seeds give
     equal streams. *)
 
-val copy : t -> t (* lint: unused-export-ok public API: RNG operation *)
+val copy : t -> t (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 (** [copy t] is an independent generator with the same current state. *)
 
 val split : t -> t
@@ -35,16 +35,17 @@ val float : t -> float
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Raises [Invalid_argument] if [n <= 0]. *)
 
-val bool : t -> bool (* lint: unused-export-ok public API: RNG operation *)
+val bool : t -> bool (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 (** [bool t] is a fair coin flip. *)
 
 val range : t -> float -> float -> float
 (** [range t lo hi] is uniform in [\[lo, hi)]. *)
 
-val shuffle : t -> 'a array -> unit (* lint: unused-export-ok public API: RNG operation *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val shuffle : t -> 'a array -> unit
 (** [shuffle t a] permutes [a] in place, uniformly (Fisher–Yates). *)
 
-(* lint: unused-export-ok public API: RNG operation, checked against test/rng_ref.ml *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val pick : t -> 'a array -> 'a
 (** [pick t a] is a uniformly chosen element of [a].
     Raises [Invalid_argument] on an empty array. *)

@@ -49,23 +49,27 @@ val create : capacity:int -> 'a t
     allocated by the first push. Raises [Invalid_argument] if
     [capacity <= 0]. *)
 
-val capacity : 'a t -> int (* lint: unused-export-ok public API: single-item ring operation *)
+(* lint: unused-export-ok used by the chunk push; test_util checks it directly *)
+val capacity : 'a t -> int
 (** The actual (power-of-two) slot count. *)
 
-val length : 'a t -> int (* lint: unused-export-ok public API: single-item ring operation *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val length : 'a t -> int
 (** Item count snapshot; exact only when both sides are quiescent. *)
 
 val close : 'a t -> unit
 (** Idempotent; callable from any domain. Wakes all parked parties. *)
 
-val is_closed : 'a t -> bool (* lint: unused-export-ok public API: single-item ring operation *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val is_closed : 'a t -> bool
 
 (** {1 Producer side} — one domain only. *)
 
-val push : 'a t -> 'a -> unit (* lint: unused-export-ok public API: single-item ring operation *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val push : 'a t -> 'a -> unit
 (** Blocks while full. Raises {!Closed} if the ring is closed. *)
 
-(* lint: unused-export-ok public API: single-item ring operation *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val try_push : 'a t -> 'a -> bool
 (** [false] when currently full. Raises {!Closed} if closed. *)
 
@@ -81,7 +85,8 @@ val push_chunk : 'a t -> 'a array -> pos:int -> len:int -> unit
 val pop : 'a t -> 'a option
 (** Blocks while empty and open; [None] once closed and drained. *)
 
-val try_pop : 'a t -> 'a option (* lint: unused-export-ok public API: single-item ring operation *)
+(* lint: unused-export-ok used by pop; test_util checks it directly *)
+val try_pop : 'a t -> 'a option
 (** Non-blocking; [None] when currently empty (even if open). *)
 
 val pop_chunk : 'a t -> 'a array -> pos:int -> len:int -> int

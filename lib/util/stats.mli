@@ -11,53 +11,63 @@ module Welford : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  val merge : t -> t -> t (* lint: unused-export-ok public API: statistic *)
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  val merge : t -> t -> t
   (** [merge a b] is a fresh accumulator equivalent to having seen both
       streams (Chan et al. parallel combination). *)
 
-  val count : t -> int (* lint: unused-export-ok public API: statistic *)
+  val count : t -> int (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
   val mean : t -> float
   (** [mean t] is [nan] when empty. *)
 
-  val variance : t -> float (* lint: unused-export-ok public API: statistic *)
+  (* lint: unused-export-ok used by Welford.stddev; test_util checks it directly *)
+  val variance : t -> float
   (** Unbiased sample variance; [nan] when fewer than two observations. *)
 
   val stddev : t -> float
-  val min : t -> float (* lint: unused-export-ok public API: statistic *)
-  val max : t -> float (* lint: unused-export-ok public API: statistic *)
+  val min : t -> float (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  val max : t -> float (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 end
 
 val mean : float array -> float
-val variance : float array -> float (* lint: unused-export-ok public API: statistic *)
-val stddev : float array -> float (* lint: unused-export-ok public API: statistic *)
+(* lint: unused-export-ok used by stddev; test_util checks it directly *)
+val variance : float array -> float
+(* lint: unused-export-ok used by confidence95; test_util checks it directly *)
+val stddev : float array -> float
 
 val quantile : float array -> float -> float
 (** [quantile xs q] for [q] in [\[0,1\]], linear interpolation between order
     statistics (type-7). Raises [Invalid_argument] on empty input or [q]
     outside [\[0,1\]]. Does not modify [xs]. *)
 
-val median : float array -> float (* lint: unused-export-ok public API: statistic *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val median : float array -> float
 
 val confidence95 : float array -> float * float
 (** [confidence95 xs] is [(mean, half_width)] of a normal-approximation 95%
     confidence interval (half width = 1.96 · s/√n; 0 when n < 2). *)
 
-val mae : float array -> float array -> float (* lint: unused-export-ok public API: statistic *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val mae : float array -> float array -> float
 (** Mean absolute error between two equal-length arrays. *)
 
-val rmse : float array -> float array -> float (* lint: unused-export-ok public API: statistic *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val rmse : float array -> float array -> float
 (** Root mean squared error between two equal-length arrays. *)
 
 module Histogram : sig
   type t
 
-  (* lint: unused-export-ok public API: statistic *)
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
   val create : lo:float -> hi:float -> bins:int -> t
   (** Fixed uniform binning over [\[lo, hi)]; out-of-range samples are counted
       in saturating edge bins. *)
 
-  val add : t -> float -> unit (* lint: unused-export-ok public API: statistic *)
-  val count : t -> int (* lint: unused-export-ok public API: statistic *)
-  val counts : t -> int array (* lint: unused-export-ok public API: statistic *)
-  val bin_mid : t -> int -> float (* lint: unused-export-ok public API: statistic *)
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  val add : t -> float -> unit
+  val count : t -> int (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  val counts : t -> int array
+  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+  val bin_mid : t -> int -> float
 end

@@ -9,7 +9,7 @@ type t
 val create : ?initial:float -> unit -> t
 (** [create ~initial ()] starts with value [initial] (default 0.) at t = −∞. *)
 
-(* lint: unused-export-ok public API: time-series query *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val of_points : ?initial:float -> (float * float) list -> t
 (** Builds a series from points; the list need not be sorted.
     Raises [Invalid_argument] on duplicate timestamps. *)
@@ -18,16 +18,18 @@ val add : t -> float -> float -> unit
 (** [add t time value] appends a point. Raises [Invalid_argument] if [time]
     precedes the last recorded point (series are append-only). *)
 
-val value_at : t -> float -> float (* lint: unused-export-ok public API: time-series query *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val value_at : t -> float -> float
 (** [value_at t time] — the piecewise-constant evaluation. *)
 
-val points : t -> (float * float) list (* lint: unused-export-ok public API: time-series query *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val points : t -> (float * float) list
 (** Points in increasing time order. *)
 
-(* lint: unused-export-ok public API: time-series query *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val integrate : t -> lo:float -> hi:float -> float
 (** [integrate t ~lo ~hi] is ∫ value dt over [\[lo, hi\]]. *)
 
-(* lint: unused-export-ok public API: time-series query *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val sample : t -> lo:float -> hi:float -> step:float -> (float * float) array
 (** Evaluate on a regular clock; used to print figure series. *)

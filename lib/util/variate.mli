@@ -10,35 +10,36 @@ val exponential : Rng.t -> rate:float -> float
 val normal : Rng.t -> mean:float -> stddev:float -> float
 (** [normal rng ~mean ~stddev] samples a Gaussian (Box–Muller, polar form). *)
 
-(* lint: unused-export-ok public API: sampler *)
+(* lint: unused-export-ok used by sample; test_util checks it directly *)
 val lognormal : Rng.t -> mu:float -> sigma:float -> float
 (** [lognormal rng ~mu ~sigma] samples exp(N(mu, sigma²)). *)
 
-(* lint: unused-export-ok public API: sampler *)
+(* lint: unused-export-ok used by sample; test_util checks it directly *)
 val gamma : Rng.t -> shape:float -> scale:float -> float
 (** [gamma rng ~shape ~scale] samples Gamma(k, θ) by Marsaglia–Tsang,
     extended to [shape < 1] by the boosting identity. *)
 
-val erlang : Rng.t -> k:int -> rate:float -> float (* lint: unused-export-ok public API: sampler *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+val erlang : Rng.t -> k:int -> rate:float -> float
 (** [erlang rng ~k ~rate] is the sum of [k] iid Exp(rate) variables. *)
 
 val pareto : Rng.t -> shape:float -> scale:float -> float
 (** [pareto rng ~shape ~scale] samples a Pareto with minimum [scale];
     heavy-tailed service times. *)
 
-(* lint: unused-export-ok public API: sampler *)
+(* lint: unused-export-ok used by sample; test_util checks it directly *)
 val weibull : Rng.t -> shape:float -> scale:float -> float
 (** [weibull rng ~shape ~scale] samples Weibull(k, λ). *)
 
 val bernoulli : Rng.t -> p:float -> bool
 (** [bernoulli rng ~p] is [true] with probability [p]. *)
 
-(* lint: unused-export-ok public API: sampler *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val categorical : Rng.t -> weights:float array -> int
 (** [categorical rng ~weights] samples an index proportionally to [weights].
     Raises [Invalid_argument] if weights are empty, negative or all zero. *)
 
-(* lint: unused-export-ok public API: sampler *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val truncated : lo:float -> hi:float -> (unit -> float) -> float
 (** [truncated ~lo ~hi draw] redraws (up to a bounded number of attempts,
     then clamps) until the sample lies in [\[lo, hi\]]. *)

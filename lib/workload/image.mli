@@ -7,16 +7,16 @@
 type t = { width : int; height : int; pixels : float array }
 (** Row-major grayscale, values in [\[0, 1\]]. *)
 
-(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
+(* lint: unused-export-ok used by random and the filters; test_workload checks it directly *)
 val create : width:int -> height:int -> f:(x:int -> y:int -> float) -> t
-(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val constant : width:int -> height:int -> float -> t
 val random : Aspipe_util.Rng.t -> width:int -> height:int -> t
-(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
+(* lint: unused-export-ok used by the filters; test_workload checks it directly *)
 val get : t -> x:int -> y:int -> float
 (** Coordinates are clamped to the border (replicate padding). *)
 
-(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val dimensions_equal : t -> t -> bool
 
 val gaussian_blur : radius:int -> t -> t
@@ -29,12 +29,12 @@ val sharpen : t -> t
 (** 3×3 unsharp kernel. *)
 
 val threshold : level:float -> t -> t
-(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val invert : t -> t
 val normalize : t -> t
 (** Linear stretch to full range (identity on flat images). *)
 
-(* lint: unused-export-ok public API: image workload (examples/image_pipeline.ml) *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val mean : t -> float
 val checksum : t -> float
 (** Order-stable digest used by tests to compare backend outputs. *)

@@ -12,7 +12,7 @@ val hot_stage :
 val front_heavy : ?n:int -> ?work:float -> ?ratio:float -> unit -> Aspipe_skel.Stage.t array
 (** Geometrically decreasing stage costs, first/last = [ratio] (default 4). *)
 
-(* lint: unused-export-ok public API: synthetic stage family *)
+(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 val back_heavy : ?n:int -> ?work:float -> ?ratio:float -> unit -> Aspipe_skel.Stage.t array
 
 val noisy :
@@ -20,12 +20,12 @@ val noisy :
 (** Per-item work is Gamma-distributed with coefficient of variation [cv]
     around the balanced mean. *)
 
-val comm_heavy : (* lint: unused-export-ok public API: synthetic stage family *)
+val comm_heavy : (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
   ?n:int -> ?work:float -> bytes:float -> unit -> Aspipe_skel.Stage.t array
 (** Balanced compute but [bytes] per inter-stage payload, so the network is
     the bottleneck. *)
 
-val random : (* lint: unused-export-ok public API: synthetic stage family *)
+val random : (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
   Aspipe_util.Rng.t -> n:int -> mean_work:float -> unit -> Aspipe_skel.Stage.t array
 (** Stage means drawn log-uniformly in [mean_work/4, mean_work×4] with
     lognormal per-item noise — the "unknown application" case. *)
