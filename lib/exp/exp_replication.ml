@@ -18,7 +18,7 @@ type row = {
   measured : float;
 }
 
-let hot_stages () = Aspipe_workload.Synthetic.hot_stage ~n:4 ~work:1.0 ~hot:2 ~factor:4.0 ()
+let hot_stages () = Aspipe_workload.Synthetic.hot_stage ~n:4 ~hot:2 ~factor:4.0 ()
 
 let scenario ~quick =
   let items = Common.scale ~quick 1000 in

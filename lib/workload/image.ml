@@ -12,8 +12,6 @@ let create ~width ~height ~f =
   done;
   { width; height; pixels }
 
-let constant ~width ~height v = create ~width ~height ~f:(fun ~x:_ ~y:_ -> v)
-
 let random rng ~width ~height = create ~width ~height ~f:(fun ~x:_ ~y:_ -> Rng.float rng)
 
 let clamp_index v limit = if v < 0 then 0 else if v >= limit then limit - 1 else v
@@ -21,8 +19,6 @@ let clamp_index v limit = if v < 0 then 0 else if v >= limit then limit - 1 else
 let get t ~x ~y =
   let x = clamp_index x t.width and y = clamp_index y t.height in
   t.pixels.((y * t.width) + x)
-
-let dimensions_equal a b = a.width = b.width && a.height = b.height
 
 let map2i t ~f = create ~width:t.width ~height:t.height ~f
 
@@ -71,16 +67,11 @@ let sharpen t =
 let threshold ~level t =
   map2i t ~f:(fun ~x ~y -> if get t ~x ~y >= level then 1.0 else 0.0)
 
-let invert t = map2i t ~f:(fun ~x ~y -> 1.0 -. get t ~x ~y)
-
 let normalize t =
   let lo = Array.fold_left Float.min infinity t.pixels in
   let hi = Array.fold_left Float.max neg_infinity t.pixels in
   if hi -. lo <= 1e-12 then t
   else map2i t ~f:(fun ~x ~y -> (get t ~x ~y -. lo) /. (hi -. lo))
-
-let mean t =
-  Array.fold_left ( +. ) 0.0 t.pixels /. Float.of_int (Array.length t.pixels)
 
 let checksum t =
   (* Position-weighted sum, stable under recomputation, sensitive to order. *)

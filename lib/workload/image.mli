@@ -9,15 +9,10 @@ type t = { width : int; height : int; pixels : float array }
 
 (* lint: unused-export-ok used by random and the filters; test_workload checks it directly *)
 val create : width:int -> height:int -> f:(x:int -> y:int -> float) -> t
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val constant : width:int -> height:int -> float -> t
 val random : Aspipe_util.Rng.t -> width:int -> height:int -> t
 (* lint: unused-export-ok used by the filters; test_workload checks it directly *)
 val get : t -> x:int -> y:int -> float
 (** Coordinates are clamped to the border (replicate padding). *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val dimensions_equal : t -> t -> bool
 
 val gaussian_blur : radius:int -> t -> t
 (** Separable Gaussian with σ = radius/2 (radius ≥ 1). *)
@@ -29,13 +24,9 @@ val sharpen : t -> t
 (** 3×3 unsharp kernel. *)
 
 val threshold : level:float -> t -> t
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val invert : t -> t
 val normalize : t -> t
 (** Linear stretch to full range (identity on flat images). *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val mean : t -> float
 val checksum : t -> float
 (** Order-stable digest used by tests to compare backend outputs. *)
 

@@ -1,20 +1,21 @@
 module Stage = Aspipe_skel.Stage
 module Variate = Aspipe_util.Variate
-module Rng = Aspipe_util.Rng
 
-let balanced ?(n = 4) ?(work = 1.0) () = Stage.balanced ~n ~work ()
+let work = 1.0
 
-let hot_stage ?(n = 4) ?(work = 1.0) ?hot ~factor () =
+let balanced ?(n = 4) () = Stage.balanced ~n ~work ()
+
+let hot_stage ?(n = 4) ?hot ~factor () =
   let hot_stage = match hot with Some h -> h | None -> n / 2 in
   Stage.imbalanced ~n ~work ~hot_stage ~factor ()
 
-let geometric ~n ~work ~ratio ~ascending =
+let front_heavy ?(n = 4) () =
   if n <= 0 then invalid_arg "Synthetic: n must be positive";
-  if ratio <= 0.0 then invalid_arg "Synthetic: ratio must be positive";
+  let ratio = 4.0 in
   (* Costs form a geometric progression whose total equals n × work. *)
   let r = if n = 1 then 1.0 else ratio ** (1.0 /. Float.of_int (n - 1)) in
   let weights = Array.init n (fun i -> r ** Float.of_int i) in
-  let weights = if ascending then weights else (Array.of_list (List.rev (Array.to_list weights))) in
+  let weights = Array.of_list (List.rev (Array.to_list weights)) in
   let total = Array.fold_left ( +. ) 0.0 weights in
   Array.mapi
     (fun i w ->
@@ -24,35 +25,10 @@ let geometric ~n ~work ~ratio ~ascending =
         ())
     weights
 
-let front_heavy ?(n = 4) ?(work = 1.0) ?(ratio = 4.0) () =
-  geometric ~n ~work ~ratio ~ascending:false
-
-let back_heavy ?(n = 4) ?(work = 1.0) ?(ratio = 4.0) () =
-  geometric ~n ~work ~ratio ~ascending:true
-
-let noisy ?(n = 4) ?(work = 1.0) ~cv () =
+let noisy ?(n = 4) ~cv () =
   if cv <= 0.0 then invalid_arg "Synthetic.noisy: cv must be positive";
   (* Gamma with mean = work and cv = 1/sqrt(shape). *)
   let shape = 1.0 /. (cv *. cv) in
   let scale = work /. shape in
   Array.init n (fun i ->
       Stage.make ~name:(Printf.sprintf "n%d" i) ~work:(Variate.Gamma { shape; scale }) ())
-
-let comm_heavy ?(n = 4) ?(work = 1.0) ~bytes () =
-  if bytes < 0.0 then invalid_arg "Synthetic.comm_heavy: negative payload";
-  Array.init n (fun i ->
-      Stage.make
-        ~name:(Printf.sprintf "c%d" i)
-        ~output_bytes:bytes
-        ~work:(Variate.Constant work)
-        ())
-
-let random rng ~n ~mean_work () =
-  if n <= 0 || mean_work <= 0.0 then invalid_arg "Synthetic.random";
-  Array.init n (fun i ->
-      let log_span = log 4.0 in
-      let mean = mean_work *. exp (Rng.range rng (-.log_span) log_span) in
-      (* Lognormal noise with sigma = 0.25 around the stage mean. *)
-      let sigma = 0.25 in
-      let mu = log mean -. (sigma *. sigma /. 2.0) in
-      Stage.make ~name:(Printf.sprintf "r%d" i) ~work:(Variate.Lognormal { mu; sigma }) ())
