@@ -17,8 +17,6 @@ let create () = { buf = Array.make 16 None; top = 0; size = 0 }
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 let grow t =
   let cap = Array.length t.buf in
   let bigger = Array.make (2 * cap) None in

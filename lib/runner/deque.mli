@@ -8,8 +8,6 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val is_empty : 'a t -> bool
 
 val push : 'a t -> 'a -> unit
 (** Owner end: enqueue at the bottom. *)

@@ -200,9 +200,9 @@ let rec worker_loop t idx =
 (* Default one megaword (8 MB) per worker: large enough that global minor
    collections stop dominating oversubscribed campaigns, small enough to
    stay cache-friendly (BENCH_5.json records the sweep behind this). *)
-let default_minor_heap_words = 1 lsl 20
+let minor_heap_words = 1 lsl 20
 
-let create ?(minor_heap_words = default_minor_heap_words) ~workers () =
+let create ~workers () =
   if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
   let t =
     {
@@ -224,8 +224,7 @@ let create ?(minor_heap_words = default_minor_heap_words) ~workers () =
         Domain.spawn (fun () ->
             (* Per-domain: Gc.set here, in the worker, is the only way to
                size this domain's minor arena. *)
-            if minor_heap_words > 0 then
-              Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words };
+            Gc.set { (Gc.get ()) with Gc.minor_heap_size = minor_heap_words };
             Domain.DLS.set worker_index (Some idx);
             if Prof.enabled () then begin
               Prof.set_domain ~order:(idx + 1) (Printf.sprintf "worker %d" idx);
@@ -316,5 +315,3 @@ let stats t =
   in
   Mutex.unlock t.mutex;
   s
-
-let size (t : t) = t.workers

@@ -9,16 +9,14 @@
 
 type t
 
-val create : ?minor_heap_words:int -> workers:int -> unit -> t
+val create : workers:int -> unit -> t
 (** Spawn [workers] domains. Raises [Invalid_argument] if [workers < 1].
 
-    Each worker sizes its own minor heap to [minor_heap_words] at bootstrap
+    Each worker sizes its own minor heap to one megaword at bootstrap
     (OCaml 5's [Gc.set] is per-domain and does not propagate through
     [Domain.spawn]); minor collections are stop-the-world across all
     domains, so a larger per-worker arena stretches the interval between
-    global barriers. Pass [0] to keep the runtime default. *)
-
-val size : t -> int (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
+    global barriers. *)
 
 val map : ?name:(int -> string) -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** Fan the batch out over the pool and wait for all of it. The first

@@ -25,7 +25,7 @@ let test_deque_lifo_fifo () =
   Alcotest.(check (option int)) "owner again" (Some 4) (Deque.pop d);
   Alcotest.(check (option int)) "thief again" (Some 2) (Deque.steal d);
   Alcotest.(check (option int)) "last element from either end" (Some 3) (Deque.pop d);
-  Alcotest.(check bool) "empty" true (Deque.is_empty d);
+  Alcotest.(check int) "empty" 0 (Deque.length d);
   Alcotest.(check (option int)) "pop on empty" None (Deque.pop d);
   Alcotest.(check (option int)) "steal on empty" None (Deque.steal d)
 
@@ -86,7 +86,7 @@ let test_deque_growth () =
   let all = List.rev !stolen @ drain [] in
   Alcotest.(check (list int)) "nothing lost, FIFO preserved" (List.init 500 Fun.id)
     (List.sort compare all);
-  Alcotest.(check bool) "drained" true (Deque.is_empty d)
+  Alcotest.(check int) "drained" 0 (Deque.length d)
 
 (* ------------------------------------------------------------------ Pool *)
 
@@ -152,7 +152,7 @@ let test_pool_stats () =
       Alcotest.(check int) "every task accounted"
         30
         (Array.fold_left ( + ) 0 stats.Pool.tasks_executed);
-      Alcotest.(check int) "size" 3 (Pool.size pool))
+      Alcotest.(check int) "size" 3 (Pool.stats pool).workers)
 
 let test_pool_invalid_workers () =
   Alcotest.check_raises "workers 0" (Invalid_argument "Pool.create: workers must be >= 1")
