@@ -56,7 +56,6 @@ let dummy =
 let on = Atomic.make false
 let epoch = Atomic.make 0
 let registry : buf list Atomic.t = Atomic.make []
-let buffers_created = Atomic.make 0
 
 (* The domain's buffer and the epoch it belongs to. *)
 type cell = { mutable cell_epoch : int; mutable cell_buf : buf option }
@@ -85,7 +84,6 @@ let get_buf () =
           len = 0;
         }
       in
-      Atomic.incr buffers_created;
       push_registry b;
       cell.cell_buf <- Some b;
       cell.cell_epoch <- e;
@@ -173,8 +171,6 @@ let collect () =
         (fun (tl : timeline) -> { tl with spans = List.map rebase tl.spans })
         timelines;
   }
-
-let buffers_allocated () = Atomic.get buffers_created
 
 let kind_name = function
   | Task -> "task"
