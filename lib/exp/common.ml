@@ -7,13 +7,11 @@ module Stats = Aspipe_util.Stats
 let default_latency = 0.01
 let default_bandwidth = 1e7
 
-let uniform_grid ~n ?(speed = 10.0) ?(latency = default_latency)
-    ?(bandwidth = default_bandwidth) () engine =
-  Topology.uniform engine ~n ~speed ~latency ~bandwidth ()
+let uniform_grid ~n ?(latency = default_latency) () engine =
+  Topology.uniform engine ~n ~speed:10.0 ~latency ~bandwidth:default_bandwidth ()
 
-let heterogeneous_grid ~speeds ?(latency = default_latency)
-    ?(bandwidth = default_bandwidth) () engine =
-  Topology.heterogeneous engine ~speeds ~latency ~bandwidth ()
+let heterogeneous_grid ~speeds () engine =
+  Topology.heterogeneous engine ~speeds ~latency:default_latency ~bandwidth:default_bandwidth ()
 
 let batch_input ?(item_bytes = 1e4) ~items () = Stream_spec.make ~item_bytes ~items ()
 

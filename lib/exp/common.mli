@@ -9,13 +9,13 @@ val default_bandwidth : float
 (** 10 MB/s. *)
 
 val uniform_grid :
-  n:int -> ?speed:float -> ?latency:float -> ?bandwidth:float -> unit ->
-  Aspipe_des.Engine.t -> Aspipe_grid.Topology.t
-(** Topology recipe for {!Aspipe_core.Scenario.make}. Default speed 10. *)
+  n:int -> ?latency:float -> unit -> Aspipe_des.Engine.t -> Aspipe_grid.Topology.t
+(** Topology recipe for {!Aspipe_core.Scenario.make}: [n] nodes of speed 10
+    on {!default_bandwidth} links. *)
 
 val heterogeneous_grid :
-  speeds:float array -> ?latency:float -> ?bandwidth:float -> unit ->
-  Aspipe_des.Engine.t -> Aspipe_grid.Topology.t
+  speeds:float array -> unit -> Aspipe_des.Engine.t -> Aspipe_grid.Topology.t
+(** Nodes of the given speeds on the default links. *)
 
 val batch_input : ?item_bytes:float -> items:int -> unit -> Aspipe_skel.Stream_spec.t
 (** All items at t = 0 (saturated pipeline). *)

@@ -39,7 +39,7 @@ let buffer_rows ~quick =
   let stages = e13_stages () in
   let scenario =
     Scenario.make ~name:"e13"
-      ~make_topo:(Common.uniform_grid ~n:3 ~speed:10.0 ~latency:0.001 ())
+      ~make_topo:(Common.uniform_grid ~n:3 ~latency:0.001 ())
       ~stages
       ~input:(Common.batch_input ~item_bytes:1e4 ~items ())
       ()

@@ -35,7 +35,7 @@ let e1_stages () =
 let e1_scenario ~quick =
   let items = Common.scale ~quick 400 in
   Scenario.make ~name:"e1"
-    ~make_topo:(Common.uniform_grid ~n:3 ~speed:10.0 ~latency:0.001 ())
+    ~make_topo:(Common.uniform_grid ~n:3 ~latency:0.001 ())
     ~stages:(e1_stages ()) ~input:(Common.batch_input ~item_bytes:1e4 ~items ()) ()
 
 let e1_rows ~quick =
