@@ -20,11 +20,6 @@ let poisson ~rate =
   if rate <= 0.0 then invalid_arg "Arrival.poisson: rate must be positive";
   Poisson { rate }
 
-let nhpp ~rate ~rate_max =
-  finite "nhpp" "rate_max" rate_max;
-  if rate_max <= 0.0 then invalid_arg "Arrival.nhpp: rate_max must be positive";
-  Nhpp { rate; rate_max }
-
 let mmpp ~rates ~mean_holding =
   let n = Array.length rates in
   if n = 0 || Array.length mean_holding <> n then
@@ -151,37 +146,25 @@ let source ~until ~rng t =
           if v > until then None else Some v
         end
 
-let times ?(max_items = max_int) ~until ~rng t =
+let times ~until ~rng t =
   let next = source ~until ~rng t in
-  let acc = ref [] in
-  let count = ref 0 in
-  let continue = ref true in
-  while !continue && !count < max_items do
-    match next () with
-    | None -> continue := false
-    | Some v ->
-        acc := v :: !acc;
-        incr count
-  done;
-  Array.of_list (List.rev !acc)
+  let rec collect acc = match next () with None -> acc | Some v -> collect (v :: acc) in
+  Array.of_list (List.rev (collect []))
 
-let schedule ?(max_items = max_int) ~until ~rng ~engine t ~f =
+let schedule ~until ~rng ~engine t ~f =
   let next = source ~until ~rng t in
-  let count = ref 0 in
   (* Self-rescheduling: exactly one pending arrival event at a time. The
      next instant is drawn inside the previous arrival's callback, so the
      process is lazy in engine time and still fully deterministic — the
      dedicated [rng] is consumed in arrival order only. *)
   let rec arm () =
-    if !count < max_items then
-      match next () with
-      | None -> ()
-      | Some time ->
-          incr count;
-          ignore
-            (Engine.schedule_at engine ~time (fun () ->
-                 f ();
-                 arm ()))
+    match next () with
+    | None -> ()
+    | Some time ->
+        ignore
+          (Engine.schedule_at engine ~time (fun () ->
+               f ();
+               arm ()))
   in
   arm ()
 

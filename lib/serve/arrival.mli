@@ -13,13 +13,6 @@ type t
 val poisson : rate:float -> t
 (** Homogeneous Poisson process: exponential inter-arrivals at [rate]. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val nhpp : rate:(float -> float) -> rate_max:float -> t
-(** Non-homogeneous Poisson with intensity [rate t], generated by
-    Lewis–Shedler thinning against the envelope [rate_max]. [rate] must
-    never exceed [rate_max] (excess is silently truncated by the thinning
-    acceptance test clamping at probability 1). *)
-
 val mmpp : rates:float array -> mean_holding:float array -> t
 (** Cyclic Markov-modulated Poisson: state [s] emits at [rates.(s)] and is
     held Exp-distributed with mean [mean_holding.(s)], states visited in
@@ -32,8 +25,10 @@ val replay : float array -> t
     instants; the array is copied). Round-trips with {!times}. *)
 
 val diurnal : base:float -> amplitude:float -> period:float -> t
-(** Sine-modulated NHPP: intensity [base + amplitude·sin(2πt/period)],
-    with [0 ≤ amplitude ≤ base] so it stays non-negative. *)
+(** Sine-modulated non-homogeneous Poisson process (NHPP): intensity
+    [base + amplitude·sin(2πt/period)], with [0 ≤ amplitude ≤ base] so it
+    stays non-negative. Like {!flash_crowd}, it is generated by
+    Lewis–Shedler thinning against its peak rate. *)
 
 val flash_crowd :
   base:float -> peak:float -> at:float -> ramp:float -> decay:float -> t
@@ -41,16 +36,13 @@ val flash_crowd :
     then exponential relaxation back towards [base] with time constant
     [decay]. *)
 
-val times :
-  ?max_items:int -> until:float -> rng:Aspipe_util.Rng.t -> t -> float array
-(** Materialize the arrival instants in [\[0, until\]] (at most
-    [max_items]), non-decreasing. This is the same generator {!schedule}
+val times : until:float -> rng:Aspipe_util.Rng.t -> t -> float array
+(** Materialize the arrival instants in [\[0, until\]], non-decreasing. This is the same generator {!schedule}
     drives — [replay (times ... t)] reproduces [t]'s draw exactly — meant
     for tests, trace capture and closed-form comparisons, not for the hot
     path. *)
 
 val schedule :
-  ?max_items:int ->
   until:float ->
   rng:Aspipe_util.Rng.t ->
   engine:Aspipe_des.Engine.t ->
@@ -59,7 +51,7 @@ val schedule :
   unit
 (** Drive [f] once per arrival as self-rescheduling engine events: one
     pending event at a time, the next instant drawn lazily inside the
-    previous firing. Stops after [max_items] arrivals or past [until].
+    previous firing. Stops past [until].
     [rng] should be a dedicated split so the draw order is independent of
     everything else on the engine. *)
 

@@ -7,21 +7,11 @@ let fresh t = t.fresh ()
 
 let static () = { name = "static"; fresh = (fun () -> Policy.never ()) }
 
-let remap_on_divergence ?drop ?min_gain ?cooldown () =
-  {
-    name = "remap-on-divergence";
-    fresh = (fun () -> Policy.threshold ?drop ?min_gain ?cooldown ());
-  }
+let remap_on_divergence ?drop () =
+  { name = "remap-on-divergence"; fresh = (fun () -> Policy.threshold ?drop ()) }
 
-let queue_length ?high ?low ?headroom ?min_gain ?cooldown () =
-  {
-    name = "queue-length";
-    fresh = (fun () -> Policy.queue_length ?high ?low ?headroom ?min_gain ?cooldown ());
-  }
+let queue_length ?high ?low () =
+  { name = "queue-length"; fresh = (fun () -> Policy.queue_length ?high ?low ()) }
 
-let latency_gradient ?margin ?relax ?headroom ?min_gain ?cooldown () =
-  {
-    name = "latency-gradient";
-    fresh =
-      (fun () -> Policy.latency_gradient ?margin ?relax ?headroom ?min_gain ?cooldown ());
-  }
+let latency_gradient () =
+  { name = "latency-gradient"; fresh = (fun () -> Policy.latency_gradient ()) }

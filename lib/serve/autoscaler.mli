@@ -18,19 +18,14 @@ val fresh : t -> Aspipe_core.Policy.t
 val static : unit -> t
 (** Never re-maps: whatever the run was provisioned with, it keeps. *)
 
-val remap_on_divergence :
-  ?drop:float -> ?min_gain:float -> ?cooldown:float -> unit -> t
+val remap_on_divergence : ?drop:float -> unit -> t
 (** The paper's trigger ({!Aspipe_core.Policy.threshold}): re-map when
     observed throughput diverges below the adopted expectation. Demand-
     blind: an arrival surge that saturates the pipeline does not move
     observed throughput below the adopted rate, so it cannot fire. *)
 
-val queue_length :
-  ?high:int -> ?low:int -> ?headroom:float -> ?min_gain:float -> ?cooldown:float ->
-  unit -> t
+val queue_length : ?high:int -> ?low:int -> unit -> t
 (** Backlog hysteresis ({!Aspipe_core.Policy.queue_length}). *)
 
-val latency_gradient :
-  ?margin:float -> ?relax:float -> ?headroom:float -> ?min_gain:float ->
-  ?cooldown:float -> unit -> t
+val latency_gradient : unit -> t
 (** Pre-breach latency trigger ({!Aspipe_core.Policy.latency_gradient}). *)

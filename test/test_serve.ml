@@ -49,13 +49,6 @@ let test_nhpp_counts () =
   check_count "flash crowd closed form" expected
     (Array.length (Arrival.times ~until:1000.0 ~rng:(Rng.create (seed + 1)) t))
 
-let test_nhpp_respects_zero_rate () =
-  let t = Arrival.nhpp ~rate:(fun t -> if t < 500.0 then 0.0 else 3.0) ~rate_max:3.0 in
-  let times = Arrival.times ~until:1000.0 ~rng:(Rng.create seed) t in
-  Alcotest.(check bool) "no arrivals in the zero-rate stretch" true
-    (Array.for_all (fun x -> x >= 500.0) times);
-  check_count "second half at rate 3" 1500.0 (Array.length times)
-
 (* MMPP counts are modulation-dominated: the state-occupancy fluctuation
    contributes far more variance than the Poisson draws, so the band is a
    relative ±15% over many holding cycles (and, with the seed fixed, a
@@ -97,10 +90,10 @@ let test_schedule_matches_times () =
   (* The lazy self-rescheduling generator and the materializer are the same
      process: schedule must fire exactly at the instants times returns. *)
   let t = Arrival.diurnal ~base:2.0 ~amplitude:1.0 ~period:60.0 in
-  let expected = Arrival.times ~max_items:100 ~until:120.0 ~rng:(Rng.create seed) t in
+  let expected = Arrival.times ~until:120.0 ~rng:(Rng.create seed) t in
   let engine = Engine.create () in
   let seen = ref [] in
-  Arrival.schedule ~max_items:100 ~until:120.0 ~rng:(Rng.create seed) ~engine t ~f:(fun () ->
+  Arrival.schedule ~until:120.0 ~rng:(Rng.create seed) ~engine t ~f:(fun () ->
       seen := Engine.now engine :: !seen);
   Engine.run engine;
   Alcotest.(check (array (float 1e-9))) "schedule fires at the materialized instants"
@@ -137,8 +130,6 @@ let test_non_finite_refused () =
   in
   check "poisson nan" "Arrival.poisson: rate must be finite (got nan)" (fun () ->
       Arrival.poisson ~rate:nan);
-  check "nhpp inf" "Arrival.nhpp: rate_max must be finite (got inf)" (fun () ->
-      Arrival.nhpp ~rate:(fun _ -> 1.0) ~rate_max:infinity);
   check "mmpp holding" "Arrival.mmpp: every holding time must be finite (got inf)" (fun () ->
       Arrival.mmpp ~rates:[| 1.0; 2.0 |] ~mean_holding:[| 1.0; infinity |]);
   check "replay -inf" "Arrival.replay: every arrival time must be finite (got -inf)" (fun () ->
@@ -309,7 +300,6 @@ let () =
         [
           Alcotest.test_case "poisson count" `Quick test_poisson_count;
           Alcotest.test_case "nhpp closed-form counts" `Quick test_nhpp_counts;
-          Alcotest.test_case "nhpp zero-rate stretch" `Quick test_nhpp_respects_zero_rate;
           Alcotest.test_case "mmpp symmetric count" `Quick test_mmpp_counts;
           Alcotest.test_case "mmpp holding modulates" `Quick test_mmpp_holding_modulates;
           Alcotest.test_case "replay round-trip" `Quick test_replay_round_trip;
