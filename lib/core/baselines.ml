@@ -60,21 +60,21 @@ let ground_truth_spec scenario topo =
     ~availability:(fun i -> Node.availability (Topology.node topo i))
     ~topo ~stages:scenario.Scenario.stages ~input:scenario.Scenario.input ()
 
-let static_model_best ?(kind = Predictor.Analytic) ~scenario ~seed () =
+let static_model_best ~scenario ~seed () =
   (* Choose on a throwaway environment (identical world), then execute. *)
   let env_rng, _ = split_rngs seed in
   let topo = Scenario.build scenario ~rng:env_rng in
-  let predictor = Predictor.make ~kind (ground_truth_spec scenario topo) in
+  let predictor = Predictor.make (ground_truth_spec scenario topo) in
   let result = Predictor.choose predictor in
   run_static ~label:"static-model-best"
     ~mapping:(Mapping.to_array result.Search.mapping)
     ~scenario ~seed
 
-let oracle_static ?(limit = 4096) ?fix_first_on ~scenario ~seed () =
+let oracle_static ?fix_first_on ~scenario ~seed () =
   let processors = dims scenario ~seed in
   let stages = Scenario.stage_count scenario in
   let free = match fix_first_on with Some _ -> stages - 1 | None -> stages in
-  (match Mapping.space_within ~stages:free ~processors ~cap:limit with
+  (match Mapping.space_within ~stages:free ~processors ~cap:4096 with
   | Some _ -> ()
   | None -> invalid_arg "Baselines.oracle_static: assignment space too large");
   let candidates = Mapping.enumerate ?fix_first_on ~stages ~processors () in
@@ -112,7 +112,7 @@ type fault_outcome = {
    diagnosis. Crash+recover schedules may still complete (the simulator's
    same-node checkpoint replay) — what a static mapping can never do is
    route around a node that stays dead. *)
-let static_faulty ?max_time ~label ~mapping ~scenario ~seed () =
+let static_faulty ~label ~mapping ~scenario ~seed () =
   let env_rng, sim_rng = split_rngs seed in
   let topo = Scenario.build scenario ~rng:env_rng in
   let mapping = Mapping.of_array ~processors:(Topology.size topo) mapping in
@@ -121,7 +121,7 @@ let static_faulty ?max_time ~label ~mapping ~scenario ~seed () =
     Skel_sim.create ~rng:sim_rng ~topo ~stages:scenario.Scenario.stages
       ~mapping:(Mapping.to_array mapping) ~input:scenario.Scenario.input ~trace ()
   in
-  let status = Skel_sim.run ?max_time sim in
+  let status = Skel_sim.run sim in
   {
     f_label = label;
     f_mapping = mapping;
@@ -141,8 +141,10 @@ let static_faulty ?max_time ~label ~mapping ~scenario ~seed () =
    node seen dead at detection time. Each phase rebuilds the identical
    world, so a permanent crash re-fires at its scheduled time but now hits
    a node the restarted mapping no longer uses. *)
-let static_restart ?(detection_timeout = 30.0) ?(max_restarts = 3) ?max_time ~scenario ~seed ()
-    =
+let detection_timeout = 30.0
+let max_restarts = 3
+
+let static_restart ~scenario ~seed () =
   let rec phase ~restarts ~elapsed ~dead =
     let env_rng, sim_rng = split_rngs seed in
     let topo = Scenario.build scenario ~rng:env_rng in
@@ -160,7 +162,7 @@ let static_restart ?(detection_timeout = 30.0) ?(max_restarts = 3) ?max_time ~sc
       Skel_sim.create ~rng:sim_rng ~topo ~stages:scenario.Scenario.stages
         ~mapping:(Mapping.to_array mapping) ~input:scenario.Scenario.input ~trace ()
     in
-    let status = Skel_sim.run ?max_time sim in
+    let status = Skel_sim.run sim in
     let completed = Skel_sim.items_completed sim in
     let total = Skel_sim.items_total sim in
     let base = { f_label = "static-restart"; f_mapping = mapping; f_trace = trace;

@@ -20,13 +20,11 @@ val run_static :
 val static_round_robin : scenario:Scenario.t -> seed:int -> outcome
 val static_blocks : scenario:Scenario.t -> seed:int -> outcome
 
-val static_model_best :
-  ?kind:Aspipe_model.Predictor.kind -> scenario:Scenario.t -> seed:int -> unit -> outcome
-(** The mapping the performance model picks from ground truth at t = 0 and
+val static_model_best : scenario:Scenario.t -> seed:int -> unit -> outcome
+(** The mapping the analytic model picks from ground truth at t = 0 and
     true stage means — the best non-clairvoyant static schedule available. *)
 
 val oracle_static :
-  ?limit:int ->
   ?fix_first_on:int ->
   scenario:Scenario.t ->
   seed:int ->
@@ -36,8 +34,7 @@ val oracle_static :
     identical world and return the one with the smallest makespan, plus all
     per-mapping makespans. [fix_first_on] pins stage 0's processor (use it
     when the input data's location is fixed, as in the paper's tables).
-    Raises [Invalid_argument] if the space exceeds [limit] (default 4096)
-    candidates. This is the true static optimum. *)
+    Raises [Invalid_argument] if the space exceeds 4096 candidates. This is the true static optimum. *)
 
 val clairvoyant : scenario:Scenario.t -> seed:int -> Adaptive.report
 (** The adaptive engine with perfect sensors, dense monitoring, noise-free
@@ -65,7 +62,6 @@ type fault_outcome = {
 }
 
 val static_faulty :
-  ?max_time:float ->
   label:string ->
   mapping:int array ->
   scenario:Scenario.t ->
@@ -77,18 +73,10 @@ val static_faulty :
     Crash+recover schedules may still complete via the simulator's
     same-node checkpoint replay; a permanently dead node means DNF. *)
 
-val static_restart :
-  ?detection_timeout:float ->
-  ?max_restarts:int ->
-  ?max_time:float ->
-  scenario:Scenario.t ->
-  seed:int ->
-  unit ->
-  fault_outcome
+val static_restart : scenario:Scenario.t -> seed:int -> unit -> fault_outcome
 (** The naive fault-tolerance baseline: run the model-best static mapping;
-    on a stall, charge [detection_timeout] (default 30 s) from the moment
-    progress stopped, then restart the whole workload from item 0 on a
-    model-best mapping avoiding every node seen dead at detection — up to
-    [max_restarts] (default 3) times. [finish] accumulates the abandoned
+    on a stall, charge a 30 s detection timeout from the moment progress
+    stopped, then restart the whole workload from item 0 on a model-best
+    mapping avoiding every node seen dead at detection — up to 3 times. [finish] accumulates the abandoned
     phases plus the completing one; no work survives a restart, which is
     exactly the penalty adaptive failover's checkpoint replay avoids. *)

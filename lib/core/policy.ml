@@ -71,10 +71,10 @@ let consider_switch ~min_gain ctx =
     end
   end
 
-let periodic_best ?(min_gain = 0.1) () =
-  { name = "periodic"; decide = (fun ctx -> consider_switch ~min_gain ctx) }
+let periodic_best () =
+  { name = "periodic"; decide = (fun ctx -> consider_switch ~min_gain:0.1 ctx) }
 
-let threshold ?(drop = 0.25) ?(min_gain = 0.1) ?(cooldown = 30.0) () =
+let threshold ?(drop = 0.25) ?(cooldown = 30.0) () =
   let last_adaptation = ref neg_infinity in
   let decide ctx =
     let in_cooldown = ctx.time -. !last_adaptation < cooldown in
@@ -84,7 +84,7 @@ let threshold ?(drop = 0.25) ?(min_gain = 0.1) ?(cooldown = 30.0) () =
     in
     if in_cooldown || not degraded then Keep
     else begin
-      match consider_switch ~min_gain ctx with
+      match consider_switch ~min_gain:0.1 ctx with
       | Keep -> Keep
       | Remap m ->
           last_adaptation := ctx.time;
@@ -98,53 +98,54 @@ let always_best () =
 
 (* Serving-only triggers: both are inert (Keep) when the context carries no
    serving signals, so they compose with the closed-stream engine without a
-   special case there. *)
+   special case there. Both scale down to cover the arrival rate with 20 %
+   headroom, scale up at a 2 % gain and sleep 30 s after acting. *)
 
-let scale_down ~headroom last ctx (s : serving) =
-  match s.choose_cheapest ~headroom with
+let serving_cooldown = 30.0
+
+let scale_down last ctx (s : serving) =
+  match s.choose_cheapest ~headroom:1.2 with
   | Some m when not (Mapping.equal m ctx.current) ->
       last := ctx.time;
       Remap m
   | _ -> Keep
 
-let scale_up ~min_gain last ctx =
-  match consider_switch ~min_gain ctx with
+let scale_up last ctx =
+  match consider_switch ~min_gain:0.02 ctx with
   | Keep -> Keep
   | Remap m ->
       last := ctx.time;
       Remap m
 
-let queue_length ?(high = 64) ?(low = 8) ?(headroom = 1.2) ?(min_gain = 0.02)
-    ?(cooldown = 30.0) () =
+let queue_length ?(high = 64) ?(low = 8) () =
   let last = ref neg_infinity in
   let decide ctx =
     match ctx.serving with
     | None -> Keep
     | Some s ->
-        if ctx.time -. !last < cooldown then Keep
-        else if s.backlog > high then scale_up ~min_gain last ctx
-        else if s.backlog < low then scale_down ~headroom last ctx s
+        if ctx.time -. !last < serving_cooldown then Keep
+        else if s.backlog > high then scale_up last ctx
+        else if s.backlog < low then scale_down last ctx s
         else Keep
   in
   { name = "queue_length"; decide }
 
-let latency_gradient ?(margin = 0.8) ?(relax = 0.4) ?(headroom = 1.2) ?(min_gain = 0.02)
-    ?(cooldown = 30.0) () =
+let latency_gradient () =
   let last = ref neg_infinity in
   let decide ctx =
     match ctx.serving with
     | None -> Keep
     | Some s ->
-        if ctx.time -. !last < cooldown || Float.is_nan s.p99_sojourn then Keep
+        if ctx.time -. !last < serving_cooldown || Float.is_nan s.p99_sojourn then Keep
         else begin
           (* Act before the breach: trigger when p99 is already inside the
-             margin, or when its slope projects it past the SLO bound within
-             one cooldown. *)
-          let projected = s.p99_sojourn +. (s.sojourn_slope *. cooldown) in
-          if s.p99_sojourn > margin *. s.slo_threshold || projected > s.slo_threshold then
-            scale_up ~min_gain last ctx
-          else if s.p99_sojourn < relax *. s.slo_threshold && s.sojourn_slope <= 0.0 then
-            scale_down ~headroom last ctx s
+             0.8 margin, or when its slope projects it past the SLO bound
+             within one cooldown. *)
+          let projected = s.p99_sojourn +. (s.sojourn_slope *. serving_cooldown) in
+          if s.p99_sojourn > 0.8 *. s.slo_threshold || projected > s.slo_threshold then
+            scale_up last ctx
+          else if s.p99_sojourn < 0.4 *. s.slo_threshold && s.sojourn_slope <= 0.0 then
+            scale_down last ctx s
           else Keep
         end
   in

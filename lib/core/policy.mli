@@ -50,11 +50,11 @@ val decide : t -> context -> decision
 val never : unit -> t
 (** The non-adaptive pipeline: always [Keep]. *)
 
-val periodic_best : ?min_gain:float -> unit -> t
+val periodic_best : unit -> t
 (** At every epoch, search for the best mapping under current beliefs and
     switch when its predicted throughput exceeds the current mapping's by
-    more than [min_gain] (relative, default 0.1) {e and} the predicted time
-    saved on the remaining items amortizes the migration stall.
+    more than [min_gain] = 0.1 (relative) {e and} the predicted time saved
+    on the remaining items amortizes the migration stall.
 
     This gain test is shared by {!threshold}, {!always_best} and the
     scale-up path of the serving triggers. It may decide [Keep] without
@@ -64,8 +64,7 @@ val periodic_best : ?min_gain:float -> unit -> t
     the one the search would have led to, so every decision is unchanged;
     only the search is saved. *)
 
-val threshold :
-  ?drop:float -> ?min_gain:float -> ?cooldown:float -> unit -> t
+val threshold : ?drop:float -> ?cooldown:float -> unit -> t
 (** The paper-style trigger: only search when the observed throughput has
     dropped below [(1 − drop)] of the adopted expectation (default
     [drop = 0.25]), then apply the same gain/amortization test as
@@ -82,30 +81,17 @@ val always_best : unit -> t
     These read {!context.serving} and are inert ([Keep]) when it is
     [None], so they can only act inside an open-arrival run. *)
 
-val queue_length :
-  ?high:int ->
-  ?low:int ->
-  ?headroom:float ->
-  ?min_gain:float ->
-  ?cooldown:float ->
-  unit ->
-  t
+val queue_length : ?high:int -> ?low:int -> unit -> t
 (** Backlog hysteresis: scale {e up} (full mapping search plus the usual
-    gain/amortization test) when more than [high] items are in flight
-    (default 64), scale {e down} to the cheapest mapping still covering
-    [arrival_rate × headroom] (default 1.2) when fewer than [low] (default
-    8); sleep [cooldown] seconds (default 30) between actions. *)
+    gain/amortization test at [min_gain] = 0.02) when more than [high]
+    items are in flight (default 64), scale {e down} to the cheapest
+    mapping still covering [arrival_rate × 1.2] when fewer than [low]
+    (default 8); sleep 30 s between actions. *)
 
-val latency_gradient :
-  ?margin:float ->
-  ?relax:float ->
-  ?headroom:float ->
-  ?min_gain:float ->
-  ?cooldown:float ->
-  unit ->
-  t
+val latency_gradient : unit -> t
 (** Latency-aware trigger acting {e before} the SLO is breached: scale up
-    when windowed p99 exceeds [margin × slo_threshold] (default 0.8) or
-    its slope projects it past the threshold within one cooldown; scale
-    down to the cheapest adequate mapping when p99 sits below
-    [relax × slo_threshold] (default 0.4) and is not rising. *)
+    (as {!queue_length} does) when windowed p99 exceeds
+    [0.8 × slo_threshold] or its slope projects it past the threshold
+    within one 30 s cooldown; scale down to the cheapest mapping covering
+    [arrival_rate × 1.2] when p99 sits below [0.4 × slo_threshold] and is
+    not rising. *)

@@ -254,32 +254,51 @@ let test_policy_bound_keeps_decisions =
          let* spec = Spec_gen.bound_spec in
          let* at_best = bool in
          let* seed = int_range 0 10_000 in
-         let* min_gain = oneofl [ -0.05; 0.0; 0.01; 0.02; 0.1; 0.5 ] in
          let* items_remaining = oneofl [ 1; 50; 10_000 ] in
          let* stall = oneofl [ 0.0; 1.0; 1e3 ] in
-         return (spec, at_best, seed, min_gain, items_remaining, stall))
-       (fun (spec, at_best, seed, min_gain, items_remaining, stall) ->
+         return (spec, at_best, seed, items_remaining, stall))
+       (fun (spec, at_best, seed, items_remaining, stall) ->
          let stages = Costspec.stages spec and processors = Costspec.processors spec in
          let current =
            if at_best then (Predictor.choose (Predictor.make spec)).Search.mapping
            else Mapping.random (Rng.create seed) ~stages ~processors
          in
          let ctx = bound_context ~items_remaining ~stall spec current in
-         same_decision
-           (Policy.decide (Policy.periodic_best ~min_gain ()) ctx)
-           (decide_ref ~min_gain ctx)
-         && same_decision (Policy.decide (Policy.always_best ()) ctx) (decide_ref ~min_gain:0.01 ctx)))
+         (* A backlog above queue_length's high mark sends it down the
+            serving triggers' scale-up path, the third gain in use. *)
+         let backlogged =
+           {
+             ctx with
+             Policy.serving =
+               Some
+                 {
+                   Policy.backlog = 65;
+                   arrival_rate = 0.0;
+                   p99_sojourn = nan;
+                   sojourn_slope = 0.0;
+                   slo_threshold = 1.0;
+                   choose_cheapest = (fun ~headroom:_ -> None);
+                 };
+           }
+         in
+         same_decision (Policy.decide (Policy.periodic_best ()) ctx) (decide_ref ~min_gain:0.1 ctx)
+         && same_decision (Policy.decide (Policy.always_best ()) ctx) (decide_ref ~min_gain:0.01 ctx)
+         && same_decision
+              (Policy.decide (Policy.queue_length ()) backlogged)
+              (decide_ref ~min_gain:0.02 backlogged)))
 
 (* Two unit stages on free links (no latency, no bytes) over nodes of rates
    [r0 > r1 > r0 / 2]: the best mapping puts one stage on each node and
-   scores [r1], exactly the bound, and both stages on node 0 score [r0 / 2].
-   With [min_gain] at the exact float gain the search's winner is kept; one
-   ulp below it, it is taken. The rate pairs are ones where
-   [c *. (1 +. min_gain)] rounds above [r1] one ulp below the gain, so
-   without the margin the bound would wrongly settle that decision. *)
+   scores [r1], exactly the bound, and both stages on node 0 score
+   [c = r0 / 2]. The rate pairs put the float gain [(r1 - c) / c] at
+   periodic_best's [min_gain] of 0.1 and one ulp either side of it: at or
+   below it the search's winner is kept, one ulp above it it is taken. In
+   that last pair [c *. (1 +. 0.1)] rounds above [r1], so without the
+   margin the bound would wrongly settle the decision. *)
 let test_policy_bound_boundary () =
+  let min_gain = 0.1 in
   List.iter
-    (fun (r0, r1) ->
+    (fun (r0, r1, expected_gain, what, remap) ->
       let spec =
         {
           Costspec.stage_work = [| 1.0; 1.0 |];
@@ -298,22 +317,22 @@ let test_policy_bound_boundary () =
       let label = Printf.sprintf "rates %g/%g" r0 r1 in
       Alcotest.(check bool) (label ^ ": bound attained") true (Predictor.upper_bound predictor = best);
       let c = Predictor.evaluate predictor current in
-      let gain = (best -. c) /. c in
-      List.iter
-        (fun (min_gain, what, remap) ->
-          let ctx = bound_context ~items_remaining:10_000 ~stall:0.0 spec current in
-          let got = Policy.decide (Policy.periodic_best ~min_gain ()) ctx in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s, min_gain %s: same as the full search" label what)
-            true
-            (same_decision got (decide_ref ~min_gain ctx));
-          Alcotest.(check bool)
-            (Printf.sprintf "%s, min_gain %s: remaps" label what)
-            remap
-            (match got with Policy.Remap _ -> true | Policy.Keep -> false))
-        [ (gain, "= gain", false); (Float.pred gain, "= pred gain", true);
-          (Float.succ gain, "= succ gain", false) ])
-    [ (12.07, 6.39); (13.36, 6.77); (6.91, 3.72) ]
+      Alcotest.(check bool) (label ^ ": gain " ^ what) true ((best -. c) /. c = expected_gain);
+      if remap then
+        Alcotest.(check bool) (label ^ ": the margin decides") true (best < c *. (1.0 +. min_gain));
+      let ctx = bound_context ~items_remaining:10_000 ~stall:0.0 spec current in
+      let got = Policy.decide (Policy.periodic_best ()) ctx in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, gain %s: same as the full search" label what)
+        true
+        (same_decision got (decide_ref ~min_gain ctx));
+      Alcotest.(check bool)
+        (Printf.sprintf "%s, gain %s: remaps" label what)
+        remap
+        (match got with Policy.Remap _ -> true | Policy.Keep -> false))
+    [ (6.25, 3.4375, min_gain, "= min_gain", false);
+      (6.2, 3.41, Float.succ min_gain, "= succ min_gain", true);
+      (6.14, 3.377, Float.pred min_gain, "= pred min_gain", false) ]
 
 (* The forecast-like 9-stage x 4-node spec of test_model's incumbent test:
    the bound sits within 1 % of the best score, so with the best mapping
