@@ -79,9 +79,6 @@ let of_costspec spec m =
     ~service_rates:(Array.init ns (Costspec.service_rate spec m))
     ~move_rates:(Array.init (ns + 1) (Costspec.move_rate spec m))
 
-let state_count t = t.states
-let transition_count t = Array.length t.targets
-
 type solver = Gauss_seidel | Power
 
 (* The sweeps below are plain loops over flat arrays: no closure and no
@@ -185,27 +182,16 @@ let steady_state_gauss_seidel ~tol ~max_iter t =
   done;
   pi
 
-let steady_state ?(solver = Gauss_seidel) ?(tol = 1e-12) ?(max_iter = 200_000) t =
+let steady_state ?(solver = Gauss_seidel) ?(max_iter = 200_000) t =
+  let tol = 1e-12 in
   match solver with
   | Gauss_seidel -> steady_state_gauss_seidel ~tol ~max_iter t
   | Power -> steady_state_power ~tol ~max_iter t
 
-let throughput ?solver ?tol ?max_iter t =
-  let pi = steady_state ?solver ?tol ?max_iter t in
+let throughput ?solver ?max_iter t =
+  let pi = steady_state ?solver ?max_iter t in
   let processing_mass = ref 0.0 in
   for s = 0 to t.states - 1 do
     if digit s 0 = 1 then processing_mass := !processing_mass +. pi.(s)
   done;
   t.service_rates.(0) *. !processing_mass
-
-let residual t pi =
-  if Array.length pi <> t.states then invalid_arg "Ctmc.residual: wrong dimension";
-  let flux = Array.make t.states 0.0 in
-  for s = 0 to t.states - 1 do
-    flux.(s) <- flux.(s) -. (pi.(s) *. t.outflow.(s));
-    for e = t.offsets.(s) to t.offsets.(s + 1) - 1 do
-      let target = t.targets.(e) in
-      flux.(target) <- flux.(target) +. (pi.(s) *. t.rates.(e))
-    done
-  done;
-  Array.fold_left (fun acc f -> acc +. Float.abs f) 0.0 flux

@@ -24,11 +24,6 @@ val build : service_rates:float array -> move_rates:float array -> t
 
 val of_costspec : Costspec.t -> Mapping.t -> t
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val state_count : t -> int
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val transition_count : t -> int
-
 type solver =
   | Gauss_seidel
       (** in-place sweeps over the balance equations; robust to stiff chains
@@ -38,14 +33,10 @@ type solver =
           convergence degrades as max-rate/min-rate grows *)
 
 (* lint: unused-export-ok used by throughput; test_model checks it against test/ctmc_ref.ml *)
-val steady_state : ?solver:solver -> ?tol:float -> ?max_iter:int -> t -> float array
-(** The stationary distribution π. Raises [Failure] if the iteration does
-    not reach [tol] (default 1e-12 on the L1 step difference) within
-    [max_iter] (default 200_000) sweeps. *)
+val steady_state : ?solver:solver -> ?max_iter:int -> t -> float array
+(** The stationary distribution π, one entry per state. Raises [Failure]
+    if the L1 difference between successive sweeps does not fall to 1e-12
+    within [max_iter] (default 200_000) sweeps. *)
 
-val throughput : ?solver:solver -> ?tol:float -> ?max_iter:int -> t -> float
+val throughput : ?solver:solver -> ?max_iter:int -> t -> float
 (** Items per second through the pipeline. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val residual : t -> float array -> float
-(** ‖πQ‖₁ — a correctness check on a proposed stationary vector. *)

@@ -20,10 +20,6 @@ let round_robin ~stages ~processors =
   if stages <= 0 || processors <= 0 then invalid_arg "Mapping.round_robin";
   Array.init stages (fun i -> i mod processors)
 
-let random rng ~stages ~processors =
-  if stages <= 0 || processors <= 0 then invalid_arg "Mapping.random";
-  Array.init stages (fun _ -> Aspipe_util.Rng.int rng processors)
-
 let blocks ~stages ~processors =
   if stages <= 0 || processors <= 0 then invalid_arg "Mapping.blocks";
   let groups = min stages processors in
@@ -176,11 +172,6 @@ let neighbours t ~processors =
   let acc = ref [] in
   iter_neighbours t ~processors (fun ~stage:_ ~target:_ m -> acc := Array.copy m :: !acc);
   List.rev !acc
-
-let colocation t ~processors =
-  let counts = Array.make processors 0 in
-  Array.iter (fun p -> counts.(p) <- counts.(p) + 1) t;
-  counts
 
 let stages_sharing t i =
   let p = t.(i) in

@@ -20,9 +20,6 @@ val to_string : t -> string
 val round_robin : stages:int -> processors:int -> t
 (** Stage [i] on processor [i mod processors]. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val random : Aspipe_util.Rng.t -> stages:int -> processors:int -> t
-
 val blocks : stages:int -> processors:int -> t
 (** Contiguous blocks: stages split as evenly as possible into [processors]
     consecutive groups — the classic static block mapping baseline. *)
@@ -88,11 +85,6 @@ val iter_neighbours :
     order (stage ascending, then target processor ascending) through one
     in-place scratch array, restored between stages. Scratch-reuse caveats as
     {!iter_enumerate}. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val colocation : t -> processors:int -> int array
-(** [colocation m ~processors] gives, per processor, the number of stages it
-    hosts. *)
 
 val stages_sharing : t -> int -> int
 (** [stages_sharing m i] is the number of stages (≥ 1) on stage [i]'s

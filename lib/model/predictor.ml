@@ -14,13 +14,13 @@ let evaluate t m =
 let upper_bound t =
   match t.kind with Analytic -> Analytic.upper_bound t.spec | Ctmc -> infinity
 
-let choose ?fix_first_on ?exhaustive_limit ?incumbent t =
+let choose ?fix_first_on ?incumbent t =
   let stages = Costspec.stages t.spec and processors = Costspec.processors t.spec in
   match (t.kind, fix_first_on) with
   (* The analytic evaluator takes the incremental fast paths; the CTMC kind
      keeps the generic walks (its evaluator dwarfs enumeration cost anyway). *)
-  | Analytic, _ -> Search.auto_spec ?exhaustive_limit ?fix_first_on ?incumbent t.spec
-  | Ctmc, None -> Search.auto ?exhaustive_limit ~stages ~processors (evaluate t)
+  | Analytic, _ -> Search.auto_spec ?fix_first_on ?incumbent t.spec
+  | Ctmc, None -> Search.auto ~stages ~processors (evaluate t)
   | Ctmc, Some p ->
       (* Pinning the first stage shrinks the space; exhaustive it if feasible. *)
       Search.exhaustive ~fix_first_on:p ~stages ~processors (evaluate t)
@@ -44,20 +44,15 @@ let distinct_processors seen ~round m =
    a one-slot float array, so a candidate allocates at most the boxed score
    of a call that is not inlined. A candidate with more distinct nodes than
    the incumbent cannot win and is not scored. *)
-let cheapest ?fix_first_on ~required t =
+let cheapest ~required t =
   let stages = Costspec.stages t.spec and processors = Costspec.processors t.spec in
-  let free = match fix_first_on with Some _ -> stages - 1 | None -> stages in
-  let pin_ok = match fix_first_on with Some p -> p >= 0 && p < processors | None -> true in
-  if
-    (not pin_ok)
-    || Mapping.space_within ~stages:free ~processors ~cap:Mapping.max_enumeration = None
-  then None
+  if Mapping.space_within ~stages ~processors ~cap:Mapping.max_enumeration = None then None
   else begin
     let seen = Array.make processors 0 and round = ref 0 in
     let incremental =
       match t.kind with
       | Analytic ->
-          Some (Analytic.Incr.create t.spec (Mapping.decode ?fix_first_on ~stages ~processors 0))
+          Some (Analytic.Incr.create t.spec (Mapping.decode ~stages ~processors 0))
       | Ctmc -> None
     in
     let found = ref false and best_nodes = ref 0 and best_code = ref 0 in
@@ -82,7 +77,7 @@ let cheapest ?fix_first_on ~required t =
         end
       end
     in
-    Mapping.iter_gray ?fix_first_on ~stages ~processors
+    Mapping.iter_gray ~stages ~processors
       ~init:(fun m -> consider m ~code:0)
       ~step:(fun m ~stage ~code ->
         (match incremental with
@@ -90,5 +85,5 @@ let cheapest ?fix_first_on ~required t =
         | None -> ());
         consider m ~code)
       ();
-    if !found then Some (Mapping.decode ?fix_first_on ~stages ~processors !best_code) else None
+    if !found then Some (Mapping.decode ~stages ~processors !best_code) else None
   end

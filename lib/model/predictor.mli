@@ -22,29 +22,25 @@ val upper_bound : t -> float
     guarantee. It holds under any [fix_first_on], so it also bounds every
     {!choose} result's score. *)
 
-val choose :
-  ?fix_first_on:int ->
-  ?exhaustive_limit:int ->
-  ?incumbent:Mapping.t ->
-  t ->
-  Search.result
+val choose : ?fix_first_on:int -> ?incumbent:Mapping.t -> t -> Search.result
 (** Best mapping over the full space. The [Analytic] kind runs
-    {!Search.auto_spec} — pinned or not, so [exhaustive_limit] always holds;
-    the [Ctmc] kind keeps the generic {!Search.auto} / {!Search.exhaustive}.
+    {!Search.auto_spec} — pinned or not, so {!Search.default_exhaustive_limit}
+    always holds; the [Ctmc] kind keeps the generic {!Search.auto} /
+    {!Search.exhaustive}.
     [incumbent], the mapping the pipeline runs now, seeds the analytic
     branch-and-bound so it scores fewer leaves ([evaluated] falls); it never
     changes the choice, and the [Ctmc] kind ignores it. All backends obey the
     lowest-code tie-break, so the chosen mapping is independent of backend,
     worker count and incumbent. *)
 
-val cheapest : ?fix_first_on:int -> required:float -> t -> Mapping.t option
+val cheapest : required:float -> t -> Mapping.t option
 (** [cheapest ~required t] is the scale-down target: among the mappings
     whose predicted rate ({!evaluate}) is at least [required], one with the
     fewest distinct processors; ties go to the higher rate, then to the
     lower enumeration code ({!Mapping.decode}'s order), so the answer is
     the one a fold over {!Mapping.enumerate} in code order would keep.
-    [None] when no mapping covers [required], when [fix_first_on] names no
-    processor, or when the space exceeds {!Mapping.max_enumeration}.
+    [None] when no mapping covers [required] or when the space exceeds
+    {!Mapping.max_enumeration}.
 
     One {!Mapping.iter_gray} walk visits the space. The [Analytic] kind
     re-scores each candidate with one {!Analytic.Incr.move}; the [Ctmc]

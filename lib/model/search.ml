@@ -83,7 +83,9 @@ let greedy ?fix_first_on ~stages ~processors evaluator =
   let mapping = Mapping.of_array ~processors assignment in
   { mapping; score = evaluator mapping; evaluated = !evaluated + 1 }
 
-let hill_climb ?(max_steps = 1000) ~start ~processors evaluator =
+let max_steps = 1000
+
+let hill_climb ~start ~processors evaluator =
   let evaluated = ref 1 in
   let rec climb mapping score steps =
     if steps >= max_steps then { mapping; score; evaluated = !evaluated }
@@ -372,7 +374,7 @@ let exhaustive_spec ?fix_first_on ?(prune = true) ?(canonical = true) ?incumbent
    tie-breaks replicate [hill_climb] exactly, and [Incr] scores are
    bit-identical to the full evaluator, so the trajectory — and therefore
    the result — matches the generic climb on [Analytic.throughput]. *)
-let hill_climb_spec ?(max_steps = 1000) ?fix_first_on ~start spec =
+let hill_climb_spec ?fix_first_on ~start spec =
   let np = Costspec.processors spec in
   let ns = Costspec.stages spec in
   let first =

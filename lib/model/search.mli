@@ -80,16 +80,14 @@ val greedy : ?fix_first_on:int -> stages:int -> processors:int -> evaluator -> r
     choice. *)
 
 (* lint: unused-export-ok differential reference: test_model checks hill_climb_spec against it *)
-val hill_climb :
-  ?max_steps:int -> start:Mapping.t -> processors:int -> evaluator -> result
+val hill_climb : start:Mapping.t -> processors:int -> evaluator -> result
 (** Steepest-ascent over the single-stage-move neighbourhood from [start];
-    stops at a local optimum or after [max_steps] (default 1000) moves.
+    stops at a local optimum or after 1000 moves.
     Probes neighbours through {!Mapping.iter_neighbours}'s scratch array —
     a candidate is copied only when it improves on the step's incumbent. *)
 
 (* lint: unused-export-ok used by auto_spec; test_model checks it directly *)
-val hill_climb_spec :
-  ?max_steps:int -> ?fix_first_on:int -> start:Mapping.t -> Costspec.t -> result
+val hill_climb_spec : ?fix_first_on:int -> start:Mapping.t -> Costspec.t -> result
 (** {!hill_climb} on {!Analytic.Incr}: neighbours are probed as move/undo
     pairs on one incremental state, no full re-evaluation. Same neighbour
     order, same tie-breaks, bit-identical scores — hence the same trajectory

@@ -25,7 +25,6 @@ let[@inline] of_splitmix x =
   t
 
 let create seed = of_splitmix (Int64.of_int seed)
-let copy t = Bytes.copy t
 
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
@@ -55,29 +54,4 @@ let float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1p-53
 
-let int t n =
-  if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let n64 = Int64.of_int n in
-  let limit = Int64.sub Int64.max_int (Int64.sub n64 1L) in
-  let bits = ref (Int64.shift_right_logical (bits64 t) 1) in
-  while Int64.sub !bits (Int64.rem !bits n64) > limit do
-    bits := Int64.shift_right_logical (bits64 t) 1
-  done;
-  Int64.to_int (Int64.rem !bits n64)
-
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
 let range t lo hi = lo +. ((hi -. lo) *. float t)
-
-let shuffle t a =
-  let n = Array.length a in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))

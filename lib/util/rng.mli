@@ -10,17 +10,14 @@
     64-bit xoshiro words unboxed, little-endian, [s0] to [s3] at offsets 0,
     8, 16 and 24. A draw reads them, steps them in registers and writes
     them back, so no draw allocates beyond the boxing of its [int64] or
-    [float] result at a call that is not inlined. {!create}, {!copy} and
-    {!split} allocate the new buffer and nothing else. *)
+    [float] result at a call that is not inlined. {!create} and {!split}
+    allocate the new buffer and nothing else. *)
 
 type t
 
 val create : int -> t
 (** [create seed] builds a generator from an integer seed. Equal seeds give
     equal streams. *)
-
-val copy : t -> t (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-(** [copy t] is an independent generator with the same current state. *)
 
 val split : t -> t
 (** [split t] advances [t] and returns a child generator whose stream is
@@ -32,20 +29,5 @@ val bits64 : t -> int64
 val float : t -> float
 (** [float t] is uniform in [\[0, 1)], with 53 bits of precision. *)
 
-val int : t -> int -> int
-(** [int t n] is uniform in [\[0, n)]. Raises [Invalid_argument] if [n <= 0]. *)
-
-val bool : t -> bool (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-(** [bool t] is a fair coin flip. *)
-
 val range : t -> float -> float -> float
 (** [range t lo hi] is uniform in [\[lo, hi)]. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val shuffle : t -> 'a array -> unit
-(** [shuffle t a] permutes [a] in place, uniformly (Fisher–Yates). *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val pick : t -> 'a array -> 'a
-(** [pick t a] is a uniformly chosen element of [a].
-    Raises [Invalid_argument] on an empty array. *)

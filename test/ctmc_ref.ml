@@ -1,7 +1,7 @@
 (* Reference copy of the list-based CTMC that lib/model/ctmc replaced: per
    state a list of (target, rate) transitions, swept with closures. Kept
-   only so the differential tests can check the flat sweeps against it
-   float for float. *)
+   so the differential tests can check the flat sweeps against it float
+   for float, and so the tests can compute a balance residual. *)
 
 type t = {
   stages : int;
@@ -9,7 +9,6 @@ type t = {
   service_rates : float array;
   transitions : (int * float) list array;  (* per source state: (target, rate) *)
   outflow : float array;  (* total exit rate per state *)
-  transition_count : int;
 }
 
 (* Phases: 0 = awaiting input move, 1 = ready to process, 2 = awaiting
@@ -40,12 +39,10 @@ let build ~service_rates ~move_rates =
   let states = pow3 ns in
   let transitions = Array.make states [] in
   let outflow = Array.make states 0.0 in
-  let count = ref 0 in
   for s = 0 to states - 1 do
     let add target rate =
       transitions.(s) <- (target, rate) :: transitions.(s);
-      outflow.(s) <- outflow.(s) +. rate;
-      incr count
+      outflow.(s) <- outflow.(s) +. rate
     in
     (* process_i *)
     for i = 0 to ns - 1 do
@@ -61,10 +58,7 @@ let build ~service_rates ~move_rates =
     (* output move *)
     if digit s (ns - 1) = 2 then add (with_digit s (ns - 1) 0) lambda.(ns)
   done;
-  { stages = ns; states; service_rates = mu; transitions; outflow; transition_count = !count }
-
-let state_count t = t.states
-let transition_count t = t.transition_count
+  { stages = ns; states; service_rates = mu; transitions; outflow }
 
 type solver = Gauss_seidel | Power
 
@@ -147,8 +141,10 @@ let throughput ?solver ?tol ?max_iter t =
   done;
   t.service_rates.(0) *. !processing_mass
 
+(* ‖πQ‖₁ — a correctness check on a proposed stationary vector of this
+   chain (the library's vector indexes the same states). *)
 let residual t pi =
-  if Array.length pi <> t.states then invalid_arg "Ctmc.residual: wrong dimension";
+  if Array.length pi <> t.states then invalid_arg "Ctmc_ref.residual: wrong dimension";
   let flux = Array.make t.states 0.0 in
   for s = 0 to t.states - 1 do
     flux.(s) <- flux.(s) -. (pi.(s) *. t.outflow.(s));

@@ -22,8 +22,6 @@ let create seed =
   let s3 = splitmix64 state in
   { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
@@ -54,30 +52,18 @@ let float t =
   let bits = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float bits *. 0x1p-53
 
-let int t n =
-  if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
+let range t lo hi = lo +. ((hi -. lo) *. float t)
+
+(* A uniform int in [0, n) from the library generator, by the rejection
+   sampling the library's [Rng.int] used before no program drew ints:
+   the tests that draw random shapes keep their exact data. *)
+let below g n =
+  if n <= 0 then invalid_arg "Rng_ref.below: bound must be positive";
   let n64 = Int64.of_int n in
   let rec draw () =
-    let bits = Int64.shift_right_logical (bits64 t) 1 in
+    let bits = Int64.shift_right_logical (Aspipe_util.Rng.bits64 g) 1 in
     let value = Int64.rem bits n64 in
     if Int64.sub bits value > Int64.sub Int64.max_int (Int64.sub n64 1L) then draw ()
     else Int64.to_int value
   in
   draw ()
-
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
-let range t lo hi = lo +. ((hi -. lo) *. float t)
-
-let shuffle t a =
-  let n = Array.length a in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))

@@ -261,7 +261,9 @@ let test_policy_bound_keeps_decisions =
          let stages = Costspec.stages spec and processors = Costspec.processors spec in
          let current =
            if at_best then (Predictor.choose (Predictor.make spec)).Search.mapping
-           else Mapping.random (Rng.create seed) ~stages ~processors
+           else
+             let rng = Rng.create seed in
+             Mapping.of_array ~processors (Array.init stages (fun _ -> Rng_ref.below rng processors))
          in
          let ctx = bound_context ~items_remaining ~stall spec current in
          (* A backlog above queue_length's high mark sends it down the

@@ -74,16 +74,8 @@ let test_mapping_neighbours () =
 
 let test_mapping_colocation () =
   let m = Mapping.of_array ~processors:3 [| 0; 0; 2 |] in
-  Alcotest.(check (array int)) "counts" [| 2; 0; 1 |] (Mapping.colocation m ~processors:3);
   Alcotest.(check int) "sharing of stage 0" 2 (Mapping.stages_sharing m 0);
   Alcotest.(check int) "sharing of stage 2" 1 (Mapping.stages_sharing m 2)
-
-let test_mapping_random_in_range =
-  qtest "random mappings stay in range"
-    QCheck2.Gen.(triple (int_range 1 8) (int_range 1 8) (int_range 0 1000))
-    (fun (stages, processors, seed) ->
-      let m = Mapping.random (Rng.create seed) ~stages ~processors in
-      Array.for_all (fun p -> p >= 0 && p < processors) (Mapping.to_array m))
 
 (* ------------------------------------------------------------- Costspec *)
 
@@ -236,8 +228,7 @@ let test_upper_bound_admissible =
 
 let test_ctmc_state_count () =
   let model = Ctmc.build ~service_rates:[| 1.0; 1.0; 1.0 |] ~move_rates:(Array.make 4 10.0) in
-  Alcotest.(check int) "3^3 states" 27 (Ctmc.state_count model);
-  Alcotest.(check bool) "transitions exist" true (Ctmc.transition_count model > 27)
+  Alcotest.(check int) "3^3 states" 27 (Array.length (Ctmc.steady_state model))
 
 let test_ctmc_build_validation () =
   Alcotest.check_raises "wrong move vector"
@@ -249,14 +240,13 @@ let test_ctmc_build_validation () =
       ignore (Ctmc.build ~service_rates:[||] ~move_rates:[| 1.0 |]))
 
 let test_ctmc_steady_state_properties () =
-  let model =
-    Ctmc.build ~service_rates:[| 2.0; 5.0; 3.0 |] ~move_rates:[| 100.0; 7.0; 9.0; 100.0 |]
-  in
-  let pi = Ctmc.steady_state model in
+  let service_rates = [| 2.0; 5.0; 3.0 |] and move_rates = [| 100.0; 7.0; 9.0; 100.0 |] in
+  let pi = Ctmc.steady_state (Ctmc.build ~service_rates ~move_rates) in
   let total = Array.fold_left ( +. ) 0.0 pi in
   check_close ~eps:1e-9 "distribution sums to 1" 1.0 total;
   Array.iter (fun p -> if p < -1e-12 then Alcotest.fail "negative probability") pi;
-  Alcotest.(check bool) "balance residual tiny" true (Ctmc.residual model pi < 1e-6)
+  Alcotest.(check bool) "balance residual tiny" true
+    (Ctmc_ref.residual (Ctmc_ref.build ~service_rates ~move_rates) pi < 1e-6)
 
 (* Regression against the published PEPA-workbench results for this model
    (Benoit, Cole, Gilmore, Hillston; ICCS 2004, Section 4.2): 3 stages,
@@ -403,7 +393,7 @@ let test_repl_model_monotone_in_replicas =
     QCheck2.Gen.(int_range 0 10_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let stages = 2 + Rng.int rng 3 in
+      let stages = 2 + Rng_ref.below rng 3 in
       let processors = stages + 2 in
       let spec =
         synthetic_spec
@@ -415,7 +405,7 @@ let test_repl_model_monotone_in_replicas =
          first spare node. *)
       let base = Array.init stages (fun i -> [ i ]) in
       let grown = Array.copy base in
-      let lucky = Rng.int rng stages in
+      let lucky = Rng_ref.below rng stages in
       grown.(lucky) <- [ lucky; stages ];
       Repl_model.throughput spec ~replicas:grown
       >= Repl_model.throughput spec ~replicas:base -. 1e-9)
@@ -483,8 +473,8 @@ let test_cross_model_bounds =
     QCheck2.Gen.(int_range 0 100_000)
     (fun seed ->
       let rng = Rng.create seed in
-      let stages = 2 + Rng.int rng 3 in
-      let processors = 2 + Rng.int rng 3 in
+      let stages = 2 + Rng_ref.below rng 3 in
+      let processors = 2 + Rng_ref.below rng 3 in
       let spec =
         synthetic_spec
           ~stage_work:(Array.init stages (fun _ -> Rng.range rng 0.5 2.0))
@@ -492,7 +482,7 @@ let test_cross_model_bounds =
           ~latency:(Rng.range rng 1e-3 0.05)
           ()
       in
-      let m = Mapping.random rng ~stages ~processors in
+      let m = Mapping.of_array ~processors (Array.init stages (fun _ -> Rng_ref.below rng processors)) in
       let analytic = Analytic.throughput spec m in
       let ctmc = Ctmc.throughput (Ctmc.of_costspec spec m) in
       ctmc <= analytic +. (1e-6 *. analytic) && ctmc > 0.0)
@@ -577,13 +567,6 @@ let test_search_best_of () =
   Alcotest.check_raises "empty candidates" (Invalid_argument "Search.best_of: no candidates")
     (fun () -> ignore (Search.best_of [] (Analytic.throughput spec)))
 
-
-let test_search_hill_climb_max_steps () =
-  (* max_steps 0 returns the start unchanged. *)
-  let spec = synthetic_spec ~stage_work:[| 1.0; 1.0 |] ~node_rates:[| 10.0; 10.0 |] () in
-  let start = Mapping.of_array ~processors:2 [| 0; 0 |] in
-  let result = Search.hill_climb ~max_steps:0 ~start ~processors:2 (Analytic.throughput spec) in
-  Alcotest.(check (array int)) "no moves taken" [| 0; 0 |] (Mapping.to_array result.Search.mapping)
 
 let test_predictor_fix_first_pins () =
   let spec = synthetic_spec ~stage_work:[| 1.0; 1.0; 1.0 |] ~node_rates:[| 1.0; 10.0; 10.0 |] () in
@@ -979,14 +962,14 @@ let test_auto_spec_keeps_pin =
       && bits r.Search.score = bits (Analytic.throughput spec r.Search.mapping))
 
 let test_predictor_pinned_respects_limit () =
-  (* 4^12 free assignments exceed both the limit and the enumeration cap:
+  (* 4^12 free assignments exceed both the default limit and the enumeration cap:
      the pinned search must fall back to greedy + climb, not raise. *)
   let spec =
     synthetic_spec
       ~stage_work:(Array.init 13 (fun i -> 0.5 +. (0.1 *. Float.of_int i)))
       ~node_rates:[| 4.0; 10.0; 9.0; 7.0 |] ()
   in
-  let r = Predictor.choose ~fix_first_on:0 ~exhaustive_limit:1000 (Predictor.make spec) in
+  let r = Predictor.choose ~fix_first_on:0 (Predictor.make spec) in
   Alcotest.(check int) "stage 0 pinned" 0 (Mapping.processor_of r.Search.mapping 0);
   Alcotest.(check int64) "score is the mapping's throughput"
     (bits (Analytic.throughput spec r.Search.mapping))
@@ -1018,10 +1001,10 @@ let test_default_exhaustive_limit_raised () =
    replaced: materialize every mapping in code order, keep the fewest
    distinct nodes covering [required], then the higher rate; an equal rate
    keeps the earlier mapping. *)
-let cheapest_ref ?fix_first_on ~required ~spec predictor =
+let cheapest_ref ~required ~spec predictor =
   let stages = Costspec.stages spec and processors = Costspec.processors spec in
   let distinct_nodes m = List.length (List.sort_uniq Int.compare (Array.to_list m)) in
-  match Mapping.enumerate ?fix_first_on ~stages ~processors () with
+  match Mapping.enumerate ~stages ~processors () with
   | exception Invalid_argument _ -> None
   | candidates ->
       let best =
@@ -1040,16 +1023,12 @@ let cheapest_ref ?fix_first_on ~required ~spec predictor =
 
 (* [required] is 0 (everything qualifies), just above the best rate
    (nothing does), or exactly some candidate's rate, so ties on the
-   threshold and between equal-rate candidates are exercised. The pin is
-   absent, in range, or one past the last processor. *)
-let cheapest_agrees ~kind (spec, pick, pin, k) =
+   threshold and between equal-rate candidates are exercised. *)
+let cheapest_agrees ~kind (spec, pick, k) =
   let predictor = Predictor.make ~kind spec in
   let processors = Costspec.processors spec and stages = Costspec.stages spec in
-  let fix_first_on =
-    match pin with 0 -> None | p -> Some ((p - 1) mod (processors + 1))
-  in
   let rates =
-    match Mapping.enumerate ?fix_first_on ~stages ~processors () with
+    match Mapping.enumerate ~stages ~processors () with
     | exception Invalid_argument _ -> [| 0.0 |]
     | candidates -> Array.of_list (List.map (Predictor.evaluate predictor) candidates)
   in
@@ -1060,13 +1039,11 @@ let cheapest_agrees ~kind (spec, pick, pin, k) =
     | _ -> rates.(k mod Array.length rates)
   in
   let show = Option.map Mapping.to_array in
-  show (Predictor.cheapest ?fix_first_on ~required predictor)
-  = show (cheapest_ref ?fix_first_on ~required ~spec predictor)
+  show (Predictor.cheapest ~required predictor) = show (cheapest_ref ~required ~spec predictor)
 
 let test_cheapest_matches_fold =
   qtest ~count:300 "cheapest walk = enumerate-and-fold (analytic)"
-    QCheck2.Gen.(
-      quad (gen_spec_sized ~max_processors:5) (int_range 0 2) (int_range 0 4) (int_range 0 10_000))
+    QCheck2.Gen.(triple (gen_spec_sized ~max_processors:5) (int_range 0 2) (int_range 0 10_000))
     (cheapest_agrees ~kind:Predictor.Analytic)
 
 (* The CTMC kind on chains small enough to solve 27 times per case, with
@@ -1081,13 +1058,12 @@ let test_cheapest_matches_fold_ctmc =
       return (synthetic_spec ~stage_work ~node_rates ~latency:0.01 ~bandwidth:1e6 ()))
   in
   qtest ~count:40 "cheapest walk = enumerate-and-fold (ctmc)"
-    QCheck2.Gen.(quad spec (int_range 0 2) (int_range 0 4) (int_range 0 10_000))
+    QCheck2.Gen.(triple spec (int_range 0 2) (int_range 0 10_000))
     (cheapest_agrees ~kind:Predictor.Ctmc)
 
 (* The flat CTMC against the list-based one it replaced (test/ctmc_ref.ml)
-   on random chains of 1-5 stages: the same state and transition counts,
-   and bit-identical power and Gauss-Seidel vectors, residuals and
-   throughputs. Move rates up to 1e3 times the service rates make some
+   on random chains of 1-5 stages: bit-identical power and Gauss-Seidel
+   vectors (so the same state count) and throughputs. Move rates up to 1e3 times the service rates make some
    power solves run out of iterations; both must then fail alike. *)
 let test_flat_ctmc_matches_lists =
   let module Ref = Ctmc_ref in
@@ -1118,15 +1094,9 @@ let test_flat_ctmc_matches_lists =
       let power_ref = solve (Ref.steady_state ~solver:Ref.Power ~max_iter:3000) lists in
       let gs = solve (Ctmc.steady_state ~solver:Ctmc.Gauss_seidel) flat in
       let gs_ref = solve (Ref.steady_state ~solver:Ref.Gauss_seidel) lists in
-      Ctmc.state_count flat = Ref.state_count lists
-      && Ctmc.transition_count flat = Ref.transition_count lists
-      && agree power power_ref && agree gs gs_ref
+      agree power power_ref && agree gs gs_ref
       && (match gs with
-         | Ok pi ->
-             Int64.equal (bits (Ctmc.residual flat pi)) (bits (Ref.residual lists pi))
-             && Int64.equal
-                  (bits (Ctmc.throughput flat))
-                  (bits (Ref.throughput lists))
+         | Ok _ -> Int64.equal (bits (Ctmc.throughput flat)) (bits (Ref.throughput lists))
          | Error _ -> true))
 
 let () =
@@ -1140,7 +1110,6 @@ let () =
           Alcotest.test_case "enumerate" `Quick test_mapping_enumerate;
           Alcotest.test_case "neighbours" `Quick test_mapping_neighbours;
           Alcotest.test_case "colocation" `Quick test_mapping_colocation;
-          test_mapping_random_in_range;
         ] );
       ( "costspec",
         [
@@ -1203,7 +1172,6 @@ let () =
           Alcotest.test_case "greedy reasonable" `Quick test_search_greedy_reasonable;
           Alcotest.test_case "auto switches" `Quick test_search_auto_switches;
           Alcotest.test_case "best_of" `Quick test_search_best_of;
-          Alcotest.test_case "hill climb max steps" `Quick test_search_hill_climb_max_steps;
           Alcotest.test_case "fix_first pins" `Quick test_predictor_fix_first_pins;
         ] );
       ( "mapping iterators",

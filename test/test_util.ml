@@ -35,17 +35,6 @@ let test_rng_seed_sensitivity () =
   done;
   Alcotest.(check bool) "different seeds diverge" true !differs
 
-let test_rng_copy_independent () =
-  let a = Rng.create 3 in
-  let b = Rng.copy a in
-  Alcotest.(check int64) "copy starts at same state" (Rng.bits64 a) (Rng.bits64 b);
-  (* Advance only the copy; the parent's next draw must be unaffected. *)
-  let parent_reference = Rng.copy a in
-  ignore (Rng.bits64 b);
-  ignore (Rng.bits64 b);
-  Alcotest.(check int64) "parent unaffected by copy's progress" (Rng.bits64 parent_reference)
-    (Rng.bits64 a)
-
 let test_rng_split_diverges () =
   let parent = Rng.create 11 in
   let child = Rng.split parent in
@@ -70,37 +59,6 @@ let test_rng_float_mean () =
     acc := !acc +. Rng.float rng
   done;
   check_close ~eps:0.01 "uniform mean near 0.5" 0.5 (!acc /. Float.of_int n)
-
-let test_rng_int_bounds =
-  qtest "Rng.int stays in bounds"
-    QCheck2.Gen.(pair (int_range 1 1000) (int_range 0 10_000))
-    (fun (bound, seed) ->
-      let rng = Rng.create seed in
-      let x = Rng.int rng bound in
-      x >= 0 && x < bound)
-
-let test_rng_int_invalid () =
-  let rng = Rng.create 1 in
-  Alcotest.check_raises "bound 0 rejected" (Invalid_argument "Rng.int: bound must be positive")
-    (fun () -> ignore (Rng.int rng 0))
-
-let test_rng_shuffle_permutes =
-  qtest "shuffle preserves the multiset"
-    QCheck2.Gen.(pair (array_size (int_range 0 50) int) (int_range 0 9999))
-    (fun (a, seed) ->
-      let rng = Rng.create seed in
-      let b = Array.copy a in
-      Rng.shuffle rng b;
-      List.sort compare (Array.to_list a) = List.sort compare (Array.to_list b))
-
-let test_rng_pick () =
-  let rng = Rng.create 2 in
-  let a = [| 1; 2; 3 |] in
-  for _ = 1 to 100 do
-    if not (Array.mem (Rng.pick rng a) a) then Alcotest.fail "pick outside array"
-  done;
-  Alcotest.check_raises "empty pick rejected" (Invalid_argument "Rng.pick: empty array")
-    (fun () -> ignore (Rng.pick rng [||]))
 
 (* -------------------------------------------------------------- Variate *)
 
@@ -700,39 +658,29 @@ let test_prop_forecast_matches_reference =
            stream)
 
 (* The unboxed generator against the boxed one it replaced
-   (test/rng_ref.ml): from one seed, a random plan of splits and copies
-   grows a family of generator pairs, and 1,000 or more draws cycling
-   through [bits64], [float], [int], [bool] and [range] over the family
-   must agree bit for bit. The [int] bounds include 2^61 + 1, where about
-   a quarter of the draws are rejected and redrawn. *)
+   (test/rng_ref.ml): from one seed, a random plan of splits grows a family
+   of generator pairs, and 1,000 or more draws cycling through [bits64],
+   [float] and [range] over the family must agree bit for bit. *)
 let test_prop_rng_matches_reference =
   let module Ref = Rng_ref in
-  let bounds = [| 1; 2; 3; 10; 1000; 1 lsl 30; (1 lsl 61) + 1; max_int |] in
   let ranges = [| (-1.0, 1.0); (0.0, 1e6); (5.0, 5.0) |] in
   let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
   let agree k (g, r) =
-    match k mod 5 with
+    match k mod 3 with
     | 0 -> Int64.equal (Rng.bits64 g) (Ref.bits64 r)
     | 1 -> same (Rng.float g) (Ref.float r)
-    | 2 ->
-        let n = bounds.(k / 5 mod Array.length bounds) in
-        Rng.int g n = Ref.int r n
-    | 3 -> Bool.equal (Rng.bool g) (Ref.bool r)
     | _ ->
-        let lo, hi = ranges.(k / 5 mod Array.length ranges) in
+        let lo, hi = ranges.(k / 3 mod Array.length ranges) in
         same (Rng.range g lo hi) (Ref.range r lo hi)
   in
   qtest ~count:100 "unboxed rng = boxed rng, bit for bit"
-    QCheck2.Gen.(pair int (list_size (int_range 4 8) (pair (int_range 0 2) nat)))
+    QCheck2.Gen.(pair int (list_size (int_range 4 8) (pair bool nat)))
     (fun (seed, plan) ->
       let family = ref [| (Rng.create seed, Ref.create seed) |] in
       List.for_all
-        (fun (op, pick) ->
+        (fun (split, pick) ->
           let g, r = !family.(pick mod Array.length !family) in
-          (match op with
-          | 0 -> ()
-          | 1 -> family := Array.append !family [| (Rng.split g, Ref.split r) |]
-          | _ -> family := Array.append !family [| (Rng.copy g, Ref.copy r) |]);
+          if split then family := Array.append !family [| (Rng.split g, Ref.split r) |];
           let members = Array.length !family in
           List.for_all
             (fun k -> agree k !family.((k + pick) mod members))
@@ -763,7 +711,7 @@ let test_rng_split_chi_square () =
       let marginal_p = Array.make 8 0 and marginal_c = Array.make 8 0 in
       let samples = 4096 in
       for _ = 1 to samples do
-        let a = Rng.int parent 8 and b = Rng.int child 8 in
+        let a = Rng_ref.below parent 8 and b = Rng_ref.below child 8 in
         joint.((a * 8) + b) <- joint.((a * 8) + b) + 1;
         marginal_p.(a) <- marginal_p.(a) + 1;
         marginal_c.(b) <- marginal_c.(b) + 1
@@ -1226,14 +1174,9 @@ let () =
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
-          Alcotest.test_case "copy independence" `Quick test_rng_copy_independent;
           Alcotest.test_case "split divergence" `Quick test_rng_split_diverges;
           Alcotest.test_case "float range" `Quick test_rng_float_range;
           Alcotest.test_case "float mean" `Slow test_rng_float_mean;
-          test_rng_int_bounds;
-          Alcotest.test_case "int invalid" `Quick test_rng_int_invalid;
-          test_rng_shuffle_permutes;
-          Alcotest.test_case "pick" `Quick test_rng_pick;
         ] );
       ( "variate",
         [
