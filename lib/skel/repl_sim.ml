@@ -25,7 +25,6 @@ type t = {
   engine : Engine.t;
   topo : Topology.t;
   trace : Trace.t;
-  window : int;
   dispatch : dispatch;
   stages : stage_rt array;
   work_seed : int;  (* keys every work draw, with the item and stage index *)
@@ -69,6 +68,8 @@ let rec sink_emit t =
 (* Round-robin deals eagerly (equal shares, the classic farm deal);
    least-loaded is demand-driven: an item is only dealt while some replica
    has fewer than [window] items outstanding, so shares follow speed. *)
+let window = 2
+
 let pick t s =
   match t.dispatch with
   | Round_robin ->
@@ -81,7 +82,7 @@ let pick t s =
           (fun best r -> if s.outstanding.(r) < s.outstanding.(best) then r else best)
           (List.hd s.replica_set) (List.tl s.replica_set)
       in
-      if s.outstanding.(best) < t.window then Some best else None
+      if s.outstanding.(best) < window then Some best else None
 
 let rec pump t si =
   let s = t.stages.(si) in
@@ -139,16 +140,14 @@ and emit t si =
       end;
       emit t si
 
-let create ?(window = 2) ?(dispatch = Least_loaded) ~rng ~topo ~stages ~replicas ~input ~trace
+let create ?(dispatch = Least_loaded) ~rng ~topo ~stages ~replicas ~input ~trace
     () =
-  if window < 1 then invalid_arg "Repl_sim: window must be at least 1";
   let replica_sets = validate topo stages replicas in
   let t =
     {
       engine = Topology.engine topo;
       topo;
       trace;
-      window;
       dispatch;
       stages =
         Array.mapi
@@ -182,11 +181,6 @@ let create ?(window = 2) ?(dispatch = Least_loaded) ~rng ~topo ~stages ~replicas
 
 let replicas t = Array.map (fun s -> s.replica_set) t.stages
 
-let outstanding t ~stage node =
-  if stage < 0 || stage >= Array.length t.stages || node < 0 || node >= Topology.size t.topo
-  then invalid_arg "Repl_sim.outstanding";
-  t.stages.(stage).outstanding.(node)
-
 let set_replicas t new_replicas =
   let sets = validate t.topo (Array.map (fun s -> s.spec) t.stages) new_replicas in
   Array.iteri (fun i s -> s.replica_set <- sets.(i)) t.stages;
@@ -196,10 +190,10 @@ let set_replicas t new_replicas =
 let items_total t = t.input.Stream_spec.items
 let finished t = t.completed = items_total t
 
-let run_to_completion ?(max_time = 1e7) t =
+let run_to_completion t =
   let rec loop () =
     if finished t then ()
-    else if Engine.now t.engine > max_time then
+    else if Engine.now t.engine > 1e7 then
       failwith "Repl_sim.run_to_completion: exceeded max_time before draining"
     else if Engine.step t.engine then loop ()
     else if not (finished t) then
@@ -207,8 +201,8 @@ let run_to_completion ?(max_time = 1e7) t =
   in
   loop ()
 
-let execute ?(rng = Rng.create 42) ?window ?dispatch ~topo ~stages ~replicas ~input () =
+let execute ?(rng = Rng.create 42) ?dispatch ~topo ~stages ~replicas ~input () =
   let trace = Trace.create () in
-  let t = create ?window ?dispatch ~rng ~topo ~stages ~replicas ~input ~trace () in
+  let t = create ?dispatch ~rng ~topo ~stages ~replicas ~input ~trace () in
   run_to_completion t;
   trace

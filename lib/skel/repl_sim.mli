@@ -26,7 +26,6 @@ type dispatch =
 type t
 
 val create :
-  ?window:int ->
   ?dispatch:dispatch ->
   rng:Aspipe_util.Rng.t ->
   topo:Aspipe_grid.Topology.t ->
@@ -37,17 +36,16 @@ val create :
   unit ->
   t
 (** [replicas.(i)] is stage [i]'s replica node set (non-empty, in range,
-    duplicates removed). Raises [Invalid_argument] on bad inputs or a
-    [window < 1].
+    duplicates removed). Raises [Invalid_argument] on bad inputs.
 
     A replica's {e outstanding} items are those dealt to it whose service
     has not ended: in transit to it, queued, or in service. Its slot frees
     when service ends, not when the result reaches the next stage or the
-    user. Under [Least_loaded] dispatch (the default) [window] (default 2)
-    caps each replica's outstanding items: the deal is demand-driven, so
-    shares follow speed. [Round_robin] deals every arrival at once to the
-    next replica in turn (one cursor per stage, kept across
-    {!set_replicas}) and ignores [window], so shares are equal. *)
+    user. Under [Least_loaded] dispatch (the default) each replica holds at
+    most two outstanding items: the deal is demand-driven, so shares
+    follow speed. [Round_robin] deals every arrival at once to the next
+    replica in turn (one cursor per stage, kept across {!set_replicas}),
+    so shares are equal. *)
 
 val replicas : t -> int list array
 (** Current replica sets, ascending. *)
@@ -57,18 +55,15 @@ val set_replicas : t -> int list array -> unit
     already dealt to a removed replica finish there). Raises
     [Invalid_argument] on bad sets. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val outstanding : t -> stage:int -> int -> int
-(** [outstanding t ~stage node]: items dealt to [node] for [stage] whose
-    service has not ended. Raises [Invalid_argument] out of range. *)
-
 val finished : t -> bool
 
-val run_to_completion : ?max_time:float -> t -> unit
+val run_to_completion : t -> unit
+(** Steps the engine until every item has left the pipeline. Raises
+    [Failure] past 10⁷ virtual seconds or when the event queue drains with
+    items in flight. *)
 
 val execute :
   ?rng:Aspipe_util.Rng.t ->
-  ?window:int ->
   ?dispatch:dispatch ->
   topo:Aspipe_grid.Topology.t ->
   stages:Stage.t array ->

@@ -167,8 +167,7 @@ let run ?capacity ?batch pipe inputs =
     (run_fold ?capacity ?batch pipe ~items:(Array.length inputs) ~gen:(Array.get inputs) ~init:[]
        ~f:(fun acc y -> y :: acc))
 
-let run_grouped ?capacity ?batch ~groups pipe inputs =
-  run ?capacity ?batch (Pipe.fuse_groups groups pipe) inputs
+let run_grouped ~groups pipe inputs = run (Pipe.fuse_groups groups pipe) inputs
 
 (* ------------------------------------------------------------------ timing *)
 
@@ -177,9 +176,9 @@ let run_grouped ?capacity ?batch ~groups pipe inputs =
    for the direct-execution engines. *)
 let now_seconds () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
-let run_timed ?capacity ?batch pipe inputs =
+let run_timed pipe inputs =
   let t0 = now_seconds () in
-  let outputs = run ?capacity ?batch pipe inputs in
+  let outputs = run pipe inputs in
   (outputs, now_seconds () -. t0)
 
 let run_seq_timed pipe inputs =

@@ -21,10 +21,9 @@ val run : ?capacity:int -> ?batch:int -> ('a, 'b) Pipe.t -> 'a list -> 'b list
     non-positive [capacity] or [batch]; any exception raised by a stage
     function is re-raised here after the chain shuts down. *)
 
-val run_grouped :
-  ?capacity:int -> ?batch:int -> groups:int array -> ('a, 'b) Pipe.t -> 'a list -> 'b list
+val run_grouped : groups:int array -> ('a, 'b) Pipe.t -> 'a list -> 'b list
 (** Fuses stages per {!Pipe.fuse_groups} first, then runs one domain per
-    group. *)
+    group with {!run}'s default capacity and batch. *)
 
 val run_fold :
   ?capacity:int ->
@@ -50,7 +49,7 @@ val pump : batch:int -> ('a -> 'b) -> 'a Aspipe_util.Spsc.t -> 'b Aspipe_util.Sp
     chunk allocates nothing beyond what [f] does. Exposed for the relay
     and allocation tests; not intended for direct use. *)
 
-val run_timed : ?capacity:int -> ?batch:int -> ('a, 'b) Pipe.t -> 'a list -> 'b list * float
-(** {!run} plus elapsed seconds (monotonic clock). *)
+val run_timed : ('a, 'b) Pipe.t -> 'a list -> 'b list * float
+(** {!run} with its defaults, plus elapsed seconds (monotonic clock). *)
 
 val run_seq_timed : ('a, 'b) Pipe.t -> 'a list -> 'b list * float

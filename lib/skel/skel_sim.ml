@@ -463,10 +463,10 @@ let describe_stall t reason =
        required to finish, this is not a modelling bug";
   Buffer.contents b
 
-let run ?(max_time = 1e7) t =
+let run t =
   let rec loop () =
     if finished t then `Completed
-    else if Engine.now t.engine > max_time then
+    else if Engine.now t.engine > 1e7 then
       `Stalled (describe_stall t "exceeded max_time before draining")
     else if Engine.step t.engine then loop ()
     else if finished t then `Completed
@@ -474,8 +474,8 @@ let run ?(max_time = 1e7) t =
   in
   loop ()
 
-let run_to_completion ?max_time t =
-  match run ?max_time t with `Completed -> () | `Stalled message -> failwith message
+let run_to_completion t =
+  match run t with `Completed -> () | `Stalled message -> failwith message
 
 let execute ?(rng = Rng.create 42) ?queue_capacity ~topo ~stages ~mapping ~input () =
   let trace = Trace.create () in

@@ -134,15 +134,15 @@ val items_lost_total : t -> int
 
 val items_redispatched_total : t -> int
 
-val run : ?max_time:float -> t -> [ `Completed | `Stalled of string ]
-(** Steps the engine until every item has left the pipeline, [max_time]
-    virtual seconds elapse (default [1e7]), or the event queue drains with
+val run : t -> [ `Completed | `Stalled of string ]
+(** Steps the engine until every item has left the pipeline, 10⁷ virtual
+    seconds elapse, or the event queue drains with
     items still in flight. The [`Stalled] diagnostic names each stage, its
     node and liveness, what it is doing, and its queue/parked/lost depths —
     and says explicitly when a DOWN node holding a stage makes the stall a
     fault-induced DNF rather than a modelling bug. *)
 
-val run_to_completion : ?max_time:float -> t -> unit
+val run_to_completion : t -> unit
 (** {!run}, raising [Failure] with the stall diagnostic on [`Stalled] —
     for callers that treat a non-draining workload as a bug. *)
 

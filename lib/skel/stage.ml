@@ -39,18 +39,15 @@ let[@inline never] keyed_work t ~seed ~item ~stage =
       let keyed = Rng.create (seed lxor (item * 0x9E3779) lxor (stage * 0x85EB51)) in
       Float.max 0.0 (Variate.sample keyed spec)
 
-let balanced ?output_bytes ?state_bytes ~n ~work () =
+let balanced ~n ~work () =
   if n <= 0 then invalid_arg "Stage.balanced: n must be positive";
-  Array.init n (fun i ->
-      make ?output_bytes ?state_bytes
-        ~name:(Printf.sprintf "s%d" i)
-        ~work:(Variate.Constant work) ())
+  Array.init n (fun i -> make ~name:(Printf.sprintf "s%d" i) ~work:(Variate.Constant work) ())
 
-let imbalanced ?output_bytes ?state_bytes ~n ~work ~hot_stage ~factor () =
+let imbalanced ~n ~work ~hot_stage ~factor () =
   if hot_stage < 0 || hot_stage >= n then invalid_arg "Stage.imbalanced: hot stage out of range";
-  let stages = balanced ?output_bytes ?state_bytes ~n ~work () in
+  let stages = balanced ~n ~work () in
   stages.(hot_stage) <-
-    make ?output_bytes ?state_bytes
+    make
       ~name:(Printf.sprintf "s%d_hot" hot_stage)
       ~work:(Variate.Constant (work *. factor))
       ();

@@ -32,17 +32,8 @@ val keyed_work : t -> seed:int -> item:int -> stage:int -> float
     every dispatch instead of memoising it; a [Constant] spec builds no
     generator. *)
 
-val balanced :
-  ?output_bytes:float -> ?state_bytes:float -> n:int -> work:float -> unit -> t array
-(** [n] stages of constant [work] each. *)
+val balanced : n:int -> work:float -> unit -> t array
+(** [n] stages of constant [work] each, with {!make}'s default sizes. *)
 
-val imbalanced :
-  ?output_bytes:float ->
-  ?state_bytes:float ->
-  n:int ->
-  work:float ->
-  hot_stage:int ->
-  factor:float ->
-  unit ->
-  t array
+val imbalanced : n:int -> work:float -> hot_stage:int -> factor:float -> unit -> t array
 (** Like {!balanced} but stage [hot_stage] costs [factor × work]. *)

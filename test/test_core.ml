@@ -100,7 +100,7 @@ let test_migration_stages_moving () =
 
 let test_migration_stall () =
   let spec = migration_spec () in
-  let stages = Stage.balanced ~n:3 ~work:1.0 ~state_bytes:1e6 () in
+  let stages = Stage_gen.balanced ~n:3 ~work:1.0 ~state_bytes:1e6 () in
   let current = Mapping.of_array ~processors:2 [| 0; 0; 1 |] in
   let model = { Migration.restart_penalty = 0.5 } in
   check_float "no move, no stall" 0.0
@@ -389,7 +389,7 @@ let small_scenario ?(loads = []) ?(items = 40) () =
     ~make_topo:(fun engine ->
       Topology.uniform engine ~n:3 ~speed:10.0 ~latency:1e-3 ~bandwidth:1e8 ())
     ~loads
-    ~stages:(Stage.balanced ~n:3 ~work:1.0 ~state_bytes:1e4 ())
+    ~stages:(Stage_gen.balanced ~n:3 ~work:1.0 ~state_bytes:1e4 ())
     ~input:(Stream_spec.make ~items ~item_bytes:1e3 ())
     ~horizon:1e4 ()
 
@@ -450,7 +450,7 @@ let step_scenario () =
     ~make_topo:(fun engine ->
       Topology.heterogeneous engine ~speeds:[| 12.0; 10.0; 10.0 |] ~latency:0.01 ~bandwidth:1e7 ())
     ~loads:[ (0, Loadgen.Step { at = 30.0; level = 0.15 }) ]
-    ~stages:(Stage.balanced ~n:4 ~work:1.0 ~state_bytes:1e5 ())
+    ~stages:(Stage_gen.balanced ~n:4 ~work:1.0 ~state_bytes:1e5 ())
     ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.25) ~items ~item_bytes:1e4 ())
     ~horizon:1e4 ()
 
@@ -487,7 +487,7 @@ let test_adaptive_blind_start_discovers_load () =
       ~make_topo:(fun engine ->
         Topology.uniform engine ~n:3 ~speed:10.0 ~latency:1e-3 ~bandwidth:1e8 ())
       ~loads:[ (0, Loadgen.Constant 0.2) ]
-      ~stages:(Stage.balanced ~n:3 ~work:1.0 ~state_bytes:1e4 ())
+      ~stages:(Stage_gen.balanced ~n:3 ~work:1.0 ~state_bytes:1e4 ())
       ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.3) ~items:300 ~item_bytes:1e3 ())
       ~horizon:1e4 ()
   in
@@ -634,7 +634,7 @@ let test_adaptive_conservation_under_dynamics =
                        { to_busy_rate = 0.2; to_free_rate = 0.2; busy_level = 0.2 });
                  (2, Loadgen.Random_walk { every = 1.0; sigma = 0.2; lo = 0.1; hi = 1.0 });
                ]
-             ~stages:(Stage.balanced ~n:3 ~work:1.0 ~state_bytes:1e4 ())
+             ~stages:(Stage_gen.balanced ~n:3 ~work:1.0 ~state_bytes:1e4 ())
              ~input:
                (Stream_spec.make ~arrival:(Stream_spec.Spaced 0.4) ~items:60 ~item_bytes:1e3 ())
              ~horizon:1e4 ()
@@ -667,7 +667,7 @@ let test_adaptive_trace_matches_subscribed () =
        ~make_topo:(fun engine ->
          Topology.uniform engine ~n:4 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
        ~faults:(Aspipe_fault.Fault.parse_spec "0:crash@20;1:crash@20")
-       ~stages:(Stage.balanced ~n:3 ~work:1.0 ~state_bytes:1e4 ())
+       ~stages:(Stage_gen.balanced ~n:3 ~work:1.0 ~state_bytes:1e4 ())
        ~input:(Stream_spec.make ~arrival:(Stream_spec.Spaced 0.3) ~items:150 ~item_bytes:1e3 ())
        ~horizon:1e4 ())
 

@@ -102,7 +102,7 @@ let test_one_group_capacity_one_order () =
   let inputs = List.init 80 (fun i -> 79 - i) in
   let expected = List.map (Pipe.apply int_chain) inputs in
   Alcotest.(check (list int)) "everything fused on one domain, capacity 1" expected
-    (Skel_mc.run_grouped ~capacity:1 ~groups:[| 0; 0; 0; 0 |] int_chain inputs)
+    (Skel_mc.run ~capacity:1 (Pipe.fuse_groups [| 0; 0; 0; 0 |] int_chain) inputs)
 
 (* ------------------------------------------------- batched SPSC transfer *)
 

@@ -82,7 +82,7 @@ let test_mapping_colocation () =
 let build_spec ?(n = 3) ?(latency = 0.01) () =
   let engine = Engine.create () in
   let topo = Topology.uniform engine ~n ~speed:10.0 ~latency ~bandwidth:1e6 () in
-  let stages = Stage.balanced ~n:2 ~work:2.0 ~output_bytes:1e3 () in
+  let stages = Stage_gen.balanced ~n:2 ~work:2.0 ~output_bytes:1e3 () in
   let input = Stream_spec.make ~items:10 ~item_bytes:1e3 () in
   Costspec.of_topology ~topo ~stages ~input ()
 
@@ -128,7 +128,7 @@ let test_costspec_with_stage_work () =
 let test_costspec_link_quality_override () =
   let engine = Engine.create () in
   let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:0.1 ~bandwidth:1e6 () in
-  let stages = Stage.balanced ~n:2 ~work:1.0 ~output_bytes:1e3 () in
+  let stages = Stage_gen.balanced ~n:2 ~work:1.0 ~output_bytes:1e3 () in
   let input = Stream_spec.make ~items:5 ~item_bytes:1e3 () in
   let nominal = Costspec.of_topology ~topo ~stages ~input () in
   let degraded =

@@ -168,7 +168,7 @@ let test_cheapest_allocation_budget () =
     Aspipe_grid.Topology.heterogeneous engine ~speeds:[| 12.0; 10.0; 10.0; 8.0; 6.0 |]
       ~latency:0.01 ~bandwidth:1e7 ()
   in
-  let stages = Aspipe_skel.Stage.balanced ~n:4 ~work:1.0 ~output_bytes:1e4 () in
+  let stages = Stage_gen.balanced ~n:4 ~work:1.0 ~output_bytes:1e4 () in
   let spec =
     Aspipe_model.Costspec.of_topology ~topo ~stages
       ~input:(Aspipe_skel.Stream_spec.make ~item_bytes:1e4 ~items:1 ())

@@ -140,7 +140,7 @@ let test_sim_slow_link_throttles () =
      0.1 + 0.3 = 0.4 s -> throughput 2.5/s instead of 10/s. *)
   let engine = Engine.create () in
   let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:0.3 ~bandwidth:1e9 () in
-  let stages = Stage.balanced ~n:2 ~work:1.0 ~output_bytes:10.0 () in
+  let stages = Stage_gen.balanced ~n:2 ~work:1.0 ~output_bytes:10.0 () in
   let input = Stream_spec.make ~items:50 ~item_bytes:10.0 () in
   let trace = Trace.create () in
   let sim = Skel_sim.create ~rng:(Rng.create 7) ~topo ~stages ~mapping:[| 0; 1 |] ~input ~trace () in
@@ -173,7 +173,7 @@ let test_sim_availability_step_slows_run () =
 let test_sim_remap_moves_services () =
   let engine = Engine.create () in
   let topo = quiet_topo ~n:2 engine in
-  let stages = Stage.balanced ~n:2 ~work:1.0 ~state_bytes:100.0 () in
+  let stages = Stage_gen.balanced ~n:2 ~work:1.0 ~state_bytes:100.0 () in
   let input = Stream_spec.make ~items:30 ~item_bytes:10.0 () in
   let trace = subscribed_trace engine in
   let sim = Skel_sim.create ~rng:(Rng.create 7) ~topo ~stages ~mapping:[| 0; 0 |] ~input () in
@@ -210,7 +210,7 @@ let test_sim_remap_same_mapping_free () =
 let test_sim_remap_off_dead_node () =
   let engine = Engine.create () in
   let topo = quiet_topo engine in
-  let stages = Stage.balanced ~n:2 ~work:1.0 ~state_bytes:1e6 () in
+  let stages = Stage_gen.balanced ~n:2 ~work:1.0 ~state_bytes:1e6 () in
   let input = Stream_spec.make ~items:10 ~item_bytes:10.0 () in
   let trace = Trace.create () in
   let sim =
@@ -234,7 +234,7 @@ let test_sim_remap_while_migrating_rejected () =
   let engine = Engine.create () in
   (* A slow link so the migration is still in flight when we re-remap. *)
   let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:5.0 ~bandwidth:1e3 () in
-  let stages = Stage.balanced ~n:2 ~work:1.0 ~state_bytes:1e4 () in
+  let stages = Stage_gen.balanced ~n:2 ~work:1.0 ~state_bytes:1e4 () in
   let input = Stream_spec.make ~items:5 ~item_bytes:10.0 () in
   let sim =
     Skel_sim.create ~rng:(Rng.create 7) ~topo ~stages ~mapping:[| 0; 0 |] ~input
@@ -624,62 +624,6 @@ let test_farm_validation () =
       Repl_sim.set_replicas farm [| [ 0 ]; [ 1 ] |]);
   Alcotest.(check (array (list int))) "workers kept" [| [ 0 ] |] (Repl_sim.replicas farm)
 
-let test_farm_window_validation () =
-  let engine = Engine.create () in
-  let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:1e-4 ~bandwidth:1e9 () in
-  Alcotest.check_raises "window 0" (Invalid_argument "Repl_sim: window must be at least 1")
-    (fun () ->
-      ignore
-        (Repl_sim.create ~window:0 ~dispatch:Repl_sim.Round_robin ~rng:(Rng.create 1) ~topo
-           ~stages:[| farm_task () |] ~replicas:[| [ 0 ] |]
-           ~input:(Stream_spec.make ~items:1 ())
-           ~trace:(Trace.create ()) ()))
-
-let test_farm_wider_window_keeps_results () =
-  (* The window changes scheduling, never the result set. *)
-  let run window =
-    let engine = Engine.create () in
-    let topo = Topology.heterogeneous engine ~speeds:[| 20.0; 10.0 |] ~latency:1e-4 ~bandwidth:1e9 () in
-    let trace =
-      Repl_sim.execute ~rng:(Rng.create 3) ~window ~dispatch:Repl_sim.Least_loaded ~topo
-        ~stages:[| farm_task () |] ~replicas:[| [ 0; 1 ] |]
-        ~input:(Stream_spec.make ~items:50 ~item_bytes:10.0 ())
-        ()
-    in
-    Trace.items_completed trace
-  in
-  Alcotest.(check int) "window 1" 50 (run 1);
-  Alcotest.(check int) "window 8" 50 (run 8)
-
-let test_farm_outstanding_bounds () =
-  let peak dispatch =
-    let engine = Engine.create () in
-    let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:1e-4 ~bandwidth:1e9 () in
-    let farm =
-      Repl_sim.create ~dispatch ~rng:(Rng.create 3) ~topo ~stages:[| farm_task () |]
-        ~replicas:[| [ 0; 1 ] |]
-        ~input:(Stream_spec.make ~items:40 ~item_bytes:10.0 ())
-        ~trace:(Trace.create ()) ()
-    in
-    (* Sample outstanding during the run. *)
-    let peak = ref 0 in
-    Aspipe_des.Engine.periodic engine ~every:0.05 (fun () ->
-        peak :=
-          max !peak
-            (max (Repl_sim.outstanding farm ~stage:0 0) (Repl_sim.outstanding farm ~stage:0 1));
-        not (Repl_sim.finished farm));
-    Repl_sim.run_to_completion farm;
-    Alcotest.check_raises "node bounds" (Invalid_argument "Repl_sim.outstanding") (fun () ->
-        ignore (Repl_sim.outstanding farm ~stage:0 9));
-    Alcotest.check_raises "stage bounds" (Invalid_argument "Repl_sim.outstanding") (fun () ->
-        ignore (Repl_sim.outstanding farm ~stage:1 0));
-    !peak
-  in
-  Alcotest.(check int) "least-loaded never above the window (2)" 2 (peak Repl_sim.Least_loaded);
-  (* The eager round-robin deal ignores the window: all 40 items are dealt
-     at t = 0, half to each worker. *)
-  Alcotest.(check int) "round-robin deals past the window" 20 (peak Repl_sim.Round_robin)
-
 let test_farm_emission_times_non_decreasing () =
   let _, trace =
     run_farm ~items:100 ~dispatch:Repl_sim.Least_loaded ~speeds:[| 30.0; 10.0 |]
@@ -763,7 +707,7 @@ let test_repl_work_keyed_across_replica_sets () =
     let input = Stream_spec.make ~items:40 ~item_bytes:10.0 () in
     let trace = Trace.create () in
     let sim =
-      Repl_sim.create ~window:1 ~rng:(Rng.create 11) ~topo ~stages ~replicas ~input ~trace ()
+      Repl_sim.create ~rng:(Rng.create 11) ~topo ~stages ~replicas ~input ~trace ()
     in
     Repl_sim.run_to_completion sim;
     List.sort compare
@@ -903,9 +847,6 @@ let () =
           Alcotest.test_case "single worker" `Quick test_farm_single_worker_serializes;
           Alcotest.test_case "set workers mid-run" `Quick test_farm_set_workers_mid_run;
           Alcotest.test_case "validation" `Quick test_farm_validation;
-          Alcotest.test_case "window validation" `Quick test_farm_window_validation;
-          Alcotest.test_case "window preserves results" `Quick test_farm_wider_window_keeps_results;
-          Alcotest.test_case "outstanding bounded by window" `Quick test_farm_outstanding_bounds;
           Alcotest.test_case "emission times non-decreasing" `Quick
             test_farm_emission_times_non_decreasing;
         ] );
