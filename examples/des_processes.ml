@@ -13,7 +13,7 @@ module Process = Aspipe_des.Process
 
 let () =
   let engine = Engine.create () in
-  let rate = Signal.create engine 10.0 in
+  let rate = Signal.create 10.0 in
   let cpu = Server.create engine ~name:"cpu" ~rate in
   let jobs = Process.Mailbox.create engine in
   let done_count = ref 0 in

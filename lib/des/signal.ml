@@ -1,14 +1,9 @@
 type t = {
-  engine : Engine.t;
   mutable value : float;
   mutable subscribers : (old_value:float -> new_value:float -> unit) list;
-  history : Aspipe_util.Timeseries.t;
 }
 
-let create engine v0 =
-  let history = Aspipe_util.Timeseries.create ~initial:v0 () in
-  Aspipe_util.Timeseries.add history (Engine.now engine) v0;
-  { engine; value = v0; subscribers = []; history }
+let create v0 = { value = v0; subscribers = [] }
 
 let get t = t.value
 
@@ -16,10 +11,7 @@ let set t v =
   if v <> t.value then begin
     let old_value = t.value in
     t.value <- v;
-    Aspipe_util.Timeseries.add t.history (Engine.now t.engine) v;
     List.iter (fun f -> f ~old_value ~new_value:v) (List.rev t.subscribers)
   end
 
 let subscribe t f = t.subscribers <- f :: t.subscribers
-
-let history t = t.history

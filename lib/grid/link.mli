@@ -3,24 +3,16 @@
     A transfer of [b] bytes costs [latency/q + b/(bandwidth·q)] seconds,
     where [q] is the link's current {e quality} — a time-varying factor
     (1.0 = nominal, 0.1 = ten times worse) driven by {!Netgen} profiles the
-    way node availability is driven by {!Loadgen}. A contended link
-    serializes concurrent transfers through an FCFS server whose rate tracks
-    [bandwidth·q] live; on an uncontended link each transfer samples the
-    quality once, when it starts. Local links — both endpoints on the same
+    way node availability is driven by {!Loadgen}. Concurrent transfers
+    overlap, and each samples the quality once, when it starts. Local links — both endpoints on the same
     node — are near-free, mirroring the "really high rate" intra-machine
     moves of grid pipeline deployments. *)
 
 type t
 
-val create :
-  Aspipe_des.Engine.t ->
-  ?contended:bool ->
-  latency:float ->
-  bandwidth:float ->
-  unit ->
-  t
+val create : Aspipe_des.Engine.t -> latency:float -> bandwidth:float -> unit -> t
 (** [latency] in seconds (≥ 0), [bandwidth] in bytes/second (> 0).
-    [contended] defaults to [false]. Quality starts at 1.0. *)
+    Quality starts at 1.0. *)
 
 val local : Aspipe_des.Engine.t -> t
 (** The same-node link: 0.1 ms latency, 10 GB/s. *)
@@ -46,8 +38,4 @@ val transfer_time : t -> bytes:float -> float
     model uses. *)
 
 val transfer : t -> bytes:float -> (unit -> unit) -> unit
-(** Simulate a transfer; the callback fires on delivery. On a contended link
-    the bandwidth portion queues behind transfers already in flight. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val quality_history : t -> Aspipe_util.Timeseries.t
+(** Simulate a transfer; the callback fires {!transfer_time} later. *)

@@ -14,17 +14,15 @@ type t = {
   link_forecasters : Forecast.t array array;  (* [src].[dst], diagonal unused *)
   user_link_forecasters : Forecast.t array;
   missed : int array;  (* consecutive unanswered heartbeats per node *)
-  suspect_after : int;
   mutable samples : int;
 }
 
-let create ?(sensor = default_sensor) ?(suspect_after = 2) ?forecaster ~rng ~every ~horizon
-    topo =
+(* Consecutive missed heartbeats that make a node suspected. *)
+let suspect_after = 2
+
+let create ?(sensor = default_sensor) ~rng ~every ~horizon topo =
   if every <= 0.0 then invalid_arg "Monitor.create: period must be positive";
-  if suspect_after < 1 then invalid_arg "Monitor.create: suspect_after must be at least 1";
-  let make_forecaster =
-    match forecaster with Some f -> f | None -> fun () -> Forecast.adaptive ~fallback:1.0 ()
-  in
+  let make_forecaster () = Forecast.adaptive ~fallback:1.0 () in
   let n = Topology.size topo in
   let t =
     {
@@ -33,7 +31,6 @@ let create ?(sensor = default_sensor) ?(suspect_after = 2) ?forecaster ~rng ~eve
       link_forecasters = Array.init n (fun _ -> Array.init n (fun _ -> make_forecaster ()));
       user_link_forecasters = Array.init n (fun _ -> make_forecaster ());
       missed = Array.make n 0;
-      suspect_after;
       samples = 0;
     }
   in
@@ -111,12 +108,4 @@ let link_forecast t ~src ~dst =
 let user_link_forecast t i = clamp01 (Forecast.predict t.user_link_forecasters.(i))
 
 let samples_taken t = t.samples
-let suspected t i = t.missed.(i) >= t.suspect_after
-
-let suspects t =
-  let acc = ref [] in
-  for i = Array.length t.missed - 1 downto 0 do
-    if suspected t i then acc := i :: !acc
-  done;
-  !acc
-let forecast_error t i = Forecast.mae t.forecasters.(i)
+let suspected t i = t.missed.(i) >= suspect_after

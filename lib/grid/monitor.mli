@@ -20,22 +20,14 @@ val default_sensor : sensor_spec
 val perfect_sensor : sensor_spec
 
 val create :
-  ?sensor:sensor_spec ->
-  ?suspect_after:int ->
-  ?forecaster:(unit -> Aspipe_util.Forecast.t) ->
-  rng:Aspipe_util.Rng.t ->
-  every:float ->
-  horizon:float ->
-  Topology.t ->
-  t
-(** Starts sampling immediately and stops after [horizon]. The default
-    forecaster factory is [Forecast.adaptive ~fallback:1.0].
+  ?sensor:sensor_spec -> rng:Aspipe_util.Rng.t -> every:float -> horizon:float -> Topology.t -> t
+(** Starts sampling immediately and stops after [horizon]. Every node and
+    link gets its own [Forecast.adaptive ~fallback:1.0] forecaster.
 
     A down node does not answer its sensor: no sample arrives and a
-    heartbeat is counted as missed. After [suspect_after] consecutive
-    misses (default 2, must be ≥ 1) the node is {!suspected} — the
-    monitor's failure-detection verdict, which stays advisory (the monitor
-    never acts on it itself). *)
+    heartbeat is counted as missed. After two consecutive misses the node
+    is {!suspected} — the monitor's failure-detection verdict, which stays
+    advisory (the monitor never acts on it itself). *)
 
 val node_forecast : t -> int -> float
 (** Forecast availability of node [i], clamped to [\[0, 1\]]; 1.0 before any
@@ -51,13 +43,5 @@ val user_link_forecast : t -> int -> float
 val samples_taken : t -> int
 
 val suspected : t -> int -> bool
-(** Whether node [i] has missed [suspect_after] or more consecutive
-    heartbeats. Cleared as soon as the node answers again. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val suspects : t -> int list
-(** All currently suspected nodes, ascending. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val forecast_error : t -> int -> float
-(** Running MAE of the node's forecaster ([nan] with < 2 samples). *)
+(** Whether node [i] has missed two or more consecutive heartbeats.
+    Cleared as soon as the node answers again. *)

@@ -66,7 +66,3 @@ let apply_pair ?rng ~horizon topo a b profile =
     Link.set_quality backward q
   in
   drive ?rng ~horizon (Topology.engine topo) set profile
-
-let degrade_user_link ?rng ~horizon topo i profile =
-  let link = Topology.user_link topo i in
-  drive ?rng ~horizon (Topology.engine topo) (Link.set_quality link) profile

@@ -1,9 +1,8 @@
 (** Network-quality generators — {!Loadgen}'s counterpart for links.
 
     A {!Loadgen.profile} is reinterpreted with "availability" read as link
-    quality (1.0 = nominal). Profiles drive one ordered pair or, with
-    {!apply_pair}, both directions of a node pair — the common case for a
-    congested route. *)
+    quality (1.0 = nominal). {!apply_pair} drives both directions of a
+    node pair — the common case for a congested route. *)
 
 val apply_pair :
   ?rng:Aspipe_util.Rng.t ->
@@ -15,8 +14,3 @@ val apply_pair :
   unit
 (** Drive both directions between two nodes with the same profile (the two
     directions share every event, as one congested route would). *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val degrade_user_link :
-  ?rng:Aspipe_util.Rng.t -> horizon:float -> Topology.t -> int -> Loadgen.profile -> unit
-(** Drive the user ↔ node [i] connection. *)

@@ -4,7 +4,6 @@ module Server = Aspipe_des.Server
 
 type t = {
   id : int;
-  name : string;
   engine : Engine.t;
   base_speed : float;
   availability : Signal.t;
@@ -13,12 +12,11 @@ type t = {
   server : Server.t;
 }
 
-let create engine ~id ?name ~speed () =
+let create engine ~id ~speed () =
   if speed <= 0.0 then invalid_arg "Node.create: speed must be positive";
-  let name = match name with Some n -> n | None -> Printf.sprintf "node%d" id in
-  let availability = Signal.create engine 1.0 in
-  let up_signal = Signal.create engine 1.0 in
-  let rate = Signal.create engine speed in
+  let availability = Signal.create 1.0 in
+  let up_signal = Signal.create 1.0 in
+  let rate = Signal.create speed in
   (* The effective rate folds both modulations in; while the node is up the
      product is numerically [speed × availability] exactly, so fault-free
      runs are bit-identical to the pre-fault model. *)
@@ -27,8 +25,8 @@ let create engine ~id ?name ~speed () =
   in
   Signal.subscribe availability (fun ~old_value:_ ~new_value:_ -> rederive ());
   Signal.subscribe up_signal (fun ~old_value:_ ~new_value:_ -> rederive ());
-  let server = Server.create engine ~name ~rate in
-  { id; name; engine; base_speed = speed; availability; up_signal; rate; server }
+  let server = Server.create engine ~name:(Printf.sprintf "node%d" id) ~rate in
+  { id; engine; base_speed = speed; availability; up_signal; rate; server }
 
 let base_speed t = t.base_speed
 let availability t = Signal.get t.availability
@@ -48,6 +46,4 @@ let set_up t v =
     else Aspipe_obs.Bus.emit bus (Aspipe_obs.Event.Node_crashed { node = t.id })
   end
 
-let effective_rate t = Signal.get t.rate
 let server t = t.server
-let availability_history t = Signal.history t.availability

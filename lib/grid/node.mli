@@ -16,8 +16,7 @@
 
 type t
 
-val create :
-  Aspipe_des.Engine.t -> id:int -> ?name:string -> speed:float -> unit -> t
+val create : Aspipe_des.Engine.t -> id:int -> speed:float -> unit -> t
 (** [speed] is in abstract work units per second; must be positive. *)
 
 val base_speed : t -> float
@@ -35,10 +34,6 @@ val set_up : t -> bool -> unit
     transition the derived server rate is re-driven (down forces rate 0)
     and the matching fault event is emitted on the engine bus. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val effective_rate : t -> float
-(** [base_speed × availability × up], in work units per second. *)
-
 val server : t -> Aspipe_des.Server.t
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val availability_history : t -> Aspipe_util.Timeseries.t
+(** The node's server, serving at [base_speed × availability × up] work
+    units per second. *)

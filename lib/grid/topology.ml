@@ -14,7 +14,6 @@ let node t i =
   if i < 0 || i >= size t then invalid_arg "Topology.node: index out of range";
   t.nodes.(i)
 
-let nodes t = Array.copy t.nodes
 
 let link t ~src ~dst =
   if src < 0 || src >= size t || dst < 0 || dst >= size t then

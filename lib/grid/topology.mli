@@ -7,8 +7,6 @@ type t
 val engine : t -> Aspipe_des.Engine.t
 val size : t -> int
 val node : t -> int -> Node.t
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val nodes : t -> Node.t array
 
 val link : t -> src:int -> dst:int -> Link.t
 (** [link t ~src ~dst]; [src = dst] is the local link. *)

@@ -128,9 +128,6 @@ let service_times t ~stage =
   in
   Array.of_list (List.rev times)
 
-let services_on_node t ~node =
-  List.length (List.filter (fun s -> s.node = node) t.services)
-
 let transfers t = List.rev t.transfers
 let adaptations t = List.rev t.adaptations
 

@@ -84,8 +84,6 @@ val services : t -> service list
 val service_times : t -> stage:int -> float array
 (** Durations of every service of [stage]. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val services_on_node : t -> node:int -> int
 val transfers : t -> transfer list
 val adaptations : t -> adaptation list
 (** In time order. *)

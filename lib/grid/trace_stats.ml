@@ -29,12 +29,6 @@ let per_stage trace ~stages =
         nodes_used = nodes;
       })
 
-let node_busy_time trace ~node =
-  List.fold_left
-    (fun acc (s : Trace.service) ->
-      if s.Trace.node = node then acc +. (s.Trace.finish -. s.Trace.start) else acc)
-    0.0 (Trace.services trace)
-
 let gantt_rows trace =
   let header = [ "kind"; "item"; "stage"; "nodes"; "start"; "finish" ] in
   let service_rows =

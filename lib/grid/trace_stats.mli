@@ -14,10 +14,6 @@ type stage_summary = {
 (* lint: unused-export-ok used by table; test_grid checks it directly *)
 val per_stage : Trace.t -> stages:int -> stage_summary list
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val node_busy_time : Trace.t -> node:int -> float
-(** Total service time the trace records on a node. *)
-
 val gantt_rows : Trace.t -> string list list
 (** Header plus one row per service and per transfer:
     [kind; item; stage; node(s); start; finish] — feed to

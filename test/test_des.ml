@@ -259,8 +259,7 @@ let test_engine_periodic_start () =
 (* --------------------------------------------------------------- Signal *)
 
 let test_signal_basics () =
-  let engine = Engine.create () in
-  let s = Signal.create engine 1.0 in
+  let s = Signal.create 1.0 in
   check_float "initial value" 1.0 (Signal.get s);
   let seen = ref [] in
   Signal.subscribe s (fun ~old_value ~new_value -> seen := (old_value, new_value) :: !seen);
@@ -272,18 +271,21 @@ let test_signal_basics () =
 
 let test_signal_history () =
   let engine = Engine.create () in
-  let s = Signal.create engine 1.0 in
+  let s = Signal.create 1.0 in
   ignore (Engine.schedule engine ~delay:2.0 (fun () -> Signal.set s 0.25));
+  let seen = ref [] in
+  List.iter
+    (fun time -> ignore (Engine.schedule_at engine ~time (fun () -> seen := Signal.get s :: !seen)))
+    [ 1.0; 3.0 ];
   Engine.run engine;
-  let history = Signal.history s in
-  check_float "history before the change" 1.0 (Aspipe_util.Timeseries.value_at history 1.0);
-  check_float "history after the change" 0.25 (Aspipe_util.Timeseries.value_at history 3.0)
+  Alcotest.(check (list (float 0.0))) "before and after the change" [ 1.0; 0.25 ]
+    (List.rev !seen)
 
 (* --------------------------------------------------------------- Server *)
 
 let make_server ?(rate = 10.0) () =
   let engine = Engine.create () in
-  let signal = Signal.create engine rate in
+  let signal = Signal.create rate in
   let server = Server.create engine ~name:"s" ~rate:signal in
   (engine, signal, server)
 
@@ -389,7 +391,7 @@ let test_server_resubmit_from_callback () =
 let test_server_shared_rate_signal () =
   (* Two servers driven by one signal must both retime on a change. *)
   let engine = Engine.create () in
-  let signal = Signal.create engine 10.0 in
+  let signal = Signal.create 10.0 in
   let a = Server.create engine ~name:"a" ~rate:signal in
   let b = Server.create engine ~name:"b" ~rate:signal in
   let fa = ref nan and fb = ref nan in
@@ -409,7 +411,7 @@ let test_server_random_rate_schedule =
       pair (float_range 1.0 50.0) (list_size (int_range 0 8) (float_range 0.1 10.0)))
     (fun (work, rates) ->
       let engine = Engine.create () in
-      let signal = Signal.create engine 1.0 in
+      let signal = Signal.create 1.0 in
       let server = Server.create engine ~name:"p" ~rate:signal in
       let finish = ref nan in
       Server.submit server ~work (fun () -> finish := Engine.now engine);
@@ -497,7 +499,7 @@ let test_process_await_bridges_callbacks () =
   (* A process submits to a rate-modulated server and awaits the completion
      callback — sequential code over the callback API. *)
   let engine = Engine.create () in
-  let signal = Signal.create engine 10.0 in
+  let signal = Signal.create 10.0 in
   let server = Server.create engine ~name:"p" ~rate:signal in
   let finish = ref nan in
   Process.spawn engine (fun () ->

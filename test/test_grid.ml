@@ -15,16 +15,41 @@ let check_close ?(eps = 1e-6) msg a b = Alcotest.(check (float eps)) msg a b
 
 (* ----------------------------------------------------------------- Node *)
 
+(* The rate [node]'s server serves at now: the inverse of the time one unit
+   of work takes when submitted alone, or 0 when it never finishes. *)
+let service_rate engine node =
+  let start = Engine.now engine and finish = ref infinity in
+  Aspipe_des.Server.submit (Node.server node) ~work:1.0 (fun () -> finish := Engine.now engine);
+  Engine.run engine;
+  1.0 /. (!finish -. start)
+
 let test_node_rates () =
   let engine = Engine.create () in
   let node = Node.create engine ~id:0 ~speed:8.0 () in
-  check_float "dedicated rate" 8.0 (Node.effective_rate node);
+  check_float "dedicated rate" 8.0 (service_rate engine node);
   Node.set_availability node 0.5;
-  check_float "half availability halves the rate" 4.0 (Node.effective_rate node);
+  check_float "half availability halves the rate" 4.0 (service_rate engine node);
   Node.set_availability node 2.0;
-  check_float "availability clamped above" 8.0 (Node.effective_rate node);
+  check_float "availability clamped above" 8.0 (service_rate engine node);
   Node.set_availability node (-1.0);
-  check_float "availability clamped below" 0.0 (Node.effective_rate node)
+  check_float "availability clamped below" 0.0 (service_rate engine node)
+
+(* [read ()] at each of [times], collected by events scheduled on [engine]
+   before it runs. *)
+let probe engine times read =
+  let seen = ref [] in
+  List.iter
+    (fun time -> ignore (Engine.schedule_at engine ~time (fun () -> seen := read () :: !seen)))
+    times;
+  fun () -> List.rev !seen
+
+(* [(time, read ())] every [every] seconds until [horizon]. *)
+let sample engine ~every ~horizon read =
+  let seen = ref [] in
+  Engine.periodic engine ~every (fun () ->
+      seen := (Engine.now engine, read ()) :: !seen;
+      Engine.now engine < horizon);
+  fun () -> List.rev !seen
 
 let test_node_invalid_speed () =
   let engine = Engine.create () in
@@ -35,10 +60,9 @@ let test_node_history () =
   let engine = Engine.create () in
   let node = Node.create engine ~id:1 ~speed:10.0 () in
   ignore (Engine.schedule engine ~delay:5.0 (fun () -> Node.set_availability node 0.3));
+  let seen = probe engine [ 2.0; 6.0 ] (fun () -> Node.availability node) in
   Engine.run engine;
-  let history = Node.availability_history node in
-  check_float "before" 1.0 (Aspipe_util.Timeseries.value_at history 2.0);
-  check_float "after" 0.3 (Aspipe_util.Timeseries.value_at history 6.0)
+  Alcotest.(check (list (float 1e-9))) "before, after" [ 1.0; 0.3 ] (seen ())
 
 (* ----------------------------------------------------------------- Link *)
 
@@ -63,17 +87,6 @@ let test_link_uncontended_overlap () =
   Link.transfer link ~bytes:50.0 (fun () -> times := Engine.now engine :: !times);
   Engine.run engine;
   Alcotest.(check (list (float 1e-9))) "parallel transfers overlap" [ 1.0; 1.0 ] !times
-
-let test_link_contended_serializes () =
-  let engine = Engine.create () in
-  let link = Link.create engine ~contended:true ~latency:0.1 ~bandwidth:100.0 () in
-  let times = ref [] in
-  Link.transfer link ~bytes:100.0 (fun () -> times := Engine.now engine :: !times);
-  Link.transfer link ~bytes:100.0 (fun () -> times := Engine.now engine :: !times);
-  Engine.run engine;
-  (* First: 1 s on the wire + 0.1 latency; second queues behind the first's
-     bandwidth slot: 2 s + 0.1. *)
-  Alcotest.(check (list (float 1e-9))) "bandwidth serializes" [ 2.1; 1.1 ] !times
 
 let test_link_invalid () =
   let engine = Engine.create () in
@@ -101,7 +114,7 @@ let test_topology_heterogeneous () =
   let engine = Engine.create () in
   let topo = Topology.heterogeneous engine ~speeds:[| 1.0; 2.0; 3.0 |] ~latency:0.01 ~bandwidth:1e6 () in
   Alcotest.(check (list (float 0.0))) "per-node speeds" [ 1.0; 2.0; 3.0 ]
-    (Array.to_list (Array.map Node.base_speed (Topology.nodes topo)))
+    (List.init (Topology.size topo) (fun i -> Node.base_speed (Topology.node topo i)))
 
 let test_topology_two_site () =
   let engine = Engine.create () in
@@ -125,15 +138,19 @@ let test_topology_bounds () =
 
 (* -------------------------------------------------------------- Loadgen *)
 
+(* Runs [profile] on a one-node grid, reading the availability every 0.25 s;
+   returns the node and the [(time, availability)] readings. *)
 let run_profile ?rng ~horizon profile =
   let engine = Engine.create () in
   let topo = Topology.uniform engine ~n:1 ~speed:10.0 ~latency:0.01 ~bandwidth:1e6 () in
   Loadgen.apply_until ?rng ~horizon topo 0 profile;
+  let node = Topology.node topo 0 in
+  let seen = sample engine ~every:0.25 ~horizon (fun () -> Node.availability node) in
   Engine.run ~until:horizon engine;
-  (engine, Topology.node topo 0)
+  (node, seen ())
 
 let test_loadgen_constant () =
-  let _, node = run_profile ~horizon:10.0 (Loadgen.Constant 0.4) in
+  let node, _ = run_profile ~horizon:10.0 (Loadgen.Constant 0.4) in
   check_float "constant applied" 0.4 (Node.availability node)
 
 let test_loadgen_step () =
@@ -155,39 +172,38 @@ let test_loadgen_steps_schedule () =
   check_float "second step" 0.9 (Node.availability (Topology.node topo 0))
 
 let test_loadgen_sine_bounded () =
-  let _, node =
+  let _, readings =
     run_profile ~horizon:50.0
       (Loadgen.Sine { period = 10.0; base = 0.6; amplitude = 0.3; sample_every = 0.5 })
   in
-  let history = Node.availability_history node in
+  let values = List.map snd readings in
   List.iter
-    (fun (_, v) ->
-      if v < 0.0 || v > 1.0 then Alcotest.fail "sine availability out of clamp range")
-    (Aspipe_util.Timeseries.points history);
+    (fun v -> if v < 0.0 || v > 1.0 then Alcotest.fail "sine availability out of clamp range")
+    values;
   (* The signal must actually oscillate. *)
-  let values = List.map snd (Aspipe_util.Timeseries.points history) in
   let lo = List.fold_left Float.min 1.0 values and hi = List.fold_left Float.max 0.0 values in
   Alcotest.(check bool) "oscillates" true (hi -. lo > 0.3)
 
 let test_loadgen_random_walk_bounds () =
   let rng = Rng.create 4 in
-  let _, node =
+  let _, readings =
     run_profile ~rng ~horizon:200.0
       (Loadgen.Random_walk { every = 1.0; sigma = 0.3; lo = 0.2; hi = 0.9 })
   in
+  (* The node stays dedicated until the walk's first step at t = 1. *)
   List.iter
     (fun (t, v) ->
-      if t > 0.0 && (v < 0.2 -. 1e-9 || v > 0.9 +. 1e-9) then
+      if t > 1.0 && (v < 0.2 -. 1e-9 || v > 0.9 +. 1e-9) then
         Alcotest.fail (Printf.sprintf "walk escaped bounds: %f at %f" v t))
-    (Aspipe_util.Timeseries.points (Node.availability_history node))
+    readings
 
 let test_loadgen_markov_levels () =
   let rng = Rng.create 6 in
-  let _, node =
+  let _, readings =
     run_profile ~rng ~horizon:500.0
       (Loadgen.Markov_on_off { to_busy_rate = 0.2; to_free_rate = 0.2; busy_level = 0.3 })
   in
-  let values = List.map snd (Aspipe_util.Timeseries.points (Node.availability_history node)) in
+  let values = List.map snd readings in
   List.iter
     (fun v -> if v <> 1.0 && v <> 0.3 then Alcotest.fail "markov level not in {1.0, 0.3}")
     values;
@@ -227,20 +243,9 @@ let test_link_quality_history () =
   let engine = Engine.create () in
   let link = Link.create engine ~latency:0.1 ~bandwidth:100.0 () in
   ignore (Engine.schedule engine ~delay:3.0 (fun () -> Link.set_quality link 0.25));
+  let seen = probe engine [ 1.0; 4.0 ] (fun () -> Link.quality link) in
   Engine.run engine;
-  check_float "history before" 1.0 (Aspipe_util.Timeseries.value_at (Link.quality_history link) 1.0);
-  check_float "history after" 0.25 (Aspipe_util.Timeseries.value_at (Link.quality_history link) 4.0)
-
-let test_link_contended_quality_retimes () =
-  (* A transfer in flight on a contended link slows down when quality drops. *)
-  let engine = Engine.create () in
-  let link = Link.create engine ~contended:true ~latency:0.0 ~bandwidth:100.0 () in
-  let finish = ref nan in
-  Link.transfer link ~bytes:100.0 (fun () -> finish := Engine.now engine);
-  ignore (Engine.schedule engine ~delay:0.5 (fun () -> Link.set_quality link 0.5));
-  Engine.run engine;
-  (* 50 bytes by t=0.5; remaining 50 at 50 B/s -> one more second. *)
-  check_close ~eps:1e-9 "wire retimed" 1.5 !finish
+  Alcotest.(check (list (float 1e-9))) "quality before, after" [ 1.0; 0.25 ] (seen ())
 
 (* --------------------------------------------------------------- Netgen *)
 
@@ -254,14 +259,6 @@ let test_netgen_pair_step () =
   check_float "forward degraded" 0.2 (Link.quality (Topology.link topo ~src:0 ~dst:1));
   check_float "backward degraded" 0.2 (Link.quality (Topology.link topo ~src:1 ~dst:0));
   check_float "other pairs untouched" 1.0 (Link.quality (Topology.link topo ~src:0 ~dst:2))
-
-let test_netgen_user_link () =
-  let engine = Engine.create () in
-  let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:0.01 ~bandwidth:1e6 () in
-  Netgen.degrade_user_link ~horizon:100.0 topo 1 (Loadgen.Constant 0.3);
-  Engine.run ~until:1.0 engine;
-  check_float "user link degraded" 0.3 (Link.quality (Topology.user_link topo 1));
-  check_float "other user link untouched" 1.0 (Link.quality (Topology.user_link topo 0))
 
 let test_netgen_needs_rng () =
   let engine = Engine.create () in
@@ -355,7 +352,9 @@ let test_monitor_forecast_error () =
       topo
   in
   Engine.run ~until:30.0 engine;
-  check_close ~eps:1e-6 "constant signal forecast error ~0" 0.0 (Monitor.forecast_error monitor 0)
+  check_close ~eps:1e-6 "constant signal forecast error ~0"
+    (Node.availability (Topology.node topo 0))
+    (Monitor.node_forecast monitor 0)
 
 (* ---------------------------------------------------------------- Trace *)
 
@@ -422,7 +421,8 @@ let test_trace_services () =
   Alcotest.(check int) "three services" 3 (List.length (Trace.services t));
   Alcotest.(check (list (float 1e-9))) "stage 0 service times" [ 1.0; 1.5 ]
     (Array.to_list (Trace.service_times t ~stage:0));
-  Alcotest.(check int) "services on node 1" 2 (Trace.services_on_node t ~node:1);
+  Alcotest.(check int) "services on node 1" 2
+    (List.length (List.filter (fun (s : Trace.service) -> s.Trace.node = 1) (Trace.services t)));
   Alcotest.(check int) "one transfer" 1 (List.length (Trace.transfers t))
 
 let test_trace_sojourn () =
@@ -500,8 +500,14 @@ let test_trace_stats_per_stage () =
 
 let test_trace_stats_node_busy () =
   let t = sample_trace () in
-  check_close ~eps:1e-9 "node 1 busy time" 2.5 (Trace_stats.node_busy_time t ~node:1);
-  check_float "unused node" 0.0 (Trace_stats.node_busy_time t ~node:7)
+  let busy node =
+    List.fold_left
+      (fun acc (s : Trace.service) ->
+        if s.Trace.node = node then acc +. (s.Trace.finish -. s.Trace.start) else acc)
+      0.0 (Trace.services t)
+  in
+  check_close ~eps:1e-9 "node 1 busy time" 2.5 (busy 1);
+  check_float "unused node" 0.0 (busy 7)
 
 let test_trace_stats_gantt () =
   let t = sample_trace () in
@@ -530,16 +536,13 @@ let () =
           Alcotest.test_case "transfer time" `Quick test_link_transfer_time;
           Alcotest.test_case "delivery" `Quick test_link_delivery;
           Alcotest.test_case "uncontended overlap" `Quick test_link_uncontended_overlap;
-          Alcotest.test_case "contended serializes" `Quick test_link_contended_serializes;
           Alcotest.test_case "invalid" `Quick test_link_invalid;
           Alcotest.test_case "quality scales costs" `Quick test_link_quality_scales_costs;
           Alcotest.test_case "quality history" `Quick test_link_quality_history;
-          Alcotest.test_case "contended retimes" `Quick test_link_contended_quality_retimes;
         ] );
       ( "netgen",
         [
           Alcotest.test_case "pair step" `Quick test_netgen_pair_step;
-          Alcotest.test_case "user link" `Quick test_netgen_user_link;
           Alcotest.test_case "needs rng" `Quick test_netgen_needs_rng;
           Alcotest.test_case "monitor link forecast" `Quick test_monitor_link_forecast;
         ] );

@@ -555,6 +555,9 @@ let run_farm ?(items = 40) ?(dispatch = Repl_sim.Round_robin) ?(speeds = [| 10.0
   Repl_sim.run_to_completion farm;
   (farm, trace)
 
+let services_on_node trace ~node =
+  List.length (List.filter (fun (s : Trace.service) -> s.Trace.node = node) (Trace.services trace))
+
 let test_farm_completes_in_order () =
   let _, trace = run_farm ~workers:[ 0; 1 ] () in
   Alcotest.(check int) "all items" 40 (Trace.items_completed trace);
@@ -563,8 +566,8 @@ let test_farm_completes_in_order () =
 
 let test_farm_round_robin_shares () =
   let _, trace = run_farm ~items:40 ~workers:[ 0; 1 ] () in
-  Alcotest.(check int) "half on node 0" 20 (Trace.services_on_node trace ~node:0);
-  Alcotest.(check int) "half on node 1" 20 (Trace.services_on_node trace ~node:1)
+  Alcotest.(check int) "half on node 0" 20 (services_on_node trace ~node:0);
+  Alcotest.(check int) "half on node 1" 20 (services_on_node trace ~node:1)
 
 let test_farm_least_loaded_proportional () =
   (* Node 0 is 4x faster: demand-driven dealing should give it ~4x the work. *)
@@ -572,15 +575,15 @@ let test_farm_least_loaded_proportional () =
     run_farm ~items:200 ~dispatch:Repl_sim.Least_loaded ~speeds:[| 40.0; 10.0 |]
       ~workers:[ 0; 1 ] ()
   in
-  let n0 = Trace.services_on_node trace ~node:0 in
-  let n1 = Trace.services_on_node trace ~node:1 in
+  let n0 = services_on_node trace ~node:0 in
+  let n1 = services_on_node trace ~node:1 in
   let ratio = Float.of_int n0 /. Float.of_int n1 in
   Alcotest.(check bool) (Printf.sprintf "share ratio ~4 (got %.2f)" ratio) true
     (ratio > 2.5 && ratio < 6.0)
 
 let test_farm_single_worker_serializes () =
   let _, trace = run_farm ~items:30 ~workers:[ 1 ] () in
-  Alcotest.(check int) "everything on the lone worker" 30 (Trace.services_on_node trace ~node:1);
+  Alcotest.(check int) "everything on the lone worker" 30 (services_on_node trace ~node:1);
   Alcotest.(check (float 0.1)) "serialized makespan" 3.0 (Trace.makespan trace)
 
 let test_farm_set_workers_mid_run () =
@@ -601,7 +604,7 @@ let test_farm_set_workers_mid_run () =
   (* Items 0..20 arrive by t = 4 and go to node 0. The deal's cursor is kept
      across the change, so item 21 goes to the new set's second member. *)
   Alcotest.(check (list int)) "deal continues from its cursor" [ 21; 14; 15 ]
-    (List.map (fun node -> Trace.services_on_node trace ~node) [ 0; 1; 2 ])
+    (List.map (fun node -> services_on_node trace ~node) [ 0; 1; 2 ])
 
 let test_farm_validation () =
   let engine = Engine.create () in
@@ -675,7 +678,7 @@ let test_repl_replicas_all_used () =
       Alcotest.(check bool)
         (Printf.sprintf "replica %d served items" node)
         true
-        (Trace.services_on_node trace ~node > 0))
+        (services_on_node trace ~node > 0))
     [ 1; 2; 3 ]
 
 let test_repl_order_restored_despite_variance () =

@@ -5,7 +5,6 @@ module Rng = Aspipe_util.Rng
 module Variate = Aspipe_util.Variate
 module Stats = Aspipe_util.Stats
 module Forecast = Aspipe_util.Forecast
-module Timeseries = Aspipe_util.Timeseries
 module Render = Aspipe_util.Render
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -409,60 +408,6 @@ let test_csv_save_files () =
   close_in ic;
   Alcotest.(check string) "header written" "a" line
 
-(* ----------------------------------------------------------- Timeseries *)
-
-let test_timeseries_eval () =
-  let ts = Timeseries.of_points ~initial:1.0 [ (10.0, 2.0); (20.0, 3.0) ] in
-  check_float "before first point" 1.0 (Timeseries.value_at ts 5.0);
-  check_float "at a point" 2.0 (Timeseries.value_at ts 10.0);
-  check_float "between points" 2.0 (Timeseries.value_at ts 15.0);
-  check_float "after last" 3.0 (Timeseries.value_at ts 25.0)
-
-let test_timeseries_append_only () =
-  let ts = Timeseries.create () in
-  Timeseries.add ts 5.0 1.0;
-  Alcotest.check_raises "past insert rejected"
-    (Invalid_argument "Timeseries.add: time must be non-decreasing") (fun () ->
-      Timeseries.add ts 4.0 2.0)
-
-let test_timeseries_same_instant_overwrites () =
-  let ts = Timeseries.create () in
-  Timeseries.add ts 5.0 1.0;
-  Timeseries.add ts 5.0 9.0;
-  check_float "same-time update supersedes" 9.0 (Timeseries.value_at ts 5.0);
-  Alcotest.(check int) "one point kept" 1 (List.length (Timeseries.points ts))
-
-let test_timeseries_integrate () =
-  let ts = Timeseries.of_points ~initial:0.0 [ (0.0, 2.0); (10.0, 4.0) ] in
-  check_float "integral over constant piece" 20.0 (Timeseries.integrate ts ~lo:0.0 ~hi:10.0);
-  check_float "integral across a breakpoint" 18.0 (Timeseries.integrate ts ~lo:5.0 ~hi:12.0);
-  check_float "empty window" 0.0 (Timeseries.integrate ts ~lo:3.0 ~hi:3.0)
-
-let test_timeseries_integrate_matches_samples =
-  qtest ~count:100 "integrate agrees with fine Riemann sampling"
-    QCheck2.Gen.(list_size (int_range 1 10) (pair (float_range 0.0 100.0) (float_range 0.0 5.0)))
-    (fun points ->
-      let dedup = List.sort_uniq (fun (a, _) (b, _) -> Float.compare a b) points in
-      let ts = Timeseries.of_points ~initial:1.0 dedup in
-      let lo = 0.0 and hi = 110.0 in
-      let exact = Timeseries.integrate ts ~lo ~hi in
-      let step = 0.01 in
-      let samples = Timeseries.sample ts ~lo ~hi:(hi -. step) ~step in
-      let riemann = Array.fold_left (fun acc (_, v) -> acc +. (v *. step)) 0.0 samples in
-      Float.abs (exact -. riemann) < 0.5)
-
-let test_timeseries_duplicate_points () =
-  Alcotest.check_raises "duplicate timestamps rejected"
-    (Invalid_argument "Timeseries.of_points: duplicate timestamp") (fun () ->
-      ignore (Timeseries.of_points [ (1.0, 2.0); (1.0, 3.0) ]))
-
-let test_timeseries_sample_grid () =
-  let ts = Timeseries.of_points ~initial:0.0 [ (0.0, 1.0) ] in
-  let samples = Timeseries.sample ts ~lo:0.0 ~hi:1.0 ~step:0.25 in
-  Alcotest.(check int) "5 samples over [0,1] at 0.25" 5 (Array.length samples);
-  check_float "first sample x" 0.0 (fst samples.(0));
-  check_float "last sample x" 1.0 (fst samples.(4))
-
 (* --------------------------------------------------------------- Render *)
 
 let test_table_render () =
@@ -543,26 +488,6 @@ let test_prop_quantile_bounded =
       let lo = List.fold_left Float.min infinity xs
       and hi = List.fold_left Float.max neg_infinity xs in
       v >= lo && v <= hi)
-
-let test_prop_resample_conserves_integral =
-  (* A piecewise-constant series whose breakpoints sit on the sampling
-     grid: summing sample · step over [0, n) must reproduce the exact
-     integral — resampling a step signal on its own grid loses nothing. *)
-  qtest ~count:100 "resampling on the breakpoint grid conserves the integral"
-    QCheck2.Gen.(list_size (int_range 1 40) (float_range (-50.0) 50.0))
-    (fun levels ->
-      let n = List.length levels in
-      let points = List.mapi (fun i v -> (float_of_int i, v)) levels in
-      let ts = Timeseries.of_points ~initial:0.0 points in
-      let hi = float_of_int n in
-      let integral = Timeseries.integrate ts ~lo:0.0 ~hi in
-      let samples = Timeseries.sample ts ~lo:0.0 ~hi ~step:1.0 in
-      let riemann =
-        Array.fold_left
-          (fun acc (t, v) -> if t < hi then acc +. v else acc)
-          0.0 samples
-      in
-      Float.abs (riemann -. integral) <= 1e-6 *. Float.max 1.0 (Float.abs integral))
 
 let test_prop_forecast_constant_fixed_point =
   (* Every forecaster in the bank (and the NWS ensemble on top) must treat
@@ -1233,16 +1158,6 @@ let () =
           Alcotest.test_case "series rows" `Quick test_csv_series_rows;
           Alcotest.test_case "save files" `Quick test_csv_save_files;
         ] );
-      ( "timeseries",
-        [
-          Alcotest.test_case "piecewise eval" `Quick test_timeseries_eval;
-          Alcotest.test_case "append only" `Quick test_timeseries_append_only;
-          Alcotest.test_case "same instant" `Quick test_timeseries_same_instant_overwrites;
-          Alcotest.test_case "integrate" `Quick test_timeseries_integrate;
-          test_timeseries_integrate_matches_samples;
-          Alcotest.test_case "duplicates" `Quick test_timeseries_duplicate_points;
-          Alcotest.test_case "sample grid" `Quick test_timeseries_sample_grid;
-        ] );
       ( "ring",
         [
           Alcotest.test_case "fifo" `Quick test_ring_fifo;
@@ -1278,7 +1193,6 @@ let () =
           test_prop_variance_matches_fold;
           test_prop_quantile_monotone;
           test_prop_quantile_bounded;
-          test_prop_resample_conserves_integral;
           test_prop_forecast_constant_fixed_point;
           test_prop_forecast_matches_reference;
           Alcotest.test_case "rng split chi-square" `Quick test_rng_split_chi_square;
