@@ -510,7 +510,7 @@ let trace_export verbose quick seed (nodes, stages, items, hot, step_at) format 
       ignore
         (Adaptive.run
            ~instrument:(fun bus ->
-             ignore (Aspipe_obs.Bus.subscribe bus (Jsonl.sink_to_buffer buffer)))
+             Aspipe_obs.Bus.subscribe bus (Jsonl.sink_to_buffer buffer))
            ~scenario ~seed ());
       write_out (Buffer.contents buffer)
 

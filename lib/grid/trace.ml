@@ -64,25 +64,24 @@ let record_adaptation t a = t.adaptations <- a :: t.adaptations
    emits on; a summary needs only what the simulator records directly. *)
 let subscribe t bus =
   let module Event = Aspipe_obs.Event in
-  ignore
-    (Aspipe_obs.Bus.subscribe bus (fun (event : Event.t) ->
-         match event.payload with
-         | Event.Service_finish { item; stage; node; start } ->
-             record_service t { item; stage; node; start; finish = event.time }
-         | Event.Transfer { item; from_stage; src; dst; start; bytes = _ } ->
-             record_transfer t { item; from_stage; src; dst; start; finish = event.time }
-         | Event.Completion { item } -> record_completion t ~item ~time:event.time
-         | Event.Sojourn { item; arrival } -> record_arrival t ~item ~time:arrival
-         | Event.Adaptation_committed
-             { mapping_before; mapping_after; predicted_gain; migration_cost } ->
-             record_adaptation t
-               { at = event.time; mapping_before; mapping_after; predicted_gain; migration_cost }
-         | Event.Service_start _ | Event.Slo_window _ | Event.Queue_sample _
-         | Event.Calibration_sample _ | Event.Monitor_sample _ | Event.Forecast_update _
-         | Event.Adaptation_considered _ | Event.Adaptation_rejected _ | Event.Node_crashed _
-         | Event.Node_recovered _ | Event.Item_lost _ | Event.Item_redispatched _
-         | Event.Failover_committed _ ->
-             ()))
+  Aspipe_obs.Bus.subscribe bus (fun (event : Event.t) ->
+      match event.payload with
+      | Event.Service_finish { item; stage; node; start } ->
+          record_service t { item; stage; node; start; finish = event.time }
+      | Event.Transfer { item; from_stage; src; dst; start; bytes = _ } ->
+          record_transfer t { item; from_stage; src; dst; start; finish = event.time }
+      | Event.Completion { item } -> record_completion t ~item ~time:event.time
+      | Event.Sojourn { item; arrival } -> record_arrival t ~item ~time:arrival
+      | Event.Adaptation_committed
+          { mapping_before; mapping_after; predicted_gain; migration_cost } ->
+          record_adaptation t
+            { at = event.time; mapping_before; mapping_after; predicted_gain; migration_cost }
+      | Event.Service_start _ | Event.Slo_window _ | Event.Queue_sample _
+      | Event.Calibration_sample _ | Event.Monitor_sample _ | Event.Forecast_update _
+      | Event.Adaptation_considered _ | Event.Adaptation_rejected _ | Event.Node_crashed _
+      | Event.Node_recovered _ | Event.Item_lost _ | Event.Item_redispatched _
+      | Event.Failover_committed _ ->
+          ())
 
 let completions t = Array.of_list (List.rev t.completions)
 let items_completed t = List.length t.completions

@@ -2,87 +2,39 @@ type sink = Event.t -> unit
 
 type interest = All | Control
 
-type subscription = int
-
-(* Sinks live in growable parallel arrays kept in subscription order —
-   appending is amortised O(1) (the old list representation rebuilt the
-   whole list per subscribe, O(n²) across n subscriptions) and delivery is
-   a cache-friendly array walk.
+(* Sinks live in a growable array kept in subscription order — appending
+   is amortised O(1) (the old list representation rebuilt the whole list
+   per subscribe, O(n²) across n subscriptions) and delivery is a
+   cache-friendly array walk.
 
    [all_count] caches how many sinks want the full stream, so {!active} —
    the guard hot call sites consult before even building a payload — is a
    single integer compare rather than a list probe. *)
 type t = {
   mutable clock : unit -> float;
-  mutable ids : int array;
   mutable sinks : sink array;
-  mutable alls : bool array;  (* interest = All, per slot *)
   mutable count : int;
   mutable all_count : int;
-  mutable next_id : int;
   mutable seq : int;
 }
 
 let null_sink (_ : Event.t) = ()
 
-let create ?(clock = fun () -> 0.0) () =
-  {
-    clock;
-    ids = [||];
-    sinks = [||];
-    alls = [||];
-    count = 0;
-    all_count = 0;
-    next_id = 0;
-    seq = 0;
-  }
+let create () = { clock = (fun () -> 0.0); sinks = [||]; count = 0; all_count = 0; seq = 0 }
 
 let set_clock t clock = t.clock <- clock
 let now t = t.clock ()
 
-let grow t =
-  let cap = Array.length t.ids in
-  let ncap = if cap = 0 then 4 else 2 * cap in
-  let ids = Array.make ncap 0 in
-  Array.blit t.ids 0 ids 0 cap;
-  let sinks = Array.make ncap null_sink in
-  Array.blit t.sinks 0 sinks 0 cap;
-  let alls = Array.make ncap false in
-  Array.blit t.alls 0 alls 0 cap;
-  t.ids <- ids;
-  t.sinks <- sinks;
-  t.alls <- alls
-
 let subscribe ?(interest = All) t sink =
-  let id = t.next_id in
-  t.next_id <- id + 1;
-  if t.count = Array.length t.ids then grow t;
-  t.ids.(t.count) <- id;
+  if t.count = Array.length t.sinks then begin
+    let cap = Array.length t.sinks in
+    let sinks = Array.make (if cap = 0 then 4 else 2 * cap) null_sink in
+    Array.blit t.sinks 0 sinks 0 cap;
+    t.sinks <- sinks
+  end;
   t.sinks.(t.count) <- sink;
-  let all = interest = All in
-  t.alls.(t.count) <- all;
   t.count <- t.count + 1;
-  if all then t.all_count <- t.all_count + 1;
-  id
-
-let unsubscribe t id =
-  let found = ref (-1) in
-  for i = 0 to t.count - 1 do
-    if !found < 0 && t.ids.(i) = id then found := i
-  done;
-  match !found with
-  | -1 -> ()
-  | i ->
-      if t.alls.(i) then t.all_count <- t.all_count - 1;
-      let last = t.count - 1 in
-      for j = i to last - 1 do
-        t.ids.(j) <- t.ids.(j + 1);
-        t.sinks.(j) <- t.sinks.(j + 1);
-        t.alls.(j) <- t.alls.(j + 1)
-      done;
-      (* Drop the stale closure so the bus does not retain it. *)
-      t.sinks.(last) <- null_sink;
-      t.count <- last
+  if interest = All then t.all_count <- t.all_count + 1
 
 let active t = t.all_count > 0
 

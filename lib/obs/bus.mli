@@ -25,11 +25,8 @@ type interest =
           is actually emitted; it just does not, by itself, make {!active}
           true and so does not force the per-item hot emits. *)
 
-type subscription
-
-val create : ?clock:(unit -> float) -> unit -> t
-(** A fresh bus. The default clock is constantly [0.0] until
-    {!set_clock}. *)
+val create : unit -> t
+(** A fresh bus. Its clock reads [0.0] until {!set_clock}. *)
 
 val set_clock : t -> (unit -> float) -> unit
 (** Rebind the time source (the DES engine does this once at creation). *)
@@ -37,14 +34,9 @@ val set_clock : t -> (unit -> float) -> unit
 val now : t -> float
 (** Current clock reading. *)
 
-val subscribe : ?interest:interest -> t -> sink -> subscription
-(** Attach a sink ([interest] defaults to [All]); it sees every event
-    emitted after this call. Amortised O(1). *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val unsubscribe : t -> subscription -> unit
-(** Detach; idempotent. Subscription order of the remaining sinks is
-    preserved. *)
+val subscribe : ?interest:interest -> t -> sink -> unit
+(** Attach a sink ([interest] defaults to [All]) for the bus's lifetime;
+    it sees every event emitted after this call. Amortised O(1). *)
 
 val active : t -> bool
 (** [true] iff at least one [All]-interest sink is attached — O(1). Hot

@@ -63,10 +63,9 @@ let on_event t (event : Event.t) =
       Metrics.Gauge.add (gauge "failovers.items_redispatched")
         (Float.of_int items_redispatched)
 
-let attach ?registry bus =
-  let reg = match registry with Some r -> r | None -> Metrics.create () in
-  let t = { bus; reg; busy = Hashtbl.create 8 } in
-  ignore (Bus.subscribe bus (on_event t));
+let attach bus =
+  let t = { bus; reg = Metrics.create (); busy = Hashtbl.create 8 } in
+  Bus.subscribe bus (on_event t);
   t
 
 let snapshot t =

@@ -15,9 +15,8 @@
 
 type t
 
-val attach : ?registry:Metrics.t -> Bus.t -> t
-(** Subscribe a meter to [bus], recording into [registry] (fresh by
-    default). *)
+val attach : Bus.t -> t
+(** Subscribe a meter to [bus], recording into a fresh registry. *)
 
 val snapshot : t -> Metrics.snapshot
 (** Refresh the derived gauges (per-node utilization against the bus

@@ -40,7 +40,6 @@ module Counter = struct
 
   let add c k = c.count <- c.count + k
   let incr c = add c 1
-  let value c = c.count
 end
 
 module Gauge = struct
@@ -54,7 +53,6 @@ module Gauge = struct
 
   let set g v = g.gauge <- v
   let add g v = g.gauge <- g.gauge +. v
-  let value g = g.gauge
 end
 
 module Histogram = struct
@@ -93,8 +91,6 @@ module Histogram = struct
       end
     end
 
-  let count h = h.n
-  let sum h = h.total
   let mean h = if h.n = 0 then nan else h.total /. Float.of_int h.n
 
   let sorted_buckets h =
@@ -104,8 +100,6 @@ module Histogram = struct
       |> List.map (fun (e, c) -> (Float.ldexp 1.0 (e - 1), Float.ldexp 1.0 e, c))
     in
     if h.underflow > 0 then (0.0, 0.0, h.underflow) :: positive else positive
-
-  let buckets = sorted_buckets
 
   let quantile h q =
     if q < 0.0 || q > 1.0 then invalid_arg "Metrics.Histogram.quantile";

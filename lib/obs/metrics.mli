@@ -17,8 +17,6 @@ module Counter : sig
   val get : t -> string -> cell
   val incr : cell -> unit
   val add : cell -> int -> unit
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val value : cell -> int
 end
 
 module Gauge : sig
@@ -27,8 +25,6 @@ module Gauge : sig
   val get : t -> string -> cell
   val set : cell -> float -> unit
   val add : cell -> float -> unit
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val value : cell -> float
 end
 
 module Histogram : sig
@@ -43,10 +39,6 @@ module Histogram : sig
 
   val get : t -> string -> cell
   val observe : cell -> float -> unit
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val count : cell -> int
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val sum : cell -> float
   (* lint: unused-export-ok used by snapshot; test_obs checks it directly *)
   val mean : cell -> float
   (** [nan] when empty. *)
@@ -54,11 +46,6 @@ module Histogram : sig
   (* lint: unused-export-ok used by snapshot; test_obs checks it directly *)
   val quantile : cell -> float -> float
   (** [quantile cell q] with [q] in [\[0, 1\]]; [nan] when empty. *)
-
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val buckets : cell -> (float * float * int) list
-  (** Non-empty buckets as [(lo, hi, count)], ascending; the underflow
-      bucket reports as [(0., 0., count)]. *)
 end
 
 type histogram_stats = {
@@ -72,6 +59,8 @@ type histogram_stats = {
   p99 : float;
   p999 : float;
   buckets : (float * float * int) list;
+      (** non-empty buckets as [(lo, hi, count)], ascending; the underflow
+          bucket reports as [(0., 0., count)] *)
 }
 
 type snapshot = {

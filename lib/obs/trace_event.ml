@@ -4,7 +4,7 @@ let create () = { events = [] }
 
 let sink t event = t.events <- event :: t.events
 
-let attach t bus = ignore (Bus.subscribe bus (sink t))
+let attach t bus = Bus.subscribe bus (sink t)
 
 let events_collected t = List.length t.events
 

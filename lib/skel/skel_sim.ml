@@ -328,12 +328,11 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng 
      event precedes the item-loss / re-dispatch events it causes. Control
      interest: the fault handler must work on a trace-less bus without
      keeping the per-item hot emits alive. *)
-  ignore
-    (Bus.subscribe ~interest:Control t.bus (fun (event : Event.t) ->
-         match event.Event.payload with
-         | Event.Node_crashed { node } -> on_crash t node
-         | Event.Node_recovered { node } -> on_recover t node
-         | _ -> ()));
+  Bus.subscribe ~interest:Control t.bus (fun (event : Event.t) ->
+      match event.Event.payload with
+      | Event.Node_crashed { node } -> on_crash t node
+      | Event.Node_recovered { node } -> on_recover t node
+      | _ -> ());
   (match arrivals with
   | `External -> ()
   | `From_input ->

@@ -52,14 +52,13 @@ let test_crash_loses_exactly_in_service_and_queued () =
   let items = 20 in
   let engine, topo, trace, sim = make_sim ~items ~mapping:[| 0 |] () in
   let lost_events = ref [] in
-  ignore
-    (Bus.subscribe (Engine.bus engine) (fun (e : Event.t) ->
+  Bus.subscribe (Engine.bus engine) (fun (e : Event.t) ->
          match e.Event.payload with
          | Event.Item_lost { item; stage; node } ->
              Alcotest.(check int) "lost at stage 0" 0 stage;
              Alcotest.(check int) "lost on node 0" 0 node;
              lost_events := item :: !lost_events
-         | _ -> ()));
+         | _ -> ());
   ignore (Engine.schedule_at engine ~time:1.05 (fun () -> Node.set_up (Topology.node topo 0) false));
   (match Skel_sim.run sim with
   | `Completed -> Alcotest.fail "a dead stage host cannot complete the workload"
@@ -241,12 +240,11 @@ let poisson_transitions seed =
   let engine = Engine.create () in
   let topo = quiet_topo engine in
   let events = ref [] in
-  ignore
-    (Bus.subscribe (Engine.bus engine) (fun (e : Event.t) ->
+  Bus.subscribe (Engine.bus engine) (fun (e : Event.t) ->
          match e.Event.payload with
          | Event.Node_crashed { node } -> events := (e.Event.time, `Down, node) :: !events
          | Event.Node_recovered { node } -> events := (e.Event.time, `Up, node) :: !events
-         | _ -> ()));
+         | _ -> ());
   Fault.apply_node ~rng:(Rng.create seed) ~horizon:500.0 topo 1
     (Fault.Poisson { mtbf = 60.0; mttr = 10.0 });
   Engine.run ~until:500.0 engine;
@@ -386,11 +384,10 @@ let guard_config =
 let failover_times () =
   let times = ref [] in
   let instrument bus =
-    ignore
-      (Bus.subscribe ~interest:Bus.Control bus (fun (e : Event.t) ->
+    Bus.subscribe ~interest:Bus.Control bus (fun (e : Event.t) ->
            match e.Event.payload with
            | Event.Failover_committed _ -> times := e.Event.time :: !times
-           | _ -> ()))
+           | _ -> ())
   in
   (times, instrument)
 
@@ -456,7 +453,7 @@ let jsonl_of_run ~scenario ~seed =
   let buffer = Buffer.create 65536 in
   ignore
     (Adaptive.run
-       ~instrument:(fun bus -> ignore (Bus.subscribe bus (Aspipe_obs.Jsonl.sink_to_buffer buffer)))
+       ~instrument:(fun bus -> Bus.subscribe bus (Aspipe_obs.Jsonl.sink_to_buffer buffer))
        ~scenario ~seed ());
   Buffer.contents buffer
 

@@ -220,7 +220,7 @@ let test_adaptive_control_sink_event_budget () =
     Aspipe_core.Adaptive.run
       ~instrument:(fun b ->
         bus := Some b;
-        ignore (Bus.subscribe ~interest:Bus.Control b (fun _ -> ())))
+        Bus.subscribe ~interest:Bus.Control b (fun _ -> ()))
       ~scenario ~seed:3 ()
   in
   let events = match !bus with Some b -> Bus.events_emitted b | None -> 0 in
@@ -357,7 +357,7 @@ let golden_scenario ?faults () =
 let check_stream ~name ~expected ~expected_bytes run =
   let buffer = Buffer.create 65536 in
   let result =
-    run (fun bus -> ignore (Bus.subscribe bus (Aspipe_obs.Jsonl.sink_to_buffer buffer)))
+    run (fun bus -> Bus.subscribe bus (Aspipe_obs.Jsonl.sink_to_buffer buffer))
   in
   Alcotest.(check int) (name ^ " stream length") expected_bytes (Buffer.length buffer);
   Alcotest.(check string) (name ^ " stream digest") expected

@@ -277,7 +277,7 @@ let adaptive_jsonl seed =
   let buffer = Buffer.create 65536 in
   ignore
     (Aspipe_core.Adaptive.run
-       ~instrument:(fun bus -> ignore (Aspipe_obs.Bus.subscribe bus (Jsonl.sink_to_buffer buffer)))
+       ~instrument:(fun bus -> Aspipe_obs.Bus.subscribe bus (Jsonl.sink_to_buffer buffer))
        ~scenario ~seed ());
   Buffer.contents buffer
 

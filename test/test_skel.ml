@@ -432,12 +432,11 @@ let test_sim_redispatch_costs_the_same () =
     let input = Stream_spec.make ~items:30 ~item_bytes:10.0 () in
     let trace = subscribed_trace engine in
     let redispatched = ref [] in
-    ignore
-      (Aspipe_obs.Bus.subscribe (Engine.bus engine) (fun (e : Aspipe_obs.Event.t) ->
+    Aspipe_obs.Bus.subscribe (Engine.bus engine) (fun (e : Aspipe_obs.Event.t) ->
            match e.Aspipe_obs.Event.payload with
            | Aspipe_obs.Event.Item_redispatched { item; stage; _ } ->
                redispatched := (item, stage) :: !redispatched
-           | _ -> ()));
+           | _ -> ());
     let sim =
       Skel_sim.create ~rng:(Rng.create 17) ~topo ~stages ~mapping:[| 0; 1; 2 |] ~input ()
     in
