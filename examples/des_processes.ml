@@ -14,7 +14,7 @@ module Process = Aspipe_des.Process
 let () =
   let engine = Engine.create () in
   let rate = Signal.create 10.0 in
-  let cpu = Server.create engine ~name:"cpu" ~rate in
+  let cpu = Server.create engine ~rate in
   let jobs = Process.Mailbox.create engine in
   let done_count = ref 0 in
 

@@ -1,7 +1,6 @@
 type t = {
   queue : (unit -> unit) Pqueue.t;
   mutable clock : float;
-  mutable fired : int;
   bus : Aspipe_obs.Bus.t;
 }
 
@@ -10,7 +9,7 @@ let now t = t.clock
 type handle = Pqueue.handle
 
 let create () =
-  let t = { queue = Pqueue.create (); clock = 0.0; fired = 0; bus = Aspipe_obs.Bus.create () } in
+  let t = { queue = Pqueue.create (); clock = 0.0; bus = Aspipe_obs.Bus.create () } in
   Aspipe_obs.Bus.set_clock t.bus (fun () -> t.clock);
   t
 
@@ -37,7 +36,6 @@ let cancel = Pqueue.cancel
 let[@inline] fire t =
   t.clock <- Pqueue.popped_key t.queue;
   let f = Pqueue.popped_value t.queue in
-  t.fired <- t.fired + 1;
   f ()
 
 let step t =
@@ -53,9 +51,6 @@ let run ?until t =
   | Some horizon ->
       while Pqueue.pop_min t.queue ~horizon do fire t done;
       if t.clock < horizon then t.clock <- horizon
-
-let events_fired t = t.fired
-let pending t = Pqueue.size t.queue
 
 let periodic t ?start ~every f =
   if every <= 0.0 then invalid_arg "Engine.periodic: period must be positive";

@@ -39,10 +39,6 @@ val run : ?until:float -> t -> unit
 (** [run t] drains the event queue. With [~until], stops once the next event
     is strictly later than [until] and advances the clock to [until]. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val events_fired : t -> int
-val pending : t -> int (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-
 val periodic : t -> ?start:float -> every:float -> (unit -> bool) -> unit
 (** [periodic t ~every f] fires [f] at [start] (default [now + every]) and
     then every [every] seconds for as long as [f] returns [true]. *)

@@ -23,7 +23,6 @@ type 'a t = {
   mutable vals : 'a array;  (* per-slot value *)
   mutable handles : handle array;  (* per-slot handle *)
   mutable used : int;
-  mutable live : int;
   mutable next_seq : int;
   mutable free_head : int;  (* head of the free-slot list; -1 when full *)
   mutable last_slot : int;  (* slot of the entry removed by the last pop *)
@@ -37,7 +36,6 @@ let create () =
     vals = [||];
     handles = [||];
     used = 0;
-    live = 0;
     next_seq = 0;
     free_head = -1;
     last_slot = -1;
@@ -155,12 +153,9 @@ let[@inline] insert q key value =
   q.heap_keys.(q.used) <- key;
   sift_up q q.used seq slot;
   q.used <- q.used + 1;
-  q.live <- q.live + 1;
   handle
 
 let cancel h = h.dead <- true
-
-let cancelled h = h.dead
 
 (* Remove the root, restore the heap property, free its slot, and remember
    it in [last_slot] — so a popped entry can be read back through
@@ -185,41 +180,15 @@ let extract_root q =
 
 let pop_min q ~horizon =
   (* Lazy deletion: cancelled roots are physically removed whenever they
-     surface, horizon or not — exactly what [peek_key] used to do. *)
+     surface, horizon or not. *)
   while q.used > 0 && q.handles.(q.heap_slots.(0)).dead do
     extract_root q
   done;
   if q.used = 0 || q.heap_keys.(0) > horizon then false
   else begin
-    q.live <- q.live - 1;
     extract_root q;
     true
   end
 
 let[@inline] popped_key q = q.heap_keys.(q.used)
 let[@inline] popped_value q = q.vals.(q.last_slot)
-
-let pop_if q ~horizon =
-  if pop_min q ~horizon then Some (popped_key q, popped_value q) else None
-
-let pop q = pop_if q ~horizon:infinity
-
-let rec peek_key q =
-  if q.used = 0 then None
-  else if q.handles.(q.heap_slots.(0)).dead then begin
-    extract_root q;
-    peek_key q
-  end
-  else Some q.heap_keys.(0)
-
-let size q =
-  (* [live] counts cancellations immediately, including entries still
-     physically present in the array. *)
-  let count = ref 0 in
-  for i = 0 to q.used - 1 do
-    if not q.handles.(q.heap_slots.(i)).dead then incr count
-  done;
-  q.live <- !count;
-  !count
-
-let is_empty q = size q = 0

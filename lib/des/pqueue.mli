@@ -22,26 +22,14 @@ val insert : 'a t -> float -> 'a -> handle
 val cancel : handle -> unit
 (** [cancel h] removes the entry lazily; idempotent. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val cancelled : handle -> bool
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val pop : 'a t -> (float * 'a) option
-(** [pop q] removes and returns the minimum live entry, or [None] if empty. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val pop_if : 'a t -> horizon:float -> (float * 'a) option
-(** [pop_if q ~horizon] removes and returns the minimum live entry iff its
-    key is [<= horizon] — the fused form of [peek_key] + [pop], one heap
-    traversal instead of two. Cancelled entries surfacing at the root are
-    physically removed even when they lie beyond the horizon. *)
-
 val pop_min : 'a t -> horizon:float -> bool
-(** Allocation-free [pop_if]: [pop_min q ~horizon] pops the minimum live
-    entry if its key is [<= horizon] and returns [true]; the popped entry is
-    then readable through {!popped_key} and {!popped_value} until the next
-    operation on [q]. Returns [false] (and pops nothing live) when the queue
-    is empty or the next live key is past the horizon. *)
+(** [pop_min q ~horizon] pops the minimum live entry if its key is
+    [<= horizon] and returns [true]; the popped entry is then readable
+    through {!popped_key} and {!popped_value} until the next operation on
+    [q]. Returns [false] (and pops nothing live) when the queue is empty or
+    the next live key is past the horizon. Cancelled entries surfacing at
+    the root are physically removed even when they lie beyond the horizon.
+    Allocation-free. *)
 
 val popped_key : 'a t -> float
 (** Key of the entry removed by the last successful {!pop_min}. Unspecified
@@ -50,13 +38,3 @@ val popped_key : 'a t -> float
 val popped_value : 'a t -> 'a
 (** Value of the entry removed by the last successful {!pop_min}; same
     validity window as {!popped_key}. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val peek_key : 'a t -> float option
-(** Key of the next live entry without removing it. *)
-
-val size : 'a t -> int
-(** Number of live (non-cancelled) entries. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val is_empty : 'a t -> bool

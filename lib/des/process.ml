@@ -6,7 +6,7 @@ type _ Effect.t +=
 (* The engine is carried by the handler, so the effects need no engine
    argument — the body closure does not know which engine it was spawned on. *)
 
-let spawn engine ?at body =
+let spawn engine body =
   let open Effect.Deep in
   let handler =
     {
@@ -32,10 +32,7 @@ let spawn engine ?at body =
           | _ -> None);
     }
   in
-  let start () = match_with body () handler in
-  match at with
-  | None -> ignore (Engine.schedule engine ~delay:0.0 start)
-  | Some time -> ignore (Engine.schedule_at engine ~time start)
+  ignore (Engine.schedule engine ~delay:0.0 (fun () -> match_with body () handler))
 
 let in_process_error name =
   Failure (Printf.sprintf "Process.%s: must be called from inside a process" name)
@@ -49,16 +46,6 @@ let now () =
 let sleep duration =
   if duration < 0.0 then invalid_arg "Process.sleep: negative duration";
   try Effect.perform (Sleep duration) with Effect.Unhandled _ -> raise (in_process_error "sleep")
-
-let wait_until ?(poll_every = 0.1) predicate =
-  if poll_every <= 0.0 then invalid_arg "Process.wait_until: poll period must be positive";
-  let rec loop () =
-    if not (predicate ()) then begin
-      sleep poll_every;
-      loop ()
-    end
-  in
-  loop ()
 
 module Mailbox = struct
   type 'a t = {
@@ -81,6 +68,4 @@ module Mailbox = struct
   let recv t =
     if Queue.is_empty t.messages then await (fun k -> Queue.push k t.waiting)
     else Queue.pop t.messages
-
-  let length t = Queue.length t.messages
 end

@@ -11,8 +11,8 @@
     Operations marked {e inside a process} raise [Failure] when performed
     outside one. *)
 
-val spawn : Engine.t -> ?at:float -> (unit -> unit) -> unit
-(** [spawn engine body] schedules [body] to start at [at] (default: now)
+val spawn : Engine.t -> (unit -> unit) -> unit
+(** [spawn engine body] schedules [body] to start at the current instant
     under the process handler. *)
 
 val sleep : float -> unit
@@ -28,11 +28,6 @@ val await : (('a -> unit) -> unit) -> 'a
     return value. This is the bridge to any callback API:
     {[ let result = await (fun k -> Server.submit server ~work (fun () -> k ())) ]} *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val wait_until : ?poll_every:float -> (unit -> bool) -> unit
-(** {e Inside a process.} Sleep in [poll_every] (default 0.1 s) increments
-    until the predicate holds. *)
-
 module Mailbox : sig
   (** An unbounded inter-process message queue on the virtual clock. *)
 
@@ -47,8 +42,4 @@ module Mailbox : sig
 
   val recv : 'a t -> 'a
   (** {e Inside a process.} Take the next message, suspending while empty. *)
-
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val length : 'a t -> int
-  (** Messages currently queued (not counting blocked receivers). *)
 end

@@ -7,18 +7,12 @@ type job = {
 
 type t = {
   engine : Engine.t;
-  name : string;
   rate : Signal.t;
   waiting : job Queue.t;
   mutable current : job option;
   mutable last_update : float;
   mutable completion : Engine.handle option;
-  mutable completed : int;
-  mutable busy_time : float;
-  mutable busy_since : float;
 }
-
-let queue_length t = Queue.length t.waiting
 
 (* Fold the service progress made since [last_update] (at rate [rate]) into
    the in-flight job's remaining work. *)
@@ -55,8 +49,6 @@ and complete t =
   | Some job ->
       t.completion <- None;
       t.current <- None;
-      t.completed <- t.completed + 1;
-      t.busy_time <- t.busy_time +. (Engine.now t.engine -. t.busy_since);
       t.last_update <- Engine.now t.engine;
       job.on_complete ();
       start_next t
@@ -65,25 +57,20 @@ and start_next t =
   if t.current = None && not (Queue.is_empty t.waiting) then begin
     let job = Queue.pop t.waiting in
     t.current <- Some job;
-    t.busy_since <- Engine.now t.engine;
     t.last_update <- Engine.now t.engine;
     job.on_start ();
     reschedule t
   end
 
-let create engine ~name ~rate =
+let create engine ~rate =
   let t =
     {
       engine;
-      name;
       rate;
       waiting = Queue.create ();
       current = None;
       last_update = Engine.now engine;
       completion = None;
-      completed = 0;
-      busy_time = 0.0;
-      busy_since = 0.0;
     }
   in
   Signal.subscribe rate (fun ~old_value ~new_value:_ ->
@@ -102,9 +89,8 @@ let drop_all t =
   let dropped = ref [] in
   (match t.current with
   | Some job ->
-      (* Close the busy interval the aborted job opened; its callbacks never
-         fire — the caller owns whatever recovery the drop implies. *)
-      t.busy_time <- t.busy_time +. (Engine.now t.engine -. t.busy_since);
+      (* The aborted job's callbacks never fire — the caller owns whatever
+         recovery the drop implies. *)
       t.current <- None;
       dropped := [ job.tag ]
   | None -> ());
@@ -112,21 +98,3 @@ let drop_all t =
   Queue.iter (fun job -> dropped := job.tag :: !dropped) t.waiting;
   Queue.clear t.waiting;
   List.rev !dropped
-
-let busy t = t.current <> None
-let completed t = t.completed
-
-let in_service_remaining t =
-  match t.current with
-  | None -> 0.0
-  | Some job ->
-      let elapsed = Engine.now t.engine -. t.last_update in
-      Float.max 0.0 (job.remaining -. (Signal.get t.rate *. elapsed))
-
-let utilization t =
-  let now = Engine.now t.engine in
-  if now <= 0.0 then 0.0
-  else begin
-    let live = if busy t then now -. t.busy_since else 0.0 in
-    (t.busy_time +. live) /. now
-  end

@@ -10,7 +10,7 @@
 
 type t
 
-val create : Engine.t -> name:string -> rate:Signal.t -> t
+val create : Engine.t -> rate:Signal.t -> t
 (** The server subscribes to [rate]; the signal may be shared. *)
 
 val submit :
@@ -20,25 +20,8 @@ val submit :
     instant the job enters service. Raises [Invalid_argument] if
     [work < 0] or not finite. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val queue_length : t -> int
-(** Jobs waiting, excluding the one in service. *)
-
 val drop_all : t -> int list
 (** Abort the in-service job and discard every waiting job without running
     any of their callbacks — the processor crashed. Returns the tags of the
     dropped jobs, in-service first then queue order. The server is left
     idle and usable (a later {!submit} starts normally). *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val completed : t -> int
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val in_service_remaining : t -> float
-(** Remaining work of the job in service as of the current instant
-    (0 when idle). *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val utilization : t -> float
-(** Fraction of elapsed simulation time this server spent with a job in
-    service (including stalled intervals); [0] at time 0. *)

@@ -25,7 +25,7 @@ let create engine ~id ~speed () =
   in
   Signal.subscribe availability (fun ~old_value:_ ~new_value:_ -> rederive ());
   Signal.subscribe up_signal (fun ~old_value:_ ~new_value:_ -> rederive ());
-  let server = Server.create engine ~name:(Printf.sprintf "node%d" id) ~rate in
+  let server = Server.create engine ~rate in
   { id; engine; base_speed = speed; availability; up_signal; rate; server }
 
 let base_speed t = t.base_speed

@@ -14,6 +14,13 @@ let qtest ?(count = 200) name gen prop =
 
 (* --------------------------------------------------------------- Pqueue *)
 
+(* The minimum live entry within [horizon], popped through the
+   allocation-free [pop_min] and read back as an option. *)
+let pop_if q ~horizon =
+  if Pqueue.pop_min q ~horizon then Some (Pqueue.popped_key q, Pqueue.popped_value q) else None
+
+let pop q = pop_if q ~horizon:infinity
+
 let test_pqueue_ordering =
   qtest "pop yields keys in non-decreasing order"
     QCheck2.Gen.(list_size (int_range 0 300) (float_range 0.0 1000.0))
@@ -21,7 +28,7 @@ let test_pqueue_ordering =
       let q = Pqueue.create () in
       List.iteri (fun i k -> ignore (Pqueue.insert q k i)) keys;
       let rec drain acc =
-        match Pqueue.pop q with Some (k, _) -> drain (k :: acc) | None -> List.rev acc
+        match pop q with Some (k, _) -> drain (k :: acc) | None -> List.rev acc
       in
       let popped = drain [] in
       popped = List.sort Float.compare keys)
@@ -30,7 +37,7 @@ let test_pqueue_fifo_ties () =
   let q = Pqueue.create () in
   List.iter (fun v -> ignore (Pqueue.insert q 1.0 v)) [ 1; 2; 3; 4 ];
   let order =
-    List.init 4 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> -1)
+    List.init 4 (fun _ -> match pop q with Some (_, v) -> v | None -> -1)
   in
   Alcotest.(check (list int)) "equal keys pop in insertion order" [ 1; 2; 3; 4 ] order
 
@@ -41,39 +48,34 @@ let test_pqueue_cancel () =
   let _c = Pqueue.insert q 3.0 "c" in
   Pqueue.cancel b;
   Pqueue.cancel b (* idempotent *);
-  Alcotest.(check bool) "cancelled flag" true (Pqueue.cancelled b);
-  Alcotest.(check int) "size counts live entries" 2 (Pqueue.size q);
   let popped =
-    List.init 2 (fun _ -> match Pqueue.pop q with Some (_, v) -> v | None -> "?")
+    List.init 2 (fun _ -> match pop q with Some (_, v) -> v | None -> "?")
   in
   Alcotest.(check (list string)) "cancelled entry skipped" [ "a"; "c" ] popped;
-  Alcotest.(check bool) "empty after" true (Pqueue.is_empty q)
+  Alcotest.(check bool) "empty after" true (pop q = None)
 
 let test_pqueue_peek_skips_cancelled () =
   let q = Pqueue.create () in
   let a = Pqueue.insert q 1.0 "a" in
   let _b = Pqueue.insert q 2.0 "b" in
   Pqueue.cancel a;
-  Alcotest.(check (option (float 0.0))) "peek skips the cancelled root" (Some 2.0)
-    (Pqueue.peek_key q)
+  Alcotest.(check bool) "the cancelled root does not count within its horizon" true
+    (pop_if q ~horizon:1.5 = None);
+  Alcotest.(check bool) "the live entry pops next" true (pop q = Some (2.0, "b"))
 
 let test_pqueue_empty () =
   let q : int Pqueue.t = Pqueue.create () in
-  Alcotest.(check bool) "pop empty" true (Pqueue.pop q = None);
-  Alcotest.(check bool) "peek empty" true (Pqueue.peek_key q = None);
-  Alcotest.(check bool) "pop_if empty" true (Pqueue.pop_if q ~horizon:infinity = None);
-  Alcotest.(check int) "size empty" 0 (Pqueue.size q)
+  Alcotest.(check bool) "pop_min empty" false (Pqueue.pop_min q ~horizon:infinity)
 
 let test_pqueue_pop_if_horizon () =
   let q = Pqueue.create () in
   ignore (Pqueue.insert q 2.0 "b");
   ignore (Pqueue.insert q 1.0 "a");
   ignore (Pqueue.insert q 3.0 "c");
-  Alcotest.(check bool) "beyond horizon stays" true (Pqueue.pop_if q ~horizon:0.5 = None);
-  Alcotest.(check int) "nothing removed" 3 (Pqueue.size q);
-  Alcotest.(check bool) "at horizon pops" true (Pqueue.pop_if q ~horizon:1.0 = Some (1.0, "a"));
-  Alcotest.(check bool) "next beyond" true (Pqueue.pop_if q ~horizon:1.5 = None);
-  Alcotest.(check bool) "wide horizon pops" true (Pqueue.pop_if q ~horizon:10.0 = Some (2.0, "b"))
+  Alcotest.(check bool) "beyond horizon stays" true (pop_if q ~horizon:0.5 = None);
+  Alcotest.(check bool) "at horizon pops" true (pop_if q ~horizon:1.0 = Some (1.0, "a"));
+  Alcotest.(check bool) "next beyond" true (pop_if q ~horizon:1.5 = None);
+  Alcotest.(check bool) "wide horizon pops" true (pop_if q ~horizon:10.0 = Some (2.0, "b"))
 
 let test_pqueue_pop_min_readback () =
   let q = Pqueue.create () in
@@ -93,8 +95,8 @@ let test_pqueue_pop_if_drops_cancelled_beyond_horizon () =
   Pqueue.cancel h;
   (* The cancelled root is physically removed even though both entries lie
      beyond the horizon. *)
-  Alcotest.(check bool) "nothing within horizon" true (Pqueue.pop_if q ~horizon:1.0 = None);
-  Alcotest.(check bool) "live entry pops" true (Pqueue.pop_if q ~horizon:10.0 = Some (7.0, "live"))
+  Alcotest.(check bool) "nothing within horizon" true (pop_if q ~horizon:1.0 = None);
+  Alcotest.(check bool) "live entry pops" true (pop_if q ~horizon:10.0 = Some (7.0, "live"))
 
 (* Model-based property: any interleaving of insert / remove-min / cancel
    agrees with a reference model — a list of live [(key, seq)] pairs where
@@ -133,7 +135,7 @@ let test_pqueue_matches_model =
               incr issued;
               live := (key, !seq) :: !live;
               incr seq;
-              Pqueue.size q = List.length !live
+              true
           | Pq_remove_min ->
               let expected =
                 match List.sort compare !live with
@@ -142,14 +144,14 @@ let test_pqueue_matches_model =
                     live := List.filter (fun e -> e <> min) !live;
                     Some (k, s)
               in
-              Pqueue.pop q = expected
+              pop q = expected
           | Pq_cancel i ->
               if !issued = 0 then true
               else begin
                 let h, target = List.nth !handles (i mod !issued) in
                 Pqueue.cancel h;
                 live := List.filter (fun e -> e <> target) !live;
-                Pqueue.cancelled h && Pqueue.size q = List.length !live
+                true
               end
           | Pq_pop_if h ->
               let horizon = float_of_int h in
@@ -160,12 +162,12 @@ let test_pqueue_matches_model =
                     Some (k, s)
                 | _ -> None
               in
-              Pqueue.pop_if q ~horizon = expected)
+              pop_if q ~horizon = expected)
         ops
       && (* after the op sequence, draining pops the remaining model in order *)
       List.sort compare !live
       = (let rec drain acc =
-           match Pqueue.pop q with Some e -> drain (e :: acc) | None -> List.rev acc
+           match pop q with Some e -> drain (e :: acc) | None -> List.rev acc
          in
          drain []))
 
@@ -179,8 +181,7 @@ let test_engine_order () =
   ignore (Engine.schedule engine ~delay:2.0 (fun () -> log := "b" :: !log));
   Engine.run engine;
   Alcotest.(check (list string)) "time order" [ "a"; "b"; "c" ] (List.rev !log);
-  check_float "clock at last event" 3.0 (Engine.now engine);
-  Alcotest.(check int) "events fired" 3 (Engine.events_fired engine)
+  check_float "clock at last event" 3.0 (Engine.now engine)
 
 let test_engine_same_time_fifo () =
   let engine = Engine.create () in
@@ -232,9 +233,9 @@ let test_engine_run_until () =
   Engine.run ~until:2.0 engine;
   Alcotest.(check int) "only the early event" 1 !fired;
   check_float "clock advanced to horizon" 2.0 (Engine.now engine);
-  Alcotest.(check int) "late event still pending" 1 (Engine.pending engine);
-  Engine.run engine;
-  Alcotest.(check int) "drains on unbounded run" 2 !fired
+  Alcotest.(check bool) "late event still pending" true (Engine.step engine);
+  Alcotest.(check int) "fires when stepped" 2 !fired;
+  Alcotest.(check bool) "then nothing is left" false (Engine.step engine)
 
 let test_engine_periodic () =
   let engine = Engine.create () in
@@ -286,16 +287,18 @@ let test_signal_history () =
 let make_server ?(rate = 10.0) () =
   let engine = Engine.create () in
   let signal = Signal.create rate in
-  let server = Server.create engine ~name:"s" ~rate:signal in
+  let server = Server.create engine ~rate:signal in
   (engine, signal, server)
 
 let test_server_single_job_timing () =
   let engine, _, server = make_server ~rate:10.0 () in
-  let finish = ref nan in
-  Server.submit server ~work:25.0 (fun () -> finish := Engine.now engine);
+  let finish = ref nan and completions = ref 0 in
+  Server.submit server ~work:25.0 (fun () ->
+      finish := Engine.now engine;
+      incr completions);
   Engine.run engine;
   check_float "work/rate seconds" 2.5 !finish;
-  Alcotest.(check int) "completed count" 1 (Server.completed server)
+  Alcotest.(check int) "completed count" 1 !completions
 
 let test_server_fifo () =
   let engine, _, server = make_server ~rate:1.0 () in
@@ -303,7 +306,6 @@ let test_server_fifo () =
   List.iter
     (fun tag -> Server.submit server ~work:1.0 ~tag (fun () -> order := tag :: !order))
     [ 1; 2; 3 ];
-  Alcotest.(check int) "two waiting behind the first" 2 (Server.queue_length server);
   Engine.run engine;
   Alcotest.(check (list int)) "FIFO completion" [ 1; 2; 3 ] (List.rev !order);
   check_float "serialized makespan" 3.0 (Engine.now engine)
@@ -349,21 +351,14 @@ let test_server_on_start () =
   Alcotest.(check (list (pair int (float 1e-9)))) "service start instants" [ (1, 0.0); (2, 2.0) ]
     (List.rev !starts)
 
-let test_server_utilization () =
-  let engine, _, server = make_server ~rate:1.0 () in
-  Server.submit server ~work:1.0 (fun () -> ());
-  ignore (Engine.schedule engine ~delay:4.0 (fun () -> ()));
-  Engine.run engine;
-  check_float "busy 1s of 4s" 0.25 (Server.utilization server)
-
 let test_server_in_service_remaining () =
-  let engine, _, server = make_server ~rate:2.0 () in
-  Server.submit server ~work:10.0 (fun () -> ());
-  ignore
-    (Engine.schedule engine ~delay:2.0 (fun () ->
-         check_float "remaining after 2s at rate 2" 6.0 (Server.in_service_remaining server)));
+  (* 2 s at rate 2 leaves 6 of 10 units; at rate 3 they take 2 s more. *)
+  let engine, signal, server = make_server ~rate:2.0 () in
+  let finish = ref nan in
+  Server.submit server ~work:10.0 (fun () -> finish := Engine.now engine);
+  ignore (Engine.schedule engine ~delay:2.0 (fun () -> Signal.set signal 3.0));
   Engine.run engine;
-  check_float "idle server has no remaining work" 0.0 (Server.in_service_remaining server)
+  check_float "remaining after 2s at rate 2 served at rate 3" 4.0 !finish
 
 let test_server_zero_work () =
   let engine, _, server = make_server () in
@@ -392,8 +387,8 @@ let test_server_shared_rate_signal () =
   (* Two servers driven by one signal must both retime on a change. *)
   let engine = Engine.create () in
   let signal = Signal.create 10.0 in
-  let a = Server.create engine ~name:"a" ~rate:signal in
-  let b = Server.create engine ~name:"b" ~rate:signal in
+  let a = Server.create engine ~rate:signal in
+  let b = Server.create engine ~rate:signal in
   let fa = ref nan and fb = ref nan in
   Server.submit a ~work:10.0 (fun () -> fa := Engine.now engine);
   Server.submit b ~work:20.0 (fun () -> fb := Engine.now engine);
@@ -412,7 +407,7 @@ let test_server_random_rate_schedule =
     (fun (work, rates) ->
       let engine = Engine.create () in
       let signal = Signal.create 1.0 in
-      let server = Server.create engine ~name:"p" ~rate:signal in
+      let server = Server.create engine ~rate:signal in
       let finish = ref nan in
       Server.submit server ~work (fun () -> finish := Engine.now engine);
       List.iteri
@@ -491,7 +486,9 @@ let test_process_sleep_interleaves () =
 let test_process_spawn_at () =
   let engine = Engine.create () in
   let started = ref nan in
-  Process.spawn engine ~at:5.0 (fun () -> started := Process.now ());
+  ignore
+    (Engine.schedule_at engine ~time:5.0 (fun () ->
+         Process.spawn engine (fun () -> started := Process.now ())));
   Engine.run engine;
   check_float "starts at the requested time" 5.0 !started
 
@@ -500,24 +497,13 @@ let test_process_await_bridges_callbacks () =
      callback — sequential code over the callback API. *)
   let engine = Engine.create () in
   let signal = Signal.create 10.0 in
-  let server = Server.create engine ~name:"p" ~rate:signal in
+  let server = Server.create engine ~rate:signal in
   let finish = ref nan in
   Process.spawn engine (fun () ->
       Process.await (fun k -> Server.submit server ~work:20.0 (fun () -> k ()));
       finish := Process.now ());
   Engine.run engine;
   check_float "resumed exactly at service completion" 2.0 !finish
-
-let test_process_wait_until () =
-  let engine = Engine.create () in
-  let flag = ref false in
-  ignore (Engine.schedule engine ~delay:3.0 (fun () -> flag := true));
-  let observed = ref nan in
-  Process.spawn engine (fun () ->
-      Process.wait_until ~poll_every:0.5 (fun () -> !flag);
-      observed := Process.now ());
-  Engine.run engine;
-  Alcotest.(check bool) "woke shortly after the flag" true (!observed >= 3.0 && !observed <= 3.5)
 
 let test_process_outside_raises () =
   Alcotest.check_raises "sleep outside a process"
@@ -544,19 +530,21 @@ let test_process_mailbox () =
   Engine.run engine;
   Alcotest.(check (list (pair int (float 1e-9)))) "messages received in order, at send times"
     [ (10, 0.0); (20, 2.0); (30, 2.0) ]
-    (List.rev !received);
-  Alcotest.(check int) "mailbox drained" 0 (Process.Mailbox.length mailbox)
+    (List.rev !received)
 
 let test_process_mailbox_buffers () =
   let engine = Engine.create () in
   let mailbox = Process.Mailbox.create engine in
   Process.Mailbox.send mailbox "x";
   Process.Mailbox.send mailbox "y";
-  Alcotest.(check int) "buffered when nobody waits" 2 (Process.Mailbox.length mailbox);
-  let first = ref "" in
-  Process.spawn engine (fun () -> first := Process.Mailbox.recv mailbox);
+  let received = ref [] in
+  Process.spawn engine (fun () ->
+      for _ = 1 to 2 do
+        received := Process.Mailbox.recv mailbox :: !received
+      done);
   Engine.run engine;
-  Alcotest.(check string) "fifo" "x" !first
+  Alcotest.(check (list string)) "both buffered when nobody waits, fifo" [ "x"; "y" ]
+    (List.rev !received)
 
 let () =
   Alcotest.run "aspipe_des"
@@ -596,7 +584,6 @@ let () =
           Alcotest.test_case "sleep interleaves" `Quick test_process_sleep_interleaves;
           Alcotest.test_case "spawn at" `Quick test_process_spawn_at;
           Alcotest.test_case "await bridges callbacks" `Quick test_process_await_bridges_callbacks;
-          Alcotest.test_case "wait_until" `Quick test_process_wait_until;
           Alcotest.test_case "outside a process" `Quick test_process_outside_raises;
           Alcotest.test_case "mailbox" `Quick test_process_mailbox;
           Alcotest.test_case "mailbox buffers" `Quick test_process_mailbox_buffers;
@@ -609,7 +596,6 @@ let () =
           Alcotest.test_case "zero rate stalls" `Quick test_server_zero_rate_stalls;
           Alcotest.test_case "rate rise" `Quick test_server_rate_rise_speeds_up;
           Alcotest.test_case "on_start" `Quick test_server_on_start;
-          Alcotest.test_case "utilization" `Quick test_server_utilization;
           Alcotest.test_case "in-service remaining" `Quick test_server_in_service_remaining;
           Alcotest.test_case "zero work" `Quick test_server_zero_work;
           Alcotest.test_case "invalid work" `Quick test_server_invalid_work;

@@ -342,7 +342,7 @@ let test_monitor_horizon_stops () =
      sensors = 6 samples; 5 ticks at t=1..5, then the horizon stops it. *)
   Alcotest.(check bool) "sampling stopped near horizon" true
     (Monitor.samples_taken monitor <= 32);
-  Alcotest.(check bool) "engine drained (no infinite periodic)" true (Engine.pending engine = 0);
+  Alcotest.(check bool) "engine drained (no infinite periodic)" false (Engine.step engine);
   ignore monitor
 
 let test_monitor_forecast_error () =
