@@ -29,19 +29,6 @@ let write_rows ~path rows =
 
 let table_rows table = Render.Table.columns table :: Render.Table.rows table
 
-let series_rows series =
-  let header = [ "series"; "x"; "y" ] in
-  let data =
-    List.concat_map
-      (fun (s : Render.Series.t) ->
-        Array.to_list
-          (Array.map
-             (fun (x, y) -> [ s.Render.Series.label; Printf.sprintf "%.9g" x; Printf.sprintf "%.9g" y ])
-             s.Render.Series.points))
-      series
-  in
-  header :: data
-
 let ensure_dir dir = if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
 let save_table ~dir ~basename table =

@@ -16,9 +16,5 @@ val write_rows : path:string -> string list list -> unit
 val table_rows : Render.Table.t -> string list list
 (** Header row followed by the data rows. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val series_rows : Render.Series.t list -> string list list
-(** Long format: [series,x,y] per point, with a header. *)
-
 val save_table : dir:string -> basename:string -> Render.Table.t -> string
 (** Write [dir/basename.csv] (creating [dir] if needed); returns the path. *)

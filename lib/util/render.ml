@@ -61,7 +61,8 @@ module Series = struct
   let make label points = { label; points }
 end
 
-let plot ?(width = 64) ?(height = 16) (series : Series.t list) =
+let plot (series : Series.t list) =
+  let width = 64 and height = 16 in
   let all_points = List.concat_map (fun s -> Array.to_list s.Series.points) series in
   match all_points with
   | [] -> "(empty plot)\n"

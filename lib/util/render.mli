@@ -33,5 +33,5 @@ val print_figure :
     ASCII plot (all series overlaid, one glyph per series). *)
 
 (* lint: unused-export-ok used by print_figure; test_util checks it directly *)
-val plot : ?width:int -> ?height:int -> Series.t list -> string
-(** The ASCII plot alone. *)
+val plot : Series.t list -> string
+(** The ASCII plot alone, 64 columns by 16 rows. *)

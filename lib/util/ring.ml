@@ -47,10 +47,6 @@ let pop t =
   t.len <- t.len - 1;
   x
 
-let peek t =
-  if t.len = 0 then invalid_arg "Ring.peek: empty";
-  t.buf.(t.head)
-
 let iter t f =
   let cap = Array.length t.buf in
   for i = 0 to t.len - 1 do

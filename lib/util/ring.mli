@@ -25,10 +25,6 @@ val pop : 'a t -> 'a
 (** Remove and return the front element; raises [Invalid_argument] when
     empty. *)
 
-val peek : 'a t -> 'a (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-(** Front element without removing it; raises [Invalid_argument] when
-    empty. *)
-
 val iter : 'a t -> ('a -> unit) -> unit
 (** Front-to-back iteration; the ring must not be mutated during it. *)
 

@@ -105,11 +105,6 @@ let capacity t = t.mask + 1
    through the polymorphic [min]. *)
 let imin (a : int) b = if a <= b then a else b
 
-(* The two reads are not a snapshot: the consumer can advance past a stale
-   tail read, so clamp. *)
-let length t = max 0 (Atomic.get t.tail - Atomic.get t.head)
-let is_closed t = Atomic.get t.closed
-
 (* ------------------------------------------------------- park / unpark *)
 
 (* The flag-then-recheck protocol. The waiter raises [waiters] (with the
@@ -174,24 +169,6 @@ let ready_push t = space t > 0
    slot keeps [x] as the consumer's filler). Producer only, and called
    before the [tail] store that publishes the push. *)
 let allocate_slots t x = t.buf <- Array.make (capacity t + 1) x
-
-let try_push t x =
-  if Atomic.get t.closed then raise Closed;
-  if space t <= 0 then false
-  else begin
-    if Array.length t.buf = 0 then allocate_slots t x;
-    let tail = Atomic.get t.tail in
-    t.buf.(tail land t.mask) <- x;
-    Atomic.set t.tail (tail + 1);
-    wake t;
-    true
-  end
-
-let rec push t x =
-  if not (try_push t x) then begin
-    spin_then_park t ready_push;
-    push t x
-  end
 
 let rec push_window t src pos len =
   if len > 0 then begin

@@ -53,25 +53,10 @@ val create : capacity:int -> 'a t
 val capacity : 'a t -> int
 (** The actual (power-of-two) slot count. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val length : 'a t -> int
-(** Item count snapshot; exact only when both sides are quiescent. *)
-
 val close : 'a t -> unit
 (** Idempotent; callable from any domain. Wakes all parked parties. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val is_closed : 'a t -> bool
-
 (** {1 Producer side} — one domain only. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val push : 'a t -> 'a -> unit
-(** Blocks while full. Raises {!Closed} if the ring is closed. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val try_push : 'a t -> 'a -> bool
-(** [false] when currently full. Raises {!Closed} if closed. *)
 
 val push_chunk : 'a t -> 'a array -> pos:int -> len:int -> unit
 (** Copy the window [src.(pos..pos+len-1)] into the ring, blocking for

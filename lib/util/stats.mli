@@ -11,12 +11,6 @@ module Welford : sig
 
   val create : unit -> t
   val add : t -> float -> unit
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val merge : t -> t -> t
-  (** [merge a b] is a fresh accumulator equivalent to having seen both
-      streams (Chan et al. parallel combination). *)
-
-  val count : t -> int (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
   val mean : t -> float
   (** [mean t] is [nan] when empty. *)
 
@@ -25,8 +19,6 @@ module Welford : sig
   (** Unbiased sample variance; [nan] when fewer than two observations. *)
 
   val stddev : t -> float
-  val min : t -> float (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val max : t -> float (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
 end
 
 val mean : float array -> float
@@ -40,34 +32,6 @@ val quantile : float array -> float -> float
     statistics (type-7). Raises [Invalid_argument] on empty input or [q]
     outside [\[0,1\]]. Does not modify [xs]. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val median : float array -> float
-
 val confidence95 : float array -> float * float
 (** [confidence95 xs] is [(mean, half_width)] of a normal-approximation 95%
     confidence interval (half width = 1.96 · s/√n; 0 when n < 2). *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val mae : float array -> float array -> float
-(** Mean absolute error between two equal-length arrays. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val rmse : float array -> float array -> float
-(** Root mean squared error between two equal-length arrays. *)
-
-module Histogram : sig
-  type t
-
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val create : lo:float -> hi:float -> bins:int -> t
-  (** Fixed uniform binning over [\[lo, hi)]; out-of-range samples are counted
-      in saturating edge bins. *)
-
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val add : t -> float -> unit
-  val count : t -> int (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val counts : t -> int array
-  (* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-  val bin_mid : t -> int -> float
-end

@@ -43,11 +43,6 @@ let rec gamma rng ~shape ~scale =
     scale *. draw ()
   end
 
-let erlang rng ~k ~rate =
-  if k <= 0 then invalid_arg "Variate.erlang: k must be positive";
-  let rec loop i acc = if i = 0 then acc else loop (i - 1) (acc +. exponential rng ~rate) in
-  loop k 0.0
-
 let pareto rng ~shape ~scale =
   if shape <= 0.0 || scale <= 0.0 then invalid_arg "Variate.pareto: parameters must be positive";
   let u = 1.0 -. Rng.float rng in
@@ -59,33 +54,6 @@ let weibull rng ~shape ~scale =
   scale *. ((-.log u) ** (1.0 /. shape))
 
 let bernoulli rng ~p = Rng.float rng < p
-
-let categorical rng ~weights =
-  let n = Array.length weights in
-  if n = 0 then invalid_arg "Variate.categorical: empty weights";
-  let total = Array.fold_left (fun acc w ->
-    if w < 0.0 then invalid_arg "Variate.categorical: negative weight";
-    acc +. w) 0.0 weights
-  in
-  if total <= 0.0 then invalid_arg "Variate.categorical: weights sum to zero";
-  let target = Rng.float rng *. total in
-  let rec scan i acc =
-    if i = n - 1 then i
-    else
-      let acc = acc +. weights.(i) in
-      if target < acc then i else scan (i + 1) acc
-  in
-  scan 0 0.0
-
-let truncated ~lo ~hi draw =
-  if lo > hi then invalid_arg "Variate.truncated: lo > hi";
-  let rec attempt n =
-    if n = 0 then Float.min hi (Float.max lo (draw ()))
-    else
-      let x = draw () in
-      if x >= lo && x <= hi then x else attempt (n - 1)
-  in
-  attempt 64
 
 type spec =
   | Constant of float

@@ -19,10 +19,6 @@ val gamma : Rng.t -> shape:float -> scale:float -> float
 (** [gamma rng ~shape ~scale] samples Gamma(k, θ) by Marsaglia–Tsang,
     extended to [shape < 1] by the boosting identity. *)
 
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val erlang : Rng.t -> k:int -> rate:float -> float
-(** [erlang rng ~k ~rate] is the sum of [k] iid Exp(rate) variables. *)
-
 val pareto : Rng.t -> shape:float -> scale:float -> float
 (** [pareto rng ~shape ~scale] samples a Pareto with minimum [scale];
     heavy-tailed service times. *)
@@ -33,16 +29,6 @@ val weibull : Rng.t -> shape:float -> scale:float -> float
 
 val bernoulli : Rng.t -> p:float -> bool
 (** [bernoulli rng ~p] is [true] with probability [p]. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val categorical : Rng.t -> weights:float array -> int
-(** [categorical rng ~weights] samples an index proportionally to [weights].
-    Raises [Invalid_argument] if weights are empty, negative or all zero. *)
-
-(* lint: unused-export-ok test-only (ROADMAP "Test-only exports") *)
-val truncated : lo:float -> hi:float -> (unit -> float) -> float
-(** [truncated ~lo ~hi draw] redraws (up to a bounded number of attempts,
-    then clamps) until the sample lies in [\[lo, hi\]]. *)
 
 type spec =
   | Constant of float

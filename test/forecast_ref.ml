@@ -95,7 +95,7 @@ let sliding_median ?fallback ~window () =
     {
       name = Printf.sprintf "median_%d" window;
       observe_core = push;
-      predict_core = (fun () -> Stats.median (contents ()));
+      predict_core = (fun () -> Stats.quantile (contents ()) 0.5);
     }
 
 let ewma ?fallback ~gain () =

@@ -185,6 +185,12 @@ let test_farm_invalid_workers () =
    instead of passing silently. (The ring-level wake-ups are pinned in
    test_util's spsc-domains suite.) *)
 
+(* One item through the shipped chunk path; raises [Spsc.Closed] at once on
+   a closed ring, which is how the tests observe a relayed close. *)
+let push q x = Spsc.push_chunk q [| x |] ~pos:0 ~len:1
+
+let closed q = match push q 0 with () -> false | exception Spsc.Closed -> true
+
 let spawn_pump ?(batch = 1) f cin cout =
   Domain.spawn (fun () ->
       match Skel_mc.pump ~batch f cin cout with
@@ -193,14 +199,14 @@ let spawn_pump ?(batch = 1) f cin cout =
 
 let test_pump_close_wakes_blocked_sender () =
   let cin = Spsc.create ~capacity:4 and cout = Spsc.create ~capacity:1 in
-  List.iter (Spsc.push cin) [ 1; 2; 3 ];
+  List.iter (push cin) [ 1; 2; 3 ];
   (* The pump fills [cout] with the first item, then blocks pushing the
      second: nothing drains it. *)
   let pump = spawn_pump succ cin cout in
   Unix.sleepf 0.05;
   Spsc.close cout;
   Alcotest.(check bool) "blocked sender raises Closed" true (Domain.join pump = `Raised_closed);
-  Alcotest.(check bool) "shutdown relayed upstream" true (Spsc.is_closed cin)
+  Alcotest.(check bool) "shutdown relayed upstream" true (closed cin)
 
 let test_pump_close_wakes_blocked_receiver () =
   let cin : int Spsc.t = Spsc.create ~capacity:4 and cout = Spsc.create ~capacity:4 in
@@ -208,17 +214,17 @@ let test_pump_close_wakes_blocked_receiver () =
   Unix.sleepf 0.05;
   Spsc.close cin;
   Alcotest.(check bool) "blocked receiver finishes" true (Domain.join pump = `Finished);
-  Alcotest.(check bool) "close relayed downstream" true (Spsc.is_closed cout);
+  Alcotest.(check bool) "close relayed downstream" true (closed cout);
   Alcotest.(check (option int)) "nothing left behind" None (Spsc.pop cout)
 
 let test_pump_drain_after_close () =
   let cin = Spsc.create ~capacity:4 and cout = Spsc.create ~capacity:4 in
-  List.iter (Spsc.push cin) [ 1; 2; 3 ];
+  List.iter (push cin) [ 1; 2; 3 ];
   Spsc.close cin;
-  Alcotest.check_raises "send after close" Spsc.Closed (fun () -> Spsc.push cin 4);
+  Alcotest.check_raises "send after close" Spsc.Closed (fun () -> push cin 4);
   let pump = spawn_pump ~batch:2 (fun x -> x * 10) cin cout in
   Alcotest.(check bool) "pump finishes" true (Domain.join pump = `Finished);
-  Alcotest.(check bool) "close relayed after the last item" true (Spsc.is_closed cout);
+  Alcotest.(check bool) "close relayed after the last item" true (closed cout);
   Alcotest.(check (list (option int))) "queued elements drain FIFO, then None"
     [ Some 10; Some 20; Some 30; None ]
     (List.map (fun _ -> Spsc.pop cout) [ (); (); (); () ])

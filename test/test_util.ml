@@ -106,11 +106,6 @@ let test_variate_gamma_small_shape () =
     (Invalid_argument "Variate.gamma: parameters must be positive") (fun () ->
       ignore (Variate.gamma rng ~shape:0.0 ~scale:1.0))
 
-let test_variate_erlang_mean () =
-  let rng = Rng.create 26 in
-  let mean = sample_mean 20_000 (fun () -> Variate.erlang rng ~k:4 ~rate:2.0) in
-  check_close ~eps:0.05 "Erlang(4,2) mean 2.0" 2.0 mean
-
 let test_variate_pareto_support () =
   let rng = Rng.create 27 in
   for _ = 1 to 10_000 do
@@ -129,31 +124,6 @@ let test_variate_bernoulli_extremes () =
     Alcotest.(check bool) "p=0 never" false (Variate.bernoulli rng ~p:0.0);
     Alcotest.(check bool) "p=1 always" true (Variate.bernoulli rng ~p:1.0)
   done
-
-let test_variate_categorical () =
-  let rng = Rng.create 30 in
-  for _ = 1 to 1000 do
-    let i = Variate.categorical rng ~weights:[| 0.0; 1.0; 0.0 |] in
-    Alcotest.(check int) "zero weights never drawn" 1 i
-  done;
-  let counts = Array.make 2 0 in
-  for _ = 1 to 20_000 do
-    let i = Variate.categorical rng ~weights:[| 3.0; 1.0 |] in
-    counts.(i) <- counts.(i) + 1
-  done;
-  check_close ~eps:0.03 "weight proportions" 0.75 (Float.of_int counts.(0) /. 20_000.0);
-  Alcotest.check_raises "empty weights" (Invalid_argument "Variate.categorical: empty weights")
-    (fun () -> ignore (Variate.categorical rng ~weights:[||]))
-
-let test_variate_truncated () =
-  let rng = Rng.create 31 in
-  for _ = 1 to 1000 do
-    let x = Variate.truncated ~lo:0.4 ~hi:0.6 (fun () -> Rng.float rng) in
-    if not (x >= 0.4 && x <= 0.6) then Alcotest.fail "truncated out of bounds"
-  done;
-  (* An impossible-to-hit band gets clamped rather than looping forever. *)
-  let x = Variate.truncated ~lo:5.0 ~hi:6.0 (fun () -> 0.0) in
-  check_float "clamps after bounded attempts" 5.0 x
 
 let test_variate_spec_means () =
   let rng = Rng.create 32 in
@@ -200,32 +170,14 @@ let test_welford_matches_batch =
       close (Stats.mean xs) (Stats.Welford.mean acc)
       && close (Stats.variance xs) (Stats.Welford.variance acc))
 
-let test_welford_merge =
-  qtest "Welford merge equals single-stream accumulation"
-    QCheck2.Gen.(
-      pair
-        (array_size (int_range 1 50) (float_range (-100.0) 100.0))
-        (array_size (int_range 1 50) (float_range (-100.0) 100.0)))
-    (fun (xs, ys) ->
-      let a = Stats.Welford.create () and b = Stats.Welford.create () in
-      Array.iter (Stats.Welford.add a) xs;
-      Array.iter (Stats.Welford.add b) ys;
-      let merged = Stats.Welford.merge a b in
-      let whole = Stats.Welford.create () in
-      Array.iter (Stats.Welford.add whole) (Array.append xs ys);
-      Stats.Welford.count merged = Stats.Welford.count whole
-      && Float.abs (Stats.Welford.mean merged -. Stats.Welford.mean whole) < 1e-6
-      && Float.abs (Stats.Welford.min merged -. Stats.Welford.min whole) < 1e-12
-      && Float.abs (Stats.Welford.max merged -. Stats.Welford.max whole) < 1e-12)
-
 let test_welford_empty () =
   let acc = Stats.Welford.create () in
   Alcotest.(check bool) "empty mean is nan" true (Float.is_nan (Stats.Welford.mean acc));
-  Alcotest.(check int) "empty count" 0 (Stats.Welford.count acc)
+  Alcotest.(check bool) "empty variance is nan" true (Float.is_nan (Stats.Welford.variance acc))
 
 let test_quantile_known () =
   let xs = [| 5.0; 1.0; 3.0; 2.0; 4.0 |] in
-  check_float "median of 1..5" 3.0 (Stats.median xs);
+  check_float "median of 1..5" 3.0 (Stats.quantile xs 0.5);
   check_float "q0 is min" 1.0 (Stats.quantile xs 0.0);
   check_float "q1 is max" 5.0 (Stats.quantile xs 1.0);
   check_float "q0.25 interpolates" 2.0 (Stats.quantile xs 0.25);
@@ -239,7 +191,7 @@ let test_quantile_invalid () =
 
 let test_quantile_does_not_mutate () =
   let xs = [| 3.0; 1.0; 2.0 |] in
-  ignore (Stats.median xs);
+  ignore (Stats.quantile xs 0.5);
   Alcotest.(check (array (float 0.0))) "input untouched" [| 3.0; 1.0; 2.0 |] xs
 
 let test_confidence95 () =
@@ -249,28 +201,6 @@ let test_confidence95 () =
   check_close ~eps:1e-6 "half width 1.96 s/sqrt n" (1.96 *. Stats.stddev samples /. 2.0) half;
   let _, half1 = Stats.confidence95 [| 42.0 |] in
   check_float "n=1 has zero width" 0.0 half1
-
-let test_mae_rmse () =
-  check_float "mae" 1.0 (Stats.mae [| 1.0; 2.0; 3.0 |] [| 2.0; 1.0; 4.0 |]);
-  check_float "rmse" 1.0 (Stats.rmse [| 1.0; 2.0; 3.0 |] [| 2.0; 1.0; 4.0 |]);
-  Alcotest.check_raises "length mismatch" (Invalid_argument "Stats.mae: length mismatch")
-    (fun () -> ignore (Stats.mae [| 1.0 |] [| 1.0; 2.0 |]))
-
-let test_histogram () =
-  let h = Stats.Histogram.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Stats.Histogram.add h) [ 0.5; 1.5; 1.6; 9.9; -5.0; 15.0 ];
-  let counts = Stats.Histogram.counts h in
-  Alcotest.(check int) "total" 6 (Stats.Histogram.count h);
-  Alcotest.(check int) "bin 0 (incl. saturated low)" 2 counts.(0);
-  Alcotest.(check int) "bin 1" 2 counts.(1);
-  Alcotest.(check int) "bin 9 (incl. saturated high)" 2 counts.(9);
-  check_float "bin midpoint" 0.5 (Stats.Histogram.bin_mid h 0)
-
-let test_histogram_invalid () =
-  Alcotest.check_raises "bins 0" (Invalid_argument "Histogram.create: bins must be positive")
-    (fun () -> ignore (Stats.Histogram.create ~lo:0.0 ~hi:1.0 ~bins:0));
-  Alcotest.check_raises "hi <= lo" (Invalid_argument "Histogram.create: hi must exceed lo")
-    (fun () -> ignore (Stats.Histogram.create ~lo:1.0 ~hi:1.0 ~bins:4))
 
 (* ------------------------------------------------------------- Forecast *)
 
@@ -391,11 +321,6 @@ let test_csv_table_roundtrip () =
   Render.Table.add_row table [ "v1"; "v2" ];
   Alcotest.(check (list (list string))) "header + rows" [ [ "c1"; "c2" ]; [ "v1"; "v2" ] ]
     (Csvio.table_rows table)
-
-let test_csv_series_rows () =
-  let rows = Csvio.series_rows [ Render.Series.make "s" [| (1.0, 2.0) |] ] in
-  Alcotest.(check (list (list string))) "long format" [ [ "series"; "x"; "y" ]; [ "s"; "1"; "2" ] ]
-    rows
 
 let test_csv_save_files () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "aspipe_csv_test" in
@@ -662,7 +587,6 @@ let test_ring_fifo () =
     Ring.push r i
   done;
   Alcotest.(check int) "length" 100 (Ring.length r);
-  Alcotest.(check int) "peek is front" 1 (Ring.peek r);
   for i = 1 to 100 do
     Alcotest.(check int) "fifo order" i (Ring.pop r)
   done;
@@ -730,15 +654,16 @@ let test_spsc_capacity_rounding () =
   Alcotest.check_raises "capacity 0" (Invalid_argument "Spsc.create: capacity must be positive")
     (fun () -> ignore (Spsc.create ~capacity:0))
 
+(* One item through the shipped chunk path: blocks while full, raises
+   [Spsc.Closed] once the ring is closed. *)
+let spsc_push q x = Spsc.push_chunk q [| x |] ~pos:0 ~len:1
+
 let test_spsc_fifo_single_domain () =
   let q = Spsc.create ~capacity:4 in
-  Alcotest.(check int) "fresh is empty" 0 (Spsc.length q);
   Alcotest.(check (option int)) "try_pop empty" None (Spsc.try_pop q);
   for i = 1 to 4 do
-    Alcotest.(check bool) "push with room" true (Spsc.try_push q i)
+    spsc_push q i
   done;
-  Alcotest.(check bool) "full rejects" false (Spsc.try_push q 5);
-  Alcotest.(check int) "length at capacity" 4 (Spsc.length q);
   for i = 1 to 4 do
     Alcotest.(check (option int)) "fifo order" (Some i) (Spsc.try_pop q)
   done;
@@ -746,22 +671,18 @@ let test_spsc_fifo_single_domain () =
   (* Wrap-around: the monotone indices must address slots correctly long
      past the physical end of the buffer. *)
   for i = 1 to 100 do
-    Spsc.push q i;
+    spsc_push q i;
     Alcotest.(check (option int)) "wraps" (Some i) (Spsc.pop q)
   done
 
 let test_spsc_close_semantics () =
   let q = Spsc.create ~capacity:8 in
-  Spsc.push q 1;
-  Spsc.push q 2;
-  Alcotest.(check bool) "open" false (Spsc.is_closed q);
+  spsc_push q 1;
+  spsc_push q 2;
   Spsc.close q;
   Spsc.close q;
   (* idempotent *)
-  Alcotest.(check bool) "closed" true (Spsc.is_closed q);
-  Alcotest.check_raises "push after close" Spsc.Closed (fun () -> Spsc.push q 3);
-  Alcotest.check_raises "try_push after close" Spsc.Closed (fun () ->
-      ignore (Spsc.try_push q 3));
+  Alcotest.check_raises "push after close" Spsc.Closed (fun () -> spsc_push q 3);
   Alcotest.(check (option int)) "queued items drain" (Some 1) (Spsc.pop q);
   Alcotest.(check (option int)) "in order" (Some 2) (Spsc.pop q);
   Alcotest.(check (option int)) "then exhausted" None (Spsc.pop q);
@@ -771,7 +692,6 @@ let test_spsc_chunk_roundtrip () =
   let q = Spsc.create ~capacity:8 in
   let src = Array.init 6 (fun i -> i * 10) in
   Spsc.push_chunk q src ~pos:0 ~len:6;
-  Alcotest.(check int) "chunk in" 6 (Spsc.length q);
   let dst = Array.make 8 (-1) in
   let n = Spsc.pop_chunk q dst ~pos:1 ~len:4 in
   Alcotest.(check int) "partial chunk out" 4 n;
@@ -801,8 +721,7 @@ let test_spsc_closed_before_push () =
   Alcotest.(check (option string)) "try_pop" None (Spsc.try_pop q);
   Alcotest.(check (option string)) "pop" None (Spsc.pop q);
   Alcotest.(check int) "pop_chunk" 0 (Spsc.pop_chunk q (Array.make 4 "") ~pos:0 ~len:4);
-  Alcotest.(check int) "length" 0 (Spsc.length q);
-  Alcotest.check_raises "push" Spsc.Closed (fun () -> Spsc.push q "x");
+  Alcotest.check_raises "push" Spsc.Closed (fun () -> spsc_push q "x");
   Alcotest.check_raises "push_chunk" Spsc.Closed (fun () ->
       Spsc.push_chunk q [| "x" |] ~pos:0 ~len:1)
 
@@ -870,7 +789,7 @@ let spsc_fill_and_drain q weak n =
   for i = 0 to n - 1 do
     let item = Bytes.make 16 (Char.chr (65 + (i mod 26))) in
     Weak.set weak i (Some item);
-    Spsc.push q item
+    spsc_push q item
   done;
   ignore (Sys.opaque_identity (Spsc.pop q));
   let dst = Array.make 3 Bytes.empty in
@@ -890,12 +809,14 @@ let test_spsc_retains_only_first_item () =
   for i = 1 to n - 1 do
     if Weak.check weak i then Alcotest.failf "item %d retained after its pop" (i + 1)
   done;
-  Alcotest.(check int) "ring still live and empty" 0 (Spsc.length (Sys.opaque_identity q))
+  Alcotest.(check bool) "ring still live and empty" true
+    (Spsc.try_pop (Sys.opaque_identity q) = None)
 
 (* Model check: a ring driven by a random script of non-blocking operations
-   (try_push / try_pop / space-clipped chunk push / chunk pop / close)
-   behaves exactly like a FIFO list with a closed flag, across every
-   capacity and past wrap-around. Blocking variants are exercised by the
+   (one-item push with room / try_pop / space-clipped chunk push / chunk
+   pop / close) behaves exactly like a FIFO list with a closed flag, across
+   every capacity and past wrap-around, and drains to the model at the
+   end. Blocking variants are exercised by the
    two-domain tests below; here every call is chosen so it cannot park. *)
 let test_prop_spsc_matches_list_model =
   let open QCheck2.Gen in
@@ -919,14 +840,13 @@ let test_prop_spsc_matches_list_model =
                 let x = !counter in
                 if !closed then
                   check
-                    (match Spsc.try_push q x with
+                    (match spsc_push q x with
                     | exception Spsc.Closed -> true
-                    | _ -> false)
+                    | () -> false)
                 else if List.length !model < cap then begin
-                  check (Spsc.try_push q x);
+                  spsc_push q x;
                   model := !model @ [ x ]
                 end
-                else check (not (Spsc.try_push q x))
             | 1 -> (
                 match !model with
                 | [] -> check (Spsc.try_pop q = None)
@@ -971,7 +891,9 @@ let test_prop_spsc_matches_list_model =
                 Spsc.close q;
                 closed := true)
         ops;
-      check (Spsc.length q = List.length !model);
+      Spsc.close q;
+      let rec drain acc = match Spsc.pop q with Some x -> drain (x :: acc) | None -> List.rev acc in
+      check (drain [] = !model);
       !ok)
 
 (* -------------------------------------------- Spsc under two real domains *)
@@ -989,7 +911,7 @@ let spsc_stress ~capacity ~batch ~items () =
     Domain.spawn (fun () ->
         if batch = 1 then
           for i = 0 to items - 1 do
-            Spsc.push q i
+            spsc_push q i
           done
         else begin
           let buf = Array.make batch 0 in
@@ -1043,10 +965,10 @@ let spsc_stress_cases =
 
 let test_spsc_close_wakes_blocked_producer () =
   let q = Spsc.create ~capacity:1 in
-  Spsc.push q 0;
+  spsc_push q 0;
   let producer =
     Domain.spawn (fun () ->
-        match Spsc.push q 1 with () -> `Pushed | exception Spsc.Closed -> `Raised_closed)
+        match spsc_push q 1 with () -> `Pushed | exception Spsc.Closed -> `Raised_closed)
   in
   Unix.sleepf 0.05;
   Spsc.close q;
@@ -1076,7 +998,7 @@ let test_spsc_producer_close_drains () =
     Domain.spawn (fun () ->
         Unix.sleepf 0.05;
         for i = 1 to 100 do
-          Spsc.push q i
+          spsc_push q i
         done;
         Spsc.close q)
   in
@@ -1111,12 +1033,9 @@ let () =
           Alcotest.test_case "lognormal mean" `Slow test_variate_lognormal_mean;
           Alcotest.test_case "gamma mean" `Slow test_variate_gamma_mean;
           Alcotest.test_case "gamma small shape" `Slow test_variate_gamma_small_shape;
-          Alcotest.test_case "erlang mean" `Slow test_variate_erlang_mean;
           Alcotest.test_case "pareto support" `Quick test_variate_pareto_support;
           Alcotest.test_case "weibull positive" `Quick test_variate_weibull_positive;
           Alcotest.test_case "bernoulli extremes" `Quick test_variate_bernoulli_extremes;
-          Alcotest.test_case "categorical" `Quick test_variate_categorical;
-          Alcotest.test_case "truncated" `Quick test_variate_truncated;
           Alcotest.test_case "spec means" `Slow test_variate_spec_means;
           Alcotest.test_case "pareto infinite mean" `Quick test_variate_pareto_infinite_mean;
           Alcotest.test_case "weibull mean formula" `Quick test_variate_weibull_mean_formula;
@@ -1124,15 +1043,11 @@ let () =
       ( "stats",
         [
           test_welford_matches_batch;
-          test_welford_merge;
           Alcotest.test_case "welford empty" `Quick test_welford_empty;
           Alcotest.test_case "quantile known" `Quick test_quantile_known;
           Alcotest.test_case "quantile invalid" `Quick test_quantile_invalid;
           Alcotest.test_case "quantile pure" `Quick test_quantile_does_not_mutate;
           Alcotest.test_case "confidence95" `Quick test_confidence95;
-          Alcotest.test_case "mae rmse" `Quick test_mae_rmse;
-          Alcotest.test_case "histogram" `Quick test_histogram;
-          Alcotest.test_case "histogram invalid" `Quick test_histogram_invalid;
         ] );
       ( "forecast",
         [
@@ -1155,7 +1070,6 @@ let () =
           Alcotest.test_case "escaping" `Quick test_csv_escaping;
           Alcotest.test_case "encode" `Quick test_csv_encode;
           Alcotest.test_case "table rows" `Quick test_csv_table_roundtrip;
-          Alcotest.test_case "series rows" `Quick test_csv_series_rows;
           Alcotest.test_case "save files" `Quick test_csv_save_files;
         ] );
       ( "ring",
