@@ -60,6 +60,13 @@ let fail msg =
 let at_least_one flag value =
   if value < 1 then fail (Printf.sprintf "--%s must be at least 1 (got %d)" flag value)
 
+(* --hot-factor scales a stage's work: NaN or infinity would reach the
+   simulator's servers as non-finite work, and a negative factor would
+   silently fall back to the balanced pipeline. *)
+let hot_factor_ok hot =
+  if not (Float.is_finite hot && hot >= 0.0) then
+    fail (Printf.sprintf "--hot-factor must be finite and non-negative (got %g)" hot)
+
 (* ------------------------------------------------------- list-experiments *)
 
 let experiment_kind e =
@@ -228,6 +235,7 @@ let scenario_args =
             at_least_one "nodes" nodes;
             at_least_one "stages" stages;
             at_least_one "items" items;
+            hot_factor_ok hot;
             (nodes, stages, items, hot, step_at))
         $ nodes $ stages $ items $ hot $ step)
 
@@ -605,8 +613,7 @@ let replicate verbose seed nodes stages hot items =
   if nodes < stages then
     fail (Printf.sprintf "--nodes must be at least --stages (%d), one node per stage (got %d)"
             stages nodes);
-  if not (Float.is_finite hot && hot >= 0.0) then
-    fail (Printf.sprintf "--hot-factor must be finite and non-negative (got %g)" hot);
+  hot_factor_ok hot;
   at_least_one "items" items;
   let stage_array = Aspipe_workload.Synthetic.hot_stage ~n:stages ~factor:hot () in
   let scenario =
@@ -689,6 +696,7 @@ let faults_cmd =
 (* -------------------------------------------------------------- calibrate *)
 
 let calibrate seed probes =
+  at_least_one "probes" probes;
   let stages = Aspipe_workload.Synthetic.noisy ~n:5 ~cv:0.4 () in
   let calibration = Calibration.run ~probes ~rng:(Rng.create seed) stages in
   Format.printf "%a" Calibration.pp calibration;
@@ -705,6 +713,7 @@ let calibrate_cmd =
 let export_pepa stages nodes hot =
   at_least_one "stages" stages;
   at_least_one "nodes" nodes;
+  hot_factor_ok hot;
   let engine = Aspipe_des.Engine.create () in
   let topo =
     Aspipe_grid.Topology.uniform engine ~n:nodes ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ()
