@@ -63,6 +63,9 @@ let farm_points ~quick =
     worker_counts
 
 let run_e10 ~quick =
+  (* The speedups below mean nothing without the core count they ran on. *)
+  Aspipe_util.Out.printf "E10 ran on %d cores (Domain.recommended_domain_count)\n"
+    (Domain.recommended_domain_count ());
   let points = pipeline_points ~quick in
   Render.print_figure ~title:"E10: shared-memory pipeline speedup (image chain, 5 stages)"
     ~x_label:"domain groups" ~y_label:"speedup vs sequential"
