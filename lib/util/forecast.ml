@@ -253,8 +253,7 @@ let trend ?fallback ~gain () =
   if gain <= 0.0 || gain > 1.0 then invalid_arg "Forecast.trend: gain must be in (0,1]";
   make ?fallback ~gain ~name:(Printf.sprintf "trend_%.2g" gain) Trend
 
-(* layout: out of line (DESIGN "Code layout") *)
-let[@inline never] ar1 ?fallback () = make ?fallback ~name:"ar1" Ar1
+let ar1 ?fallback () = make ?fallback ~name:"ar1" Ar1
 
 let adaptive ?(fallback = 0.0) () =
   let bank =
