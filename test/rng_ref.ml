@@ -54,9 +54,8 @@ let float t =
 
 let range t lo hi = lo +. ((hi -. lo) *. float t)
 
-(* A uniform int in [0, n) from the library generator, by the rejection
-   sampling the library's [Rng.int] used before no program drew ints:
-   the tests that draw random shapes keep their exact data. *)
+(* A uniform int in [0, n) from the library generator, by rejection
+   sampling (no modulo bias); the tests draw random shapes with it. *)
 let below g n =
   if n <= 0 then invalid_arg "Rng_ref.below: bound must be positive";
   let n64 = Int64.of_int n in
