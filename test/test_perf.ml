@@ -291,8 +291,14 @@ let test_skel_sim_keyed_work_budget () =
    (flash-crowd scale-ups) and E24 (failover under serving) pin the decision
    paths. E4, E8, E11, E15, E19, E20, E21 and E23 pin the rest of the
    adaptive and serving drivers' experiments: E19 is the only one that sets
-   a failover cap, and E21 is the serving autoscaler panel. *)
+   a failover cap, and E21 is the serving autoscaler panel. E2, E5, E9 and
+   E16 pin the static simulations of the mapping, scalability, forecaster
+   and offload experiments. *)
 let golden_campaign = [ ("E1", "28a482341504a86deef536622a83277c");
+                        ("E2", "a7d204eccd3c38d62ac71b85f882265c");
+                        ("E5", "65dbd3b7aaf91192bbc1e90c8cbc48dd");
+                        ("E9", "633b1cb900149aea5f704734dffa4a84");
+                        ("E16", "ad0486a00e5a2914233be6d90d455aac");
                         ("E3", "705233c8dcefc56efb2182bf2f3446ae");
                         ("E12", "8b654be1b6b70c05f6b5d66200d47056");
                         ("E14", "2451d0635c75297fead530ef0c76fe1a");
@@ -486,6 +492,70 @@ let test_golden_decisions () =
         (decisions_digest report))
     golden_decisions
 
+(* Golden determinism of the bounded buffers and of same-instant ties: E13a's
+   shape (3 bursty lognormal stages spread over 3 nodes, 600 items) through
+   Skel_sim.execute at queue capacities 1 and 2, where deliveries park and
+   land in dispatch order, and unbounded. The first three streams are
+   Immediate, so every arrival lands at t = 0, the heaviest tie case for the
+   event queue; the Poisson ones interleave arrivals with parked deliveries.
+   Each case digests the full JSONL event stream of the engine's bus and the
+   returned trace's completions and sojourns, as captured before the
+   simulator's lazy arrivals and per-stage callbacks. *)
+let golden_bounded =
+  let module Stream_spec = Aspipe_skel.Stream_spec in
+  [ ("e13a capacity 1", Some 1, Stream_spec.Immediate,
+     "0b5aaf5e82c182bdd58a584d2cd27ca6", "3c2a8e4a43594bbbcee446beb2d8878e", 801836);
+    ("e13a capacity 2", Some 2, Stream_spec.Immediate,
+     "b056f3958fc7d1da2b7e9c983485bdd7", "e20266aae0f6bbb6d2fdaecbf14b36e7", 802111);
+    ("e13a unbounded", None, Stream_spec.Immediate,
+     "7a82a030e63697acb589beca3c72cce3", "4fc7666826425c27e2f841af54190349", 800747);
+    ("poisson capacity 1", Some 1, Stream_spec.Poisson 9.0,
+     "f833ac41da1a92c5d5b50dbeaeac3f64", "5c8734bac9a936ce55afad4fce7d053f", 801798);
+    ("poisson capacity 2", Some 2, Stream_spec.Poisson 9.0,
+     "103985fda9b99908adc52f2f960e559e", "92f92a32dfcd043a9e46fd9a68a7b570", 801970) ]
+
+let test_golden_bounded () =
+  List.iter
+    (fun (name, queue_capacity, arrival, expected_trace, expected_stream, expected_bytes) ->
+      let scenario =
+        Aspipe_core.Scenario.make ~name:"perf-bounded"
+          ~make_topo:(Aspipe_exp.Common.uniform_grid ~n:3 ~latency:0.001 ())
+          ~stages:
+            (Array.init 3 (fun i ->
+                 Aspipe_skel.Stage.make ~name:(Printf.sprintf "e13s%d" i) ~output_bytes:1e4
+                   ~work:(Aspipe_util.Variate.Lognormal { mu = -0.72; sigma = 1.2 })
+                   ()))
+          ~input:(Aspipe_skel.Stream_spec.make ~arrival ~item_bytes:1e4 ~items:600 ())
+          ()
+      in
+      (* The same run unobserved and with a JSONL sink, which switches the
+         guarded emits on: both must give the captured trace. *)
+      let run ?sink () =
+        let topo = Aspipe_core.Scenario.build scenario ~rng:(Aspipe_util.Rng.create 91) in
+        Option.iter (Bus.subscribe (Engine.bus (Aspipe_grid.Topology.engine topo))) sink;
+        let trace =
+          Aspipe_skel.Skel_sim.execute ~rng:(Aspipe_util.Rng.create 92) ?queue_capacity ~topo
+            ~stages:scenario.Aspipe_core.Scenario.stages ~mapping:[| 0; 1; 2 |]
+            ~input:scenario.Aspipe_core.Scenario.input ()
+        in
+        let b = Buffer.create 16384 in
+        Array.iter
+          (fun (item, t) -> Printf.bprintf b " %d:%h" item t)
+          (Aspipe_grid.Trace.completions trace);
+        Array.iter
+          (fun (item, t) -> Printf.bprintf b " %d:%h" item t)
+          (Aspipe_grid.Trace.sojourns trace);
+        Digest.to_hex (Digest.string (Buffer.contents b))
+      in
+      Alcotest.(check string) (name ^ " trace digest") expected_trace (run ());
+      let buffer = Buffer.create 65536 in
+      Alcotest.(check string) (name ^ " observed trace digest") expected_trace
+        (run ~sink:(Aspipe_obs.Jsonl.sink_to_buffer buffer) ());
+      Alcotest.(check int) (name ^ " stream length") expected_bytes (Buffer.length buffer);
+      Alcotest.(check string) (name ^ " stream digest") expected_stream
+        (Digest.to_hex (Digest.string (Buffer.contents buffer))))
+    golden_bounded
+
 let () =
   Alcotest.run "perf"
     [
@@ -516,5 +586,6 @@ let () =
           Alcotest.test_case "jsonl streams" `Quick test_golden_jsonl;
           Alcotest.test_case "serving and failover streams" `Quick test_golden_streams;
           Alcotest.test_case "adaptive_search decisions" `Quick test_golden_decisions;
+          Alcotest.test_case "bounded queues and ties" `Quick test_golden_bounded;
         ] );
     ]
