@@ -8,6 +8,8 @@ let now t = t.clock
 
 type handle = Pqueue.handle
 
+let none = Pqueue.none
+
 let create () =
   let t = { queue = Pqueue.create (); clock = 0.0; bus = Aspipe_obs.Bus.create () } in
   Aspipe_obs.Bus.set_clock t.bus (fun () -> t.clock);
@@ -18,14 +20,48 @@ let bus t = t.bus
 let schedule_at t ~time f =
   if not (Float.is_finite time) then invalid_arg "Engine.schedule_at: non-finite time";
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
-  Pqueue.insert t.queue time f
+  Pqueue.add t.queue time f
 
-let[@inline] schedule t ~delay f =
+let check_delay delay =
   if not (Float.is_finite delay) || delay < 0.0 then
-    invalid_arg "Engine.schedule: delay must be finite and non-negative";
-  (* A finite non-negative delay added to a finite clock passes the
-     [schedule_at] validation by construction — insert directly. *)
+    invalid_arg "Engine.schedule: delay must be finite and non-negative"
+
+(* A finite non-negative delay added to a finite clock passes the
+   [schedule_at] validation by construction — insert directly. *)
+let[@inline] schedule t ~delay f =
+  check_delay delay;
+  Pqueue.add t.queue (t.clock +. delay) f
+
+let[@inline] schedule_cancellable t ~delay f =
+  check_delay delay;
   Pqueue.insert t.queue (t.clock +. delay) f
+
+(* Only the next instant of a series sits in the queue. The series takes
+   its whole block of tie-break numbers up front, so instant [i] pops
+   exactly where the [i]-th of [n] eager [schedule_at] calls made now would
+   have: after everything scheduled before the call, before everything
+   scheduled after it, and in index order among equal instants. *)
+let schedule_series t ~times f =
+  let n = Array.length times in
+  let floor = ref t.clock in
+  Array.iter
+    (fun time ->
+      if not (Float.is_finite time) then invalid_arg "Engine.schedule_series: non-finite time";
+      if time < !floor then
+        invalid_arg "Engine.schedule_series: times must be non-decreasing and not in the past";
+      floor := time)
+    times;
+  if n > 0 then begin
+    let first = Pqueue.reserve t.queue n in
+    let next = ref 0 in
+    let rec fire () =
+      let i = !next in
+      next := i + 1;
+      if i + 1 < n then Pqueue.add_reserved t.queue times.(i + 1) ~seq:(first + i + 1) fire;
+      f i
+    in
+    Pqueue.add_reserved t.queue times.(0) ~seq:first fire
+  end
 
 let cancel = Pqueue.cancel
 
@@ -55,5 +91,5 @@ let run ?until t =
 let periodic t ?start ~every f =
   if every <= 0.0 then invalid_arg "Engine.periodic: period must be positive";
   let first = match start with Some s -> s | None -> t.clock +. every in
-  let rec tick () = if f () then ignore (schedule t ~delay:every tick) in
-  ignore (schedule_at t ~time:first tick)
+  let rec tick () = if f () then schedule t ~delay:every tick in
+  schedule_at t ~time:first tick

@@ -13,9 +13,10 @@ type handle = { mutable dead : bool }
    where sift-down — the hot operation of the event loop — spends its
    time.
 
-   The only allocation on the insert/pop path is the [handle] record,
-   which must be a stand-alone mutable cell because it escapes to the
-   caller (cancellation does not hold the queue). *)
+   The only allocation on the insert/pop path is the [handle] record of a
+   cancellable entry, which must be a stand-alone mutable cell because it
+   escapes to the caller (cancellation does not hold the queue). Entries
+   nobody cancels share the [never] handle and allocate nothing. *)
 type 'a t = {
   mutable heap_keys : float array;
   mutable heap_slots : int array;
@@ -45,7 +46,7 @@ let create () =
    throwaway intermediate like the old [Array.append] growth. The fresh
    slots are filled with the entry being inserted, so no dummy element is
    ever needed, and they are chained onto the free list. *)
-let grow q value handle =
+let[@inline never] grow q value handle =
   let cap = Array.length q.heap_keys in
   let ncap = if cap = 0 then 16 else 2 * cap in
   let heap_keys = Array.make ncap 0.0 in
@@ -140,20 +141,48 @@ let sift_hole_down q used =
   done;
   !i
 
-let[@inline] insert q key value =
-  let handle = { dead = false } in
-  let seq = q.next_seq in
-  q.next_seq <- seq + 1;
-  if q.used = Array.length q.heap_keys then grow q value handle;
+(* The handle of every entry inserted without one; never cancelled. *)
+let never = { dead = false }
+
+let none = { dead = true }
+
+(* An insert is split in two: the inlined [push] stores the key straight
+   into [heap_keys], where it stays unboxed, and the one out-of-line
+   [place] copy does the rest, so an inlined schedule costs a few
+   instructions at each call site instead of a copy of the whole path. *)
+let[@inline never] place q seq value handle =
   let slot = q.free_head in
   q.free_head <- q.seqs.(slot);
   q.seqs.(slot) <- seq;
   q.vals.(slot) <- value;
   q.handles.(slot) <- handle;
-  q.heap_keys.(q.used) <- key;
   sift_up q q.used seq slot;
-  q.used <- q.used + 1;
+  q.used <- q.used + 1
+
+let[@inline] push q key seq value handle =
+  if q.used = Array.length q.heap_keys then grow q value handle;
+  (* [used < Array.length heap_keys] once grown. *)
+  Array.unsafe_set q.heap_keys q.used key;
+  place q seq value handle
+
+let[@inline] next_seq q =
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  seq
+
+let[@inline] insert q key value =
+  let handle = { dead = false } in
+  push q key (next_seq q) value handle;
   handle
+
+let[@inline] add q key value = push q key (next_seq q) value never
+
+let reserve q n =
+  let first = q.next_seq in
+  q.next_seq <- first + n;
+  first
+
+let[@inline] add_reserved q key ~seq value = push q key seq value never
 
 let cancel h = h.dead <- true
 

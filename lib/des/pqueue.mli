@@ -6,18 +6,36 @@
     order they were scheduled.
 
     The heap stores keys in a flat [float array] (unboxed) with parallel
-    payload arrays, so the hot pop/insert path performs no allocation
-    beyond the returned {!handle}. *)
+    payload arrays, so the hot pop/add path performs no allocation; only
+    a cancellable {!insert} allocates its {!handle}. *)
 
 type 'a t
 
 type handle
 (** A token identifying an inserted entry; used to cancel it. *)
 
+val none : handle
+(** A handle of no entry; cancelling it does nothing. *)
+
 val create : unit -> 'a t
 
 val insert : 'a t -> float -> 'a -> handle
-(** [insert q key v] adds [v] with priority [key] (smaller pops first). *)
+(** [insert q key v] adds [v] with priority [key] (smaller pops first) and
+    returns a handle that can cancel it. *)
+
+val add : 'a t -> float -> 'a -> unit
+(** [add q key v] is {!insert} for an entry nobody cancels: it takes the
+    next tie-break number the same way and allocates no handle. *)
+
+val reserve : 'a t -> int -> int
+(** [reserve q n] takes the next [n] tie-break numbers, exactly as [n]
+    calls of {!add} would, and returns the first. Entries inserted later
+    tie-break after all of them. *)
+
+val add_reserved : 'a t -> float -> seq:int -> 'a -> unit
+(** [add_reserved q key ~seq v] adds [v] with a tie-break number taken by
+    {!reserve}: it pops where an {!add} made at the reservation would
+    have. Each reserved number is used at most once. *)
 
 val cancel : handle -> unit
 (** [cancel h] removes the entry lazily; idempotent. *)

@@ -14,11 +14,12 @@ val create : Engine.t -> rate:Signal.t -> t
 (** The server subscribes to [rate]; the signal may be shared. *)
 
 val submit :
-  t -> work:float -> ?tag:int -> ?on_start:(unit -> unit) -> (unit -> unit) -> unit
-(** [submit t ~work k] enqueues a job of [work] units; [k] runs at the
-    simulated instant the job completes, and [on_start] (if given) at the
-    instant the job enters service. Raises [Invalid_argument] if
-    [work < 0] or not finite. *)
+  t -> work:float -> tag:int -> on_start:(int -> unit) -> (int -> unit) -> unit
+(** [submit t ~work ~tag ~on_start k] enqueues a job of [work] units; [k tag]
+    runs at the simulated instant the job completes, and [on_start tag] at
+    the instant the job enters service. Callbacks that take the tag can be
+    built once per caller rather than once per job. Raises
+    [Invalid_argument] if [work < 0] or not finite. *)
 
 val drop_all : t -> int list
 (** Abort the in-service job and discard every waiting job without running

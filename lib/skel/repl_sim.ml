@@ -11,14 +11,21 @@ let user_site = -1
 
 type dispatch = Round_robin | Least_loaded
 
+(* Per-item state lives in dense columns indexed by item id (ids run from
+   0 to [input.items - 1]), as in [Trace]. *)
 type stage_rt = {
   spec : Stage.t;
   mutable replica_set : int list;  (* ascending *)
   outstanding : int array;  (* per topology node *)
   mutable rr_cursor : int;  (* deals so far under round-robin *)
   arrived : (int * int) Queue.t;  (* (item, src node), in item order *)
-  reorder : (int, int) Hashtbl.t;  (* finished item -> computing node *)
+  replica_of : int array;  (* item -> the replica serving it *)
+  start : float array;  (* item -> its service start *)
+  finished_on : int array;
+      (* reorder buffer: item -> the node that finished it, -1 until then *)
   mutable next_emit : int;
+  mutable on_start : int -> unit;  (* the server callbacks, built once *)
+  mutable on_finish : int -> unit;
 }
 
 type t = {
@@ -30,7 +37,7 @@ type t = {
   work_seed : int;  (* keys every work draw, with the item and stage index *)
   input : Stream_spec.t;
   (* Ordered completion at the sink. *)
-  sink_delivered : (int, float) Hashtbl.t;
+  sink_delivered : bool array;  (* item -> its output reached the user *)
   mutable sink_next : int;
   mutable completed : int;
 }
@@ -56,14 +63,12 @@ let[@inline never] transfer_from t ~src ~dst ~bytes k =
 
 (* Ordered completion record at the sink. *)
 let rec sink_emit t =
-  match Hashtbl.find_opt t.sink_delivered t.sink_next with
-  | None -> ()
-  | Some _ ->
-      Hashtbl.remove t.sink_delivered t.sink_next;
-      Trace.record_completion t.trace ~item:t.sink_next ~time:(Engine.now t.engine);
-      t.completed <- t.completed + 1;
-      t.sink_next <- t.sink_next + 1;
-      sink_emit t
+  if t.sink_next < Array.length t.sink_delivered && t.sink_delivered.(t.sink_next) then begin
+    Trace.record_completion t.trace ~item:t.sink_next ~time:(Engine.now t.engine);
+    t.completed <- t.completed + 1;
+    t.sink_next <- t.sink_next + 1;
+    sink_emit t
+  end
 
 (* Round-robin deals eagerly (equal shares, the classic farm deal);
    least-loaded is demand-driven: an item is only dealt while some replica
@@ -96,53 +101,54 @@ let rec pump t si =
           if si = 0 then t.input.Stream_spec.item_bytes
           else t.stages.(si - 1).spec.Stage.output_bytes
         in
+        s.replica_of.(item) <- replica;
         transfer_from t ~src ~dst:replica ~bytes (fun () ->
-            let node = Topology.node t.topo replica in
-            let start = ref (Engine.now t.engine) in
-            Server.submit (Node.server node)
+            s.start.(item) <- Engine.now t.engine;
+            Server.submit
+              (Node.server (Topology.node t.topo replica))
               ~work:(Stage.keyed_work s.spec ~seed:t.work_seed ~item ~stage:si)
-              ~tag:item
-              ~on_start:(fun () -> start := Engine.now t.engine)
-              (fun () ->
-                Trace.record_service t.trace
-                  {
-                    Trace.item;
-                    stage = si;
-                    node = replica;
-                    start = !start;
-                    finish = Engine.now t.engine;
-                  };
-                s.outstanding.(replica) <- s.outstanding.(replica) - 1;
-                Hashtbl.replace s.reorder item replica;
-                emit t si;
-                pump t si));
+              ~tag:item ~on_start:s.on_start s.on_finish);
         pump t si
 
 (* Re-sequence: forward every contiguous finished item downstream (or to the
    sink), preserving the input order for the next stage. *)
 and emit t si =
   let s = t.stages.(si) in
-  match Hashtbl.find_opt s.reorder s.next_emit with
-  | None -> ()
-  | Some node ->
-      Hashtbl.remove s.reorder s.next_emit;
-      let item = s.next_emit in
-      s.next_emit <- s.next_emit + 1;
-      let ns = Array.length t.stages in
-      if si = ns - 1 then
-        Link.transfer (Topology.user_link t.topo node) ~bytes:s.spec.Stage.output_bytes
-          (fun () ->
-            Hashtbl.replace t.sink_delivered item (Engine.now t.engine);
-            sink_emit t)
-      else begin
-        Queue.push (item, node) t.stages.(si + 1).arrived;
-        pump t (si + 1)
-      end;
-      emit t si
+  let item = s.next_emit in
+  if item < Array.length s.finished_on && s.finished_on.(item) >= 0 then begin
+    let node = s.finished_on.(item) in
+    s.next_emit <- item + 1;
+    let ns = Array.length t.stages in
+    if si = ns - 1 then
+      Link.transfer (Topology.user_link t.topo node) ~bytes:s.spec.Stage.output_bytes
+        (fun () ->
+          t.sink_delivered.(item) <- true;
+          sink_emit t)
+    else begin
+      Queue.push (item, node) t.stages.(si + 1).arrived;
+      pump t (si + 1)
+    end;
+    emit t si
+  end
+
+(* The server callbacks of stage [si], built once in [create]. *)
+let stage_callbacks t si =
+  let s = t.stages.(si) in
+  s.on_start <- (fun item -> s.start.(item) <- Engine.now t.engine);
+  s.on_finish <-
+    (fun item ->
+      let replica = s.replica_of.(item) in
+      Trace.record_service t.trace
+        { Trace.item; stage = si; node = replica; start = s.start.(item); finish = Engine.now t.engine };
+      s.outstanding.(replica) <- s.outstanding.(replica) - 1;
+      s.finished_on.(item) <- replica;
+      emit t si;
+      pump t si)
 
 let create ?(dispatch = Least_loaded) ~rng ~topo ~stages ~replicas ~input ~trace
     () =
   let replica_sets = validate topo stages replicas in
+  let items = input.Stream_spec.items in
   let t =
     {
       engine = Topology.engine topo;
@@ -158,25 +164,27 @@ let create ?(dispatch = Least_loaded) ~rng ~topo ~stages ~replicas ~input ~trace
               outstanding = Array.make (Topology.size topo) 0;
               rr_cursor = 0;
               arrived = Queue.create ();
-              reorder = Hashtbl.create 32;
+              replica_of = Array.make items 0;
+              start = Array.make items 0.0;
+              finished_on = Array.make items (-1);
               next_emit = 0;
+              on_start = ignore;
+              on_finish = ignore;
             })
           stages;
       work_seed = Int64.to_int (Rng.bits64 rng) land max_int;
       input;
-      sink_delivered = Hashtbl.create 32;
+      sink_delivered = Array.make items false;
       sink_next = 0;
       completed = 0;
     }
   in
-  let arrivals = Stream_spec.arrival_times input rng in
-  Array.iteri
-    (fun item time ->
-      ignore
-        (Engine.schedule_at t.engine ~time (fun () ->
-             Queue.push (item, user_site) t.stages.(0).arrived;
-             pump t 0)))
-    arrivals;
+  Array.iteri (fun si _ -> stage_callbacks t si) t.stages;
+  Engine.schedule_series t.engine
+    ~times:(Stream_spec.arrival_times input rng)
+    (fun item ->
+      Queue.push (item, user_site) t.stages.(0).arrived;
+      pump t 0);
   t
 
 let replicas t = Array.map (fun s -> s.replica_set) t.stages

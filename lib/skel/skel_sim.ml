@@ -9,17 +9,26 @@ module Bus = Aspipe_obs.Bus
 module Event = Aspipe_obs.Event
 module Ring = Aspipe_util.Ring
 
+(* Between dispatch and delivery a stage holds at most one item: [busy]
+   blocks the next dispatch until the output move lands. So the item in
+   service, the item in its output move and their start instants live in
+   the stage, and the service and move callbacks are built once per stage
+   in [create]; a stage visit allocates no closure. *)
 type stage_state = {
   spec : Stage.t;
   index : int;
   mutable node : int;
   pending : int Ring.t;  (* item ids awaiting this stage, FIFO *)
-  waiting_deliveries : (unit -> unit) Ring.t;
-      (* deliveries parked because [pending] hit the buffer capacity *)
+  parked : int Ring.t;
+      (* items whose delivery waits because [pending] hit the buffer
+         capacity, in arrival order; each holds its sender busy *)
   mutable busy : bool;  (* an item of this stage is submitted to a server *)
-  mutable in_service : int option;
-      (* the submitted item, until its service finishes; [busy] with
-         [in_service = None] means the output move is in flight *)
+  mutable in_service : int;
+      (* the submitted item until its service finishes, -1 otherwise;
+         [busy] with [in_service = -1] means the output move is in flight *)
+  mutable service_node : int;  (* the node the submitted item runs on *)
+  mutable moving : int;  (* the item whose output move is in flight *)
+  mutable move_dst : int;  (* that move's destination node *)
   mutable migrating_to : int option;  (* destination of an in-flight migration *)
   mutable lost : int list;
       (* items this stage had accepted (per-stage checkpoint) that died in a
@@ -28,6 +37,9 @@ type stage_state = {
       (* a checkpoint replay's bulk transfer is in flight: dispatch is held
          so the replayed items keep their FIFO place ahead of anything that
          queued after the crash *)
+  mutable on_start : int -> unit;  (* the server's service-start callback *)
+  mutable on_finish : int -> unit;  (* the server's service-end callback *)
+  mutable on_moved : unit -> unit;  (* the output move has landed *)
 }
 
 type t = {
@@ -36,6 +48,8 @@ type t = {
   topo : Topology.t;
   rng : Rng.t;
   stages : stage_state array;
+  service_start : float array;  (* per stage: its submitted item's start *)
+  move_start : float array;  (* per stage: its output move's start *)
   work_seed : int;  (* keys every work draw, with the item and stage index *)
   input : Stream_spec.t;
   queue_capacity : int option;  (* per-stage buffer bound; None = unbounded *)
@@ -66,10 +80,12 @@ let check_mapping topo stages mapping =
         invalid_arg "Skel_sim: mapping names an unknown node")
     mapping
 
-(* An item enters the pipeline when its first stage-0 service starts: the
-   instant a closed stream's sojourn counts from. *)
-let record_entry t ~item ~start =
-  match t.trace with Some trace -> Trace.record_entry trace ~item ~time:start | None -> ()
+(* Append [item] to stage [k]'s input buffer. *)
+let enqueue t k item =
+  let dst = t.stages.(k) in
+  Ring.push dst.pending item;
+  if Bus.active t.bus then
+    Bus.emit t.bus (Event.Queue_sample { stage = k; depth = Ring.length dst.pending })
 
 let rec try_dispatch t si =
   let s = t.stages.(si) in
@@ -82,95 +98,124 @@ let rec try_dispatch t si =
     if Bus.active t.bus then
       Bus.emit t.bus (Event.Queue_sample { stage = si; depth = Ring.length s.pending });
     s.busy <- true;
-    s.in_service <- Some item;
-    (* A buffer slot opened: land one parked delivery. This must happen
-       after [busy] is set, or the landed delivery's own dispatch attempt
-       would start a second concurrent service on this stage. *)
-    if not (Ring.is_empty s.waiting_deliveries) then (Ring.pop s.waiting_deliveries) ();
-    let node_idx = s.node in
-    let node = Topology.node t.topo node_idx in
-    let start = ref (Engine.now t.engine) in
+    s.in_service <- item;
+    (* A buffer slot opened: land one parked delivery, as [deliver] would.
+       [busy] is already set, so the landed item waits for this stage's
+       next dispatch. *)
+    if not (Ring.is_empty s.parked) then begin
+      enqueue t si (Ring.pop s.parked);
+      if si > 0 then begin
+        t.stages.(si - 1).busy <- false;
+        try_dispatch t (si - 1)
+      end
+    end;
+    s.service_node <- s.node;
+    t.service_start.(si) <- Engine.now t.engine;
     let work = Stage.keyed_work s.spec ~seed:t.work_seed ~item ~stage:si in
-    Server.submit (Node.server node) ~work ~tag:item
-      ~on_start:(fun () ->
-        start := Engine.now t.engine;
-        if Bus.active t.bus then
-          Bus.emit t.bus (Event.Service_start { item; stage = si; node = node_idx }))
-      (fun () ->
-        s.in_service <- None;
-        if Bus.active t.bus then
-          Bus.emit t.bus
-            (Event.Service_finish { item; stage = si; node = node_idx; start = !start });
-        if si = 0 then record_entry t ~item ~start:!start;
-        (* The output move is part of the stage's cycle — the stage stays
-           busy until its output is delivered downstream (synchronous send,
-           as in the skeleton's (move).(process).(move) behaviour), so slow
-           links throttle the stage that feeds them. *)
-        forward t ~item ~from_stage:si ~from_node:node_idx ~on_delivered:(fun () ->
-            s.busy <- false;
-            try_dispatch t si))
+    Server.submit
+      (Node.server (Topology.node t.topo s.node))
+      ~work ~tag:item ~on_start:s.on_start s.on_finish
   end
+[@@inline never]
 
-and forward t ~item ~from_stage ~from_node ~on_delivered =
-  let ns = Array.length t.stages in
-  let bytes = t.stages.(from_stage).spec.Stage.output_bytes in
-  if from_stage = ns - 1 then
-    (* Output crosses the user link from wherever the last stage ran. *)
-    let link = Topology.user_link t.topo from_node in
-    Link.transfer link ~bytes (fun () ->
-        t.completed <- t.completed + 1;
-        if Bus.active t.bus then Bus.emit t.bus (Event.Completion { item });
-        (match t.trace with
-        | Some trace -> Trace.record_completion trace ~item ~time:(Engine.now t.engine)
-        | None -> ());
-        if t.open_stream then begin
-          let arrival = t.arrival_stamps.(item) in
-          if not (Float.is_nan arrival) then begin
-            t.arrival_stamps.(item) <- nan;
-            if Bus.active t.bus then Bus.emit t.bus (Event.Sojourn { item; arrival });
-            (match t.trace with
-            | Some trace -> Trace.record_arrival trace ~item ~time:arrival
-            | None -> ());
-            match t.on_completion with Some f -> f ~item ~arrival | None -> ()
-          end
-        end;
-        on_delivered ())
-  else begin
-    let dst_stage = t.stages.(from_stage + 1) in
-    let dst_node = dst_stage.node in
-    let link = Topology.link t.topo ~src:from_node ~dst:dst_node in
-    let start = Engine.now t.engine in
-    Link.transfer link ~bytes (fun () ->
-        if Bus.active t.bus then
-          Bus.emit t.bus
-            (Event.Transfer { item; from_stage; src = from_node; dst = dst_node; start; bytes });
-        land_delivery t dst_stage (fun () ->
-            Ring.push dst_stage.pending item;
-            if Bus.active t.bus then
-              Bus.emit t.bus
-                (Event.Queue_sample
-                   { stage = from_stage + 1; depth = Ring.length dst_stage.pending });
-            on_delivered ();
-            try_dispatch t (from_stage + 1)))
-  end
+(* Hand [item] to stage [k]'s input buffer. A delivery into stage [k > 0]
+   came from stage [k - 1], whose output move it completes: that stage is
+   free for its next item. *)
+let deliver t k item =
+  enqueue t k item;
+  if k > 0 then begin
+    t.stages.(k - 1).busy <- false;
+    try_dispatch t (k - 1)
+  end;
+  try_dispatch t k
 
 (* Apply the buffer bound: a delivery to a full stage parks (holding its
    upstream sender busy — that is the back pressure) until a slot opens. *)
-and land_delivery t dst deliver =
+let land_delivery t k item =
   match t.queue_capacity with
-  | Some capacity when Ring.length dst.pending >= capacity ->
-      Ring.push dst.waiting_deliveries deliver
-  | Some _ | None -> deliver ()
+  | Some capacity when Ring.length t.stages.(k).pending >= capacity ->
+      Ring.push t.stages.(k).parked item
+  | Some _ | None -> deliver t k item
 
+(* The output move is part of the stage's cycle — the stage stays busy
+   until its output is delivered downstream (synchronous send, as in the
+   skeleton's (move).(process).(move) behaviour), so slow links throttle
+   the stage that feeds them. The last stage's output crosses the user link
+   from wherever it ran. *)
+let forward t s item =
+  s.moving <- item;
+  let si = s.index in
+  let bytes = s.spec.Stage.output_bytes in
+  if si = Array.length t.stages - 1 then
+    Link.transfer (Topology.user_link t.topo s.service_node) ~bytes s.on_moved
+  else begin
+    let dst_node = t.stages.(si + 1).node in
+    s.move_dst <- dst_node;
+    t.move_start.(si) <- Engine.now t.engine;
+    Link.transfer (Topology.link t.topo ~src:s.service_node ~dst:dst_node) ~bytes s.on_moved
+  end
+
+(* The per-stage callbacks, built once in [create]. *)
+let stage_callbacks t s =
+  let si = s.index in
+  s.on_start <-
+    (fun item ->
+      t.service_start.(si) <- Engine.now t.engine;
+      if Bus.active t.bus then
+        Bus.emit t.bus (Event.Service_start { item; stage = si; node = s.service_node }));
+  s.on_finish <-
+    (fun item ->
+      s.in_service <- -1;
+      let start = t.service_start.(si) in
+      if Bus.active t.bus then
+        Bus.emit t.bus (Event.Service_finish { item; stage = si; node = s.service_node; start });
+      (* An item enters the pipeline when its first stage-0 service starts:
+         the instant a closed stream's sojourn counts from. *)
+      (if si = 0 then
+         match t.trace with Some trace -> Trace.record_entry trace ~item ~time:start | None -> ());
+      forward t s item);
+  s.on_moved <-
+    (if si < Array.length t.stages - 1 then fun () ->
+       let item = s.moving in
+       if Bus.active t.bus then
+         Bus.emit t.bus
+           (Event.Transfer
+              {
+                item;
+                from_stage = si;
+                src = s.service_node;
+                dst = s.move_dst;
+                start = t.move_start.(si);
+                bytes = s.spec.Stage.output_bytes;
+              });
+       land_delivery t (si + 1) item
+     else fun () ->
+       let item = s.moving in
+       t.completed <- t.completed + 1;
+       if Bus.active t.bus then Bus.emit t.bus (Event.Completion { item });
+       (match t.trace with
+       | Some trace -> Trace.record_completion trace ~item ~time:(Engine.now t.engine)
+       | None -> ());
+       if t.open_stream then begin
+         let arrival = t.arrival_stamps.(item) in
+         if not (Float.is_nan arrival) then begin
+           t.arrival_stamps.(item) <- nan;
+           if Bus.active t.bus then Bus.emit t.bus (Event.Sojourn { item; arrival });
+           (match t.trace with
+           | Some trace -> Trace.record_arrival trace ~item ~time:arrival
+           | None -> ());
+           match t.on_completion with Some f -> f ~item ~arrival | None -> ()
+         end
+       end;
+       s.busy <- false;
+       try_dispatch t si)
+
+(* An arrival crosses the user link to the first stage's node. Arrivals
+   can overlap on the link, so each carries its item in its own callback. *)
 let inject t ~item =
   let first = t.stages.(0) in
   let link = Topology.user_link t.topo first.node in
-  Link.transfer link ~bytes:t.input.Stream_spec.item_bytes (fun () ->
-      land_delivery t first (fun () ->
-          Ring.push first.pending item;
-          if Bus.active t.bus then
-            Bus.emit t.bus (Event.Queue_sample { stage = 0; depth = Ring.length first.pending });
-          try_dispatch t 0))
+  Link.transfer link ~bytes:t.input.Stream_spec.item_bytes (fun () -> land_delivery t 0 item)
 
 (* Payload bytes a queued item of stage [si] carries during a migration or a
    checkpoint re-dispatch: the upstream stage's output (or the user input for
@@ -185,11 +230,11 @@ let queued_item_bytes t si =
    one per popped item; this covers the crash path, where draining [pending]
    frees slots without any dispatch happening. *)
 let rec refill t s =
-  if not (Ring.is_empty s.waiting_deliveries) then begin
+  if not (Ring.is_empty s.parked) then begin
     match t.queue_capacity with
     | Some capacity when Ring.length s.pending >= capacity -> ()
     | Some _ | None ->
-        (Ring.pop s.waiting_deliveries) ();
+        deliver t s.index (Ring.pop s.parked);
         refill t s
   end
 
@@ -205,15 +250,15 @@ let on_crash t node =
   Array.iter
     (fun s ->
       if s.node = node then begin
-        (match s.in_service with
-        | Some item ->
-            s.in_service <- None;
-            s.busy <- false;
-            s.lost <- item :: s.lost;
-            t.lost_total <- t.lost_total + 1;
-            if Bus.active t.bus then
-              Bus.emit t.bus (Event.Item_lost { item; stage = s.index; node })
-        | None -> ());
+        if s.in_service >= 0 then begin
+          let item = s.in_service in
+          s.in_service <- -1;
+          s.busy <- false;
+          s.lost <- item :: s.lost;
+          t.lost_total <- t.lost_total + 1;
+          if Bus.active t.bus then
+            Bus.emit t.bus (Event.Item_lost { item; stage = s.index; node })
+        end;
         if s.migrating_to = None && not (Ring.is_empty s.pending) then begin
           Ring.iter s.pending (fun item ->
               s.lost <- item :: s.lost;
@@ -303,14 +348,22 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng 
               index;
               node = mapping.(index);
               pending = Ring.create ~dummy:0;
-              waiting_deliveries = Ring.create ~dummy:(fun () -> ());
+              parked = Ring.create ~dummy:0;
               busy = false;
-              in_service = None;
+              in_service = -1;
+              service_node = mapping.(index);
+              moving = -1;
+              move_dst = -1;
               migrating_to = None;
               lost = [];
               replaying = false;
+              on_start = ignore;
+              on_finish = ignore;
+              on_moved = ignore;
             })
           stages;
+      service_start = Array.make (Array.length stages) 0.0;
+      move_start = Array.make (Array.length stages) 0.0;
       work_seed = Int64.to_int (Rng.bits64 rng) land max_int;
       input;
       queue_capacity;
@@ -333,13 +386,13 @@ let create ?queue_capacity ?trace ?(arrivals = `From_input) ?on_completion ~rng 
       | Event.Node_crashed { node } -> on_crash t node
       | Event.Node_recovered { node } -> on_recover t node
       | _ -> ());
+  Array.iter (stage_callbacks t) t.stages;
   (match arrivals with
   | `External -> ()
   | `From_input ->
-      let times = Stream_spec.arrival_times input rng in
-      Array.iteri
-        (fun item time -> ignore (Engine.schedule_at engine ~time (fun () -> inject t ~item)))
-        times);
+      Engine.schedule_series engine
+        ~times:(Stream_spec.arrival_times input rng)
+        (fun item -> inject t ~item));
   t
 
 (* Open-arrival entry point: the serving layer calls this from its own
@@ -445,15 +498,14 @@ let describe_stall t reason =
            s.index s.spec.Stage.name s.node
            (if node_up then "up" else "DOWN")
            (if s.busy then
-              match s.in_service with
-              | Some item -> Printf.sprintf "serving item %d" item
-              | None -> "busy (output move in flight)"
+              if s.in_service >= 0 then Printf.sprintf "serving item %d" s.in_service
+              else "busy (output move in flight)"
             else "idle")
            (match s.migrating_to with
            | Some d -> Printf.sprintf ", migrating to node %d" d
            | None -> "")
            (Ring.length s.pending)
-           (Ring.length s.waiting_deliveries)
+           (Ring.length s.parked)
            (List.length s.lost)))
     t.stages;
   if !dead_holds then

@@ -209,7 +209,7 @@ let test_engine_invalid () =
 let test_engine_cancel () =
   let engine = Engine.create () in
   let fired = ref false in
-  let h = Engine.schedule engine ~delay:1.0 (fun () -> fired := true) in
+  let h = Engine.schedule_cancellable engine ~delay:1.0 (fun () -> fired := true) in
   Engine.cancel h;
   Engine.run engine;
   Alcotest.(check bool) "cancelled event does not fire" false !fired
@@ -293,7 +293,7 @@ let make_server ?(rate = 10.0) () =
 let test_server_single_job_timing () =
   let engine, _, server = make_server ~rate:10.0 () in
   let finish = ref nan and completions = ref 0 in
-  Server.submit server ~work:25.0 (fun () ->
+  Server.submit server ~work:25.0 ~tag:0 ~on_start:ignore (fun _ ->
       finish := Engine.now engine;
       incr completions);
   Engine.run engine;
@@ -304,7 +304,7 @@ let test_server_fifo () =
   let engine, _, server = make_server ~rate:1.0 () in
   let order = ref [] in
   List.iter
-    (fun tag -> Server.submit server ~work:1.0 ~tag (fun () -> order := tag :: !order))
+    (fun tag -> Server.submit server ~work:1.0 ~tag ~on_start:ignore (fun tag -> order := tag :: !order))
     [ 1; 2; 3 ];
   Engine.run engine;
   Alcotest.(check (list int)) "FIFO completion" [ 1; 2; 3 ] (List.rev !order);
@@ -315,7 +315,7 @@ let test_server_rate_change_mid_service () =
   let finish = ref nan in
   (* work 10 at rate 10 would finish at t=1; halving the rate at t=0.5
      leaves 5 units at rate 5 -> finish at 1.5. *)
-  Server.submit server ~work:10.0 (fun () -> finish := Engine.now engine);
+  Server.submit server ~work:10.0 ~tag:0 ~on_start:ignore (fun _ -> finish := Engine.now engine);
   ignore (Engine.schedule engine ~delay:0.5 (fun () -> Signal.set signal 5.0));
   Engine.run engine;
   check_float "completion re-derived from remaining work" 1.5 !finish
@@ -323,7 +323,7 @@ let test_server_rate_change_mid_service () =
 let test_server_zero_rate_stalls () =
   let engine, signal, server = make_server ~rate:10.0 () in
   let finish = ref nan in
-  Server.submit server ~work:10.0 (fun () -> finish := Engine.now engine);
+  Server.submit server ~work:10.0 ~tag:0 ~on_start:ignore (fun _ -> finish := Engine.now engine);
   ignore (Engine.schedule engine ~delay:0.5 (fun () -> Signal.set signal 0.0));
   ignore (Engine.schedule engine ~delay:2.5 (fun () -> Signal.set signal 10.0));
   Engine.run engine;
@@ -333,7 +333,7 @@ let test_server_zero_rate_stalls () =
 let test_server_rate_rise_speeds_up () =
   let engine, signal, server = make_server ~rate:1.0 () in
   let finish = ref nan in
-  Server.submit server ~work:10.0 (fun () -> finish := Engine.now engine);
+  Server.submit server ~work:10.0 ~tag:0 ~on_start:ignore (fun _ -> finish := Engine.now engine);
   ignore (Engine.schedule engine ~delay:1.0 (fun () -> Signal.set signal 9.0));
   Engine.run engine;
   check_float "1 unit at rate 1, 9 at rate 9" 2.0 !finish
@@ -344,8 +344,8 @@ let test_server_on_start () =
   List.iter
     (fun tag ->
       Server.submit server ~work:2.0 ~tag
-        ~on_start:(fun () -> starts := (tag, Engine.now engine) :: !starts)
-        (fun () -> ()))
+        ~on_start:(fun tag -> starts := (tag, Engine.now engine) :: !starts)
+        ignore)
     [ 1; 2 ];
   Engine.run engine;
   Alcotest.(check (list (pair int (float 1e-9)))) "service start instants" [ (1, 0.0); (2, 2.0) ]
@@ -355,7 +355,7 @@ let test_server_in_service_remaining () =
   (* 2 s at rate 2 leaves 6 of 10 units; at rate 3 they take 2 s more. *)
   let engine, signal, server = make_server ~rate:2.0 () in
   let finish = ref nan in
-  Server.submit server ~work:10.0 (fun () -> finish := Engine.now engine);
+  Server.submit server ~work:10.0 ~tag:0 ~on_start:ignore (fun _ -> finish := Engine.now engine);
   ignore (Engine.schedule engine ~delay:2.0 (fun () -> Signal.set signal 3.0));
   Engine.run engine;
   check_float "remaining after 2s at rate 2 served at rate 3" 4.0 !finish
@@ -363,7 +363,7 @@ let test_server_in_service_remaining () =
 let test_server_zero_work () =
   let engine, _, server = make_server () in
   let finish = ref nan in
-  Server.submit server ~work:0.0 (fun () -> finish := Engine.now engine);
+  Server.submit server ~work:0.0 ~tag:0 ~on_start:ignore (fun _ -> finish := Engine.now engine);
   Engine.run engine;
   check_float "zero work completes immediately" 0.0 !finish
 
@@ -371,14 +371,14 @@ let test_server_invalid_work () =
   let _, _, server = make_server () in
   Alcotest.check_raises "negative work"
     (Invalid_argument "Server.submit: work must be finite and non-negative") (fun () ->
-      Server.submit server ~work:(-1.0) (fun () -> ()))
+      Server.submit server ~work:(-1.0) ~tag:0 ~on_start:ignore (fun _ -> ()))
 
 let test_server_resubmit_from_callback () =
   let engine, _, server = make_server ~rate:1.0 () in
   let finishes = ref [] in
-  Server.submit server ~work:1.0 (fun () ->
+  Server.submit server ~work:1.0 ~tag:0 ~on_start:ignore (fun _ ->
       finishes := Engine.now engine :: !finishes;
-      Server.submit server ~work:1.0 (fun () -> finishes := Engine.now engine :: !finishes));
+      Server.submit server ~work:1.0 ~tag:0 ~on_start:ignore (fun _ -> finishes := Engine.now engine :: !finishes));
   Engine.run engine;
   Alcotest.(check (list (float 1e-9))) "chained submissions run back-to-back" [ 1.0; 2.0 ]
     (List.rev !finishes)
@@ -390,8 +390,8 @@ let test_server_shared_rate_signal () =
   let a = Server.create engine ~rate:signal in
   let b = Server.create engine ~rate:signal in
   let fa = ref nan and fb = ref nan in
-  Server.submit a ~work:10.0 (fun () -> fa := Engine.now engine);
-  Server.submit b ~work:20.0 (fun () -> fb := Engine.now engine);
+  Server.submit a ~work:10.0 ~tag:0 ~on_start:ignore (fun _ -> fa := Engine.now engine);
+  Server.submit b ~work:20.0 ~tag:0 ~on_start:ignore (fun _ -> fb := Engine.now engine);
   ignore (Engine.schedule engine ~delay:0.5 (fun () -> Signal.set signal 5.0));
   Engine.run engine;
   check_float "server a retimed" 1.5 !fa;
@@ -409,7 +409,7 @@ let test_server_random_rate_schedule =
       let signal = Signal.create 1.0 in
       let server = Server.create engine ~rate:signal in
       let finish = ref nan in
-      Server.submit server ~work (fun () -> finish := Engine.now engine);
+      Server.submit server ~work ~tag:0 ~on_start:ignore (fun _ -> finish := Engine.now engine);
       List.iteri
         (fun i rate ->
           ignore
@@ -450,7 +450,7 @@ let test_engine_random_schedule_order =
       List.iter
         (fun (delay, cancel) ->
           let h =
-            Engine.schedule engine ~delay (fun () ->
+            Engine.schedule_cancellable engine ~delay (fun () ->
                 if cancel then cancelled_fired := true
                 else fired := Engine.now engine :: !fired)
           in
@@ -500,7 +500,7 @@ let test_process_await_bridges_callbacks () =
   let server = Server.create engine ~rate:signal in
   let finish = ref nan in
   Process.spawn engine (fun () ->
-      Process.await (fun k -> Server.submit server ~work:20.0 (fun () -> k ()));
+      Process.await (fun k -> Server.submit server ~work:20.0 ~tag:0 ~on_start:ignore (fun _ -> k ()));
       finish := Process.now ());
   Engine.run engine;
   check_float "resumed exactly at service completion" 2.0 !finish
