@@ -464,6 +464,76 @@ let test_engine_random_schedule_order =
       in
       (not !cancelled_fired) && times = expected)
 
+(* A series fires where the eager loop of [schedule_at] calls it replaces
+   would have. Instants come from a coarse grid, so many coincide, and they
+   interleave with events scheduled before the series, after it, and from
+   inside its callbacks, at the same instants. The engine's clock is past 0
+   when the series is scheduled. *)
+let test_engine_series_matches_eager =
+  let half k = 1.0 +. (0.5 *. Float.of_int k) in
+  qtest ~count:300 "schedule_series fires in the eager schedule_at order"
+    QCheck2.Gen.(
+      quad
+        (list_size (int_range 0 12) (int_range 0 6))
+        (list_size (int_range 0 6) (int_range 0 6))
+        (list_size (int_range 0 6) (int_range 0 6))
+        (list_size (int_range 0 12) (int_range (-1) 2)))
+    (fun (series, before, after, nested) ->
+      let times = Array.of_list (List.map half (List.sort compare series)) in
+      let run ~series =
+        let engine = Engine.create () in
+        Engine.run ~until:1.0 engine;
+        let log = ref [] in
+        let at time tag = Engine.schedule_at engine ~time (fun () -> log := tag :: !log) in
+        List.iteri (fun k h -> at (half h) (`Before k)) before;
+        let fire i =
+          log := `Series i :: !log;
+          match List.nth_opt nested i with
+          | Some d when d >= 0 ->
+              Engine.schedule engine ~delay:(0.5 *. Float.of_int d) (fun () ->
+                  log := `Nested i :: !log)
+          | Some _ | None -> ()
+        in
+        if series then Engine.schedule_series engine ~times fire
+        else Array.iteri (fun i time -> Engine.schedule_at engine ~time (fun () -> fire i)) times;
+        List.iteri (fun k h -> at (half h) (`After k)) after;
+        Engine.run engine;
+        List.rev !log
+      in
+      run ~series:true = run ~series:false)
+
+(* A series with a non-finite, past or decreasing instant is refused at the
+   call, before anything is scheduled; the eager loop refused the first two
+   at the offending [schedule_at]. *)
+let test_engine_series_invalid () =
+  let engine = Engine.create () in
+  Engine.run ~until:1.0 engine;
+  let fired = ref 0 in
+  List.iter
+    (fun (name, times) ->
+      match Engine.schedule_series engine ~times (fun _ -> incr fired) with
+      | () -> Alcotest.failf "%s instant accepted" name
+      | exception Invalid_argument _ -> ())
+    [
+      ("nan", [| 1.0; nan |]);
+      ("infinite", [| 1.5; infinity |]);
+      ("past", [| 0.5; 2.0 |]);
+      ("decreasing", [| 2.0; 1.5 |]);
+    ];
+  List.iter
+    (fun (name, time) ->
+      match Engine.schedule_at engine ~time ignore with
+      | () -> Alcotest.failf "eager %s instant accepted" name
+      | exception Invalid_argument _ -> ())
+    [ ("nan", nan); ("infinite", infinity); ("past", 0.5) ];
+  Engine.schedule_series engine ~times:[||] (fun _ -> incr fired);
+  Engine.run engine;
+  Alcotest.(check int) "refused series schedule nothing" 0 !fired;
+  Engine.schedule_series engine ~times:[| 1.0; 1.0; 3.0 |] (fun _ -> incr fired);
+  Engine.run engine;
+  Alcotest.(check int) "a valid series fires every instant" 3 !fired;
+  check_float "clock at the last instant" 3.0 (Engine.now engine)
+
 (* -------------------------------------------------------------- Process *)
 
 module Process = Aspipe_des.Process
@@ -572,6 +642,8 @@ let () =
           Alcotest.test_case "run until" `Quick test_engine_run_until;
           Alcotest.test_case "periodic" `Quick test_engine_periodic;
           Alcotest.test_case "periodic start" `Quick test_engine_periodic_start;
+          test_engine_series_matches_eager;
+          Alcotest.test_case "series refuses bad instants" `Quick test_engine_series_invalid;
           test_engine_random_schedule_order;
         ] );
       ( "signal",
