@@ -12,8 +12,14 @@ type t = {
 let counter = Atomic.make 0
 
 let make ?name ?(output_bytes = 1e5) ?(state_bytes = 1e6) ~work () =
-  if output_bytes < 0.0 || state_bytes < 0.0 then
-    invalid_arg "Stage.make: sizes must be non-negative";
+  (* Written so that a NaN fails the test: every comparison with NaN is
+     false. *)
+  let check field v =
+    if not (Float.is_finite v && v >= 0.0) then
+      invalid_arg (Printf.sprintf "Stage.make: %s must be finite and non-negative" field)
+  in
+  check "output_bytes" output_bytes;
+  check "state_bytes" state_bytes;
   let name =
     match name with
     | Some n -> n

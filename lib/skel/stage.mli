@@ -20,7 +20,9 @@ val make :
   work:Aspipe_util.Variate.spec ->
   unit ->
   t
-(** Defaults: [output_bytes = 1e5], [state_bytes = 1e6], generated name. *)
+(** Defaults: [output_bytes = 1e5], [state_bytes = 1e6], generated name.
+    Raises [Invalid_argument] naming the field if a size is negative, NaN
+    or infinite. *)
 
 val mean_work : t -> float
 

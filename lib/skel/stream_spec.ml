@@ -7,10 +7,15 @@ type t = { items : int; arrival : arrival; item_bytes : float }
 
 let make ?(arrival = Immediate) ?(item_bytes = 1e5) ~items () =
   if items <= 0 then invalid_arg "Stream_spec.make: items must be positive";
-  if item_bytes < 0.0 then invalid_arg "Stream_spec.make: negative item size";
+  (* Written so that a NaN fails each test: every comparison with NaN is
+     false. *)
+  if not (Float.is_finite item_bytes && item_bytes >= 0.0) then
+    invalid_arg "Stream_spec.make: item_bytes must be finite and non-negative";
   (match arrival with
-  | Spaced dt when dt < 0.0 -> invalid_arg "Stream_spec.make: negative spacing"
-  | Poisson rate when rate <= 0.0 -> invalid_arg "Stream_spec.make: Poisson rate must be positive"
+  | Spaced dt when not (Float.is_finite dt && dt >= 0.0) ->
+      invalid_arg "Stream_spec.make: Spaced interval must be finite and non-negative"
+  | Poisson rate when not (rate > 0.0) ->
+      invalid_arg "Stream_spec.make: Poisson rate must be positive"
   | Immediate | Spaced _ | Poisson _ -> ());
   { items; arrival; item_bytes }
 

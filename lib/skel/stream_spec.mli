@@ -20,7 +20,10 @@ type arrival =
 type t = { items : int; arrival : arrival; item_bytes : float }
 
 val make : ?arrival:arrival -> ?item_bytes:float -> items:int -> unit -> t
-(** Defaults: [Immediate] arrivals, [1e5] bytes per item. *)
+(** Defaults: [Immediate] arrivals, [1e5] bytes per item. Raises
+    [Invalid_argument] naming the value if [items < 1], [item_bytes] or a
+    [Spaced] interval is negative, NaN or infinite, or a [Poisson] rate is
+    not positive (NaN included). *)
 
 val arrival_times : t -> Aspipe_util.Rng.t -> float array
 (** Materialize the arrival instants, length [items], non-decreasing. *)

@@ -33,9 +33,20 @@ let test_stage_imbalanced () =
     (Invalid_argument "Stage.imbalanced: hot stage out of range") (fun () ->
       ignore (Stage.imbalanced ~n:2 ~work:1.0 ~hot_stage:5 ~factor:2.0 ()))
 
+(* A bad size is refused by name at construction: a NaN passes every
+   [< 0.0] test, and would otherwise die inside the engine mid-run. *)
 let test_stage_make_validation () =
-  Alcotest.check_raises "negative size" (Invalid_argument "Stage.make: sizes must be non-negative")
-    (fun () -> ignore (Stage.make ~output_bytes:(-1.0) ~work:(Variate.Constant 1.0) ()))
+  let refused field ?output_bytes ?state_bytes label =
+    Alcotest.check_raises label
+      (Invalid_argument (Printf.sprintf "Stage.make: %s must be finite and non-negative" field))
+      (fun () -> ignore (Stage.make ?output_bytes ?state_bytes ~work:(Variate.Constant 1.0) ()))
+  in
+  refused "output_bytes" ~output_bytes:(-1.0) "negative output";
+  refused "output_bytes" ~output_bytes:nan "nan output";
+  refused "output_bytes" ~output_bytes:infinity "infinite output";
+  refused "state_bytes" ~state_bytes:(-1.0) "negative state";
+  refused "state_bytes" ~state_bytes:nan "nan state";
+  refused "state_bytes" ~state_bytes:infinity "infinite state"
 
 (* ---------------------------------------------------------- Stream_spec *)
 
@@ -64,7 +75,23 @@ let test_stream_invalid () =
     (fun () -> ignore (Stream_spec.make ~items:0 ()));
   Alcotest.check_raises "bad rate"
     (Invalid_argument "Stream_spec.make: Poisson rate must be positive") (fun () ->
-      ignore (Stream_spec.make ~arrival:(Stream_spec.Poisson 0.0) ~items:1 ()))
+      ignore (Stream_spec.make ~arrival:(Stream_spec.Poisson 0.0) ~items:1 ()));
+  (* NaN and infinite values are refused by name too, not left to fail
+     inside the engine once arrivals are scheduled lazily. *)
+  let refused message ?arrival ?item_bytes label =
+    Alcotest.check_raises label (Invalid_argument ("Stream_spec.make: " ^ message)) (fun () ->
+        ignore (Stream_spec.make ?arrival ?item_bytes ~items:3 ()))
+  in
+  refused "Poisson rate must be positive" ~arrival:(Stream_spec.Poisson nan) "nan rate";
+  List.iter
+    (fun (label, dt) ->
+      refused "Spaced interval must be finite and non-negative" ~arrival:(Stream_spec.Spaced dt)
+        label)
+    [ ("negative spacing", -1.0); ("nan spacing", nan); ("infinite spacing", infinity) ];
+  List.iter
+    (fun (label, item_bytes) ->
+      refused "item_bytes must be finite and non-negative" ~item_bytes label)
+    [ ("negative item size", -1.0); ("nan item size", nan); ("infinite item size", infinity) ]
 
 (* ------------------------------------------------------------- Skel_sim *)
 
