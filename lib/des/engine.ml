@@ -1,25 +1,30 @@
+(* The clock sits in a record of its own: an all-float record is stored
+   flat, so advancing the clock stores an unboxed float instead of
+   allocating a box per event. *)
+type clock = { mutable now : float }
+
 type t = {
   queue : (unit -> unit) Pqueue.t;
-  mutable clock : float;
+  clock : clock;
   bus : Aspipe_obs.Bus.t;
 }
 
-let now t = t.clock
+let now t = t.clock.now
 
 type handle = Pqueue.handle
 
 let none = Pqueue.none
 
 let create () =
-  let t = { queue = Pqueue.create (); clock = 0.0; bus = Aspipe_obs.Bus.create () } in
-  Aspipe_obs.Bus.set_clock t.bus (fun () -> t.clock);
+  let t = { queue = Pqueue.create (); clock = { now = 0.0 }; bus = Aspipe_obs.Bus.create () } in
+  Aspipe_obs.Bus.set_clock t.bus (fun () -> t.clock.now);
   t
 
 let bus t = t.bus
 
 let schedule_at t ~time f =
   if not (Float.is_finite time) then invalid_arg "Engine.schedule_at: non-finite time";
-  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+  if time < t.clock.now then invalid_arg "Engine.schedule_at: time in the past";
   Pqueue.add t.queue time f
 
 let check_delay delay =
@@ -30,11 +35,11 @@ let check_delay delay =
    [schedule_at] validation by construction — insert directly. *)
 let[@inline] schedule t ~delay f =
   check_delay delay;
-  Pqueue.add t.queue (t.clock +. delay) f
+  Pqueue.add t.queue (t.clock.now +. delay) f
 
 let[@inline] schedule_cancellable t ~delay f =
   check_delay delay;
-  Pqueue.insert t.queue (t.clock +. delay) f
+  Pqueue.insert t.queue (t.clock.now +. delay) f
 
 (* Only the next instant of a series sits in the queue. The series takes
    its whole block of tie-break numbers up front, so instant [i] pops
@@ -43,7 +48,7 @@ let[@inline] schedule_cancellable t ~delay f =
    scheduled after it, and in index order among equal instants. *)
 let schedule_series t ~times f =
   let n = Array.length times in
-  let floor = ref t.clock in
+  let floor = ref t.clock.now in
   Array.iter
     (fun time ->
       if not (Float.is_finite time) then invalid_arg "Engine.schedule_series: non-finite time";
@@ -70,7 +75,7 @@ let cancel = Pqueue.cancel
    back through [popped_key]/[popped_value] before the callback can touch
    the queue. *)
 let[@inline] fire t =
-  t.clock <- Pqueue.popped_key t.queue;
+  t.clock.now <- Pqueue.popped_key t.queue;
   let f = Pqueue.popped_value t.queue in
   f ()
 
@@ -86,10 +91,10 @@ let run ?until t =
   | None -> while Pqueue.pop_min t.queue ~horizon:infinity do fire t done
   | Some horizon ->
       while Pqueue.pop_min t.queue ~horizon do fire t done;
-      if t.clock < horizon then t.clock <- horizon
+      if t.clock.now < horizon then t.clock.now <- horizon
 
 let periodic t ?start ~every f =
   if every <= 0.0 then invalid_arg "Engine.periodic: period must be positive";
-  let first = match start with Some s -> s | None -> t.clock +. every in
+  let first = match start with Some s -> s | None -> t.clock.now +. every in
   let rec tick () = if f () then schedule t ~delay:every tick in
   schedule_at t ~time:first tick
