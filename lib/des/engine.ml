@@ -27,8 +27,9 @@ let schedule_at t ~time f =
   if time < t.clock.now then invalid_arg "Engine.schedule_at: time in the past";
   Pqueue.add t.queue time f
 
+(* NaN fails both comparisons. *)
 let check_delay delay =
-  if not (Float.is_finite delay) || delay < 0.0 then
+  if not (delay >= 0.0 && delay < infinity) then
     invalid_arg "Engine.schedule: delay must be finite and non-negative"
 
 (* A finite non-negative delay added to a finite clock passes the
@@ -79,14 +80,16 @@ let[@inline] fire t =
   let f = Pqueue.popped_value t.queue in
   f ()
 
-let step t =
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] step t =
   if Pqueue.pop_min t.queue ~horizon:infinity then begin
     fire t;
     true
   end
   else false
 
-let run ?until t =
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] run ?until t =
   match until with
   | None -> while Pqueue.pop_min t.queue ~horizon:infinity do fire t done
   | Some horizon ->
