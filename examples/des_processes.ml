@@ -25,7 +25,8 @@ let () =
           let job = Process.Mailbox.recv jobs in
           Printf.printf "[%6.2f] %s picks up job %d\n" (Process.now ()) name job;
           (* Bridge to the callback world: await the server's completion. *)
-          Process.await (fun k -> Server.submit cpu ~work:5.0 ~tag:0 ~on_start:ignore (fun _ -> k ()));
+          Process.await (fun k ->
+              Server.submit cpu ~work:5.0 ~tag:job ~on_start:ignore (fun _ -> k ()));
           Printf.printf "[%6.2f] %s finished job %d\n" (Process.now ()) name job;
           incr done_count;
           serve ()

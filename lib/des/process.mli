@@ -26,7 +26,7 @@ val await : (('a -> unit) -> unit) -> 'a
     [register resume] immediately and suspends until [resume v] is invoked
     (exactly once — the continuation is one-shot); [v] becomes [await]'s
     return value. This is the bridge to any callback API:
-    {[ let result = await (fun k -> Server.submit server ~work (fun () -> k ())) ]} *)
+    {[ await (fun k -> Server.submit server ~work ~tag:0 ~on_start:ignore (fun _ -> k ())) ]} *)
 
 module Mailbox : sig
   (** An unbounded inter-process message queue on the virtual clock. *)

@@ -36,6 +36,8 @@ let cancel_completion t =
   Engine.cancel t.completion;
   t.completion <- Engine.none
 
+(* [reschedule] and [submit] stay out of line, so the schedule path and
+   the ring are not copied into every caller. *)
 let[@inline never] reschedule t =
   cancel_completion t;
   if t.busy then begin

@@ -139,7 +139,13 @@ let stage_callbacks t si =
     (fun item ->
       let replica = s.replica_of.(item) in
       Trace.record_service t.trace
-        { Trace.item; stage = si; node = replica; start = s.start.(item); finish = Engine.now t.engine };
+        {
+          Trace.item;
+          stage = si;
+          node = replica;
+          start = s.start.(item);
+          finish = Engine.now t.engine;
+        };
       s.outstanding.(replica) <- s.outstanding.(replica) - 1;
       s.finished_on.(item) <- replica;
       emit t si;

@@ -87,6 +87,8 @@ let enqueue t k item =
   if Bus.active t.bus then
     Bus.emit t.bus (Event.Queue_sample { stage = k; depth = Ring.length dst.pending })
 
+(* Out of line: every delivery, completion, recovery and remap calls it,
+   and -inline 200 would otherwise copy it into each. *)
 let rec try_dispatch t si =
   let s = t.stages.(si) in
   if

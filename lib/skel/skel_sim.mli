@@ -63,7 +63,8 @@ val create :
   input:Stream_spec.t ->
   unit ->
   t
-(** Schedules all arrivals; nothing runs until the engine does.
+(** Schedules the arrivals, one pending at a time ({!Aspipe_des.Engine.schedule_series});
+    nothing runs until the engine does.
     [queue_capacity] bounds every stage's input buffer (default unbounded):
     a delivery to a full stage parks, holding the upstream sender busy —
     with capacity 1 the pipeline approaches the bufferless synchronization
@@ -78,8 +79,9 @@ val create :
     passed here or subscribed, never both.
 
     [arrivals] selects the stream model. The default, [`From_input],
-    schedules the closed stream described by [input] up front, exactly as
-    before. [`External] opens the stream: [input]'s arrival spec and item
+    schedules the closed stream described by [input]: its instants are
+    drawn at creation and fire in the order scheduling them all at once
+    would give. [`External] opens the stream: [input]'s arrival spec and item
     count are ignored, items enter only through {!inject} (typically from a
     lazily self-rescheduling {e arrival process} living on the same
     engine), every injected item is stamped with its arrival instant, and

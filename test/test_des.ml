@@ -304,7 +304,8 @@ let test_server_fifo () =
   let engine, _, server = make_server ~rate:1.0 () in
   let order = ref [] in
   List.iter
-    (fun tag -> Server.submit server ~work:1.0 ~tag ~on_start:ignore (fun tag -> order := tag :: !order))
+    (fun tag ->
+      Server.submit server ~work:1.0 ~tag ~on_start:ignore (fun tag -> order := tag :: !order))
     [ 1; 2; 3 ];
   Engine.run engine;
   Alcotest.(check (list int)) "FIFO completion" [ 1; 2; 3 ] (List.rev !order);
@@ -378,7 +379,8 @@ let test_server_resubmit_from_callback () =
   let finishes = ref [] in
   Server.submit server ~work:1.0 ~tag:0 ~on_start:ignore (fun _ ->
       finishes := Engine.now engine :: !finishes;
-      Server.submit server ~work:1.0 ~tag:0 ~on_start:ignore (fun _ -> finishes := Engine.now engine :: !finishes));
+      Server.submit server ~work:1.0 ~tag:0 ~on_start:ignore (fun _ ->
+          finishes := Engine.now engine :: !finishes));
   Engine.run engine;
   Alcotest.(check (list (float 1e-9))) "chained submissions run back-to-back" [ 1.0; 2.0 ]
     (List.rev !finishes)
@@ -570,7 +572,8 @@ let test_process_await_bridges_callbacks () =
   let server = Server.create engine ~rate:signal in
   let finish = ref nan in
   Process.spawn engine (fun () ->
-      Process.await (fun k -> Server.submit server ~work:20.0 ~tag:0 ~on_start:ignore (fun _ -> k ()));
+      Process.await (fun k ->
+          Server.submit server ~work:20.0 ~tag:0 ~on_start:ignore (fun _ -> k ()));
       finish := Process.now ());
   Engine.run engine;
   check_float "resumed exactly at service completion" 2.0 !finish

@@ -19,7 +19,8 @@ let check_close ?(eps = 1e-6) msg a b = Alcotest.(check (float eps)) msg a b
    of work takes when submitted alone, or 0 when it never finishes. *)
 let service_rate engine node =
   let start = Engine.now engine and finish = ref infinity in
-  Aspipe_des.Server.submit (Node.server node) ~work:1.0 ~tag:0 ~on_start:ignore (fun _ -> finish := Engine.now engine);
+  Aspipe_des.Server.submit (Node.server node) ~work:1.0 ~tag:0 ~on_start:ignore (fun _ ->
+      finish := Engine.now engine);
   Engine.run engine;
   1.0 /. (!finish -. start)
 
