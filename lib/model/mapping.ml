@@ -115,46 +115,6 @@ let code_of ?fix_first_on ~processors t =
   done;
   !code
 
-let iter_gray ?fix_first_on ~stages ~processors ~init ~step () =
-  check_dims ?fix_first_on ~stages ~processors ();
-  let total = enumeration_total ?fix_first_on ~stages ~processors () in
-  ignore total;
-  let start = free_start fix_first_on in
-  let n = stages - start in
-  let m = Array.make stages 0 in
-  (match fix_first_on with Some p -> m.(0) <- p | None -> ());
-  init m;
-  if processors > 1 && n > 0 then begin
-    (* Loopless reflected mixed-radix Gray walk (Knuth 7.2.1.1, Algorithm H):
-       each step moves exactly one free digit by +-1. The enumeration code is
-       maintained incrementally from the digit's weight. *)
-    let a = Array.make n 0 in
-    let focus = Array.init (n + 1) Fun.id in
-    let dir = Array.make n 1 in
-    let pow = Array.make n 1 in
-    for j = 1 to n - 1 do
-      pow.(j) <- pow.(j - 1) * processors
-    done;
-    let code = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let j = focus.(0) in
-      focus.(0) <- 0;
-      if j = n then continue := false
-      else begin
-        a.(j) <- a.(j) + dir.(j);
-        m.(start + j) <- a.(j);
-        code := !code + (dir.(j) * pow.(j));
-        if a.(j) = 0 || a.(j) = processors - 1 then begin
-          dir.(j) <- -dir.(j);
-          focus.(j) <- focus.(j + 1);
-          focus.(j + 1) <- j + 1
-        end;
-        step m ~stage:(start + j) ~code:!code
-      end
-    done
-  end
-
 let iter_neighbours t ~processors f =
   let m = Array.copy t in
   Array.iteri

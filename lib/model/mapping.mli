@@ -61,20 +61,6 @@ val decode : ?fix_first_on:int -> stages:int -> processors:int -> int -> t
 val code_of : ?fix_first_on:int -> processors:int -> t -> int
 (** Inverse of {!decode} (the pinned stage, when any, contributes nothing). *)
 
-val iter_gray :
-  ?fix_first_on:int ->
-  stages:int ->
-  processors:int ->
-  init:(t -> unit) ->
-  step:(t -> stage:int -> code:int -> unit) ->
-  unit ->
-  unit
-(** Visits the same space as {!iter_enumerate} in reflected mixed-radix
-    Gray-code order: [init] sees the all-zeros assignment (code 0), then each
-    [step] changes {e exactly one} stage of the scratch array (by ±1 on that
-    digit) and reports the changed [stage] plus the current enumeration
-    [code]. Scratch-reuse caveats as {!iter_enumerate}. *)
-
 (* lint: unused-export-ok differential reference: test_model checks iter_neighbours against it *)
 val neighbours : t -> processors:int -> t list
 (** All mappings differing in exactly one stage's processor. *)

@@ -42,9 +42,15 @@ val cheapest : required:float -> t -> Mapping.t option
     [None] when no mapping covers [required] or when the space exceeds
     {!Mapping.max_enumeration}.
 
-    One {!Mapping.iter_gray} walk visits the space. The [Analytic] kind
-    re-scores each candidate with one {!Analytic.Incr.move}; the [Ctmc]
-    kind solves each candidate's chain. A candidate using more processors
-    than the best so far is not scored. Apart from that walk's fixed
-    setup, the [Analytic] kind allocates at most a boxed score per
-    candidate. *)
+    The search tries the fewest nodes first: for k = 1, 2, …,
+    min(stages, processors) it visits, depth first in stage order, every
+    mapping that uses exactly k distinct processors, never entering a
+    prefix that cannot end at exactly k, and stops after the first k at
+    which some mapping covers [required]. Each mapping is scored at most
+    once, so the worst case (nothing covers [required], or the answer
+    needs min(stages, processors) nodes) scores the whole space once. The
+    [Analytic] kind re-scores a visited mapping with one
+    {!Analytic.Incr.move} per reassigned stage; the [Ctmc] kind solves
+    each visited mapping's chain. Apart from a fixed setup, the [Analytic]
+    kind allocates a few words per visited mapping (boxed floats of calls
+    that are not inlined), never the mapping itself. *)

@@ -2,7 +2,6 @@ let map_array ~workers f xs =
   if workers <= 0 then invalid_arg "Farm_mc: workers must be positive";
   let n = Array.length xs in
   if n = 0 then [||]
-  else if workers = 1 then Array.map f xs
   else begin
     (* lint: domain-shared-ok workers write index-disjoint slots (Atomic next) and the array is read only after join *)
     let results = Array.make n None in
@@ -20,7 +19,10 @@ let map_array ~workers f xs =
       in
       loop ()
     in
-    let domains = List.init (min workers n) (fun _ -> Domain.spawn worker) in
+    (* The caller runs one worker loop itself rather than parking in
+       [Domain.join], so [workers] domains do the work, not [workers + 1]. *)
+    let domains = List.init (min workers n - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
     List.iter Domain.join domains;
     (match Atomic.get failure with Some e -> raise e | None -> ());
     Array.map (function Some y -> y | None -> assert false) results

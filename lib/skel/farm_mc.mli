@@ -4,6 +4,8 @@
     pipeline stage (stage replication). *)
 
 val map : workers:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~workers f xs] applies [f] to every element using [workers] domains
-    (1 means: compute in the calling domain). Exceptions raised by [f] are
-    re-raised in the caller after all workers stop. *)
+(** [map ~workers f xs] applies [f] to every element using [workers] domains,
+    the calling domain among them: it spawns [min workers n - 1] and runs
+    one worker loop itself (1 means: compute in the calling domain).
+    Exceptions raised by [f] are re-raised in the caller after all workers
+    stop. *)

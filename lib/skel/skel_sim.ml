@@ -240,42 +240,6 @@ let rec refill t s =
         refill t s
   end
 
-(* A crash takes down every stage resident on the node: the in-service item
-   and all queued inputs are gone (fail-stop — no output escapes), recorded
-   per stage so the checkpoint-based re-dispatch can replay exactly them.
-   The queued inputs of a stage already mid-migration survive — their bytes
-   are part of the migration transfer in flight on the network, not on the
-   dying node — but its in-service item still executes locally and dies.
-   An output move already handed to the network also survives — the send
-   happened. *)
-let on_crash t node =
-  Array.iter
-    (fun s ->
-      if s.node = node then begin
-        if s.in_service >= 0 then begin
-          let item = s.in_service in
-          s.in_service <- -1;
-          s.busy <- false;
-          s.lost <- item :: s.lost;
-          t.lost_total <- t.lost_total + 1;
-          if Bus.active t.bus then
-            Bus.emit t.bus (Event.Item_lost { item; stage = s.index; node })
-        end;
-        if s.migrating_to = None && not (Ring.is_empty s.pending) then begin
-          Ring.iter s.pending (fun item ->
-              s.lost <- item :: s.lost;
-              t.lost_total <- t.lost_total + 1;
-              if Bus.active t.bus then
-                Bus.emit t.bus (Event.Item_lost { item; stage = s.index; node }));
-          Ring.clear s.pending;
-          if Bus.active t.bus then
-            Bus.emit t.bus (Event.Queue_sample { stage = s.index; depth = 0 });
-          refill t s
-        end
-      end)
-    t.stages;
-  ignore (Server.drop_all (Node.server (Topology.node t.topo node)))
-
 (* Re-dispatch a stage's lost items from the per-stage checkpoint: their
    payloads are re-fetched from the upstream stage (the user site for stage
    0) in one bulk transfer, then prepended to the pending queue. Prepending
@@ -312,6 +276,47 @@ let restore_stage t si =
           Bus.emit t.bus (Event.Queue_sample { stage = si; depth = Ring.length s.pending });
         try_dispatch t si)
   end
+
+(* A crash kills what runs and what waits on the node (fail-stop: no
+   output escapes), recorded per stage so the checkpoint-based re-dispatch
+   can replay exactly those items. A stage's in-service item runs on its
+   [service_node], which a migration that landed mid-service leaves
+   behind: it dies with that node, wherever the stage now lives, and a
+   stage that has settled on a live node replays it there at once. A stage
+   that moved onto the crashed node keeps an item still served on its old
+   live node. Queued inputs wait on the stage's current node and die with
+   it, except those of a stage mid-migration: their bytes are part of the
+   migration transfer in flight on the network, not on the dying node. An
+   output move already handed to the network also survives: the send
+   happened. *)
+let on_crash t node =
+  Array.iter
+    (fun s ->
+      if s.in_service >= 0 && s.service_node = node then begin
+        let item = s.in_service in
+        s.in_service <- -1;
+        s.busy <- false;
+        s.lost <- item :: s.lost;
+        t.lost_total <- t.lost_total + 1;
+        if Bus.active t.bus then
+          Bus.emit t.bus (Event.Item_lost { item; stage = s.index; node });
+        if s.node <> node && s.migrating_to = None then restore_stage t s.index
+      end;
+      if s.node = node && s.migrating_to = None then begin
+        if not (Ring.is_empty s.pending) then begin
+          Ring.iter s.pending (fun item ->
+              s.lost <- item :: s.lost;
+              t.lost_total <- t.lost_total + 1;
+              if Bus.active t.bus then
+                Bus.emit t.bus (Event.Item_lost { item; stage = s.index; node }));
+          Ring.clear s.pending;
+          if Bus.active t.bus then
+            Bus.emit t.bus (Event.Queue_sample { stage = s.index; depth = 0 });
+          refill t s
+        end
+      end)
+    t.stages;
+  ignore (Server.drop_all (Node.server (Topology.node t.topo node)))
 
 (* Naive same-node recovery: when a node rejoins, each stage still mapped to
    it replays its lost items where it stands. *)

@@ -116,6 +116,65 @@ let test_failover_redispatches_to_survivor () =
   Alcotest.(check (array int)) "no duplicate, no drop, order preserved"
     (Array.init items Fun.id) ids
 
+(* -------------------------------------------- crash after a migration *)
+
+(* Two stages of work 10 and 1 on speed-1 nodes 0 and 1. Stage 0 starts
+   item 0 on node 0 at t = 0 and migrates to node 2 at t = 1, landing long
+   before the service would end at t = 10; [crash] goes down at t = 3 and
+   [recover] (when given) comes back at t = 12. *)
+let migrated_mid_service ~crash ?recover () =
+  let engine = Engine.create () in
+  let topo = Topology.uniform engine ~n:3 ~speed:1.0 ~latency:1e-4 ~bandwidth:1e9 () in
+  let stages =
+    Array.map
+      (fun (name, work) ->
+        Stage.make ~name ~output_bytes:10.0 ~state_bytes:100.0 ~work:(Variate.Constant work) ())
+      [| ("a", 10.0); ("b", 1.0) |]
+  in
+  let trace = Trace.create () in
+  let sim =
+    Skel_sim.create ~rng:(Rng.create 7) ~topo ~stages ~mapping:[| 0; 1 |]
+      ~input:(Stream_spec.make ~items:3 ~item_bytes:10.0 ())
+      ~trace ()
+  in
+  ignore (Engine.schedule_at engine ~time:1.0 (fun () -> ignore (Skel_sim.remap sim [| 2; 1 |])));
+  ignore
+    (Engine.schedule_at engine ~time:3.0 (fun () -> Node.set_up (Topology.node topo crash) false));
+  Option.iter
+    (fun node ->
+      ignore
+        (Engine.schedule_at engine ~time:12.0 (fun () -> Node.set_up (Topology.node topo node) true)))
+    recover;
+  (trace, sim)
+
+(* The item in service dies with the node it runs on, although its stage
+   has moved to node 2, and node 2 replays it at once. *)
+let test_crash_kills_item_left_behind () =
+  let trace, sim = migrated_mid_service ~crash:0 () in
+  (match Skel_sim.run sim with
+  | `Completed -> ()
+  | `Stalled d -> Alcotest.fail ("the migrated stage should replay its item:\n" ^ d));
+  Alcotest.(check int) "3 of 3 completed" 3 (Skel_sim.items_completed sim);
+  Alcotest.(check int) "the item in service was lost" 1 (Skel_sim.items_lost_total sim);
+  Alcotest.(check int) "and re-dispatched" 1 (Skel_sim.items_redispatched_total sim);
+  Alcotest.(check (array int)) "no duplicate, no drop, order preserved" [| 0; 1; 2 |]
+    (completion_ids trace)
+
+(* The mirror case: node 2, where the stage now lives, crashes while item
+   0 is still served on node 0. Item 0 survives and completes once; the
+   queued items, which moved with the stage, die with node 2 and are
+   replayed when it recovers. *)
+let test_crash_spares_item_served_elsewhere () =
+  let trace, sim = migrated_mid_service ~crash:2 ~recover:2 () in
+  (match Skel_sim.run sim with
+  | `Completed -> ()
+  | `Stalled d -> Alcotest.fail ("recovery should complete the workload:\n" ^ d));
+  Alcotest.(check int) "3 of 3 completed" 3 (Skel_sim.items_completed sim);
+  Alcotest.(check int) "only the two queued items were lost" 2 (Skel_sim.items_lost_total sim);
+  Alcotest.(check int) "and re-dispatched" 2 (Skel_sim.items_redispatched_total sim);
+  Alcotest.(check (array int)) "no duplicate, no drop, order preserved" [| 0; 1; 2 |]
+    (completion_ids trace)
+
 (* ------------------------------------------------------- stall diagnosis *)
 
 let test_stall_diagnostic_names_the_problem () =
@@ -482,6 +541,10 @@ let () =
             test_failover_redispatches_to_survivor;
           Alcotest.test_case "stall diagnostic names the problem" `Quick
             test_stall_diagnostic_names_the_problem;
+          Alcotest.test_case "crash kills the item left behind" `Quick
+            test_crash_kills_item_left_behind;
+          Alcotest.test_case "crash spares an item served elsewhere" `Quick
+            test_crash_spares_item_served_elsewhere;
         ] );
       ( "profiles",
         [

@@ -170,6 +170,34 @@ let test_farm_exception_propagates () =
       ignore (Farm_mc.map ~workers:3 (fun x -> if x = 50 then raise boom else x)
                 (List.init 100 Fun.id)))
 
+(* At 2 workers the caller runs one worker loop beside one spawned domain.
+   Every item raises, so the caller's share raises too. The caller's item
+   waits until the spawned domain is inside its own item, which lingers:
+   a caller that re-raised before joining would find it still active. *)
+let test_farm_caller_share_raises () =
+  let boom = Failure "every item" in
+  let caller = Domain.self () in
+  let spawned_in = Atomic.make false and active = Atomic.make 0 in
+  let spin_until stop =
+    let t0 = Unix.gettimeofday () in
+    while (not (stop ())) && Unix.gettimeofday () -. t0 < 1.0 do
+      Domain.cpu_relax ()
+    done
+  in
+  let f _ =
+    Atomic.incr active;
+    if Domain.self () = caller then spin_until (fun () -> Atomic.get spawned_in)
+    else begin
+      Atomic.set spawned_in true;
+      Unix.sleepf 0.02
+    end;
+    Atomic.decr active;
+    raise boom
+  in
+  Alcotest.check_raises "re-raised" boom (fun () ->
+      ignore (Farm_mc.map ~workers:2 f (List.init 64 Fun.id)));
+  Alcotest.(check int) "no item still running after the call" 0 (Atomic.get active)
+
 let test_farm_invalid_workers () =
   Alcotest.check_raises "workers 0" (Invalid_argument "Farm_mc: workers must be positive")
     (fun () -> ignore (Farm_mc.map ~workers:0 Fun.id [ 1 ]))
@@ -367,6 +395,7 @@ let () =
           Alcotest.test_case "empty & single" `Quick test_farm_empty_and_single;
           Alcotest.test_case "more workers than items" `Quick test_farm_more_workers_than_items;
           Alcotest.test_case "exception propagates" `Quick test_farm_exception_propagates;
+          Alcotest.test_case "caller share raises" `Quick test_farm_caller_share_raises;
           Alcotest.test_case "invalid workers" `Quick test_farm_invalid_workers;
         ] );
       ( "failure-paths",
