@@ -575,6 +575,108 @@ let test_golden_bounded () =
         (Digest.to_hex (Digest.string (Buffer.contents buffer))))
     golden_bounded
 
+(* Golden forecasts of the monitor: a serve_day-shaped estate (5 equal
+   nodes, so 5 node, 5 user-link and 20 link sensors) under the default
+   sensor (noise and dropout) for 200 ticks of 5 s, with node loads and
+   link qualities moving and one node down for a while. After every tick
+   each sensor's forecast is rendered as a hex float; the digest covers
+   all 6,000 renderings and the sample count. *)
+let golden_monitor = ("2afe41ab12a071a1bf8029e8d757ec1e", 200, 5918)
+
+let test_golden_monitor () =
+  let module Topology = Aspipe_grid.Topology in
+  let module Monitor = Aspipe_grid.Monitor in
+  let engine = Engine.create () in
+  let topo = Topology.uniform engine ~n:5 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 () in
+  let horizon = 1000.0 in
+  let load_rng = Aspipe_util.Rng.create 5 in
+  Aspipe_grid.Loadgen.apply_until ~horizon topo 0
+    (Aspipe_grid.Loadgen.Sine { period = 300.0; base = 0.6; amplitude = 0.35; sample_every = 7.0 });
+  Aspipe_grid.Loadgen.apply_until ~horizon topo 2
+    (Aspipe_grid.Loadgen.Step { at = 300.0; level = 0.4 });
+  Aspipe_grid.Loadgen.apply_until ~rng:load_rng ~horizon topo 3
+    (Aspipe_grid.Loadgen.Random_walk { every = 11.0; sigma = 0.1; lo = 0.2; hi = 1.0 });
+  Engine.schedule engine ~delay:400.0 (fun () ->
+      Aspipe_grid.Link.set_quality (Topology.link topo ~src:1 ~dst:2) 0.5;
+      Aspipe_grid.Link.set_quality (Topology.user_link topo 3) 0.7);
+  Engine.schedule engine ~delay:600.0 (fun () ->
+      Aspipe_grid.Node.set_up (Topology.node topo 4) false);
+  Engine.schedule engine ~delay:700.0 (fun () ->
+      Aspipe_grid.Node.set_up (Topology.node topo 4) true);
+  let monitor =
+    Monitor.create ~rng:(Aspipe_util.Rng.create 17) ~every:5.0 ~horizon topo
+  in
+  let b = Buffer.create (1 lsl 17) in
+  let ticks = ref 0 in
+  (* Scheduled after the monitor's own periodic, so it fires after each tick. *)
+  Engine.periodic engine ~every:5.0 (fun () ->
+      incr ticks;
+      for i = 0 to 4 do
+        Printf.bprintf b "%h %h " (Monitor.node_forecast monitor i)
+          (Monitor.user_link_forecast monitor i);
+        for j = 0 to 4 do
+          if i <> j then Printf.bprintf b "%h " (Monitor.link_forecast monitor ~src:i ~dst:j)
+        done
+      done;
+      Buffer.add_char b '\n';
+      Engine.now engine < horizon);
+  Engine.run engine;
+  Printf.bprintf b "samples %d" (Monitor.samples_taken monitor);
+  let name, expected_ticks, expected_samples = golden_monitor in
+  Alcotest.(check int) "ticks" expected_ticks !ticks;
+  Alcotest.(check int) "samples" expected_samples (Monitor.samples_taken monitor);
+  Alcotest.(check string) "forecast digest" name (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* Golden report floats of Serve.run on the benchmark's serve_day world
+   (4 unit stages on 5 equal nodes, E21's diurnal demand) over a 2,400 s
+   day, under latency_gradient from the cheapest mapping and under static
+   from the best one: every quantile, the mean and maximum sojourn,
+   attainment and node-seconds, as hex floats. *)
+let golden_serve_report =
+  [ ("latency_gradient",
+     "3785/3785 p50 0x1.11ba9af5e83p-1 p99 0x1.459939195e08p+2 p999 0x1.d06de41b7da8p+2 \
+      max 0x1.db8d9a207498p+2 mean 0x1.d80b5c07d14cp-1 attainment 0x1.f99999999999ap-1 \
+      node-s 0x1.decp+11");
+    ("static",
+     "3785/3785 p50 0x1.d1eb851eb8p-2 p99 0x1.4796efce274p-1 p999 0x1.8ca75fd89ccp-1 \
+      max 0x1.9898412b2348p-1 mean 0x1.e1f4b3857763ap-2 attainment 0x1p+0 node-s 0x1.2cp+13") ]
+
+let test_golden_serve_report () =
+  let module Serve = Aspipe_serve in
+  let period = 2400.0 in
+  let scenario =
+    Aspipe_core.Scenario.make ~name:"serve-day"
+      ~make_topo:(fun engine ->
+        Aspipe_grid.Topology.uniform engine ~n:5 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ())
+      ~stages:
+        (Array.init 4 (fun i ->
+             Aspipe_skel.Stage.make ~name:(Printf.sprintf "srv%d" i) ~output_bytes:1e4
+               ~state_bytes:1e5 ~work:(Aspipe_util.Variate.Constant 1.0) ()))
+      ~input:(Aspipe_skel.Stream_spec.make ~item_bytes:1e4 ~items:1 ())
+      ~horizon:period ()
+  in
+  List.iter
+    (fun (name, expected) ->
+      let autoscaler, initial =
+        match name with
+        | "static" -> (Serve.Autoscaler.static (), `Best)
+        | _ -> (Serve.Autoscaler.latency_gradient (), `Cheapest)
+      in
+      let r =
+        Serve.Serve.run ~initial ~autoscaler
+          ~arrival:(Serve.Arrival.diurnal ~base:1.6 ~amplitude:1.2 ~period)
+          ~slo:(Serve.Slo.spec ~target_quantile:0.95 ~threshold:6.0 ~window:30.0)
+          ~provision_rate:1.6 ~scenario ~seed:7 ()
+      in
+      let got =
+        Printf.sprintf "%d/%d p50 %h p99 %h p999 %h max %h mean %h attainment %h node-s %h"
+          r.Serve.Serve.completions r.Serve.Serve.arrivals r.Serve.Serve.p50 r.Serve.Serve.p99
+          r.Serve.Serve.p999 r.Serve.Serve.max_sojourn r.Serve.Serve.mean_sojourn
+          r.Serve.Serve.attainment r.Serve.Serve.node_seconds
+      in
+      Alcotest.(check string) (name ^ " report") expected got)
+    golden_serve_report
+
 let () =
   Alcotest.run "perf"
     [
@@ -606,5 +708,7 @@ let () =
           Alcotest.test_case "serving and failover streams" `Quick test_golden_streams;
           Alcotest.test_case "adaptive_search decisions" `Quick test_golden_decisions;
           Alcotest.test_case "bounded queues and ties" `Quick test_golden_bounded;
+          Alcotest.test_case "monitor forecasts" `Quick test_golden_monitor;
+          Alcotest.test_case "serving report floats" `Quick test_golden_serve_report;
         ] );
     ]
