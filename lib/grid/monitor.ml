@@ -8,6 +8,9 @@ type sensor_spec = { noise : float; dropout : float }
 let default_sensor = { noise = 0.02; dropout = 0.01 }
 let perfect_sensor = { noise = 0.0; dropout = 0.0 }
 
+(* What a sensor reads, for the event subject of its samples. *)
+type sensed = Node_sensor | User_link_sensor | Link_sensor
+
 type t = {
   topo : Topology.t;
   forecasters : Forecast.t array;
@@ -36,15 +39,48 @@ let create ?(sensor = default_sensor) ~rng ~every ~horizon topo =
   in
   let engine = Topology.engine topo in
   let bus = Engine.bus engine in
+  let module Bus = Aspipe_obs.Bus in
   let module Event = Aspipe_obs.Event in
-  let sense truth =
-    if Variate.bernoulli rng ~p:sensor.dropout then None
-    else begin
+  (* The sensor of [sensed] at [src] (to [dst], for a link) takes one
+     reading into its forecaster, unless the reading drops out: the noise
+     scales the true value, and the reading is clamped to [0, 1]. The event
+     subject is built only while the bus is active, and a node's forecast
+     update carries the prediction the reading is about to be scored
+     against. It is given no float, so a call boxes nothing. *)
+  let sense sensed ~src ~dst =
+    if not (Variate.bernoulli rng ~p:sensor.dropout) then begin
+      let truth =
+        match sensed with
+        | Node_sensor -> Node.availability (Topology.node topo src)
+        | User_link_sensor -> Link.quality (Topology.user_link topo src)
+        | Link_sensor -> Link.quality (Topology.link topo ~src ~dst)
+      in
       let observed =
         if sensor.noise = 0.0 then truth
         else truth *. (1.0 +. Variate.normal rng ~mean:0.0 ~stddev:sensor.noise)
       in
-      Some (Float.min 1.0 (Float.max 0.0 observed))
+      let observed = Float.min 1.0 (Float.max 0.0 observed) in
+      let forecaster =
+        match sensed with
+        | Node_sensor -> t.forecasters.(src)
+        | User_link_sensor -> t.user_link_forecasters.(src)
+        | Link_sensor -> t.link_forecasters.(src).(dst)
+      in
+      if Bus.active bus then begin
+        let subject =
+          match sensed with
+          | Node_sensor -> Event.Node src
+          | User_link_sensor -> Event.User_link src
+          | Link_sensor -> Event.Link { src; dst }
+        in
+        Bus.emit bus (Event.Monitor_sample { subject; observed });
+        if sensed = Node_sensor then
+          Bus.emit bus
+            (Event.Forecast_update
+               { subject; predicted = Forecast.predict forecaster; observed })
+      end;
+      Forecast.observe forecaster observed;
+      t.samples <- t.samples + 1
     end
   in
   Engine.periodic engine ~every (fun () ->
@@ -52,45 +88,14 @@ let create ?(sensor = default_sensor) ~rng ~every ~horizon topo =
         (* Heartbeat first: a crashed node does not answer its sensor at
            all — no sample, no rng draws — and each silent period counts
            toward failure suspicion. *)
-        (if not (Node.up (Topology.node topo i)) then t.missed.(i) <- t.missed.(i) + 1
-         else begin
-           t.missed.(i) <- 0;
-           match sense (Node.availability (Topology.node topo i)) with
-           | Some observed ->
-               if Aspipe_obs.Bus.active bus then begin
-                 Aspipe_obs.Bus.emit bus
-                   (Event.Monitor_sample { subject = Event.Node i; observed });
-                 Aspipe_obs.Bus.emit bus
-                   (Event.Forecast_update
-                      {
-                        subject = Event.Node i;
-                        predicted = Forecast.predict t.forecasters.(i);
-                        observed;
-                      })
-               end;
-               Forecast.observe t.forecasters.(i) observed;
-               t.samples <- t.samples + 1
-           | None -> ()
-         end);
-        (match sense (Link.quality (Topology.user_link topo i)) with
-        | Some observed ->
-            if Aspipe_obs.Bus.active bus then
-              Aspipe_obs.Bus.emit bus
-                (Event.Monitor_sample { subject = Event.User_link i; observed });
-            Forecast.observe t.user_link_forecasters.(i) observed;
-            t.samples <- t.samples + 1
-        | None -> ());
+        if not (Node.up (Topology.node topo i)) then t.missed.(i) <- t.missed.(i) + 1
+        else begin
+          t.missed.(i) <- 0;
+          sense Node_sensor ~src:i ~dst:i
+        end;
+        sense User_link_sensor ~src:i ~dst:i;
         for j = 0 to n - 1 do
-          if i <> j then
-            match sense (Link.quality (Topology.link topo ~src:i ~dst:j)) with
-            | Some observed ->
-                if Aspipe_obs.Bus.active bus then
-                  Aspipe_obs.Bus.emit bus
-                    (Event.Monitor_sample
-                       { subject = Event.Link { src = i; dst = j }; observed });
-                Forecast.observe t.link_forecasters.(i).(j) observed;
-                t.samples <- t.samples + 1
-            | None -> ()
+          if i <> j then sense Link_sensor ~src:i ~dst:j
         done
       done;
       Engine.now engine < horizon);

@@ -1,285 +1,328 @@
-(* Every forecaster is one record: its numbers live unboxed in the float
-   array [f] (slot layout below), its counters in int fields and an
-   ensemble's members in an array, so [observe] allocates nothing. The
-   prediction is computed once, at the end of [observe], and cached in
-   [f.(prediction)] until the next one — it is needed anyway to score the
-   next measurement. *)
+(* A forecaster is a bank of members that one [observe] updates together.
+   The adaptive ensemble is a bank of fourteen; every other constructor
+   makes a bank of one, so all of them run the same code.
 
-type kind =
-  | Last
-  | Running_mean
-  | Sliding_mean
-  | Sliding_median
-  | Ewma
-  | Trend
-  | Ar1
-  | Ensemble of t array
+   Members sit in a fixed order by kind: last value, running mean, sliding
+   means, sliding medians, EWMAs, Holt trends, AR(1); a bank holds any of
+   them. Slot 0 of [pred], [sq] and [ab] is the bank's own answer (its
+   member of least running MSE) and slot [1 + k] is member k, so one loop
+   scores them all. Members always observe together, so they share one
+   observation count and one error count, and the sliding kinds read one
+   ring of the last values, as long as the largest window. Every number
+   lives unboxed in a float array, so [observe] allocates nothing; each
+   prediction is computed once, at the end of [observe], and cached. *)
 
-and t = {
+type t = {
   name : string;
-  kind : kind;
-  f : float array;
-  window : float array;  (* sliding kinds: the last [length window] values, a ring *)
-  sorted : float array;  (* sliding median: the window's values, sorted *)
+  names : string array;  (* member k's name at [k] *)
+  pred : float array;  (* predictions: the bank's at 0, member k's at 1 + k *)
+  sq : float array;  (* squared one-step errors summed, same slots *)
+  ab : float array;  (* absolute one-step errors summed, same slots *)
+  level : float array;  (* per slot: running mean, EWMA or Holt level *)
+  slope : float array;  (* per slot: Holt slope *)
+  gain : float array;  (* per slot: EWMA or Holt gain *)
+  ar : float array;  (* AR(1): sums of x_{t-1}, x_t, x_{t-1}², x_{t-1}·x_t; last value *)
+  ring : float array;  (* the last [length ring] values, oldest at [next] once full *)
+  mean_windows : int array;  (* ascending, at most three *)
+  sorted : float array array;  (* per median window: its values, sorted *)
+  nans : int array;  (* per median window: the NaNs at the front of [sorted] *)
+  (* Each kind's members fill the slots from its first one up to the next
+     kind's first; the last values start at 1, the AR(1) runs to [slots]. *)
+  running_mean : int;
+  means : int;
+  medians : int;
+  ewmas : int;
+  trends : int;
+  ar1 : int;
+  slots : int;  (* 1 + members *)
   mutable next : int;  (* ring slot the next value goes to *)
-  mutable filled : int;  (* ring slots in use *)
-  mutable count : int;  (* running mean: values seen; AR(1): fitted pairs *)
   mutable observations : int;
-  mutable errors_counted : int;
+  mutable errors : int;
+  mutable pairs : int;  (* AR(1): fitted (x_{t-1}, x_t) pairs *)
 }
 
-(* Slots of [f]. [state] .. [state + 4] hold the kind's own numbers:
-   last value; running mean; EWMA level; Holt level, slope; AR(1) sums of
-   x_{t-1}, x_t, x_{t-1}², x_{t-1}·x_t and the last value. *)
-let prediction = 0
-let error_sq = 1
-let error_abs = 2
-let gain = 3
-let trend_gain = 4
-let state = 5
-let slots = state + 5
-
 let name t = t.name
-let predict t = t.f.(prediction)
+let predict t = t.pred.(0)
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] mean_error t sums slot = if t.errors = 0 then nan else sums.(slot) /. Float.of_int t.errors
+let mse t = mean_error t t.sq 0
+let mae t = mean_error t t.ab 0
 
-let mse t =
-  if t.errors_counted = 0 then nan else t.f.(error_sq) /. Float.of_int t.errors_counted
+let members t =
+  List.init (t.slots - 1) (fun k -> (t.names.(k), mean_error t t.sq (k + 1)))
 
-let mae t =
-  if t.errors_counted = 0 then nan else t.f.(error_abs) /. Float.of_int t.errors_counted
-
-let make ?(fallback = 0.0) ?(window = 0) ?gain:(g = nan) ~name kind =
-  let f = Array.make slots 0.0 in
-  f.(prediction) <- fallback;
-  f.(gain) <- g;
-  f.(trend_gain) <- g /. 2.0;
+let bank ?(fallback = 0.0) ?name ?(last = false) ?(running_mean = false) ?(means = [||])
+    ?(medians = [||]) ?(ewmas = [||]) ?(trends = [||]) ?(ar1 = false) () =
+  if Array.length means > 3 then invalid_arg "Forecast: at most three sliding means";
+  let one present = if present then 1 else 0 in
+  let first_running = 1 + one last in
+  let first_mean = first_running + one running_mean in
+  let first_median = first_mean + Array.length means in
+  let first_ewma = first_median + Array.length medians in
+  let first_trend = first_ewma + Array.length ewmas in
+  let first_ar1 = first_trend + Array.length trends in
+  let slots = first_ar1 + one ar1 in
+  let names =
+    Array.concat
+      [
+        (if last then [| "last" |] else [||]);
+        (if running_mean then [| "run_mean" |] else [||]);
+        Array.map (Printf.sprintf "mean_%d") means;
+        Array.map (Printf.sprintf "median_%d") medians;
+        Array.map (Printf.sprintf "ewma_%.2g") ewmas;
+        Array.map (Printf.sprintf "trend_%.2g") trends;
+        (if ar1 then [| "ar1" |] else [||]);
+      ]
+  in
   (* EWMA and Holt levels, and AR(1)'s last value, start at "none yet". *)
-  (match kind with
-  | Ewma | Trend -> f.(state) <- nan
-  | Ar1 -> f.(state + 4) <- nan
-  | Last | Running_mean | Sliding_mean | Sliding_median | Ensemble _ -> ());
+  let level = Array.make slots 0.0 and gain = Array.make slots nan in
+  let set_gains first gains =
+    Array.iteri
+      (fun k g ->
+        level.(first + k) <- nan;
+        gain.(first + k) <- g)
+      gains
+  in
+  set_gains first_ewma ewmas;
+  set_gains first_trend trends;
   {
-    name;
-    kind;
-    f;
-    window = Array.make window 0.0;
-    sorted = (match kind with Sliding_median -> Array.make window 0.0 | _ -> [||]);
+    name = Option.value name ~default:names.(0);
+    names;
+    pred = Array.make slots fallback;
+    sq = Array.make slots 0.0;
+    ab = Array.make slots 0.0;
+    level;
+    slope = Array.make slots 0.0;
+    gain;
+    ar = [| 0.0; 0.0; 0.0; 0.0; nan |];
+    ring = Array.make (Array.fold_left Int.max 0 (Array.append means medians)) 0.0;
+    mean_windows = means;
+    sorted = Array.map (fun w -> Array.make w 0.0) medians;
+    nans = Array.make (Array.length medians) 0;
+    running_mean = first_running;
+    means = first_mean;
+    medians = first_median;
+    ewmas = first_ewma;
+    trends = first_trend;
+    ar1 = first_ar1;
+    slots;
     next = 0;
-    filled = 0;
-    count = 0;
     observations = 0;
-    errors_counted = 0;
+    errors = 0;
+    pairs = 0;
   }
 
-(* Push [x] into the window ring, overwriting the oldest value when full. *)
-let push t x =
-  let w = Array.length t.window in
-  t.window.(t.next) <- x;
-  t.next <- (if t.next + 1 = w then 0 else t.next + 1);
-  if t.filled < w then t.filled <- t.filled + 1
-
-(* The helpers below store their result in [f.(prediction)] rather than
-   return it: a float returned from a call that is not inlined is boxed. The
-   window is read in place, oldest first: the oldest value sits at [next]
-   once the ring is full, at 0 before. *)
-
-(* Mean of the window, summed oldest → newest and then divided: the float
-   operations of [Stats.mean] on the oldest-first contents. *)
-let predict_window_mean t =
-  let w = Array.length t.window in
-  let oldest = if t.filled < w then 0 else t.next in
-  let acc = ref 0.0 in
-  for k = 0 to t.filled - 1 do
-    let i = oldest + k in
-    acc := !acc +. t.window.(if i >= w then i - w else i)
-  done;
-  t.f.(prediction) <- !acc /. Float.of_int t.filled
-
-(* A sliding median keeps the window's values in [t.sorted] under
-   [Float.compare]'s order (NaN first) across observations: a full ring's
-   evicted value is removed, the new one inserted, and the median read off.
-   The sorted values equal the copy-and-sort of the window value for value;
-   only the relative order of values that compare equal with different bits
-   (-0. and 0., NaN payloads) can differ. *)
-
-(* Before [push]: on a full ring, remove the oldest value, which [push] is
-   about to overwrite, from the sorted values, then insert [x] after every
-   value that compares equal to it. The evicted value is matched by its
-   bits: [=] never matches a NaN and cannot tell -0. from 0., either of
-   which would leave in [sorted] a value the window no longer holds. *)
-let slide_sorted t x =
-  let s = t.sorted in
-  let n =
-    if t.filled < Array.length t.window then t.filled
-    else begin
-      let bits = Int64.bits_of_float t.window.(t.next) in
-      let k = ref 0 in
-      while Int64.bits_of_float s.(!k) <> bits do
-        incr k
-      done;
-      for i = !k to t.filled - 2 do
-        s.(i) <- s.(i + 1)
-      done;
-      t.filled - 1
+(* Median window [k] takes [x], before [x] enters the ring. Its values are
+   kept in [s] as [Float.compare] sorts them: its [nans] NaNs first, then
+   the rest, which plain comparisons order. A value goes in after every
+   value equal to it, so each run of equal values is in arrival order, and
+   the value a full window displaces, its oldest, is the first of its run:
+   the NaN at 0, or the slot after the values below it. Both places are
+   counted with branch-free comparisons, and one shift moves the values
+   between them. A displaced value that equals [x] and is not a zero has
+   [x]'s bits, so nothing moves. The values are those of a copy-and-sort
+   of the window; only equal values with different bits (the zeros, NaN
+   payloads) can sit in another order. The median is read with
+   [Stats.quantile _ 0.5]'s arithmetic, whose [frac] is 0 or exactly 0.5. *)
+let slide_median t k x =
+  let s = t.sorted.(k) in
+  let w = Array.length s in
+  let nans = t.nans.(k) in
+  let len = t.observations in
+  let full = len >= w in
+  let e =
+    if full then begin
+      let i = t.next - w in
+      t.ring.(if i < 0 then i + Array.length t.ring else i)
     end
+    else nan
   in
-  let j = ref (n - 1) in
-  (* [Float.compare s.(!j) x > 0], spelled out. *)
-  while !j >= 0 && (s.(!j) > x || (Float.is_nan x && not (Float.is_nan s.(!j)))) do
-    s.(!j + 1) <- s.(!j);
-    decr j
-  done;
-  s.(!j + 1) <- x
-
-(* Median of the sorted window with [Stats.quantile _ 0.5]'s arithmetic. *)
-let predict_window_median t =
-  let s = t.sorted in
-  let n = t.filled in
-  let position = 0.5 *. Float.of_int (n - 1) in
-  let below = int_of_float (Float.floor position) in
-  let above = int_of_float (Float.ceil position) in
-  if below = above then t.f.(prediction) <- s.(below)
-  else begin
-    let frac = position -. Float.of_int below in
-    t.f.(prediction) <- (s.(below) *. (1.0 -. frac)) +. (s.(above) *. frac)
-  end
-
-(* x_t ≈ a·x_{t−1} + c by least squares over the running sums; the last
-   value until the fit is identifiable. *)
-let predict_ar1 t =
-  let f = t.f in
-  let sum_prev = f.(state) and sum_cur = f.(state + 1) in
-  let sum_prev_sq = f.(state + 2) and sum_cross = f.(state + 3) in
-  let last = f.(state + 4) in
-  let nf = Float.of_int t.count in
-  let denom = (nf *. sum_prev_sq) -. (sum_prev *. sum_prev) in
-  if t.count < 3 || Float.abs denom < 1e-12 then f.(prediction) <- last
-  else begin
-    let a = ((nf *. sum_cross) -. (sum_prev *. sum_cur)) /. denom in
-    let c = (sum_cur -. (a *. sum_prev)) /. nf in
-    f.(prediction) <- (a *. last) +. c
-  end
-
-(* Adopt the prediction of the bank member of least running MSE, NaN
-   scoring as infinity; the first such member on ties. *)
-let predict_best t bank =
-  let best = ref 0 in
-  let best_score = ref infinity in
-  for i = 0 to Array.length bank - 1 do
-    let m = bank.(i) in
-    let mse = m.f.(error_sq) /. Float.of_int m.errors_counted in
-    let score = if m.errors_counted = 0 || Float.is_nan mse then infinity else mse in
-    if i = 0 || score < !best_score then begin
-      best := i;
-      best_score := score
-    end
-  done;
-  t.f.(prediction) <- bank.(!best).f.(prediction)
-
-(* Never inlined: an inlined copy would unbox [x] at the call site and then
-   box it again for every ensemble member it feeds. *)
-let[@inline never] rec observe t x =
-  let f = t.f in
-  if t.observations > 0 then begin
-    (* Score the prediction that was in force before this measurement. *)
-    let err = f.(prediction) -. x in
-    f.(error_sq) <- f.(error_sq) +. (err *. err);
-    f.(error_abs) <- f.(error_abs) +. Float.abs err;
-    t.errors_counted <- t.errors_counted + 1
-  end;
-  (match t.kind with
-  | Last -> f.(prediction) <- x
-  | Running_mean ->
-      t.count <- t.count + 1;
-      let delta = x -. f.(state) in
-      f.(state) <- f.(state) +. (delta /. Float.of_int t.count);
-      f.(prediction) <- f.(state)
-  | Sliding_mean ->
-      push t x;
-      predict_window_mean t
-  | Sliding_median ->
-      slide_sorted t x;
-      push t x;
-      predict_window_median t
-  | Ewma ->
-      let g = f.(gain) in
-      if Float.is_nan f.(state) then f.(state) <- x
-      else f.(state) <- (g *. x) +. ((1.0 -. g) *. f.(state));
-      f.(prediction) <- f.(state)
-  | Trend ->
-      let g = f.(gain) and tg = f.(trend_gain) in
-      if Float.is_nan f.(state) then f.(state) <- x
-      else begin
-        let previous = f.(state) in
-        f.(state) <- (g *. x) +. ((1.0 -. g) *. (f.(state) +. f.(state + 1)));
-        f.(state + 1) <- (tg *. (f.(state) -. previous)) +. ((1.0 -. tg) *. f.(state + 1))
-      end;
-      f.(prediction) <- f.(state) +. f.(state + 1)
-  | Ar1 ->
-      let last = f.(state + 4) in
-      if not (Float.is_nan last) then begin
-        t.count <- t.count + 1;
-        f.(state) <- f.(state) +. last;
-        f.(state + 1) <- f.(state + 1) +. x;
-        f.(state + 2) <- f.(state + 2) +. (last *. last);
-        f.(state + 3) <- f.(state + 3) +. (last *. x)
-      end;
-      f.(state + 4) <- x;
-      predict_ar1 t
-  | Ensemble bank ->
-      for i = 0 to Array.length bank - 1 do
-        observe bank.(i) x
+  if not (full && e = x && e <> 0.0) then begin
+    let n = if full then w else len in
+    let below_e = ref 0 and upto_x = ref 0 in
+    for j = nans to n - 1 do
+      let v = s.(j) in
+      below_e := !below_e + Bool.to_int (v < e);
+      upto_x := !upto_x + Bool.to_int (v <= x)
+    done;
+    let nan_gone = full && Float.is_nan e in
+    let free = if not full then len else if nan_gone then 0 else nans + !below_e in
+    let kept_nans = nans - Bool.to_int nan_gone in
+    let place =
+      if Float.is_nan x then kept_nans
+      else kept_nans + !upto_x - Bool.to_int (full && e <= x)
+    in
+    if free < place then
+      for j = free to place - 1 do
+        s.(j) <- s.(j + 1)
+      done
+    else
+      for j = free downto place + 1 do
+        s.(j) <- s.(j - 1)
       done;
-      predict_best t bank);
-  t.observations <- t.observations + 1
+    s.(place) <- x;
+    t.nans.(k) <- kept_nans + Bool.to_int (Float.is_nan x);
+    let m = if full then w else len + 1 in
+    let h = m / 2 in
+    t.pred.(t.medians + k) <-
+      (if m land 1 = 1 then s.(h) else (s.(h - 1) *. 0.5) +. (s.(h) *. 0.5))
+  end
 
-let last_value ?fallback () = make ?fallback ~name:"last" Last
-let running_mean ?fallback () = make ?fallback ~name:"run_mean" Running_mean
+let[@inline] window_count n w = if n < w then n else w
 
-let sliding ?fallback ~window ~statistic kind =
+(* The sliding means, after [x] entered the ring: one oldest-first pass
+   over it, with one accumulator per window that joins when the pass
+   reaches its window's oldest value. So each accumulator adds its own
+   window's values oldest first, from 0., as a pass per window would; a
+   running sum would change the bits. The windows are right-aligned onto
+   three accumulators, [a2] taking the largest. *)
+let slide_means t =
+  let ring = t.ring and w = t.mean_windows in
+  let r = Array.length ring and m = Array.length w in
+  let n = t.observations in
+  let c2 = window_count n w.(m - 1) in
+  let c1 = if m > 1 then window_count n w.(m - 2) else 0 in
+  let c0 = if m > 2 then window_count n w.(m - 3) else 0 in
+  let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 in
+  let i = ref (if t.next < c2 then t.next - c2 + r else t.next - c2) in
+  for _ = 1 to c2 - c1 do
+    a2 := !a2 +. ring.(!i);
+    i := if !i + 1 = r then 0 else !i + 1
+  done;
+  for _ = 1 to c1 - c0 do
+    let v = ring.(!i) in
+    a1 := !a1 +. v;
+    a2 := !a2 +. v;
+    i := if !i + 1 = r then 0 else !i + 1
+  done;
+  for _ = 1 to c0 do
+    let v = ring.(!i) in
+    a0 := !a0 +. v;
+    a1 := !a1 +. v;
+    a2 := !a2 +. v;
+    i := if !i + 1 = r then 0 else !i + 1
+  done;
+  let last = t.medians - 1 in
+  t.pred.(last) <- !a2 /. Float.of_int c2;
+  if m > 1 then t.pred.(last - 1) <- !a1 /. Float.of_int c1;
+  if m > 2 then t.pred.(last - 2) <- !a0 /. Float.of_int c0
+
+(* Never inlined: an inlined copy would unbox [x] at the call site and box
+   it again for the calls below. *)
+let[@inline never] observe t x =
+  let pred = t.pred in
+  if t.observations > 0 then begin
+    (* Score the predictions that were in force before this measurement. *)
+    let sq = t.sq and ab = t.ab in
+    for i = 0 to t.slots - 1 do
+      let err = pred.(i) -. x in
+      sq.(i) <- sq.(i) +. (err *. err);
+      ab.(i) <- ab.(i) +. Float.abs err
+    done;
+    t.errors <- t.errors + 1
+  end;
+  for k = 0 to Array.length t.sorted - 1 do
+    slide_median t k x
+  done;
+  let r = Array.length t.ring in
+  if r > 0 then begin
+    t.ring.(t.next) <- x;
+    t.next <- (if t.next + 1 = r then 0 else t.next + 1)
+  end;
+  let n = t.observations + 1 in
+  t.observations <- n;
+  if t.medians > t.means then slide_means t;
+  if t.running_mean > 1 then pred.(1) <- x;
+  let level = t.level and gain = t.gain in
+  if t.means > t.running_mean then begin
+    let i = t.running_mean in
+    level.(i) <- level.(i) +. ((x -. level.(i)) /. Float.of_int n);
+    pred.(i) <- level.(i)
+  end;
+  for i = t.ewmas to t.trends - 1 do
+    let g = gain.(i) in
+    if Float.is_nan level.(i) then level.(i) <- x
+    else level.(i) <- (g *. x) +. ((1.0 -. g) *. level.(i));
+    pred.(i) <- level.(i)
+  done;
+  let slope = t.slope in
+  for i = t.trends to t.ar1 - 1 do
+    let g = gain.(i) in
+    let tg = g /. 2.0 in
+    if Float.is_nan level.(i) then level.(i) <- x
+    else begin
+      let previous = level.(i) in
+      level.(i) <- (g *. x) +. ((1.0 -. g) *. (level.(i) +. slope.(i)));
+      slope.(i) <- (tg *. (level.(i) -. previous)) +. ((1.0 -. tg) *. slope.(i))
+    end;
+    pred.(i) <- level.(i) +. slope.(i)
+  done;
+  if t.ar1 < t.slots then begin
+    (* x_t ≈ a·x_{t−1} + c by least squares over the running sums; the last
+       value until the fit is identifiable. *)
+    let a = t.ar in
+    let last = a.(4) in
+    if not (Float.is_nan last) then begin
+      t.pairs <- t.pairs + 1;
+      a.(0) <- a.(0) +. last;
+      a.(1) <- a.(1) +. x;
+      a.(2) <- a.(2) +. (last *. last);
+      a.(3) <- a.(3) +. (last *. x)
+    end;
+    a.(4) <- x;
+    let nf = Float.of_int t.pairs in
+    let denom = (nf *. a.(2)) -. (a.(0) *. a.(0)) in
+    if t.pairs < 3 || Float.abs denom < 1e-12 then pred.(t.ar1) <- x
+    else begin
+      let k = ((nf *. a.(3)) -. (a.(0) *. a.(1))) /. denom in
+      let c = (a.(1) -. (k *. a.(0))) /. nf in
+      pred.(t.ar1) <- (k *. x) +. c
+    end
+  end;
+  (* The bank answers with its member of least running MSE, NaN scoring as
+     infinity, the first one on ties. The members share the error count, so
+     dividing by it is monotone: only a member whose error sum is below the
+     incumbent's can win, and only such a member pays the division. *)
+  let best = ref 1 in
+  if t.errors > 0 then begin
+    let sq = t.sq in
+    let count = Float.of_int t.errors in
+    let best_sum = ref (if Float.is_nan sq.(1) then infinity else sq.(1)) in
+    let best_mse = ref (!best_sum /. count) in
+    for i = 2 to t.slots - 1 do
+      let sum = sq.(i) in
+      if sum < !best_sum then begin
+        let mse = sum /. count in
+        if mse < !best_mse then begin
+          best := i;
+          best_sum := sum;
+          best_mse := mse
+        end
+      end
+    done
+  end;
+  pred.(0) <- pred.(!best)
+
+let last_value ?fallback () = bank ?fallback ~last:true ()
+let running_mean ?fallback () = bank ?fallback ~running_mean:true ()
+
+let window_of window =
   if window <= 0 then invalid_arg "Forecast: window must be positive";
-  make ?fallback ~window ~name:(Printf.sprintf "%s_%d" statistic window) kind
+  [| window |]
 
-let sliding_mean ?fallback ~window () = sliding ?fallback ~window ~statistic:"mean" Sliding_mean
-
-let sliding_median ?fallback ~window () =
-  sliding ?fallback ~window ~statistic:"median" Sliding_median
+let sliding_mean ?fallback ~window () = bank ?fallback ~means:(window_of window) ()
+let sliding_median ?fallback ~window () = bank ?fallback ~medians:(window_of window) ()
 
 let ewma ?fallback ~gain () =
   if gain <= 0.0 || gain > 1.0 then invalid_arg "Forecast.ewma: gain must be in (0,1]";
-  make ?fallback ~gain ~name:(Printf.sprintf "ewma_%.2g" gain) Ewma
+  bank ?fallback ~ewmas:[| gain |] ()
 
 let trend ?fallback ~gain () =
   if gain <= 0.0 || gain > 1.0 then invalid_arg "Forecast.trend: gain must be in (0,1]";
-  make ?fallback ~gain ~name:(Printf.sprintf "trend_%.2g" gain) Trend
+  bank ?fallback ~trends:[| gain |] ()
 
-let ar1 ?fallback () = make ?fallback ~name:"ar1" Ar1
+let ar1 ?fallback () = bank ?fallback ~ar1:true ()
 
-let adaptive ?(fallback = 0.0) () =
-  let bank =
-    [|
-      last_value ~fallback ();
-      running_mean ~fallback ();
-      sliding_mean ~fallback ~window:5 ();
-      sliding_mean ~fallback ~window:10 ();
-      sliding_mean ~fallback ~window:25 ();
-      sliding_median ~fallback ~window:5 ();
-      sliding_median ~fallback ~window:10 ();
-      sliding_median ~fallback ~window:25 ();
-      ewma ~fallback ~gain:0.1 ();
-      ewma ~fallback ~gain:0.25 ();
-      ewma ~fallback ~gain:0.5 ();
-      ewma ~fallback ~gain:0.75 ();
-      trend ~fallback ~gain:0.3 ();
-      ar1 ~fallback ();
-    |]
-  in
-  make ~fallback ~name:"adaptive" (Ensemble bank)
-
-let members t =
-  let bank =
-    match t.kind with
-    | Ensemble bank -> bank
-    | Last | Running_mean | Sliding_mean | Sliding_median | Ewma | Trend | Ar1 -> [| t |]
-  in
-  Array.to_list (Array.map (fun m -> (name m, mse m)) bank)
+let adaptive ?fallback () =
+  bank ?fallback ~name:"adaptive" ~last:true ~running_mean:true ~means:[| 5; 10; 25 |]
+    ~medians:[| 5; 10; 25 |] ~ewmas:[| 0.1; 0.25; 0.5; 0.75 |] ~trends:[| 0.3 |] ~ar1:true ()

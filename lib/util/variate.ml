@@ -5,16 +5,17 @@ let exponential rng ~rate =
 
 let uniform rng ~lo ~hi = Rng.range rng lo hi
 
-let normal rng ~mean ~stddev =
-  (* Polar Box–Muller; discards the second variate to stay stateless. *)
-  let rec draw () =
-    let u = Rng.range rng (-1.0) 1.0 in
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] normal rng ~mean ~stddev =
+  (* Polar Box–Muller; discards the second variate to stay stateless. A
+     loop, not a local recursive function, so a draw allocates no closure. *)
+  let u = ref 0.0 and s = ref 1.0 in
+  while !s >= 1.0 || !s = 0.0 do
+    u := Rng.range rng (-1.0) 1.0;
     let v = Rng.range rng (-1.0) 1.0 in
-    let s = (u *. u) +. (v *. v) in
-    if s >= 1.0 || s = 0.0 then draw ()
-    else u *. sqrt (-2.0 *. log s /. s)
-  in
-  mean +. (stddev *. draw ())
+    s := (!u *. !u) +. (v *. v)
+  done;
+  mean +. (stddev *. (!u *. sqrt (-2.0 *. log !s /. !s)))
 
 let lognormal rng ~mu ~sigma = exp (normal rng ~mean:mu ~stddev:sigma)
 
@@ -53,7 +54,8 @@ let weibull rng ~shape ~scale =
   let u = 1.0 -. Rng.float rng in
   scale *. ((-.log u) ** (1.0 /. shape))
 
-let bernoulli rng ~p = Rng.float rng < p
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] bernoulli rng ~p = Rng.float rng < p
 
 type spec =
   | Constant of float
