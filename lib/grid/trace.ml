@@ -11,14 +11,18 @@ type adaptation = {
 type t = {
   mutable services : service list;
   mutable transfers : transfer list;
-  mutable completions : (int * float) list;
+  mutable completed : int;
+  mutable completed_items : int array;
+  mutable completed_at : float array;
   mutable adaptations : adaptation list;
   mutable first_start : float array;
   mutable arrivals : float array;
       (* open-arrival stamps from Sojourn events; preferred over first_start
          when present, so serving traces measure the full queueing delay *)
 }
-(* [first_start] and [arrivals] are columns indexed by item id, NaN where
+(* Completion [k], in recording order, is item [completed_items.(k)] at
+   [completed_at.(k)], for [k < completed]; both columns double when full.
+   [first_start] and [arrivals] are columns indexed by item id, NaN where
    nothing is recorded. They start with 64 slots and grow, at least
    doubling, to the largest id recorded. *)
 
@@ -26,7 +30,9 @@ let create () =
   {
     services = [];
     transfers = [];
-    completions = [];
+    completed = 0;
+    completed_items = Array.make 64 0;
+    completed_at = Array.make 64 0.0;
     adaptations = [];
     first_start = Array.make 64 nan;
     arrivals = Array.make 64 nan;
@@ -55,7 +61,15 @@ let record_service t (s : service) =
   t.services <- s :: t.services
 
 let record_transfer t (tr : transfer) = t.transfers <- tr :: t.transfers
-let record_completion t ~item ~time = t.completions <- (item, time) :: t.completions
+let record_completion t ~item ~time =
+  let k = t.completed in
+  if k = Array.length t.completed_at then begin
+    t.completed_items <- Array.append t.completed_items (Array.make k 0);
+    t.completed_at <- Array.append t.completed_at (Array.make k 0.0)
+  end;
+  t.completed_items.(k) <- item;
+  t.completed_at.(k) <- time;
+  t.completed <- k + 1
 let record_adaptation t a = t.adaptations <- a :: t.adaptations
 
 (* The full-stream path: as one sink among others on the event bus, the
@@ -83,22 +97,23 @@ let subscribe t bus =
       | Event.Failover_committed _ ->
           ())
 
-let completions t = Array.of_list (List.rev t.completions)
-let items_completed t = List.length t.completions
-
-let makespan t =
-  match t.completions with [] -> 0.0 | (_, time) :: _ -> time
+let completions t = Array.init t.completed (fun k -> (t.completed_items.(k), t.completed_at.(k)))
+let items_completed t = t.completed
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] makespan t = if t.completed = 0 then 0.0 else t.completed_at.(t.completed - 1)
 
 let throughput t =
   let span = makespan t in
   if span <= 0.0 then 0.0 else Float.of_int (items_completed t) /. span
 
-let throughput_after t t0 =
-  let late = List.filter (fun (_, time) -> time >= t0) t.completions in
-  match (late, makespan t) with
-  | [], _ -> 0.0
-  | _, span when span <= t0 -> 0.0
-  | late, span -> Float.of_int (List.length late) /. (span -. t0)
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] throughput_after t t0 =
+  let late = ref 0 in
+  for k = 0 to t.completed - 1 do
+    if t.completed_at.(k) >= t0 then incr late
+  done;
+  let span = makespan t in
+  if !late = 0 || span <= t0 then 0.0 else Float.of_int !late /. (span -. t0)
 
 let throughput_series t ~window =
   if window <= 0.0 then invalid_arg "Trace.throughput_series: window must be positive";
@@ -107,11 +122,10 @@ let throughput_series t ~window =
   else begin
     let nwin = int_of_float (Float.ceil (span /. window)) in
     let counts = Array.make nwin 0 in
-    List.iter
-      (fun (_, time) ->
-        let k = Stdlib.min (nwin - 1) (int_of_float (time /. window)) in
-        counts.(k) <- counts.(k) + 1)
-      t.completions;
+    for k = 0 to t.completed - 1 do
+      let w = Stdlib.min (nwin - 1) (int_of_float (t.completed_at.(k) /. window)) in
+      counts.(w) <- counts.(w) + 1
+    done;
     Array.mapi
       (fun k c -> ((Float.of_int k +. 0.5) *. window, Float.of_int c /. window))
       counts
@@ -140,24 +154,28 @@ let[@inline never] entered t item =
   let arrival = read t.arrivals item in
   if Float.is_nan arrival then read t.first_start item else arrival
 
-let sojourns t =
-  let series =
-    List.filter_map
-      (fun (item, time) ->
-        let start = entered t item in
-        if Float.is_nan start then None else Some (item, time -. start))
-      (List.rev t.completions)
-  in
-  Array.of_list series
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] sojourns t =
+  let series = Array.make t.completed (0, 0.0) and found = ref 0 in
+  for k = 0 to t.completed - 1 do
+    let item = t.completed_items.(k) in
+    let start = entered t item in
+    if not (Float.is_nan start) then begin
+      series.(!found) <- (item, t.completed_at.(k) -. start);
+      incr found
+    end
+  done;
+  if !found = t.completed then series else Array.sub series 0 !found
 
-let mean_sojourn t =
+(* Summed newest first, the order of the list the completions once were. *)
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] mean_sojourn t =
   let total = ref 0.0 and count = ref 0 in
-  List.iter
-    (fun (item, time) ->
-      let start = entered t item in
-      if not (Float.is_nan start) then begin
-        total := !total +. (time -. start);
-        incr count
-      end)
-    t.completions;
+  for k = t.completed - 1 downto 0 do
+    let start = entered t t.completed_items.(k) in
+    if not (Float.is_nan start) then begin
+      total := !total +. (t.completed_at.(k) -. start);
+      incr count
+    end
+  done;
   if !count = 0 then nan else !total /. Float.of_int !count

@@ -46,11 +46,62 @@ type report = {
   items_lost : int;
 }
 
-(* Exact nearest-rank quantile of a sorted sample; [nan] when empty. *)
-let quantile_sorted a q =
-  let n = Array.length a in
+(* Exact nearest-rank quantile of the sorted sample [a.(0)] .. [a.(n - 1)];
+   [nan] when empty. *)
+(* layout: out of line (DESIGN "Code layout") *)
+let[@inline never] quantile_sorted a n q =
   if n = 0 then nan
   else a.(max 0 (min (n - 1) (int_of_float (Float.ceil (q *. Float.of_int n)) - 1)))
+
+(* Sorts [a.(0)] .. [a.(n - 1)] ascending with plain float comparisons:
+   quicksort around a median of three, insertion sort below 16 values.
+   [Array.sort] over a float array boxes both operands of every comparison.
+   Sojourns are finite and at least +0., and on such values every correct
+   sort yields the same array. *)
+let sort_sojourns (a : float array) n =
+  let rec sort lo hi =
+    (* Sorts [a.(lo)] .. [a.(hi - 1)]. *)
+    if hi - lo <= 16 then
+      for i = lo + 1 to hi - 1 do
+        let v = a.(i) in
+        let j = ref i in
+        while !j > lo && a.(!j - 1) > v do
+          a.(!j) <- a.(!j - 1);
+          decr j
+        done;
+        a.(!j) <- v
+      done
+    else begin
+      let mid = lo + ((hi - lo) / 2) and top = hi - 1 in
+      let m =
+        if a.(lo) < a.(mid) then
+          if a.(mid) < a.(top) then mid else if a.(lo) < a.(top) then top else lo
+        else if a.(lo) < a.(top) then lo
+        else if a.(mid) < a.(top) then top
+        else mid
+      in
+      let pivot = a.(m) in
+      let i = ref lo and j = ref top in
+      while !i <= !j do
+        while a.(!i) < pivot do
+          incr i
+        done;
+        while a.(!j) > pivot do
+          decr j
+        done;
+        if !i <= !j then begin
+          let v = a.(!i) in
+          a.(!i) <- a.(!j);
+          a.(!j) <- v;
+          incr i;
+          decr j
+        end
+      done;
+      sort lo (!j + 1);
+      sort !i hi
+    end
+  in
+  sort 0 n
 
 let distinct_nodes m = List.length (List.sort_uniq Int.compare (Array.to_list m))
 
@@ -99,11 +150,15 @@ let run ?instrument ?(initial = `Cheapest) ~autoscaler ~arrival ~slo ?(provision
   (* Execution: open stream, latency stamped per item. *)
   let trace = w.Adaptive.trace in
   let meter = Slo.create slo in
-  let window_sojourns = ref [] in
+  (* The sojourns of the epoch in progress: [epoch.(0 .. in_epoch - 1)]. *)
+  let epoch = ref (Array.make 256 0.0) and in_epoch = ref 0 in
   let on_completion ~item:_ ~arrival:stamp =
     let sojourn = Engine.now engine -. stamp in
     Slo.observe meter ~sojourn;
-    window_sojourns := sojourn :: !window_sojourns
+    if !in_epoch = Array.length !epoch then
+      epoch := Array.append !epoch (Array.make !in_epoch 0.0);
+    !epoch.(!in_epoch) <- sojourn;
+    incr in_epoch
   in
   let sim =
     Skel_sim.create ~trace ~arrivals:`External ~on_completion ~rng:w.Adaptive.sim_rng
@@ -166,10 +221,9 @@ let run ?instrument ?(initial = `Cheapest) ~autoscaler ~arrival ~slo ?(provision
       if window <= 0.0 then 0.0 else Float.of_int (injected - !last_eval_injected) /. window
     in
     last_eval_injected := injected;
-    let sorted = Array.of_list !window_sojourns in
-    Array.sort Float.compare sorted;
-    window_sojourns := [];
-    let p99 = quantile_sorted sorted 0.99 in
+    sort_sojourns !epoch !in_epoch;
+    let p99 = quantile_sorted !epoch !in_epoch 0.99 in
+    in_epoch := 0;
     let sojourn_slope =
       if Float.is_nan p99 || Float.is_nan !prev_p99 || window <= 0.0 then 0.0
       else (p99 -. !prev_p99) /. window
@@ -200,7 +254,8 @@ let run ?instrument ?(initial = `Cheapest) ~autoscaler ~arrival ~slo ?(provision
   account_nodes_until_now ();
 
   let sojourns = Array.map snd (Trace.sojourns trace) in
-  Array.sort Float.compare sojourns;
+  let completed = Array.length sojourns in
+  sort_sojourns sojourns completed;
   let elapsed = Engine.now engine in
   {
     scenario_name = scenario.Scenario.name;
@@ -212,12 +267,11 @@ let run ?instrument ?(initial = `Cheapest) ~autoscaler ~arrival ~slo ?(provision
     arrivals = Skel_sim.items_injected sim;
     completions = Skel_sim.items_completed sim;
     violations = Slo.violations_total meter;
-    p50 = quantile_sorted sojourns 0.5;
-    p99 = quantile_sorted sojourns 0.99;
-    p999 = quantile_sorted sojourns 0.999;
+    p50 = quantile_sorted sojourns completed 0.5;
+    p99 = quantile_sorted sojourns completed 0.99;
+    p999 = quantile_sorted sojourns completed 0.999;
     mean_sojourn = Trace.mean_sojourn trace;
-    max_sojourn =
-      (if Array.length sojourns = 0 then nan else sojourns.(Array.length sojourns - 1));
+    max_sojourn = (if completed = 0 then nan else sojourns.(completed - 1));
     node_seconds = !node_seconds;
     mean_nodes = (if elapsed <= 0.0 then 0.0 else !node_seconds /. elapsed);
     duration = Trace.makespan trace;
