@@ -125,11 +125,11 @@ let test_ring_pump_allocation_budget () =
   if pop_words > 0.05 then
     Alcotest.failf "pop_chunk allocated %.3f minor words/item" pop_words
 
-(* The NWS ensemble the monitor feeds once per sensor and sample: its 14
-   members update unboxed state and cache their predictions, so neither
-   [observe] nor [predict] allocates per member. A boxed float per call
-   (dev-profile boxing of the argument or result) fits the budget; a
-   closure or window copy per member does not. *)
+(* The NWS ensemble the monitor feeds once per sensor and sample: one
+   [observe] updates all 14 members in flat float arrays and caches their
+   predictions, so neither [observe] nor [predict] allocates. Each reads
+   2.0 words per call, the dev-profile box of its argument or result; a
+   closure, an option or a window copy per call does not fit. *)
 let test_forecast_ensemble_allocation_budget () =
   let module Forecast = Aspipe_util.Forecast in
   let f = Forecast.adaptive ~fallback:1.0 () in
@@ -152,10 +152,31 @@ let test_forecast_ensemble_allocation_budget () =
   done;
   let predict_words = (Gc.minor_words () -. w0) /. Float.of_int iters in
   Alcotest.(check bool) "predictions are finite" true (Float.is_finite !sink);
-  if observe_words > 16.0 then
+  if observe_words > 2.5 then
     Alcotest.failf "ensemble observe allocated %.1f minor words/call" observe_words;
-  if predict_words > 8.0 then
+  if predict_words > 2.5 then
     Alcotest.failf "ensemble predict allocated %.1f minor words/call" predict_words
+
+(* The monitor's sensing on a serve_day-shaped estate (5 nodes: 30 sensors
+   per tick) under the default sensor, per sample taken. What it allocates
+   is dev-profile boxing at cross-module calls (the resource read, the
+   generator's draws, the noise, the forecaster's argument): 15.4 words
+   per sample. An option per reading reads 16.4 and a closure per Gaussian
+   draw 19.8, so the 15.8 ceiling trips on either. *)
+let test_monitor_allocation_budget () =
+  let module Monitor = Aspipe_grid.Monitor in
+  let engine = Engine.create () in
+  let topo =
+    Aspipe_grid.Topology.uniform engine ~n:5 ~speed:10.0 ~latency:0.01 ~bandwidth:1e7 ()
+  in
+  let monitor = Monitor.create ~rng:(Aspipe_util.Rng.create 3) ~every:5.0 ~horizon:10_000.0 topo in
+  let w0 = Gc.minor_words () in
+  Engine.run engine;
+  let samples = Monitor.samples_taken monitor in
+  let per_sample = (Gc.minor_words () -. w0) /. Float.of_int samples in
+  Alcotest.(check bool) "most readings arrive" true (samples > 55_000);
+  if per_sample > 15.8 then
+    Alcotest.failf "monitor allocated %.1f minor words per sample" per_sample
 
 (* The scale-down search on a 4-stage x 5-node space (625 mappings), per
    call: the answer on one node (5 mappings visited), on two (145) and
@@ -693,6 +714,7 @@ let () =
           Alcotest.test_case "ring pump budget" `Quick test_ring_pump_allocation_budget;
           Alcotest.test_case "forecast ensemble budget" `Quick
             test_forecast_ensemble_allocation_budget;
+          Alcotest.test_case "monitor sensing budget" `Quick test_monitor_allocation_budget;
           Alcotest.test_case "cheapest walk budget" `Quick test_cheapest_allocation_budget;
           Alcotest.test_case "ctmc power solve budget" `Quick test_ctmc_power_allocation_budget;
           Alcotest.test_case "control sink event budget" `Quick
