@@ -62,10 +62,16 @@ let farm_points ~quick =
       { workers; seconds; speedup = seq_seconds /. seconds })
     worker_counts
 
+(* A farm with more workers than cores times their contention, not the
+   farm: its row says so. *)
+let oversubscribed ~cores workers =
+  if workers <= cores then ""
+  else Printf.sprintf " oversubscribed: %d workers on %d cores" workers cores
+
 let run_e10 ~quick =
   (* The speedups below mean nothing without the core count they ran on. *)
-  Aspipe_util.Out.printf "E10 ran on %d cores (Domain.recommended_domain_count)\n"
-    (Domain.recommended_domain_count ());
+  let cores = Domain.recommended_domain_count () in
+  Aspipe_util.Out.printf "E10 ran on %d cores (Domain.recommended_domain_count)\n" cores;
   let points = pipeline_points ~quick in
   Render.print_figure ~title:"E10: shared-memory pipeline speedup (image chain, 5 stages)"
     ~x_label:"domain groups" ~y_label:"speedup vs sequential"
@@ -84,6 +90,8 @@ let run_e10 ~quick =
         (Array.of_list (List.map (fun p -> (Float.of_int p.workers, p.speedup)) farm));
     ];
   List.iter
-    (fun p -> Aspipe_util.Out.printf "workers=%d: %.3f s (speedup %.2fx)\n" p.workers p.seconds p.speedup)
+    (fun p ->
+      Aspipe_util.Out.printf "workers=%d: %.3f s (speedup %.2fx)%s\n" p.workers p.seconds
+        p.speedup (oversubscribed ~cores p.workers))
     farm;
   Aspipe_util.Out.newline ()
