@@ -167,7 +167,8 @@ let[@inline never] sojourns t =
   done;
   if !found = t.completed then series else Array.sub series 0 !found
 
-(* Summed newest first, the order of the list the completions once were. *)
+(* Summed newest first, the order the recorded means were summed in, so
+   they keep their bits. *)
 (* layout: out of line (DESIGN "Code layout") *)
 let[@inline never] mean_sojourn t =
   let total = ref 0.0 and count = ref 0 in

@@ -27,7 +27,8 @@ type t = {
   sorted : float array array;  (* per median window: its values, sorted *)
   nans : int array;  (* per median window: the NaNs at the front of [sorted] *)
   (* Each kind's members fill the slots from its first one up to the next
-     kind's first; the last values start at 1, the AR(1) runs to [slots]. *)
+     kind's first: a last-value member sits at slot 1, an AR(1) member at
+     [slots - 1]. *)
   running_mean : int;
   means : int;
   medians : int;
@@ -44,7 +45,8 @@ type t = {
 let name t = t.name
 let predict t = t.pred.(0)
 (* layout: out of line (DESIGN "Code layout") *)
-let[@inline never] mean_error t sums slot = if t.errors = 0 then nan else sums.(slot) /. Float.of_int t.errors
+let[@inline never] mean_error t sums slot =
+  if t.errors = 0 then nan else sums.(slot) /. Float.of_int t.errors
 let mse t = mean_error t t.sq 0
 let mae t = mean_error t t.ab 0
 

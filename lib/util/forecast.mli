@@ -7,20 +7,26 @@
     answers with the one whose past mean-squared error is currently lowest —
     the NWS "dynamic predictor selection" idea.
 
-    Cost contract. A forecaster keeps its state unboxed, and {!observe}
-    computes the next prediction once and caches it, so {!predict} is a
-    read until the next observation. Neither allocates beyond the boxing
-    of its float argument or result at a call that is not inlined; the
-    ensemble feeds its members the caller's value without re-boxing it.
-    Sliding windows are read in place. A sliding median keeps its window
-    sorted across observations: an observation removes the evicted value
-    (matched by its bits) and inserts the new one, O(window) comparisons
-    and moves and no allocation, instead of re-sorting the window. Every
-    prediction is bit-identical to the straightforward definitions below
-    (mean summed oldest first, median by {!Stats.quantile}'s arithmetic),
-    except that a sliding median over a window holding both [-0.] and
-    [0.] may return either zero, or over NaNs of different payloads
-    either NaN. *)
+    Cost contract. Every forecaster is one bank of members that a single
+    {!observe} updates together; a primitive forecaster is a bank of one,
+    so all of them run the same code. Member predictions and error sums
+    live unboxed in flat float arrays, the members share one observation
+    and one error count, and the sliding members read one ring of the last
+    values. {!observe} computes every prediction once and caches it, so
+    {!predict} is a read until the next observation. Neither allocates
+    beyond the boxing of its float argument or result at a call that is not
+    inlined. A sliding mean sums its window oldest first on every
+    observation, O(window) additions, since a running sum would change the
+    bits. A sliding median keeps its window sorted across observations,
+    NaNs first: the value the window drops is located by comparison and one
+    shift makes room for the new one, O(window) comparisons and moves and no
+    allocation. The ensemble divides an error sum by the shared error count
+    only for a member whose sum is below the best so far. Every prediction
+    is bit-identical to the straightforward definitions below (mean summed
+    oldest first, median by {!Stats.quantile}'s arithmetic, least MSE with
+    the first member winning ties), except that a sliding median over a
+    window holding both [-0.] and [0.] may return either zero, or over NaNs
+    of different payloads either NaN. *)
 
 type t
 
