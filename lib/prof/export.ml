@@ -1,9 +1,8 @@
 (* Profile -> Chrome trace-event JSON, built with Aspipe_obs.Trace_event's
    encoder under a third process so a runner profile and a virtual-time
    trace can be concatenated for side-by-side viewing: one thread per
-   domain timeline, "X" slices for duration spans, "i" instants for steals,
-   "C" counter tracks (name-keyed per domain) for GC and queue-depth
-   samples. *)
+   domain timeline, "X" slices for duration spans, "C" counter tracks
+   (name-keyed per domain) for GC and queue-depth samples. *)
 
 module Json = Aspipe_obs.Json
 module Trace_event = Aspipe_obs.Trace_event
@@ -38,16 +37,7 @@ let span_events ~tid ~domain (s : Prof.span) =
                 ] );
           ];
       ]
-  | Prof.Steal ->
-      [
-        base ~name:"steal" ~cat:"runner" ~ph:"i" ~ts:s.Prof.t0 ~tid
-          [
-            ("s", Json.String "t");
-            ( "args",
-              Json.Obj
-                [ ("success", Json.Bool (s.Prof.a = 1)); ("probed", Json.Int s.Prof.b) ] );
-          ];
-      ]
+  | Prof.Steal -> [] (* nothing records it; see Prof.kind *)
   | Prof.Gc_sample ->
       [
         base ~name:("gc " ^ domain) ~cat:"gc" ~ph:"C" ~ts:s.Prof.t0 ~tid
@@ -63,10 +53,7 @@ let span_events ~tid ~domain (s : Prof.span) =
   | Prof.Queue_sample ->
       [
         base ~name:("queue " ^ domain) ~cat:"runner" ~ph:"C" ~ts:s.Prof.t0 ~tid
-          [
-            ( "args",
-              Json.Obj [ ("deque", Json.Int s.Prof.a); ("pending", Json.Int s.Prof.b) ] );
-          ];
+          [ ("args", Json.Obj [ ("depth", Json.Int s.Prof.a) ]) ];
       ]
 
 let to_json (p : Prof.profile) =

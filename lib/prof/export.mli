@@ -3,8 +3,8 @@
     Follows the same conventions as {!Aspipe_obs.Trace_event} (which owns
     pids 1 "grid" and 2 "network" for virtual-time traces): the runner is
     process 3, with one thread track per domain timeline. Duration spans
-    render as complete ("X") slices, steals as instants, GC and queue
-    samples as counter tracks. *)
+    render as complete ("X") slices, GC and queue samples as counter
+    tracks. *)
 
 (* lint: unused-export-ok used by the runner's trace events; test_prof checks it directly *)
 val runner_pid : int

@@ -15,14 +15,17 @@
 
 type kind =
   | Task          (** a pool task; [a]/[b]/[words] carry GC deltas *)
-  | Steal         (** instant: a claim that went hunting; [a] = 1 on success, [b] = deques probed *)
+  | Steal
+      (** instant: a claim that took another worker's task. Nothing records
+          it since the pool claims from one queue; the layered bench still
+          counts it. *)
   | Await_wait    (** a sleep inside [Pool.await] while a nested batch drains *)
   | Worker_idle   (** a worker sleeping because nothing is claimable *)
   | Cache_probe   (** result-cache key+lookup; [a] = 1 on hit *)
   | Cache_store   (** result-cache write *)
   | Out_flush     (** captured output leaving a scope; [a] = bytes *)
   | Gc_sample     (** instant: [a]/[b] minor/major collections, [words] minor words *)
-  | Queue_sample  (** instant: [a] own-deque depth, [b] pool pending count *)
+  | Queue_sample  (** instant: [a] tasks queued at a claim *)
 
 type span = {
   kind : kind;

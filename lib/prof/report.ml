@@ -40,8 +40,6 @@ type row = {
   exclusive : float;
   await : float;
   idle : float;
-  steal_wins : int;
-  steal_hunts : int;
   cache_hits : int;
   cache_probes : int;
   out_bytes : int;
@@ -76,8 +74,6 @@ let row_of (tl : Prof.timeline) =
     exclusive = List.fold_left (fun acc (_, e) -> acc +. e) 0.0 (task_exclusives tl);
     await = sum Prof.Await_wait duration spans;
     idle = sum Prof.Worker_idle duration spans;
-    steal_wins = count Prof.Steal (fun s -> s.Prof.a = 1) spans;
-    steal_hunts = count Prof.Steal (fun _ -> true) spans;
     cache_hits = count Prof.Cache_probe (fun s -> s.Prof.a = 1) spans;
     cache_probes = count Prof.Cache_probe (fun _ -> true) spans;
     out_bytes =
@@ -95,14 +91,13 @@ let render (p : Prof.profile) =
   let rows = List.map row_of p.Prof.timelines in
   Buffer.add_string buffer "######## Wall-clock contention report ########\n";
   Buffer.add_string buffer
-    (Printf.sprintf "%-12s %5s %8s %8s %8s %7s %7s %9s %10s %9s\n" "domain" "tasks"
-       "excl s" "await s" "idle s" "steals" "cache" "out KiB" "gc minor" "alloc Mw");
+    (Printf.sprintf "%-12s %5s %8s %8s %8s %7s %9s %10s %9s\n" "domain" "tasks"
+       "excl s" "await s" "idle s" "cache" "out KiB" "gc minor" "alloc Mw");
   List.iter
     (fun r ->
       Buffer.add_string buffer
-        (Printf.sprintf "%-12s %5d %8.3f %8.3f %8.3f %3d/%-3d %3d/%-3d %9.1f %10d %9.1f\n"
-           r.domain r.tasks r.exclusive r.await r.idle r.steal_wins r.steal_hunts
-           r.cache_hits r.cache_probes
+        (Printf.sprintf "%-12s %5d %8.3f %8.3f %8.3f %3d/%-3d %9.1f %10d %9.1f\n"
+           r.domain r.tasks r.exclusive r.await r.idle r.cache_hits r.cache_probes
            (float_of_int r.out_bytes /. 1024.0)
            r.gc_minor r.gc_mwords))
     rows;
@@ -110,13 +105,11 @@ let render (p : Prof.profile) =
   let totali f = List.fold_left (fun acc r -> acc + f r) 0 rows in
   Buffer.add_string buffer
     (Printf.sprintf
-       "totals: %d task(s), exclusive %.3f s, await %.3f s, idle %.3f s, %d/%d steals, %d/%d cache hits\n"
+       "totals: %d task(s), exclusive %.3f s, await %.3f s, idle %.3f s, %d/%d cache hits\n"
        (totali (fun r -> r.tasks))
        (totals (fun r -> r.exclusive))
        (totals (fun r -> r.await))
        (totals (fun r -> r.idle))
-       (totali (fun r -> r.steal_wins))
-       (totali (fun r -> r.steal_hunts))
        (totali (fun r -> r.cache_hits))
        (totali (fun r -> r.cache_probes)));
   let tasks =

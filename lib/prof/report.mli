@@ -1,6 +1,6 @@
 (** The plain-text contention report: per-domain exclusive / await / idle
-    seconds, steal and cache traffic, GC pressure, and the top tasks by
-    exclusive time. *)
+    seconds, cache traffic, GC pressure, and the top tasks by exclusive
+    time. *)
 
 val task_exclusives : Prof.timeline -> (Prof.span * float) list
 (** Every [Task] span paired with its {e exclusive} seconds: duration minus

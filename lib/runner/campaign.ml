@@ -14,8 +14,8 @@
    output is re-emitted into the parent's capture buffer in index order.
 
    The runner watches itself through [Aspipe_obs]: per-domain utilisation
-   gauges, steal/cache counters, a per-experiment wall-clock histogram and
-   a speedup gauge, all rendered in the campaign summary. *)
+   gauges, task and cache counters, a per-experiment wall-clock histogram
+   and a speedup gauge, all rendered in the campaign summary. *)
 
 module Registry = Aspipe_exp.Registry
 module Common = Aspipe_exp.Common
@@ -159,10 +159,10 @@ let run ?jobs ?(oversubscribe = false) ?cache_dir ?only ~quick () =
   let wall_seconds = now () -. t0 in
   let serial_seconds = List.fold_left (fun acc o -> acc +. o.elapsed) 0.0 outcomes in
   let cache_hits = List.length (List.filter (fun o -> o.cached) outcomes) in
-  let busy, executed, stolen =
+  let busy, executed =
     match pool_stats with
-    | Some s -> (s.Pool.busy_seconds, s.Pool.tasks_executed, s.Pool.tasks_stolen)
-    | None -> ([| serial_seconds |], [| List.length outcomes |], [| 0 |])
+    | Some s -> (s.Pool.busy_seconds, s.Pool.tasks_executed)
+    | None -> ([| serial_seconds |], [| List.length outcomes |])
   in
   let utilisation =
     Array.map (fun b -> if wall_seconds > 0.0 then Float.min 1.0 (b /. wall_seconds) else 0.0) busy
@@ -188,10 +188,7 @@ let run ?jobs ?(oversubscribe = false) ?cache_dir ?only ~quick () =
         u;
       Metrics.Counter.add
         (Metrics.Counter.get metrics (Printf.sprintf "runner.domain%d.tasks" i))
-        executed.(i);
-      Metrics.Counter.add
-        (Metrics.Counter.get metrics (Printf.sprintf "runner.domain%d.steals" i))
-        stolen.(i))
+        executed.(i))
     utilisation;
   let histogram = Metrics.Histogram.get metrics "runner.experiment_seconds" in
   List.iter (fun o -> if not o.cached then Metrics.Histogram.observe histogram o.elapsed) outcomes;

@@ -1,12 +1,10 @@
-(* A pool of worker domains scheduling tasks over per-worker work-stealing
-   deques.
+(* A pool of worker domains claiming tasks from one FIFO queue.
 
-   Submission distributes a batch round-robin across the deques; each worker
-   pops its own deque bottom-first and steals oldest-first from the others
-   when it runs dry. One mutex serialises the scheduler state (deques,
-   counters, shutdown flag) — campaign tasks are whole experiments or
-   replication chunks, coarse enough that a scheduler lock costs nothing
-   measurable.
+   Submission enqueues a batch in index order, and every claim takes the
+   oldest queued task, whether a worker or a helping awaiter makes it. One
+   mutex serialises the scheduler state (queue, counters, shutdown flag) —
+   campaign tasks are whole experiments or replication chunks, coarse
+   enough that a scheduler lock costs nothing measurable.
 
    Wakeup discipline: sleepers wait for one of three predicates — claimable
    work exists (workers, helpers), a batch drained (helpers, external
@@ -26,16 +24,16 @@
 
    Waiting is *helping*: a worker that blocks on a nested [map] (an
    experiment splitting its replications from inside a pool task) executes
-   other pending tasks while its batch drains, so nested fan-out can never
+   other queued tasks while its batch drains, so nested fan-out can never
    deadlock the fixed-size pool. Results are always collected by input
    index, never by completion order — determinism never depends on the
    scheduling interleaving.
 
    When [Aspipe_prof] is enabled the pool records task spans (with per-task
-   GC deltas), steal hunts, idle/await sleeps and queue-depth samples on
-   the executing domain's timeline; every probe sits behind
-   [Prof.enabled ()] (lint R7), so a profiler-off run pays one atomic load
-   per probe site and allocates nothing. *)
+   GC deltas), idle/await sleeps and queue-depth samples on the executing
+   domain's timeline; every probe sits behind [Prof.enabled ()] (lint R7),
+   so a profiler-off run pays one atomic load per probe site and allocates
+   nothing. *)
 
 module Prof = Aspipe_prof.Prof
 
@@ -48,16 +46,13 @@ type task = { run : unit -> unit; label : string; batch : batch }
 
 type t = {
   workers : int;
-  deques : task Deque.t array;
+  queue : task Queue.t;             (* tasks submitted and not yet claimed *)
   mutex : Mutex.t;
   wake : Condition.t;
-  mutable pending : int;            (* tasks pushed and not yet claimed *)
   mutable shutdown : bool;
-  mutable rr : int;                 (* round-robin submission cursor *)
   mutable domains : unit Domain.t list;
   busy : float array;               (* per-worker seconds spent executing *)
   executed : int array;             (* per-worker tasks run *)
-  stolen : int array;               (* per-worker tasks obtained by stealing *)
 }
 
 (* Which pool worker (if any) the current domain is: workers help execute
@@ -98,49 +93,17 @@ let timed f =
   | Ok y, exclusive -> (y, exclusive)
   | Error e, _ -> raise e
 
-(* Claim a task with the scheduler lock held: own deque first (newest
-   first), then steal the oldest task from the other deques. Claims are
-   where queue depth and steal traffic are visible, so the profiler
-   samples here. *)
+(* Claim the oldest queued task with the scheduler lock held. Claims are
+   where queue depth is visible, so the profiler samples here. *)
 let claim_locked t idx =
-  let mine = idx mod t.workers in
   if Prof.enabled () then begin
     let ts = Prof.now () in
-    Prof.record Prof.Queue_sample ~label:"" ~t0:ts ~t1:ts
-      ~a:(Deque.length t.deques.(mine))
-      ~b:t.pending ~words:0.0
+    Prof.record Prof.Queue_sample ~label:"" ~t0:ts ~t1:ts ~a:(Queue.length t.queue) ~b:0
+      ~words:0.0
   end;
-  match Deque.pop t.deques.(mine) with
-  | Some task ->
-      t.pending <- t.pending - 1;
-      t.executed.(mine) <- t.executed.(mine) + 1;
-      Some task
-  | None ->
-      let record_hunt ~hit probes =
-        if Prof.enabled () then begin
-          let ts = Prof.now () in
-          Prof.record Prof.Steal ~label:"" ~t0:ts ~t1:ts
-            ~a:(if hit then 1 else 0)
-            ~b:probes ~words:0.0
-        end
-      in
-      let rec hunt k =
-        if k = t.workers then begin
-          record_hunt ~hit:false (t.workers - 1);
-          None
-        end
-        else
-          let victim = (mine + k) mod t.workers in
-          match Deque.steal t.deques.(victim) with
-          | Some task ->
-              t.pending <- t.pending - 1;
-              t.executed.(mine) <- t.executed.(mine) + 1;
-              t.stolen.(mine) <- t.stolen.(mine) + 1;
-              record_hunt ~hit:true k;
-              Some task
-          | None -> hunt (k + 1)
-      in
-      hunt 1
+  let claimed = Queue.take_opt t.queue in
+  if claimed <> None then t.executed.(idx) <- t.executed.(idx) + 1;
+  claimed
 
 (* Run one task and account its completion. Exceptions are recorded on the
    batch (first one wins) and re-raised by the batch's [map] caller. The
@@ -151,7 +114,10 @@ let execute t idx task =
   let outcome, exclusive =
     with_frame ~foreign:true (fun () -> try task.run (); None with e -> Some e)
   in
-  let outcome = match outcome with Ok o -> o | Error _ -> assert false in
+  (* The body catches every exception, so the frame holds [Ok]. layout:
+     [Result.get_ok] also links [Stdlib.Result], which keeps the startup
+     code's length (DESIGN "Code layout"). *)
+  let outcome = Result.get_ok outcome in
   (match probe with
   | Some (t0, g0) when Prof.enabled () ->
       let g1 = Gc.quick_stat () in
@@ -207,16 +173,13 @@ let create ~workers () =
   let t =
     {
       workers;
-      deques = Array.init workers (fun _ -> Deque.create ());
+      queue = Queue.create ();
       mutex = Mutex.create ();
       wake = Condition.create ();
-      pending = 0;
       shutdown = false;
-      rr = 0;
       domains = [];
       busy = Array.make workers 0.0;
       executed = Array.make workers 0;
-      stolen = Array.make workers 0;
     }
   in
   t.domains <-
@@ -243,8 +206,8 @@ let shutdown t =
   t.domains <- []
 
 (* Wait for [batch] to drain. A pool worker helps: it keeps claiming and
-   executing any pending task (its own batch's or another's) until the
-   batch is empty, sleeping only when there is nothing claimable anywhere.
+   executing the oldest queued task (its own batch's or another's) until
+   the batch is empty, sleeping only when the queue is empty.
    An external caller just sleeps on the condition. *)
 let await t batch =
   match Domain.DLS.get worker_index with
@@ -282,16 +245,13 @@ let map ?(name = fun _ -> "task") t f inputs =
     Array.iteri
       (fun i x ->
         let label = if Prof.enabled () then name i else "" in
-        let task = { run = (fun () -> results.(i) <- Some (f x)); label; batch } in
-        Deque.push t.deques.((t.rr + i) mod t.workers) task;
-        t.pending <- t.pending + 1)
+        Queue.push { run = (fun () -> results.(i) <- Some (f x)); label; batch } t.queue)
       inputs;
-    t.rr <- (t.rr + n) mod t.workers;
     Condition.broadcast t.wake;
     Mutex.unlock t.mutex;
     await t batch;
     (match batch.failure with Some e -> raise e | None -> ());
-    Array.map (function Some y -> y | None -> assert false) results
+    Array.map Option.get results
   end
 
 let map_list ?name t f xs = Array.to_list (map ?name t f (Array.of_list xs))
@@ -300,7 +260,6 @@ type stats = {
   workers : int;
   busy_seconds : float array;
   tasks_executed : int array;
-  tasks_stolen : int array;
 }
 
 let stats t =
@@ -310,7 +269,6 @@ let stats t =
       workers = t.workers;
       busy_seconds = Array.copy t.busy;
       tasks_executed = Array.copy t.executed;
-      tasks_stolen = Array.copy t.stolen;
     }
   in
   Mutex.unlock t.mutex;

@@ -1,11 +1,12 @@
-(** A pool of OCaml 5 worker domains over per-worker work-stealing deques.
+(** A pool of OCaml 5 worker domains claiming tasks from one FIFO queue.
 
-    Tasks are submitted in batches with {!map}; results are collected by
-    input index, never by completion order, so a [map] is deterministic
-    whenever [f] is (scheduling only affects wall-clock). A worker that
-    reaches a nested [map] (replication splitting inside a campaign task)
-    {e helps} — it executes other pending tasks while its batch drains —
-    so nested fan-out cannot deadlock the fixed-size pool. *)
+    Tasks are submitted in batches with {!map}, queued in index order, and
+    claimed oldest first. Results are collected by input index, never by
+    completion order, so a [map] is deterministic whenever [f] is
+    (scheduling only affects wall-clock). A worker that reaches a nested
+    [map] (replication splitting inside a campaign task) {e helps} — it
+    executes the oldest queued tasks while its batch drains — so nested
+    fan-out cannot deadlock the fixed-size pool. *)
 
 type t
 
@@ -40,7 +41,6 @@ type stats = {
   workers : int;
   busy_seconds : float array;   (** per-worker seconds spent executing *)
   tasks_executed : int array;
-  tasks_stolen : int array;     (** of [tasks_executed], how many were stolen *)
 }
 
 val stats : t -> stats

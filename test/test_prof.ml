@@ -206,10 +206,9 @@ let synthetic_profile () =
           domain = "worker 0";
           spans =
             [
-              span ~kind:Prof.Steal ~a:1 ~b:3 0.05 0.05;
               span ~label:"E2" 0.05 0.2;
               span ~kind:Prof.Worker_idle 0.2 0.4;
-              span ~kind:Prof.Queue_sample ~a:2 ~b:5 0.1 0.1;
+              span ~kind:Prof.Queue_sample ~a:2 0.1 0.1;
             ];
         };
       ];
@@ -255,8 +254,17 @@ let test_perfetto_export_round_trips () =
           let count p = List.length (List.filter (( = ) p) phases) in
           Alcotest.(check int) "process + 2x2 thread metadata" 6 (count "M");
           Alcotest.(check int) "E1/E2 tasks + idle + out flush as slices" 4 (count "X");
-          Alcotest.(check int) "steal instant" 1 (count "i");
           Alcotest.(check int) "gc + queue counter samples" 2 (count "C");
+          let queue_args =
+            List.filter_map
+              (fun e ->
+                match Json.member "name" e with
+                | Some (Json.String "queue worker 0") -> Json.member "args" e
+                | _ -> None)
+              events
+          in
+          Alcotest.(check bool) "queue counter reports one depth" true
+            (queue_args = [ Json.Obj [ ("depth", Json.Int 2) ] ]);
           List.iter
             (fun e ->
               match Json.member "pid" e with

@@ -1,11 +1,10 @@
-(* Tests for the campaign runner: deque semantics against a reference
-   model, pool determinism (index-ordered collection, nested fan-out,
-   exception propagation), the content-addressed cache, and the golden
+(* Tests for the campaign runner: the pool's claim order, pool
+   determinism (index-ordered collection, nested fan-out, exception
+   propagation), the content-addressed cache, and the golden
    guarantee that --jobs 1 and --jobs N produce byte-identical output —
    down to the JSONL event stream of an adaptive run executed inside a
    pool task. *)
 
-module Deque = Aspipe_runner.Deque
 module Pool = Aspipe_runner.Pool
 module Cache = Aspipe_runner.Cache
 module Campaign = Aspipe_runner.Campaign
@@ -13,80 +12,6 @@ module Jsonl = Aspipe_obs.Jsonl
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
-
-(* ----------------------------------------------------------------- Deque *)
-
-let test_deque_lifo_fifo () =
-  let d = Deque.create () in
-  List.iter (Deque.push d) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "length" 5 (Deque.length d);
-  Alcotest.(check (option int)) "owner pops newest" (Some 5) (Deque.pop d);
-  Alcotest.(check (option int)) "thief steals oldest" (Some 1) (Deque.steal d);
-  Alcotest.(check (option int)) "owner again" (Some 4) (Deque.pop d);
-  Alcotest.(check (option int)) "thief again" (Some 2) (Deque.steal d);
-  Alcotest.(check (option int)) "last element from either end" (Some 3) (Deque.pop d);
-  Alcotest.(check int) "empty" 0 (Deque.length d);
-  Alcotest.(check (option int)) "pop on empty" None (Deque.pop d);
-  Alcotest.(check (option int)) "steal on empty" None (Deque.steal d)
-
-(* Reference model: a plain list with push at the back, pop from the back,
-   steal from the front. Any interleaving of operations must produce the
-   same observation sequence. *)
-type deque_op = Push of int | Pop | Steal
-
-let deque_op_gen =
-  QCheck2.Gen.(
-    frequency
-      [ (3, map (fun x -> Push x) (int_range 0 999)); (2, return Pop); (2, return Steal) ])
-
-let test_deque_matches_model =
-  qtest "deque = list model under any op interleaving"
-    QCheck2.Gen.(list_size (int_range 0 200) deque_op_gen)
-    (fun ops ->
-      let d = Deque.create () in
-      let model = ref [] in
-      List.for_all
-        (fun op ->
-          match op with
-          | Push x ->
-              Deque.push d x;
-              model := !model @ [ x ];
-              Deque.length d = List.length !model
-          | Pop -> (
-              let expected =
-                match List.rev !model with
-                | [] -> None
-                | last :: rest ->
-                    model := List.rev rest;
-                    Some last
-              in
-              Deque.pop d = expected)
-          | Steal -> (
-              let expected =
-                match !model with
-                | [] -> None
-                | first :: rest ->
-                    model := rest;
-                    Some first
-              in
-              Deque.steal d = expected))
-        ops)
-
-let test_deque_growth () =
-  (* Push far past the initial ring capacity, interleaving steals so the
-     ring wraps, then verify full FIFO drain order. *)
-  let d = Deque.create () in
-  let stolen = ref [] in
-  for i = 0 to 499 do
-    Deque.push d i;
-    if i mod 3 = 0 then
-      match Deque.steal d with Some x -> stolen := x :: !stolen | None -> ()
-  done;
-  let rec drain acc = match Deque.steal d with Some x -> drain (x :: acc) | None -> List.rev acc in
-  let all = List.rev !stolen @ drain [] in
-  Alcotest.(check (list int)) "nothing lost, FIFO preserved" (List.init 500 Fun.id)
-    (List.sort compare all);
-  Alcotest.(check int) "drained" 0 (Deque.length d)
 
 (* ------------------------------------------------------------------ Pool *)
 
@@ -130,6 +55,27 @@ let test_pool_nested_map () =
       in
       let expected = List.map (fun i -> List.fold_left ( + ) 0 (List.map (fun j -> (i * 10) + j) [ 1; 2; 3; 4; 5 ])) outer in
       Alcotest.(check (list int)) "nested fan-out" expected result)
+
+let test_pool_claims_oldest_first () =
+  (* One worker, and the batch's first task fans out a nested batch. The
+     queue is FIFO for workers and helping awaiters alike: the rest of the
+     top-level batch runs in submission order, then the nested tasks, and
+     the first task resumes last. *)
+  with_pool ~workers:1 (fun pool ->
+      let log = ref [] in
+      let note s = log := s :: !log in
+      ignore
+        (Pool.map_list pool
+           (fun i ->
+             note (Printf.sprintf "top %d" i);
+             if i = 0 then begin
+               ignore (Pool.map_list pool (fun j -> note (Printf.sprintf "nested %d" j)) [ 0; 1; 2 ]);
+               note "resume 0"
+             end)
+           [ 0; 1; 2; 3 ]);
+      Alcotest.(check (list string)) "claim order"
+        [ "top 0"; "top 1"; "top 2"; "top 3"; "nested 0"; "nested 1"; "nested 2"; "resume 0" ]
+        (List.rev !log))
 
 let test_pool_exception_propagates () =
   let boom = Failure "pool-boom" in
@@ -298,17 +244,12 @@ let test_trace_bytes_identical_under_pool () =
 let () =
   Alcotest.run "aspipe_runner"
     [
-      ( "deque",
-        [
-          Alcotest.test_case "LIFO owner / FIFO thief" `Quick test_deque_lifo_fifo;
-          test_deque_matches_model;
-          Alcotest.test_case "growth and wrap-around" `Quick test_deque_growth;
-        ] );
       ( "pool",
         [
           test_pool_matches_map;
           Alcotest.test_case "results by index" `Quick test_pool_results_by_index;
           Alcotest.test_case "nested map (helping)" `Quick test_pool_nested_map;
+          Alcotest.test_case "oldest task first" `Quick test_pool_claims_oldest_first;
           Alcotest.test_case "exception propagates" `Quick test_pool_exception_propagates;
           Alcotest.test_case "empty batch" `Quick test_pool_empty_batch;
           Alcotest.test_case "stats" `Quick test_pool_stats;
