@@ -68,7 +68,7 @@ let require_rng = function
 
 (* Translate a profile into timed down/up transitions on the engine. The
    same driver serves nodes (down = crashed) and links (down = partitioned),
-   mirroring how [Netgen.drive] reuses the Loadgen profiles. *)
+   as [Loadgen.drive] serves node availability and link quality. *)
 let drive ?rng ~horizon engine ~go_down ~go_up profile =
   validate profile;
   check_horizon ~horizon profile;

@@ -12,14 +12,11 @@ type profile =
   | Markov_on_off of { to_busy_rate : float; to_free_rate : float; busy_level : float }
   | Playback of (float * float) list
 
-let require_rng = function
+let require_rng ~who = function
   | Some rng -> rng
-  | None -> invalid_arg "Loadgen: this profile is stochastic and needs ~rng"
+  | None -> invalid_arg (who ^ ": this profile is stochastic and needs ~rng")
 
-let apply_until ?rng ~horizon topo i profile =
-  let node = Topology.node topo i in
-  let engine = Topology.engine topo in
-  let set = Node.set_availability node in
+let drive ?rng ~who ~horizon engine ~level set profile =
   let set_at time level =
     if time <= Engine.now engine then set level
     else ignore (Engine.schedule_at engine ~time (fun () -> set level))
@@ -31,16 +28,16 @@ let apply_until ?rng ~horizon topo i profile =
   | Steps schedule | Playback schedule -> List.iter (fun (time, level) -> set_at time level) schedule
   | Sine { period; base; amplitude; sample_every } ->
       if period <= 0.0 || sample_every <= 0.0 then
-        invalid_arg "Loadgen: sine requires positive period and sampling step";
+        invalid_arg (who ^ ": sine requires positive period and sampling step");
       Engine.periodic engine ~start:(Engine.now engine) ~every:sample_every (fun () ->
           let t = Engine.now engine in
           set (base +. (amplitude *. sin (2.0 *. Float.pi *. t /. period)));
           t < horizon)
   | Random_walk { every; sigma; lo; hi } ->
-      if every <= 0.0 then invalid_arg "Loadgen: random walk requires positive step";
-      if lo > hi then invalid_arg "Loadgen: random walk bounds inverted";
-      let rng = require_rng rng in
-      let level = ref (Node.availability node) in
+      if every <= 0.0 then invalid_arg (who ^ ": random walk requires positive step");
+      if lo > hi then invalid_arg (who ^ ": random walk bounds inverted");
+      let rng = require_rng ~who rng in
+      let level = ref level in
       Engine.periodic engine ~every (fun () ->
           let next = !level +. Variate.normal rng ~mean:0.0 ~stddev:sigma in
           (* Reflect off the bounds to stay in range without sticking. *)
@@ -54,8 +51,8 @@ let apply_until ?rng ~horizon topo i profile =
           Engine.now engine < horizon)
   | Markov_on_off { to_busy_rate; to_free_rate; busy_level } ->
       if to_busy_rate <= 0.0 || to_free_rate <= 0.0 then
-        invalid_arg "Loadgen: on/off rates must be positive";
-      let rng = require_rng rng in
+        invalid_arg (who ^ ": on/off rates must be positive");
+      let rng = require_rng ~who rng in
       let rec go_free () =
         set 1.0;
         let hold = Variate.exponential rng ~rate:to_busy_rate in
@@ -68,3 +65,8 @@ let apply_until ?rng ~horizon topo i profile =
           ignore (Engine.schedule engine ~delay:hold go_free)
       in
       go_free ()
+
+let apply_until ?rng ~horizon topo i profile =
+  let node = Topology.node topo i in
+  drive ?rng ~who:"Loadgen" ~horizon (Topology.engine topo) ~level:(Node.availability node)
+    (fun a -> Node.set_availability node a) profile

@@ -1,8 +1,9 @@
 (** Background-load generators for non-dedicated grid nodes.
 
     A profile describes how a node's availability evolves over simulated
-    time; {!apply} schedules the corresponding events. Profiles are plain
-    data so experiment specifications can carry them. *)
+    time; {!apply_until} schedules the corresponding events, and {!drive}
+    does the same for any settable signal (link quality in {!Netgen}).
+    Profiles are plain data so experiment specifications can carry them. *)
 
 type profile =
   | Dedicated  (** availability stays 1.0 *)
@@ -19,7 +20,23 @@ type profile =
   | Playback of (float * float) list
       (** replay a recorded availability trace *)
 
+val drive :
+  ?rng:Aspipe_util.Rng.t ->
+  who:string ->
+  horizon:float ->
+  Aspipe_des.Engine.t ->
+  level:float ->
+  (float -> unit) ->
+  profile ->
+  unit
+(** [drive ~who ~horizon engine ~level set profile] schedules [profile]'s
+    changes of a signal as calls of [set] on [engine]. [level] is the
+    signal's current value, where a random walk starts. Self-rescheduling
+    profiles (sine, random walk, Markov) stop after [horizon], so bounded
+    simulations terminate. A bad profile raises [Invalid_argument] with a
+    message that starts with [who]; so does a stochastic profile without
+    [rng]. *)
+
 val apply_until :
   ?rng:Aspipe_util.Rng.t -> horizon:float -> Topology.t -> int -> profile -> unit
-(** Like {!apply} but self-rescheduling profiles (sine, random walk, Markov)
-    stop after [horizon], so bounded simulations terminate. *)
+(** {!drive} on node [i]'s availability, starting from its current value. *)

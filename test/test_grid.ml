@@ -269,6 +269,29 @@ let test_netgen_needs_rng () =
       Netgen.apply_pair ~horizon:10.0 topo 0 1
         (Loadgen.Random_walk { every = 1.0; sigma = 0.1; lo = 0.1; hi = 1.0 }))
 
+(* Links and nodes run one profile driver: a profile and a seed give a
+   link's quality the level sequence they give a node's availability,
+   random walks included (both signals start at 1.0). *)
+let test_netgen_matches_loadgen () =
+  let horizon = 60.0 in
+  List.iter
+    (fun (name, profile) ->
+      let _, node_levels = run_profile ~rng:(Rng.create 11) ~horizon profile in
+      let engine = Engine.create () in
+      let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:0.01 ~bandwidth:1e6 () in
+      Netgen.apply_pair ~rng:(Rng.create 11) ~horizon topo 0 1 profile;
+      let link = Topology.link topo ~src:0 ~dst:1 in
+      let link_levels = sample engine ~every:0.25 ~horizon (fun () -> Link.quality link) in
+      Engine.run ~until:horizon engine;
+      Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+        (name ^ ": link reads the node's levels") node_levels (link_levels ()))
+    [
+      ("sine", Loadgen.Sine { period = 10.0; base = 0.6; amplitude = 0.3; sample_every = 0.5 });
+      ( "markov",
+        Loadgen.Markov_on_off { to_busy_rate = 0.2; to_free_rate = 0.2; busy_level = 0.3 } );
+      ("random walk", Loadgen.Random_walk { every = 1.0; sigma = 0.3; lo = 0.2; hi = 0.9 });
+    ]
+
 let test_monitor_link_forecast () =
   let engine = Engine.create () in
   let topo = Topology.uniform engine ~n:2 ~speed:10.0 ~latency:0.01 ~bandwidth:1e6 () in
@@ -545,6 +568,7 @@ let () =
         [
           Alcotest.test_case "pair step" `Quick test_netgen_pair_step;
           Alcotest.test_case "needs rng" `Quick test_netgen_needs_rng;
+          Alcotest.test_case "same levels as a node" `Quick test_netgen_matches_loadgen;
           Alcotest.test_case "monitor link forecast" `Quick test_monitor_link_forecast;
         ] );
       ( "topology",
