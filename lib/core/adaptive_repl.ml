@@ -12,30 +12,9 @@ let log_src = Logs.Src.create "aspipe.repl" ~doc:"Adaptive replication engine"
 
 module Log = (val Logs.src_log log_src)
 
-type config = {
-  dispatch : Repl_sim.dispatch;
-  monitor_every : float;
-  evaluate_every : float;
-  sensor : Monitor.sensor_spec;
-  probes : int;
-  measurement_noise : float;
-  min_gain : float;
-  budget : int option;
-  adapt : bool;
-}
+type config = { dispatch : Repl_sim.dispatch; adapt : bool }
 
-let default_config =
-  {
-    dispatch = Repl_sim.Least_loaded;
-    monitor_every = 5.0;
-    evaluate_every = 10.0;
-    sensor = Monitor.default_sensor;
-    probes = 5;
-    measurement_noise = 0.01;
-    min_gain = 0.1;
-    budget = None;
-    adapt = true;
-  }
+let default_config = { dispatch = Repl_sim.Least_loaded; adapt = true }
 
 type report = {
   scenario_name : string;
@@ -63,14 +42,13 @@ let run ?(config = default_config) ~scenario ~seed () =
   let processors = Topology.size topo in
   if processors < Array.length stages then
     invalid_arg "Adaptive_repl.run: need at least one node per stage";
-  let budget = match config.budget with Some b -> b | None -> processors in
-
-  let calibration =
-    Calibration.run ~probes:config.probes ~measurement_noise:config.measurement_noise
-      ~rng:calib_rng stages
+  (* Calibration and sensing run at the adaptive pipeline's settings. *)
+  let { Adaptive.probes; measurement_noise; sensor; monitor_every; evaluate_every; _ } =
+    Adaptive.default_config
   in
+  let calibration = Calibration.run ~probes ~measurement_noise ~rng:calib_rng stages in
   let monitor =
-    Monitor.create ~sensor:config.sensor ~rng:monitor_rng ~every:config.monitor_every
+    Monitor.create ~sensor ~rng:monitor_rng ~every:monitor_every
       ~horizon:scenario.Scenario.horizon topo
   in
   let spec_from availability =
@@ -85,7 +63,7 @@ let run ?(config = default_config) ~scenario ~seed () =
     | Repl_sim.Round_robin ->
         let workers, score = Repl_model.best_round_robin spec in
         ([| workers |], score)
-    | Repl_sim.Least_loaded -> Repl_model.best_replication spec ~budget ~processors
+    | Repl_sim.Least_loaded -> Repl_model.best_replication spec ~budget:processors ~processors
   in
   let initial_replicas, _ =
     allocate (spec_from (fun i -> Node.availability (Topology.node topo i)))
@@ -98,7 +76,7 @@ let run ?(config = default_config) ~scenario ~seed () =
   let history = ref [] in
   let reconfigurations = ref 0 in
   if config.adapt then
-    Engine.periodic engine ~every:config.evaluate_every (fun () ->
+    Engine.periodic engine ~every:evaluate_every (fun () ->
         if Repl_sim.finished sim then false
         else begin
           let spec = spec_from (Monitor.node_forecast monitor) in
@@ -107,7 +85,8 @@ let run ?(config = default_config) ~scenario ~seed () =
           let current_score =
             Repl_model.throughput ~dispatch:config.dispatch spec ~replicas:current
           in
-          if candidate <> current && score > current_score *. (1.0 +. config.min_gain) then begin
+          (* Re-shape only for a predicted gain above 10 %. *)
+          if candidate <> current && score > current_score *. 1.1 then begin
             Repl_sim.set_replicas sim candidate;
             incr reconfigurations;
             history := (Engine.now engine, candidate) :: !history;

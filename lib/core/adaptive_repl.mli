@@ -19,21 +19,14 @@
 type config = {
   dispatch : Aspipe_skel.Repl_sim.dispatch;
       (** [Round_robin] needs a one-stage scenario (the farm) *)
-  monitor_every : float;
-  evaluate_every : float;
-  sensor : Aspipe_grid.Monitor.sensor_spec;
-  probes : int;
-  measurement_noise : float;
-  min_gain : float;  (** relative predicted-throughput gain to reconfigure *)
-  budget : int option;
-      (** least-loaded replica budget; default = number of nodes. Round-robin
-          ignores it. *)
   adapt : bool;  (** [false] = static run with the initial replica sets *)
 }
 
 val default_config : config
-(** Least-loaded, monitor 5 s / evaluate 10 s, default sensor, 5 probes,
-    1% noise, 10% min gain, budget = nodes, adaptation on. *)
+(** Least-loaded, adaptation on. Calibration, monitoring and the epoch
+    follow {!Adaptive.default_config} (5 probes at 1 % noise, the default
+    sensor every 5 s, an evaluation every 10 s); a re-shape needs a 10 %
+    predicted gain, and least-loaded deals one replica budget per node. *)
 
 type report = {
   scenario_name : string;

@@ -105,7 +105,7 @@ let adapt_results ~quick =
   let adaptive = Adaptive_repl.run ~config:round_robin ~scenario ~seed () in
   let least_loaded =
     Adaptive_repl.run
-      ~config:{ round_robin with dispatch = Repl_sim.Least_loaded; adapt = false }
+      ~config:{ Adaptive_repl.dispatch = Repl_sim.Least_loaded; adapt = false }
       ~scenario ~seed ()
   in
   List.map
